@@ -1,4 +1,4 @@
-exception Decode_error of string
+exception Decode_error = Encoding.Var_error
 
 let as_int (v : Value.t) =
   match v with
@@ -20,8 +20,8 @@ let as_int64 (v : Value.t) =
 let as_float (v : Value.t) =
   match v with Value.Vfloat f -> f | _ -> invalid_arg "Codec.as_float"
 
-let int_of_value (atom : Mplan.atom) v =
-  match atom.Mplan.kind with
+let int_of_value (kind : Encoding.atom_kind) v =
+  match kind with
   | Encoding.Kbool -> ( match v with Value.Vbool b -> (if b then 1 else 0) | _ -> as_int v)
   | Encoding.Kchar -> ( match v with Value.Vchar c -> Char.code c | _ -> as_int v)
   | Encoding.Kint _ -> as_int v
@@ -40,13 +40,13 @@ let write_at buf ~be off (atom : Mplan.atom) v =
   | Encoding.Kint { bits = 64; _ }, _ ->
       if be then Mbuf.set_i64_be buf off (as_int64 v)
       else Mbuf.set_i64_le buf off (as_int64 v)
-  | _, 1 -> Mbuf.set_u8 buf off (int_of_value atom v)
+  | _, 1 -> Mbuf.set_u8 buf off (int_of_value atom.Mplan.kind v)
   | _, 2 ->
-      if be then Mbuf.set_i16_be buf off (int_of_value atom v)
-      else Mbuf.set_i16_le buf off (int_of_value atom v)
+      if be then Mbuf.set_i16_be buf off (int_of_value atom.Mplan.kind v)
+      else Mbuf.set_i16_le buf off (int_of_value atom.Mplan.kind v)
   | _, 4 ->
-      if be then Mbuf.set_i32_be buf off (int_of_value atom v)
-      else Mbuf.set_i32_le buf off (int_of_value atom v)
+      if be then Mbuf.set_i32_be buf off (int_of_value atom.Mplan.kind v)
+      else Mbuf.set_i32_le buf off (int_of_value atom.Mplan.kind v)
   | _, n -> invalid_arg (Printf.sprintf "Codec.write_at: size %d" n)
 
 let write_const_at buf ~be off (atom : Mplan.atom) value =
@@ -147,61 +147,56 @@ let skip_pad r ~pad_unit n =
 
 (* -- value-dependent wire formats ------------------------------------ *)
 
-(* Encoding's variable-header hooks speak primitives (int64, bool,
-   float); these wrappers fix the Value.t mapping once so every engine
-   (plan-driven, staged, rpcgen-style, interpretive) emits and accepts
-   exactly the same bytes.  Malformed-header errors surface as
-   [Decode_error] like every other wire fault; truncation stays
-   [Mbuf.Short_buffer]. *)
+(* The one Value.t mapping onto Encoding's variable-header emitters and
+   parsers, shared by every engine (plan-driven, staged, rpcgen-style,
+   interpretive) so they all emit and accept exactly the same bytes.  A
+   char or an integer field of at most 32 bits stays a native int end
+   to end.  Malformed headers raise [Decode_error] (the same exception
+   as [Encoding.Var_error]); truncation stays [Mbuf.Short_buffer]. *)
 
-let wrap_var f = try f () with Encoding.Var_error m -> raise (Decode_error m)
-
-let write_var (vc : Encoding.varcodec) ~check (kind : Encoding.atom_kind) buf v
-    =
+let write_var_int vc ~check (kind : Encoding.atom_kind) buf n =
   match kind with
-  | Encoding.Kbool ->
-      let b = match v with Value.Vbool b -> b | _ -> as_int v <> 0 in
-      vc.Encoding.v_put_bool ~check buf b
-  | Encoding.Kchar ->
-      let code =
-        match v with
-        | Value.Vchar c -> Char.code c
-        | _ -> as_int v land 0xFF
-      in
-      vc.Encoding.v_put_int ~check ~signed:false buf (Int64.of_int code)
-  | Encoding.Kint { bits; signed } ->
+  | Encoding.Kbool -> Encoding.var_put_bool vc ~check buf (n <> 0)
+  | Encoding.Kchar -> Encoding.var_put_int vc ~check buf (n land 0xFF)
+  | Encoding.Kint { bits; signed } when bits <= 32 ->
       (* truncate to the declared width first, the same round trip a
          fixed-size store performs *)
-      let n = Encoding.canon_int ~bits ~signed (as_int64 v) in
-      vc.Encoding.v_put_int ~check ~signed buf n
+      Encoding.var_put_int vc ~check buf
+        (if signed then sign_extend n bits else n land ((1 lsl bits) - 1))
+  | Encoding.Kint { bits; signed } ->
+      Encoding.var_put_int64 vc ~check ~signed buf
+        (Encoding.canon_int ~bits ~signed (Int64.of_int n))
+  | Encoding.Kfloat _ -> invalid_arg "Codec.write_var_int: float"
+
+let write_var vc ~check (kind : Encoding.atom_kind) buf v =
+  match kind with
   | Encoding.Kfloat { bits } ->
-      vc.Encoding.v_put_float ~check ~bits buf (as_float v)
+      Encoding.var_put_float vc ~check ~bits buf (as_float v)
+  | Encoding.Kint { bits; signed } when bits > 32 ->
+      Encoding.var_put_int64 vc ~check ~signed buf
+        (Encoding.canon_int ~bits ~signed (as_int64 v))
+  | Encoding.Kbool | Encoding.Kchar | Encoding.Kint _ ->
+      write_var_int vc ~check kind buf (int_of_value kind v)
 
-let read_var (vc : Encoding.varcodec) (kind : Encoding.atom_kind) r : Value.t =
-  wrap_var (fun () ->
-      match kind with
-      | Encoding.Kbool -> Value.Vbool (vc.Encoding.v_get_bool r)
-      | Encoding.Kchar ->
-          let n = vc.Encoding.v_get_int ~signed:false r in
-          if Int64.unsigned_compare n 255L > 0 then
-            raise (Decode_error (Printf.sprintf "invalid character %Ld" n));
-          Value.Vchar (Char.chr (Int64.to_int n))
-      | Encoding.Kint { bits; signed } ->
-          let n = vc.Encoding.v_get_int ~signed r in
-          if Encoding.canon_int ~bits ~signed n <> n then
-            raise
-              (Decode_error
-                 (Printf.sprintf "integer %Ld out of range for %d-bit field" n
-                    bits));
-          if bits <= 32 then Value.Vint (Int64.to_int n) else Value.Vint64 n
-      | Encoding.Kfloat { bits } ->
-          Value.Vfloat (vc.Encoding.v_get_float ~bits r))
+let read_var vc (kind : Encoding.atom_kind) r : Value.t =
+  match kind with
+  | Encoding.Kbool -> Value.Vbool (Encoding.var_get_bool vc r)
+  | Encoding.Kchar -> Value.Vchar (Char.chr (Encoding.var_get_int vc kind r))
+  | Encoding.Kint { bits; _ } when bits <= 32 ->
+      Value.Vint (Encoding.var_get_int vc kind r)
+  | Encoding.Kint { signed; _ } ->
+      Value.Vint64 (Encoding.var_get_int64 vc ~signed r)
+  | Encoding.Kfloat { bits } -> Value.Vfloat (Encoding.var_get_float vc ~bits r)
 
-let write_vlen (vc : Encoding.varcodec) ~check (lk : Encoding.lenkind) buf n =
-  vc.Encoding.v_put_len ~check buf lk n
+let write_vlen vc ~check (lk : Encoding.lenkind) buf n =
+  Encoding.var_put_len vc ~check buf lk n
 
-let read_vlen (vc : Encoding.varcodec) (lk : Encoding.lenkind) r =
-  wrap_var (fun () -> vc.Encoding.v_get_len r lk)
+let read_vlen vc (lk : Encoding.lenkind) r = Encoding.var_get_len vc lk r
+
+(* A count read off the wire allocates nothing until its elements could
+   fit in the bytes that remain, each taking at least [min_elem]. *)
+let need_elems r n ~min_elem =
+  if n * min_elem > Mbuf.remaining r then raise Mbuf.Short_buffer
 
 let const_to_value (c : Mint.const) : Value.t =
   match c with

@@ -45,11 +45,17 @@ val skip_pad : Mbuf.reader -> pad_unit:int -> int -> unit
 (** Skip the trailing padding of an [n]-byte variable-length run up to
     the encoding's pad unit. *)
 
+val need_elems : Mbuf.reader -> int -> min_elem:int -> unit
+(** [need_elems r n ~min_elem] raises [Mbuf.Short_buffer] unless [n]
+    elements of at least [min_elem] bytes each fit in what remains of
+    [r] — the check that bounds a count-driven allocation by the bytes
+    received. *)
+
 (** Value-dependent wire formats (msgpack, CBOR).  One mapping from
-    {!Value.t} to the encoding's primitive hooks, shared by every
+    {!Value.t} to the encoding's emitters and parsers, shared by every
     engine, so differential parity across tiers holds by construction.
-    All four translate {!Encoding.Var_error} into {!Decode_error};
-    truncation surfaces as [Mbuf.Short_buffer] like the fixed paths. *)
+    Malformed headers raise {!Decode_error}; truncation surfaces as
+    [Mbuf.Short_buffer] like the fixed paths. *)
 
 val write_var :
   Encoding.varcodec -> check:bool -> Encoding.atom_kind -> Mbuf.t ->
@@ -58,6 +64,13 @@ val write_var :
     truncated to the declared field width first (the round trip a
     fixed-size store performs).  [check:false] requires the caller to
     have reserved the atom's worst case. *)
+
+val write_var_int :
+  Encoding.varcodec -> check:bool -> Encoding.atom_kind -> Mbuf.t -> int ->
+  unit
+(** {!write_var} for a non-float scalar given as a native int (an
+    element of a [Vint_array]): nothing is allocated for fields of at
+    most 32 bits. *)
 
 val read_var :
   Encoding.varcodec -> Encoding.atom_kind -> Mbuf.reader -> Value.t

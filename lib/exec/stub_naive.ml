@@ -550,9 +550,10 @@ let compile_value_decoder cfg (enc : Encoding.t) mint named :
               | Mint.Int { bits; _ } when bits <= 32 -> true
               | _ -> false
             in
+            let min_elem = elem_min elem in
             fun r ->
               hdr r;
-              decode_elements d r min_len as_int_array)
+              decode_elements d r min_len ~min_elem as_int_array)
     | Pres.Counted_seq { elem = sub; _ } -> (
         match Mint.get mint elem with
         | Mint.Char8 | Mint.Int { bits = 8; _ } ->
@@ -570,11 +571,12 @@ let compile_value_decoder cfg (enc : Encoding.t) mint named :
               | Mint.Int { bits; _ } when bits <= 32 -> true
               | _ -> false
             in
+            let min_elem = elem_min elem in
             fun r ->
               hdr r;
               let n = read_len r in
               check_max "sequence" n max_len;
-              decode_elements d r n as_int_array)
+              decode_elements d r n ~min_elem as_int_array)
     | Pres.Direct | Pres.Enum_direct | Pres.Struct _ | Pres.Union _
     | Pres.Void | Pres.Ref _ ->
         invalid_arg "Stub_naive: array PRES mismatch"
@@ -583,7 +585,15 @@ let compile_value_decoder cfg (enc : Encoding.t) mint named :
     match Encoding.atom_of_mint (Mint.get mint elem) with
     | Some kind -> read_scalar kind
     | None -> dec elem sub
-  and decode_elements d r n as_int_array =
+  (* the fewest wire bytes one element takes (0: no static bound), so a
+     hostile count fails before its array is allocated *)
+  and elem_min elem =
+    match Encoding.atom_of_mint (Mint.get mint elem) with
+    | Some _ when vc <> None -> 1
+    | Some kind -> (atom_of kind).Mplan.size
+    | None -> 0
+  and decode_elements d r n ~min_elem as_int_array =
+    Codec.need_elems r n ~min_elem;
     if as_int_array then begin
       let out = Array.make n 0 in
       for i = 0 to n - 1 do

@@ -241,7 +241,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : (Mbuf.t -> env -> unit) list =
     | Mplan.Put_const_str { s; nul = _; pad = _ } when vc <> None ->
         let vcc = Option.get vc in
         put_image ~check:true
-          (vcc.Encoding.v_len_image Encoding.Lstr (String.length s) ^ s)
+          (Encoding.var_len_image vcc Encoding.Lstr (String.length s) ^ s)
     | Mplan.Put_const_str { s; nul; pad } ->
         let image = const_str_image ~be s nul pad in
         let n = Bytes.length image in
@@ -365,24 +365,25 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : (Mbuf.t -> env -> unit) list =
         let a = compile_rv arr in
         let kind = atom.Mplan.kind in
         (* one worst-case reservation for the whole run, then unchecked
-           minimal-width emits per element *)
-        let worst =
-          match vcc.Encoding.v_size kind with
-          | Encoding.Var { worst } -> worst
-          | Encoding.Fixed n -> n
-        in
+           minimal-width emits per element; a Vint_array's ints go to
+           the emitter as they are *)
+        let worst = Plan_compile.vh_worst_of kind in
         fun buf env ->
           let v = a env in
           let n = value_len v in
           if with_len then Codec.write_vlen vcc ~check:true Encoding.Larr buf n;
           Mbuf.ensure buf (n * worst);
-          let write_elem (e : Value.t) =
-            Codec.write_var vcc ~check:false kind buf e
-          in
           (match v with
           | Value.Vint_array elems ->
-              Array.iter (fun x -> write_elem (Value.Vint x)) elems
-          | Value.Varray elems -> Array.iter write_elem elems
+              for i = 0 to n - 1 do
+                Codec.write_var_int vcc ~check:false kind buf
+                  (Array.unsafe_get elems i)
+              done
+          | Value.Varray elems ->
+              for i = 0 to n - 1 do
+                Codec.write_var vcc ~check:false kind buf
+                  (Array.unsafe_get elems i)
+              done
           | _ -> invalid_arg "Stub_opt: atom array over non-array")
     | Mplan.Put_atom_array { arr; atom; with_len; via = _ } ->
         (* never borrowed: the copy doubles as the byte-order transform *)
@@ -450,7 +451,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : (Mbuf.t -> env -> unit) list =
         match (vh_image, vh_src) with
         | Some img, _ -> put_image ~check:vh_check img
         | None, Mplan.Vh_const v ->
-            put_image ~check:vh_check (vcc.Encoding.v_const_image vh_kind v)
+            put_image ~check:vh_check (Encoding.var_const_image vcc vh_kind v)
         | None, Mplan.Vh_value rv ->
             let a = compile_rv rv in
             fun buf env ->
@@ -1016,6 +1017,27 @@ let compile_encoder ?config ~enc ~mint ~named roots : encoder =
    check_bounds, skip_pad), shared with the rpcgen-style and
    interpretive engines. *)
 
+(* [n] atoms under a value-dependent encoding.  Every element is
+   header-checked on its own (the advance is data-dependent, so no
+   run-wide [need] is possible), but each takes at least one byte, which
+   bounds the count before anything is allocated.  Ints of at most 32
+   bits fill an int array directly. *)
+let read_var_elems vcc (kind : Encoding.atom_kind) r n =
+  Codec.need_elems r n ~min_elem:1;
+  match kind with
+  | Encoding.Kint { bits; _ } when bits <= 32 ->
+      let out = Array.make n 0 in
+      for i = 0 to n - 1 do
+        Array.unsafe_set out i (Encoding.var_get_int vcc kind r)
+      done;
+      Value.Vint_array out
+  | _ ->
+      let out = Array.make n Value.Vvoid in
+      for i = 0 to n - 1 do
+        Array.unsafe_set out i (Codec.read_var vcc kind r)
+      done;
+      Value.Varray out
+
 let compile_value_decoder ~(enc : Encoding.t) ~mint
     ~(named : (string * (Mint.idx * Pres.t)) list) root_idx root_pres :
     Mbuf.reader -> Value.t =
@@ -1217,14 +1239,7 @@ let compile_value_decoder ~(enc : Encoding.t) ~mint
                 Codec.check_bounds ~what:"array" n ~min_len:0 ~max_len;
                 n
           in
-          let out = Array.make n Value.Vvoid in
-          for i = 0 to n - 1 do
-            out.(i) <- Codec.read_var vcc kind r
-          done;
-          (match kind with
-          | Encoding.Kint { bits; _ } when bits <= 32 ->
-              Value.Vint_array (Array.map Codec.as_int out)
-          | _ -> Value.Varray out)
+          read_var_elems vcc kind r n
     | None -> dec_fixed_scalar_array ~fixed ~max_len kind
   and dec_fixed_scalar_array ~fixed ~max_len kind =
     let atom = atom_of kind in
@@ -1271,6 +1286,7 @@ let compile_value_decoder ~(enc : Encoding.t) ~mint
                 Codec.check_bounds ~what:"array" n ~min_len:0 ~max_len;
                 n
           in
+          Codec.need_elems r n ~min_elem:size;
           let out = Array.make n Value.Vvoid in
           for i = 0 to n - 1 do
             out.(i) <- Codec.read_stream r ~be atom
@@ -1669,19 +1685,7 @@ let dcompiler ~(enc : Encoding.t) ~(subs : (string, dframe_exec ref) Hashtbl.t)
         let vcc = Option.get vc in
         let get_n = read_count count in
         let kind = atom.Mplan.kind in
-        (* every element is header-checked on its own: the advance is
-           data-dependent, so no run-wide reservation is possible *)
-        fun r slots ->
-          let n = get_n r in
-          let out = Array.make n Value.Vvoid in
-          for i = 0 to n - 1 do
-            out.(i) <- Codec.read_var vcc kind r
-          done;
-          slots.(slot) <-
-            (match kind with
-            | Encoding.Kint { bits; _ } when bits <= 32 ->
-                Value.Vint_array (Array.map Codec.as_int out)
-            | _ -> Value.Varray out)
+        fun r slots -> slots.(slot) <- read_var_elems vcc kind r (get_n r)
     | Dplan.D_get_atom_array { count; atom; slot } -> (
         let get_n = read_count count in
         match (atom.Mplan.kind, atom.Mplan.size) with
@@ -1711,6 +1715,7 @@ let dcompiler ~(enc : Encoding.t) ~(subs : (string, dframe_exec ref) Hashtbl.t)
         | _, _ ->
             fun r slots ->
               let n = get_n r in
+              Codec.need_elems r n ~min_elem:atom.Mplan.size;
               let out = Array.make n Value.Vvoid in
               for i = 0 to n - 1 do
                 out.(i) <- Codec.read_stream r ~be atom

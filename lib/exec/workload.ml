@@ -1,12 +1,18 @@
 let random ?(string_max = 24) ?(seq_max = 6) ?(depth_limit = 6) rng mint ~named
     root_idx root_pres =
+  (* Draw the magnitude's bit length first, then the value and its sign,
+     so every header width of the self-describing encodings (fixints,
+     1/2/4/8-byte payloads) occurs, where a uniform draw almost always
+     lands in the widest. *)
   let rand_int bits signed =
-    if signed then
-      let bound = Int64.to_int (Int64.shift_left 1L (min (bits - 1) 31)) in
-      Random.State.full_int rng (2 * bound) - bound
-    else
-      let bound = Int64.to_int (Int64.shift_left 1L (min bits 32)) in
-      Random.State.full_int rng bound
+    let w = 1 + Random.State.int rng (if signed then bits - 1 else bits) in
+    let v = Random.State.full_int rng (1 lsl w) in
+    if signed && Random.State.bool rng then -1 - v else v
+  in
+  let rand_int64 signed =
+    let w = 1 + Random.State.int rng (if signed then 63 else 64) in
+    let v = Int64.shift_right_logical (Random.State.bits64 rng) (64 - w) in
+    if signed && Random.State.bool rng then Int64.lognot v else v
   in
   let rand_char () = Char.chr (32 + Random.State.int rng 95) in
   let rand_string n =
@@ -22,8 +28,7 @@ let random ?(string_max = 24) ?(seq_max = 6) ?(depth_limit = 6) rng mint ~named
     | Mint.Void, _ -> Value.Vvoid
     | Mint.Bool, _ -> Value.Vbool (Random.State.bool rng)
     | Mint.Char8, _ -> Value.Vchar (rand_char ())
-    | Mint.Int { bits = 64; signed = _ }, _ ->
-        Value.Vint64 (Random.State.int64 rng Int64.max_int)
+    | Mint.Int { bits = 64; signed }, _ -> Value.Vint64 (rand_int64 signed)
     | Mint.Int { bits; signed }, _ -> Value.Vint (rand_int bits signed)
     | Mint.Float { bits = 32 }, _ ->
         (* values exactly representable in single precision *)

@@ -20,7 +20,10 @@ val random :
   Value.t
 (** A random value of the canonical representation ({!Value.rep_kind})
     for the given MINT/PRES pair, respecting declared bounds.
-    Recursive types are cut off at [depth_limit]. *)
+    Recursive types are cut off at [depth_limit].  Integers draw their
+    bit length uniformly before their value (and, when signed, their
+    sign), so every header width of the self-describing encodings
+    occurs. *)
 
 val int_array : int -> Value.t
 (** [int_array bytes] — enough 32-bit integers to occupy [bytes]. *)

@@ -205,7 +205,7 @@ let take_var_scalar st (vcc : Encoding.varcodec) kind =
                {
                  off;
                  atom = Plan_compile.u8_atom;
-                 value = Int64.of_int (vcc.Encoding.v_float_tag ~bits);
+                 value = Int64.of_int (Encoding.var_float_tag vcc ~bits);
                }));
       let payload = { Mplan.kind; size = bits / 8; align = 1 } in
       take_atom st payload (fun off ->
@@ -217,7 +217,7 @@ let take_var_scalar st (vcc : Encoding.varcodec) kind =
         (Dplan.D_get_varhead
            {
              vh_kind = kind;
-             vh_worst = Plan_compile.vh_worst_of vcc kind;
+             vh_worst = Plan_compile.vh_worst_of kind;
              vh_slot = Some slot;
              vh_expect = None;
              vh_image = None;
@@ -231,10 +231,10 @@ let take_var_const st (vcc : Encoding.varcodec) kind value ~what =
     (Dplan.D_get_varhead
        {
          vh_kind = kind;
-         vh_worst = Plan_compile.vh_worst_of vcc kind;
+         vh_worst = Plan_compile.vh_worst_of kind;
          vh_slot = None;
          vh_expect = Some value;
-         vh_image = Some (vcc.Encoding.v_const_image kind value);
+         vh_image = Some (Encoding.var_const_image vcc kind value);
          vh_what = what;
        });
   lose_alignment st 1

@@ -19,22 +19,10 @@ type lenkind = Lstr | Lbin | Larr
 
 exception Var_error of string
 
-type varcodec = {
-  v_size : atom_kind -> size_class;
-  v_float_tag : bits:int -> int;
-      (** the canonical one-byte tag preceding a big-endian IEEE payload
-          — floats are the one var scalar whose wire size is static *)
-  v_put_int : check:bool -> signed:bool -> Mbuf.t -> int64 -> unit;
-  v_get_int : signed:bool -> Mbuf.reader -> int64;
-  v_put_bool : check:bool -> Mbuf.t -> bool -> unit;
-  v_get_bool : Mbuf.reader -> bool;
-  v_put_float : check:bool -> bits:int -> Mbuf.t -> float -> unit;
-  v_get_float : bits:int -> Mbuf.reader -> float;
-  v_put_len : check:bool -> Mbuf.t -> lenkind -> int -> unit;
-  v_get_len : Mbuf.reader -> lenkind -> int;
-  v_const_image : atom_kind -> int64 -> string;
-  v_len_image : lenkind -> int -> string;
-}
+(* The two self-describing formats.  Each has exactly one emitter and
+   one parser below; reservation sizes and constant images derive from
+   them. *)
+type varcodec = Msgpack | Cbor
 
 type t = {
   name : string;
@@ -141,14 +129,7 @@ let canon_int ~bits ~signed v =
 let u_le a b = Int64.unsigned_compare a b <= 0
 let u_ge a b = Int64.unsigned_compare a b >= 0
 
-(* big-endian image of the low [n] bytes of [v] *)
-let be_bytes n v =
-  String.init n (fun i ->
-      Char.chr
-        (Int64.to_int
-           (Int64.logand (Int64.shift_right_logical v (8 * (n - 1 - i))) 0xFFL)))
-
-let worst_of = function
+let var_size = function
   | Kbool -> Var { worst = 1 }
   | Kchar -> Var { worst = 2 }
   | Kint { bits = 8; _ } -> Var { worst = 2 }
@@ -157,143 +138,177 @@ let worst_of = function
   | Kint _ -> Var { worst = 9 }
   | Kfloat { bits } -> Fixed (1 + (bits / 8))
 
-let put_image ~check b s =
-  let n = String.length s in
-  if check then Mbuf.ensure b n;
-  Mbuf.set_string b 0 s 0 n;
-  Mbuf.advance b n
+let var_float_tag vc ~bits =
+  match vc with
+  | Msgpack -> if bits = 32 then 0xca else 0xcb
+  | Cbor -> if bits = 32 then 0xfa else 0xfb
 
-(* read the [width]-byte big-endian payload that follows a one-byte tag,
-   zero-extended; checks tag+payload are in bounds *)
-let head_payload r width =
+(* Emit a tag byte and its big-endian payload straight into the buffer.
+   [check:false] rides a covering reservation of the atom's worst case;
+   [check:true] reserves exactly the bytes emitted. *)
+
+let emit ~check b width tag v =
+  if check then Mbuf.ensure b (1 + width);
+  Mbuf.set_u8 b 0 tag;
+  (match width with
+  | 0 -> ()
+  | 1 -> Mbuf.set_u8 b 1 v
+  | 2 -> Mbuf.set_i16_be b 1 (v land 0xffff)
+  | _ -> Mbuf.set_i32_be b 1 v);
+  Mbuf.advance b (1 + width)
+
+let emit8 ~check b tag v =
+  if check then Mbuf.ensure b 9;
+  Mbuf.set_u8 b 0 tag;
+  Mbuf.set_i64_be b 1 v;
+  Mbuf.advance b 9
+
+(* Read the [width]-byte (1, 2 or 4) big-endian payload after a one-byte
+   tag, in place and zero-extended; checks tag+payload are in bounds. *)
+let payload r width =
   Mbuf.need r (1 + width);
-  let rec go acc i =
-    if i = width then acc
-    else
-      go
-        (Int64.logor (Int64.shift_left acc 8)
-           (Int64.of_int (Mbuf.get_u8 r (1 + i))))
-        (i + 1)
-  in
-  go 0L 0
+  match width with
+  | 1 -> Mbuf.get_u8 r 1
+  | 2 -> Mbuf.get_i16_be r 1
+  | _ -> Mbuf.get_i32_be r 1 land 0xffff_ffff
 
 let sext width v =
-  let s = 64 - (8 * width) in
-  Int64.shift_right (Int64.shift_left v s) s
+  let s = Sys.int_size - (8 * width) in
+  (v lsl s) asr s
+
+let signed_of = function
+  | Kint { signed; _ } -> signed
+  | Kbool | Kchar | Kfloat _ -> false
+
+(* Every canonical 8-byte form lies outside a char or a field of at
+   most 32 bits, so reading one into such a field always fails. *)
+let wide_field kind n =
+  match kind with
+  | Kchar -> verr "invalid character %Ld" n
+  | Kint { bits; _ } -> verr "integer %Ld out of range for %d-bit field" n bits
+  | Kbool | Kfloat _ -> invalid_arg "Encoding: not an integer field"
+
+let check_field kind v =
+  (match kind with
+  | Kchar -> if v > 255 then verr "invalid character %d" v
+  | Kint { bits; signed } ->
+      let c = if signed then sext (bits / 8) v else v land ((1 lsl bits) - 1) in
+      if c <> v then verr "integer %d out of range for %d-bit field" v bits
+  | Kbool | Kfloat _ -> invalid_arg "Encoding: not an integer field");
+  v
+
+(* the parsers' stand-in fields for the native part of a 64-bit read,
+   which never reaches [wide_field] *)
+let k_i64 = Kint { bits = 64; signed = true }
+let k_u64 = Kint { bits = 64; signed = false }
 
 (* ---------------------------- msgpack ----------------------------- *)
 
-let mp_uint_image v =
-  if u_le v 0x7fL then String.make 1 (Char.chr (Int64.to_int v))
-  else if u_le v 0xffL then "\xcc" ^ be_bytes 1 v
-  else if u_le v 0xffffL then "\xcd" ^ be_bytes 2 v
-  else if u_le v 0xffff_ffffL then "\xce" ^ be_bytes 4 v
-  else "\xcf" ^ be_bytes 8 v
+(* [v] >= -2^31: fixints, then the tagged forms *)
+let mp_put_int ~check b v =
+  if v >= 0 then
+    if v <= 0x7f then emit ~check b 0 v 0
+    else if v <= 0xff then emit ~check b 1 0xcc v
+    else if v <= 0xffff then emit ~check b 2 0xcd v
+    else if v <= 0xffff_ffff then emit ~check b 4 0xce v
+    else emit8 ~check b 0xcf (Int64.of_int v)
+  else if v >= -32 then emit ~check b 0 (v land 0xff) 0
+  else if v >= -128 then emit ~check b 1 0xd0 v
+  else if v >= -32768 then emit ~check b 2 0xd1 v
+  else emit ~check b 4 0xd2 v
 
-let mp_int_image ~signed v =
-  if (not signed) || Int64.compare v 0L >= 0 then mp_uint_image v
-  else if Int64.compare v (-32L) >= 0 then be_bytes 1 v
-  else if Int64.compare v (-128L) >= 0 then "\xd0" ^ be_bytes 1 v
-  else if Int64.compare v (-32768L) >= 0 then "\xd1" ^ be_bytes 2 v
-  else if Int64.compare v (-2147483648L) >= 0 then "\xd2" ^ be_bytes 4 v
-  else "\xd3" ^ be_bytes 8 v
+let mp_put_int64 ~check ~signed b v =
+  if signed && Int64.compare v 0L < 0 then
+    if Int64.compare v (-0x8000_0000L) >= 0 then
+      mp_put_int ~check b (Int64.to_int v)
+    else emit8 ~check b 0xd3 v
+  else if u_le v 0xffff_ffffL then mp_put_int ~check b (Int64.to_int v)
+  else emit8 ~check b 0xcf v
 
-let mp_bool_image b = if b then "\xc3" else "\xc2"
-
-let mp_len_image kind n =
-  let v = Int64.of_int n in
+let mp_put_len ~check b kind n =
   match kind with
   | Lstr ->
-      if n <= 31 then String.make 1 (Char.chr (0xa0 lor n))
-      else if n <= 0xff then "\xd9" ^ be_bytes 1 v
-      else if n <= 0xffff then "\xda" ^ be_bytes 2 v
-      else "\xdb" ^ be_bytes 4 v
+      if n <= 31 then emit ~check b 0 (0xa0 lor n) 0
+      else if n <= 0xff then emit ~check b 1 0xd9 n
+      else if n <= 0xffff then emit ~check b 2 0xda n
+      else emit ~check b 4 0xdb n
   | Lbin ->
-      if n <= 0xff then "\xc4" ^ be_bytes 1 v
-      else if n <= 0xffff then "\xc5" ^ be_bytes 2 v
-      else "\xc6" ^ be_bytes 4 v
+      if n <= 0xff then emit ~check b 1 0xc4 n
+      else if n <= 0xffff then emit ~check b 2 0xc5 n
+      else emit ~check b 4 0xc6 n
   | Larr ->
-      if n <= 15 then String.make 1 (Char.chr (0x90 lor n))
-      else if n <= 0xffff then "\xdc" ^ be_bytes 2 v
-      else "\xdd" ^ be_bytes 4 v
+      if n <= 15 then emit ~check b 0 (0x90 lor n) 0
+      else if n <= 0xffff then emit ~check b 2 0xdc n
+      else emit ~check b 4 0xdd n
 
-let mp_get_int ~signed r =
+(* the 8-byte forms (tags 0xcf, 0xd3) *)
+let mp_get_wide ~signed r t =
+  if t = 0xd3 && not signed then
+    verr "msgpack: negative integer for unsigned field";
+  Mbuf.need r 9;
+  let v = Mbuf.get_i64_be r 1 in
+  if t = 0xcf then begin
+    if not (u_ge v 0x1_0000_0000L) then verr "msgpack: non-minimal uint64";
+    if signed && Int64.compare v 0L < 0 then verr "msgpack: integer out of range"
+  end
+  else if Int64.compare v (-2147483649L) > 0 then
+    verr "msgpack: non-minimal int64";
+  Mbuf.skip r 9;
+  v
+
+let mp_uint r width floor what =
+  let v = payload r width in
+  if v < floor then verr "msgpack: non-minimal %s" what;
+  Mbuf.skip r (1 + width);
+  v
+
+let mp_negint ~signed r width ceil what =
+  if not signed then verr "msgpack: negative integer for unsigned field";
+  let v = sext width (payload r width) in
+  if v > ceil then verr "msgpack: non-minimal %s" what;
+  Mbuf.skip r (1 + width);
+  v
+
+(* one integer read into [kind]: tag and payload in place, the value a
+   native int *)
+let mp_get_int kind r =
+  let signed = signed_of kind in
   Mbuf.need r 1;
   let t = Mbuf.get_u8 r 0 in
-  let fin width v =
-    Mbuf.skip r (1 + width);
-    v
-  in
   if t <= 0x7f then (
     Mbuf.skip r 1;
-    Int64.of_int t)
+    t)
   else if t >= 0xe0 then (
     if not signed then verr "msgpack: negative integer for unsigned field";
     Mbuf.skip r 1;
-    Int64.of_int (t - 256))
+    t - 256)
   else
     match t with
-    | 0xcc ->
-        let v = head_payload r 1 in
-        if not (u_ge v 0x80L) then verr "msgpack: non-minimal uint8";
-        fin 1 v
-    | 0xcd ->
-        let v = head_payload r 2 in
-        if not (u_ge v 0x100L) then verr "msgpack: non-minimal uint16";
-        fin 2 v
-    | 0xce ->
-        let v = head_payload r 4 in
-        if not (u_ge v 0x10000L) then verr "msgpack: non-minimal uint32";
-        fin 4 v
-    | 0xcf ->
-        let v = head_payload r 8 in
-        if not (u_ge v 0x1_0000_0000L) then verr "msgpack: non-minimal uint64";
-        if signed && Int64.compare v 0L < 0 then
-          verr "msgpack: integer out of range";
-        fin 8 v
-    | 0xd0 ->
-        if not signed then verr "msgpack: negative integer for unsigned field";
-        let v = sext 1 (head_payload r 1) in
-        if Int64.compare v (-33L) > 0 then verr "msgpack: non-minimal int8";
-        fin 1 v
-    | 0xd1 ->
-        if not signed then verr "msgpack: negative integer for unsigned field";
-        let v = sext 2 (head_payload r 2) in
-        if Int64.compare v (-129L) > 0 then verr "msgpack: non-minimal int16";
-        fin 2 v
-    | 0xd2 ->
-        if not signed then verr "msgpack: negative integer for unsigned field";
-        let v = sext 4 (head_payload r 4) in
-        if Int64.compare v (-32769L) > 0 then verr "msgpack: non-minimal int32";
-        fin 4 v
-    | 0xd3 ->
-        if not signed then verr "msgpack: negative integer for unsigned field";
-        let v = head_payload r 8 in
-        if Int64.compare v (-2147483649L) > 0 then
-          verr "msgpack: non-minimal int64";
-        fin 8 v
+    | 0xcc -> mp_uint r 1 0x80 "uint8"
+    | 0xcd -> mp_uint r 2 0x100 "uint16"
+    | 0xce -> mp_uint r 4 0x10000 "uint32"
+    | 0xd0 -> mp_negint ~signed r 1 (-33) "int8"
+    | 0xd1 -> mp_negint ~signed r 2 (-129) "int16"
+    | 0xd2 -> mp_negint ~signed r 4 (-32769) "int32"
+    | 0xcf | 0xd3 -> wide_field kind (mp_get_wide ~signed r t)
     | _ -> verr "msgpack: expected integer, got tag 0x%02x" t
 
-let mp_get_bool r =
+let mp_get_int64 ~signed r =
   Mbuf.need r 1;
-  match Mbuf.get_u8 r 0 with
-  | 0xc2 ->
-      Mbuf.skip r 1;
-      false
-  | 0xc3 ->
-      Mbuf.skip r 1;
-      true
-  | t -> verr "msgpack: expected bool, got tag 0x%02x" t
+  let t = Mbuf.get_u8 r 0 in
+  if t = 0xcf || t = 0xd3 then mp_get_wide ~signed r t
+  else Int64.of_int (mp_get_int (if signed then k_i64 else k_u64) r)
+
+let mp_len r width floor what =
+  let n = payload r width in
+  if n < floor then verr "msgpack: non-minimal %s length" what;
+  if n > 0x7fff_ffff then verr "msgpack: length %d out of range" n;
+  Mbuf.skip r (1 + width);
+  n
 
 let mp_get_len r kind =
   Mbuf.need r 1;
   let t = Mbuf.get_u8 r 0 in
-  let fin width n64 =
-    if Int64.compare n64 0x7fff_ffffL > 0 then
-      verr "msgpack: length %Ld out of range" n64;
-    Mbuf.skip r (1 + width);
-    Int64.to_int n64
-  in
   match kind with
   | Lstr -> (
       if t land 0xe0 = 0xa0 then (
@@ -301,31 +316,15 @@ let mp_get_len r kind =
         t land 0x1f)
       else
         match t with
-        | 0xd9 ->
-            let n = head_payload r 1 in
-            if not (u_ge n 32L) then verr "msgpack: non-minimal str8 length";
-            fin 1 n
-        | 0xda ->
-            let n = head_payload r 2 in
-            if not (u_ge n 0x100L) then verr "msgpack: non-minimal str16 length";
-            fin 2 n
-        | 0xdb ->
-            let n = head_payload r 4 in
-            if not (u_ge n 0x10000L) then
-              verr "msgpack: non-minimal str32 length";
-            fin 4 n
+        | 0xd9 -> mp_len r 1 32 "str8"
+        | 0xda -> mp_len r 2 0x100 "str16"
+        | 0xdb -> mp_len r 4 0x10000 "str32"
         | _ -> verr "msgpack: expected string, got tag 0x%02x" t)
   | Lbin -> (
       match t with
-      | 0xc4 -> fin 1 (head_payload r 1)
-      | 0xc5 ->
-          let n = head_payload r 2 in
-          if not (u_ge n 0x100L) then verr "msgpack: non-minimal bin16 length";
-          fin 2 n
-      | 0xc6 ->
-          let n = head_payload r 4 in
-          if not (u_ge n 0x10000L) then verr "msgpack: non-minimal bin32 length";
-          fin 4 n
+      | 0xc4 -> mp_len r 1 0 "bin8"
+      | 0xc5 -> mp_len r 2 0x100 "bin16"
+      | 0xc6 -> mp_len r 4 0x10000 "bin32"
       | _ -> verr "msgpack: expected binary, got tag 0x%02x" t)
   | Larr -> (
       if t land 0xf0 = 0x90 then (
@@ -333,154 +332,202 @@ let mp_get_len r kind =
         t land 0x0f)
       else
         match t with
-        | 0xdc ->
-            let n = head_payload r 2 in
-            if not (u_ge n 16L) then verr "msgpack: non-minimal array16 length";
-            fin 2 n
-        | 0xdd ->
-            let n = head_payload r 4 in
-            if not (u_ge n 0x10000L) then
-              verr "msgpack: non-minimal array32 length";
-            fin 4 n
+        | 0xdc -> mp_len r 2 16 "array16"
+        | 0xdd -> mp_len r 4 0x10000 "array32"
         | _ -> verr "msgpack: expected array, got tag 0x%02x" t)
 
 (* ----------------------------- CBOR ------------------------------- *)
 
 (* RFC 8949 preferred (minimal-width) heads: 3-bit major type, 5-bit
-   additional info, then a 1/2/4/8-byte big-endian argument. *)
-let cbor_head major n =
+   additional info, then a 1/2/4/8-byte big-endian argument [n] >= 0. *)
+let cbor_put_head ~check b major n =
   let mt = major lsl 5 in
-  if u_le n 23L then String.make 1 (Char.chr (mt lor Int64.to_int n))
-  else if u_le n 0xffL then String.make 1 (Char.chr (mt lor 24)) ^ be_bytes 1 n
-  else if u_le n 0xffffL then String.make 1 (Char.chr (mt lor 25)) ^ be_bytes 2 n
-  else if u_le n 0xffff_ffffL then
-    String.make 1 (Char.chr (mt lor 26)) ^ be_bytes 4 n
-  else String.make 1 (Char.chr (mt lor 27)) ^ be_bytes 8 n
+  if n <= 23 then emit ~check b 0 (mt lor n) 0
+  else if n <= 0xff then emit ~check b 1 (mt lor 24) n
+  else if n <= 0xffff then emit ~check b 2 (mt lor 25) n
+  else if n <= 0xffff_ffff then emit ~check b 4 (mt lor 26) n
+  else emit8 ~check b (mt lor 27) (Int64.of_int n)
 
-let cbor_int_image ~signed v =
-  if (not signed) || Int64.compare v 0L >= 0 then cbor_head 0 v
-  else cbor_head 1 (Int64.lognot v)
+let cbor_put_int ~check b v =
+  if v >= 0 then cbor_put_head ~check b 0 v
+  else cbor_put_head ~check b 1 (lnot v)
 
-let cbor_bool_image b = if b then "\xf5" else "\xf4"
+let cbor_put_int64 ~check ~signed b v =
+  if signed && Int64.compare v 0L < 0 then
+    let n = Int64.lognot v in
+    if u_le n 0xffff_ffffL then cbor_put_head ~check b 1 (Int64.to_int n)
+    else emit8 ~check b 0x3b n
+  else if u_le v 0xffff_ffffL then cbor_put_head ~check b 0 (Int64.to_int v)
+  else emit8 ~check b 0x1b v
 
-let cbor_len_image kind n =
-  let major = match kind with Lbin -> 2 | Lstr -> 3 | Larr -> 4 in
-  cbor_head major (Int64.of_int n)
+let len_major = function Lbin -> 2 | Lstr -> 3 | Larr -> 4
 
-(* parse one head: returns (major, argument) with the cursor advanced;
-   rejects non-minimal arguments and indefinite lengths *)
-let cbor_get_head r =
-  Mbuf.need r 1;
-  let t = Mbuf.get_u8 r 0 in
-  let major = t lsr 5 and info = t land 0x1f in
+(* A head's argument of at most 4 bytes, read in place (the tag byte is
+   in bounds; additional info 27 is the caller's).  Rejects non-minimal
+   arguments and indefinite lengths. *)
+let cbor_arg r t =
+  let info = t land 0x1f in
   if info <= 23 then (
     Mbuf.skip r 1;
-    (major, Int64.of_int info))
+    info)
   else
     let width, floor =
       match info with
-      | 24 -> (1, 24L)
-      | 25 -> (2, 0x100L)
-      | 26 -> (4, 0x10000L)
-      | 27 -> (8, 0x1_0000_0000L)
+      | 24 -> (1, 24)
+      | 25 -> (2, 0x100)
+      | 26 -> (4, 0x10000)
       | _ -> verr "cbor: malformed head 0x%02x" t
     in
-    let n = head_payload r width in
-    if not (u_ge n floor) then
-      verr "cbor: non-minimal argument in head 0x%02x" t;
+    let n = payload r width in
+    if n < floor then verr "cbor: non-minimal argument in head 0x%02x" t;
     Mbuf.skip r (1 + width);
-    (major, n)
+    n
 
-let cbor_get_int ~signed r =
-  match cbor_get_head r with
-  | 0, n ->
-      if signed && Int64.compare n 0L < 0 then
-        verr "cbor: integer out of range";
+(* the 8-byte argument of additional info 27 *)
+let cbor_wide_arg r t =
+  Mbuf.need r 9;
+  let n = Mbuf.get_i64_be r 1 in
+  if not (u_ge n 0x1_0000_0000L) then
+    verr "cbor: non-minimal argument in head 0x%02x" t;
+  Mbuf.skip r 9;
+  n
+
+let cbor_wide_int ~signed r t =
+  let n = cbor_wide_arg r t in
+  match t lsr 5 with
+  | 0 ->
+      if signed && Int64.compare n 0L < 0 then verr "cbor: integer out of range";
       n
-  | 1, n ->
+  | 1 ->
       if not signed then verr "cbor: negative integer for unsigned field";
       if Int64.compare n 0L < 0 then verr "cbor: integer out of range";
       Int64.lognot n
-  | major, _ -> verr "cbor: expected integer, got major type %d" major
+  | major -> verr "cbor: expected integer, got major type %d" major
 
-let cbor_get_bool r =
+(* one integer read into [kind], the value a native int *)
+let cbor_get_int kind r =
+  let signed = signed_of kind in
   Mbuf.need r 1;
-  match Mbuf.get_u8 r 0 with
-  | 0xf4 ->
-      Mbuf.skip r 1;
-      false
-  | 0xf5 ->
-      Mbuf.skip r 1;
-      true
-  | t -> verr "cbor: expected bool, got tag 0x%02x" t
+  let t = Mbuf.get_u8 r 0 in
+  if t land 0x1f = 27 then wide_field kind (cbor_wide_int ~signed r t)
+  else
+    let n = cbor_arg r t in
+    match t lsr 5 with
+    | 0 -> n
+    | 1 ->
+        if not signed then verr "cbor: negative integer for unsigned field";
+        lnot n
+    | major -> verr "cbor: expected integer, got major type %d" major
+
+let cbor_get_int64 ~signed r =
+  Mbuf.need r 1;
+  let t = Mbuf.get_u8 r 0 in
+  if t land 0x1f = 27 then cbor_wide_int ~signed r t
+  else Int64.of_int (cbor_get_int (if signed then k_i64 else k_u64) r)
 
 let cbor_get_len r kind =
-  let want = match kind with Lbin -> 2 | Lstr -> 3 | Larr -> 4 in
-  match cbor_get_head r with
-  | major, n when major = want ->
-      if Int64.compare n 0x7fff_ffffL > 0 then
-        verr "cbor: length %Ld out of range" n;
-      Int64.to_int n
-  | major, _ ->
-      verr "cbor: expected major type %d, got %d" want major
+  let want = len_major kind in
+  Mbuf.need r 1;
+  let t = Mbuf.get_u8 r 0 in
+  if t land 0x1f = 27 then (
+    let n = cbor_wide_arg r t in
+    if t lsr 5 <> want then
+      verr "cbor: expected major type %d, got %d" want (t lsr 5);
+    verr "cbor: length %Lu out of range" n)
+  else
+    let n = cbor_arg r t in
+    if t lsr 5 <> want then
+      verr "cbor: expected major type %d, got %d" want (t lsr 5);
+    if n > 0x7fff_ffff then verr "cbor: length %d out of range" n;
+    n
 
 (* ------------------------- shared plumbing ------------------------ *)
 
-let mk_varcodec ~int_image ~bool_image ~len_image ~get_int ~get_bool ~get_len
-    ~float_tag =
-  let const_image kind v =
-    match kind with
-    | Kbool -> bool_image (Int64.compare v 0L <> 0)
-    | Kchar -> int_image ~signed:false (Int64.logand v 0xffL)
-    | Kint { bits; signed } -> int_image ~signed (canon_int ~bits ~signed v)
-    | Kfloat _ -> invalid_arg "Encoding: float constants have no var image"
-  in
-  let put_float ~check ~bits b f =
-    let n = bits / 8 in
-    if check then Mbuf.ensure b (1 + n);
-    Mbuf.set_u8 b 0 (float_tag ~bits);
-    if bits = 32 then Mbuf.set_f32_be b 1 f else Mbuf.set_f64_be b 1 f;
-    Mbuf.advance b (1 + n)
-  in
-  let get_float ~bits r =
-    let n = bits / 8 in
-    Mbuf.need r 1;
-    let t = Mbuf.get_u8 r 0 in
-    if t <> float_tag ~bits then
-      verr "expected %d-bit float tag 0x%02x, got 0x%02x" bits
-        (float_tag ~bits) t;
-    Mbuf.need r (1 + n);
-    let f = if bits = 32 then Mbuf.get_f32_be r 1 else Mbuf.get_f64_be r 1 in
-    Mbuf.skip r (1 + n);
-    f
-  in
-  {
-    v_size = worst_of;
-    v_float_tag = float_tag;
-    v_put_int =
-      (fun ~check ~signed b v -> put_image ~check b (int_image ~signed v));
-    v_get_int = get_int;
-    v_put_bool = (fun ~check b v -> put_image ~check b (bool_image v));
-    v_get_bool = get_bool;
-    v_put_float = (fun ~check ~bits b f -> put_float ~check ~bits b f);
-    v_get_float = (fun ~bits r -> get_float ~bits r);
-    v_put_len = (fun ~check b kind n -> put_image ~check b (len_image kind n));
-    v_get_len = (fun r kind -> get_len r kind);
-    v_const_image = const_image;
-    v_len_image = len_image;
-  }
+let var_put_int vc ~check b v =
+  match vc with
+  | Msgpack -> mp_put_int ~check b v
+  | Cbor -> cbor_put_int ~check b v
 
-let msgpack_codec =
-  mk_varcodec ~int_image:mp_int_image ~bool_image:mp_bool_image
-    ~len_image:mp_len_image ~get_int:mp_get_int ~get_bool:mp_get_bool
-    ~get_len:mp_get_len
-    ~float_tag:(fun ~bits -> if bits = 32 then 0xca else 0xcb)
+let var_put_int64 vc ~check ~signed b v =
+  match vc with
+  | Msgpack -> mp_put_int64 ~check ~signed b v
+  | Cbor -> cbor_put_int64 ~check ~signed b v
 
-let cbor_codec =
-  mk_varcodec ~int_image:cbor_int_image ~bool_image:cbor_bool_image
-    ~len_image:cbor_len_image ~get_int:cbor_get_int ~get_bool:cbor_get_bool
-    ~get_len:cbor_get_len
-    ~float_tag:(fun ~bits -> if bits = 32 then 0xfa else 0xfb)
+let bool_tag vc x =
+  match vc with
+  | Msgpack -> if x then 0xc3 else 0xc2
+  | Cbor -> if x then 0xf5 else 0xf4
+
+let var_put_bool vc ~check b x = emit ~check b 0 (bool_tag vc x) 0
+
+let var_put_float vc ~check ~bits b f =
+  let n = bits / 8 in
+  if check then Mbuf.ensure b (1 + n);
+  Mbuf.set_u8 b 0 (var_float_tag vc ~bits);
+  if bits = 32 then Mbuf.set_f32_be b 1 f else Mbuf.set_f64_be b 1 f;
+  Mbuf.advance b (1 + n)
+
+let var_put_len vc ~check b kind n =
+  match vc with
+  | Msgpack -> mp_put_len ~check b kind n
+  | Cbor -> cbor_put_head ~check b (len_major kind) n
+
+let var_get_int vc kind r =
+  check_field kind
+    (match vc with Msgpack -> mp_get_int kind r | Cbor -> cbor_get_int kind r)
+
+let var_get_int64 vc ~signed r =
+  match vc with
+  | Msgpack -> mp_get_int64 ~signed r
+  | Cbor -> cbor_get_int64 ~signed r
+
+let var_get_bool vc r =
+  Mbuf.need r 1;
+  let t = Mbuf.get_u8 r 0 in
+  let x = t = bool_tag vc true in
+  if (not x) && t <> bool_tag vc false then
+    verr "%s: expected bool, got tag 0x%02x"
+      (match vc with Msgpack -> "msgpack" | Cbor -> "cbor")
+      t;
+  Mbuf.skip r 1;
+  x
+
+let var_get_float vc ~bits r =
+  let n = bits / 8 in
+  Mbuf.need r 1;
+  let t = Mbuf.get_u8 r 0 in
+  let tag = var_float_tag vc ~bits in
+  if t <> tag then
+    verr "expected %d-bit float tag 0x%02x, got 0x%02x" bits tag t;
+  Mbuf.need r (1 + n);
+  let f = if bits = 32 then Mbuf.get_f32_be r 1 else Mbuf.get_f64_be r 1 in
+  Mbuf.skip r (1 + n);
+  f
+
+let var_get_len vc kind r =
+  match vc with Msgpack -> mp_get_len r kind | Cbor -> cbor_get_len r kind
+
+(* A constant's image is whatever the emitter writes for it on a scratch
+   writer, so the narrowed chunk and the runtime path cannot disagree. *)
+let image emit =
+  let b = Mbuf.create 9 in
+  emit b;
+  let bytes, n = Mbuf.view b in
+  Bytes.sub_string bytes 0 n
+
+let var_const_image vc kind v =
+  match kind with
+  | Kbool -> image (fun b -> var_put_bool vc ~check:true b (v <> 0L))
+  | Kchar ->
+      image (fun b ->
+          var_put_int vc ~check:true b (Int64.to_int (Int64.logand v 0xffL)))
+  | Kint { bits; signed } ->
+      image (fun b ->
+          var_put_int64 vc ~check:true ~signed b (canon_int ~bits ~signed v))
+  | Kfloat _ -> invalid_arg "Encoding: float constants have no var image"
+
+let var_len_image vc kind n =
+  image (fun b -> var_put_len vc ~check:true b kind n)
 
 (* Both self-describing encodings are byte-granular: every alignment
    field is 1, so the plan compilers' congruence machinery is inert
@@ -500,8 +547,8 @@ let selfdesc name var =
     var = Some var;
   }
 
-let msgpack = selfdesc "msgpack" msgpack_codec
-let cbor = selfdesc "cbor" cbor_codec
+let msgpack = selfdesc "msgpack" Msgpack
+let cbor = selfdesc "cbor" Cbor
 
 let all = [ cdr; xdr; mach3; fluke; msgpack; cbor ]
 let by_name n = List.find_opt (fun e -> e.name = n) all

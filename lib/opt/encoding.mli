@@ -31,33 +31,15 @@ type lenkind = Lstr | Lbin | Larr
 
 exception Var_error of string
 (** Malformed variable-header input (wrong tag family, non-minimal
-    width, out-of-range value).  Truncation raises
-    {!Mbuf.Short_buffer} instead, exactly as the fixed readers do.
-    Executors translate this to [Codec.Decode_error]. *)
+    width, value outside its field).  [Codec.Decode_error] is this same
+    exception, so executors need no translation.  Truncation raises
+    {!Mbuf.Short_buffer} instead, exactly as the fixed readers do. *)
 
-type varcodec = {
-  v_size : atom_kind -> size_class;
-  v_float_tag : bits:int -> int;
-      (** the canonical tag byte before a big-endian IEEE payload *)
-  v_put_int : check:bool -> signed:bool -> Mbuf.t -> int64 -> unit;
-      (** minimal-width emit; [check:false] requires the caller to have
-          reserved the atom's worst case *)
-  v_get_int : signed:bool -> Mbuf.reader -> int64;
-      (** incremental checked parse; rejects non-minimal encodings so
-          every decoder tier accepts exactly the same inputs *)
-  v_put_bool : check:bool -> Mbuf.t -> bool -> unit;
-  v_get_bool : Mbuf.reader -> bool;
-  v_put_float : check:bool -> bits:int -> Mbuf.t -> float -> unit;
-  v_get_float : bits:int -> Mbuf.reader -> float;
-  v_put_len : check:bool -> Mbuf.t -> lenkind -> int -> unit;
-  v_get_len : Mbuf.reader -> lenkind -> int;
-      (** rejects lengths that do not fit in a 31-bit int *)
-  v_const_image : atom_kind -> int64 -> string;
-      (** the exact bytes [v_put_int]/[v_put_bool] would emit for a
-          compile-time constant — what reservation narrowing folds into
-          a fixed chunk *)
-  v_len_image : lenkind -> int -> string;
-}
+type varcodec = Msgpack | Cbor
+(** The self-describing formats.  Each has one emitter and one parser,
+    which write and read the tag byte and its big-endian payload
+    directly in the {!Mbuf}; reservation sizes and constant images are
+    derived from them. *)
 
 type t = {
   name : string;
@@ -117,3 +99,51 @@ val canon_int : bits:int -> signed:bool -> int64 -> int64
 (** Reduce a constant to its wire value at the declared width: keep the
     low [bits], then sign- or zero-extend — the same round trip a
     fixed-size store-then-load performs. *)
+
+(** {2 Variable-header codecs}
+
+    Emitters choose the minimal width; parsers accept only that width
+    (RFC 8949 preferred serialization for CBOR), so every engine
+    accepts exactly the same inputs.  An emitter with [check:false]
+    requires the caller to have reserved the atom's worst case; with
+    [check:true] it reserves exactly the bytes it writes.  A char or an
+    integer field of at most 32 bits travels as a native [int]; only
+    the 8-byte forms touch [int64]. *)
+
+val var_size : atom_kind -> size_class
+(** Wire size of a scalar under either format: floats are [Fixed] (tag
+    plus IEEE payload), everything else [Var] with its worst case. *)
+
+val var_float_tag : varcodec -> bits:int -> int
+(** The canonical tag byte before a big-endian IEEE payload. *)
+
+val var_put_int : varcodec -> check:bool -> Mbuf.t -> int -> unit
+(** Emit an integer [>= -2^31], already reduced to its field width. *)
+
+val var_put_int64 :
+  varcodec -> check:bool -> signed:bool -> Mbuf.t -> int64 -> unit
+(** Emit a 64-bit field's value; [signed:false] reads it as unsigned. *)
+
+val var_put_bool : varcodec -> check:bool -> Mbuf.t -> bool -> unit
+val var_put_float : varcodec -> check:bool -> bits:int -> Mbuf.t -> float -> unit
+val var_put_len : varcodec -> check:bool -> Mbuf.t -> lenkind -> int -> unit
+
+val var_get_int : varcodec -> atom_kind -> Mbuf.reader -> int
+(** Parse one integer into a [Kchar] field or a [Kint] field of at most
+    32 bits; rejects values outside the field. *)
+
+val var_get_int64 : varcodec -> signed:bool -> Mbuf.reader -> int64
+(** Parse one integer into a 64-bit field. *)
+
+val var_get_bool : varcodec -> Mbuf.reader -> bool
+val var_get_float : varcodec -> bits:int -> Mbuf.reader -> float
+
+val var_get_len : varcodec -> lenkind -> Mbuf.reader -> int
+(** Rejects lengths that do not fit in a 31-bit int. *)
+
+val var_const_image : varcodec -> atom_kind -> int64 -> string
+(** The bytes the emitter writes for a compile-time constant (run on a
+    scratch writer) — what reservation narrowing folds into a fixed
+    chunk. *)
+
+val var_len_image : varcodec -> lenkind -> int -> string

@@ -21,6 +21,11 @@ let len_atom (enc : Encoding.t) : Mplan.atom =
 
 let round_up n unit = (n + unit - 1) / unit * unit
 
+let vh_worst_of kind =
+  match Encoding.var_size kind with
+  | Encoding.Fixed n -> n
+  | Encoding.Var { worst } -> worst
+
 (* ------------------------------------------------------------------ *)
 (* Storage analysis (section 3.1): conservative upper bound on encoded  *)
 (* size, including worst-case alignment padding.                        *)
@@ -36,12 +41,9 @@ let max_size ~enc ~mint idx pres =
         match Encoding.atom_of_mint def with
         | Some kind -> (
             match enc.Encoding.var with
-            | Some vcc ->
+            | Some _ ->
                 (* value-dependent scalar: reserve its worst-case width *)
-                Some
-                  (match vcc.Encoding.v_size kind with
-                  | Encoding.Fixed n -> n
-                  | Encoding.Var { worst } -> worst)
+                Some (vh_worst_of kind)
             | None ->
                 let a = atom_of enc kind in
                 let header = if enc.Encoding.typed_headers then 7 else 0 in
@@ -97,11 +99,7 @@ let max_size ~enc ~mint idx pres =
           match Encoding.atom_of_mint (Mint.get mint discrim) with
           | Some kind -> (
               match enc.Encoding.var with
-              | Some vcc ->
-                  Some
-                    (match vcc.Encoding.v_size kind with
-                    | Encoding.Fixed n -> n
-                    | Encoding.Var { worst } -> worst)
+              | Some _ -> Some (vh_worst_of kind)
               | None ->
                   let a = atom_of enc kind in
                   (* the discriminator is emitted like any other scalar:
@@ -276,11 +274,6 @@ let emit_const_str st s =
    chunkable; everything else becomes a [Put_varhead] that reserves its
    worst case and advances by the actual minimal width. *)
 
-let vh_worst_of (vcc : Encoding.varcodec) kind =
-  match vcc.Encoding.v_size kind with
-  | Encoding.Fixed n -> n
-  | Encoding.Var { worst } -> worst
-
 let u8_atom : Mplan.atom =
   { Mplan.kind = Encoding.Kint { bits = 8; signed = false }; size = 1; align = 1 }
 
@@ -292,7 +285,7 @@ let put_var_scalar st (vcc : Encoding.varcodec) kind src =
             {
               off;
               atom = u8_atom;
-              value = Int64.of_int (vcc.Encoding.v_float_tag ~bits);
+              value = Int64.of_int (Encoding.var_float_tag vcc ~bits);
             });
       let payload = { Mplan.kind; size = bits / 8; align = 1 } in
       put_atom st payload (fun off ->
@@ -302,7 +295,7 @@ let put_var_scalar st (vcc : Encoding.varcodec) kind src =
         (Mplan.Put_varhead
            {
              vh_kind = kind;
-             vh_worst = vh_worst_of vcc kind;
+             vh_worst = vh_worst_of kind;
              vh_check = not st.covered;
              vh_src = Mplan.Vh_value src;
              vh_image = None;
@@ -314,10 +307,10 @@ let put_var_const st (vcc : Encoding.varcodec) kind value =
     (Mplan.Put_varhead
        {
          vh_kind = kind;
-         vh_worst = vh_worst_of vcc kind;
+         vh_worst = vh_worst_of kind;
          vh_check = not st.covered;
          vh_src = Mplan.Vh_const value;
-         vh_image = Some (vcc.Encoding.v_const_image kind value);
+         vh_image = Some (Encoding.var_const_image vcc kind value);
        });
   lose_alignment st 1
 

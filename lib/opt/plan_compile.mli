@@ -68,7 +68,7 @@ val u8_atom : Mplan.atom
 (** One unaligned byte — the tag slot preceding a float payload under a
     value-dependent encoding. *)
 
-val vh_worst_of : Encoding.varcodec -> Encoding.atom_kind -> int
+val vh_worst_of : Encoding.atom_kind -> int
 (** Worst-case wire width of one value-dependent scalar (the
     reservation a [Put_varhead]/[D_get_varhead] carries). *)
 

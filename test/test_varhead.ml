@@ -280,6 +280,259 @@ let truncation_parity_tests =
           | _ -> Alcotest.fail "full wire did not decode to the input"))
     [ Encoding.msgpack; Encoding.cbor ]
 
+(* -- every int kind across every header width -------------------------- *)
+
+let rejected f =
+  match f () with _ -> false | exception Codec.Decode_error _ -> true
+
+let be_bytes n v =
+  String.init n (fun i ->
+      Char.chr
+        (Int64.to_int
+           (Int64.logand (Int64.shift_right_logical v (8 * (n - 1 - i))) 0xffL)))
+
+(* [v]'s image one header width wider than its canonical [img]: the
+   same family's next payload width, or [None] past the 8-byte form *)
+let wider (enc : Encoding.t) ~signed v img =
+  let next =
+    match String.length img with
+    | 1 -> Some (1, 0)
+    | 2 -> Some (2, 1)
+    | 3 -> Some (4, 2)
+    | 5 -> Some (8, 3)
+    | _ -> None
+  in
+  let neg = signed && Int64.compare v 0L < 0 in
+  Option.map
+    (fun (w, code) ->
+      match vcc_of enc with
+      | Encoding.Msgpack ->
+          String.make 1 (Char.chr ((if neg then 0xd0 else 0xcc) + code))
+          ^ be_bytes w v
+      | Encoding.Cbor ->
+          let major, arg = if neg then (1, Int64.lognot v) else (0, v) in
+          String.make 1 (Char.chr ((major lsl 5) lor (24 + code)))
+          ^ be_bytes w arg)
+    next
+
+let in_field ~bits ~signed v = Encoding.canon_int ~bits ~signed v = v
+
+(* the field's own edges and each format's header-width thresholds, each
+   +-1, plus random values of every bit length and both signs — all
+   kept to those the field can hold *)
+let width_candidates (enc : Encoding.t) ~bits ~signed =
+  let top = Int64.shift_left 1L (if signed then bits - 1 else bits) in
+  let edges =
+    if signed then [ Int64.neg top; Int64.pred top ]
+    else [ (if bits = 64 then -1L else Int64.pred top) ]
+  in
+  let thresholds =
+    match vcc_of enc with
+    | Encoding.Msgpack ->
+        [ 0x7fL; 0xffL; 0xffffL; 0xffff_ffffL; -32L; -128L; -32768L;
+          -0x8000_0000L ]
+    | Encoding.Cbor ->
+        [ 23L; 0xffL; 0xffffL; 0xffff_ffffL; -24L; -256L; -65536L;
+          -0x1_0000_0000L ]
+  in
+  let rng = Random.State.make [| bits; Bool.to_int signed |] in
+  let random =
+    List.concat
+      (List.init 64 (fun k ->
+           let v =
+             Int64.shift_right_logical (Random.State.bits64 rng) (63 - k)
+           in
+           [ v; Int64.lognot v ]))
+  in
+  List.concat_map
+    (fun t -> [ Int64.pred t; t; Int64.succ t ])
+    ((0L :: edges) @ thresholds)
+  @ random
+  |> List.filter (in_field ~bits ~signed)
+  |> List.sort_uniq compare
+
+let width_tests =
+  List.concat_map
+    (fun (enc : Encoding.t) ->
+      List.concat_map
+        (fun bits ->
+          List.map
+            (fun signed ->
+              test
+                (Printf.sprintf "%s %s%d: every header width, both engines"
+                   enc.Encoding.name (if signed then "i" else "u") bits)
+                (fun () ->
+                  let vcc = vcc_of enc in
+                  let kind = Encoding.Kint { bits; signed } in
+                  let of_int64 v =
+                    if bits <= 32 then Value.Vint (Int64.to_int v)
+                    else Value.Vint64 v
+                  in
+                  let m = Mint.create () in
+                  let elem = Mint.int_ m ~bits ~signed in
+                  let arr = Mint.array m ~elem ~min_len:0 ~max_len:None in
+                  let seq =
+                    Pres.Counted_seq
+                      { len_field = "_length"; buf_field = "_buffer";
+                        elem = Pres.Direct }
+                  in
+                  let roots =
+                    [ Plan_compile.Rvalue
+                        ( Mplan.Rparam { index = 0; name = "xs"; deref = false },
+                          arr, seq ) ]
+                  in
+                  (* 8-bit arrays travel as byte strings, so their
+                     Stub_opt decoder is the scalar one *)
+                  let decode_one =
+                    if bits = 8 then
+                      let d =
+                        Stub_opt.compile_decoder ~enc ~mint:m ~named:[]
+                          [ Stub_opt.Dvalue (elem, Pres.Direct) ]
+                      in
+                      fun img -> d (Mbuf.reader_of_bytes (Bytes.of_string img))
+                    else
+                      let d =
+                        Stub_opt.compile_decoder ~enc ~mint:m ~named:[]
+                          [ Stub_opt.Dvalue (arr, seq) ]
+                      in
+                      let one = Bytes.to_string (emit_len enc Encoding.Larr 1) in
+                      fun img ->
+                        d (Mbuf.reader_of_bytes (Bytes.of_string (one ^ img)))
+                  in
+                  let both_reject what img =
+                    if not (rejected (fun () ->
+                                Codec.read_var vcc kind
+                                  (Mbuf.reader_of_bytes (Bytes.of_string img))))
+                    then Alcotest.failf "Codec accepted %s %s" what (hex (Bytes.of_string img));
+                    if not (rejected (fun () -> decode_one img)) then
+                      Alcotest.failf "Stub_opt accepted %s %s" what
+                        (hex (Bytes.of_string img))
+                  in
+                  let values = width_candidates enc ~bits ~signed in
+                  List.iter
+                    (fun v ->
+                      let x = of_int64 v in
+                      let img = emit_var enc kind x in
+                      let r = Mbuf.reader_of_bytes img in
+                      let got = Codec.read_var vcc kind r in
+                      if not (Value.equal got x && Mbuf.remaining r = 0) then
+                        Alcotest.failf "%Ld: wrote %s, read %a" v (hex img)
+                          Value.pp got;
+                      Option.iter (both_reject "non-minimal")
+                        (wider enc ~signed v (Bytes.to_string img)))
+                    values;
+                  (* one value past each edge of the field, emitted as a
+                     64-bit value of the other signedness when needed *)
+                  let outside =
+                    if bits = 64 then
+                      if signed then [ (false, Int64.min_int) ] else [ (true, -1L) ]
+                    else
+                      let top = Int64.shift_left 1L (if signed then bits - 1 else bits) in
+                      [ (true, top);
+                        (true, if signed then Int64.pred (Int64.neg top) else -1L) ]
+                  in
+                  List.iter
+                    (fun (src_signed, v) ->
+                      let src = Encoding.Kint { bits = 64; signed = src_signed } in
+                      both_reject "out-of-range"
+                        (Bytes.to_string (emit_var enc src (Value.Vint64 v))))
+                    outside;
+                  (* the bulk atom-array path: Stub_opt bytes = Stub_naive
+                     bytes = the per-value images, decoded back whole *)
+                  if bits > 8 then begin
+                    let xs =
+                      if bits <= 32 then
+                        Value.Vint_array
+                          (Array.of_list (List.map Int64.to_int values))
+                      else Value.Varray (Array.of_list (List.map of_int64 values))
+                    in
+                    let run e =
+                      let buf = Mbuf.create 64 in
+                      e buf [| xs |];
+                      Mbuf.contents buf
+                    in
+                    let plan = run (Stub_opt.compile_encoder ~enc ~mint:m ~named:[] roots)
+                    and naive =
+                      run (Stub_naive.compile_encoder ~enc ~mint:m ~named:[] roots)
+                    in
+                    let images =
+                      Bytes.concat Bytes.empty
+                        (emit_len enc Encoding.Larr (List.length values)
+                        :: List.map (fun v -> emit_var enc kind (of_int64 v)) values)
+                    in
+                    Alcotest.(check string) "Stub_opt = per-value images"
+                      (hex images) (hex plan);
+                    Alcotest.(check string) "Stub_opt = Stub_naive" (hex naive)
+                      (hex plan);
+                    match
+                      Stub_opt.compile_decoder ~enc ~mint:m ~named:[]
+                        [ Stub_opt.Dvalue (arr, seq) ]
+                        (Mbuf.reader_of_bytes plan)
+                    with
+                    | [| got |] when Value.equal got xs -> ()
+                    | _ -> Alcotest.fail "bulk decode disagrees"
+                  end))
+            [ true; false ])
+        [ 8; 16; 32; 64 ])
+    [ Encoding.msgpack; Encoding.cbor ]
+
+(* a canonical 8-byte cbor count of 2^63 once wrapped to a length of 0 *)
+let wide_length_test =
+  test "cbor rejects an 8-byte length of 2^63" (fun () ->
+      let img = Bytes.of_string "\x9b\x80\x00\x00\x00\x00\x00\x00\x00" in
+      if
+        not
+          (rejected (fun () ->
+               Codec.read_vlen (vcc_of Encoding.cbor) Encoding.Larr
+                 (Mbuf.reader_of_bytes img)))
+      then Alcotest.fail "accepted a 2^63-element array head")
+
+(* -- a hostile element count allocates nothing ------------------------- *)
+
+(* A count of 2^31 - 1 in an 8-byte body: every engine must fail with a
+   typed error before it allocates an array for the count. *)
+let hostile_count_tests =
+  List.concat_map
+    (fun (enc : Encoding.t) ->
+      List.map
+        (fun (engine, compile) ->
+          test
+            (Printf.sprintf "%s %s: a hostile count allocates nothing"
+               enc.Encoding.name engine)
+            (fun () ->
+              let count =
+                match enc.Encoding.var with
+                | Some _ -> Bytes.to_string (emit_len enc Encoding.Larr 0x7fff_ffff)
+                | None -> "\x7f\xff\xff\xff"
+              in
+              let wire = Bytes.of_string (count ^ String.make 8 '\x01') in
+              let m = Mint.create () in
+              List.iter
+                (fun elem ->
+                  let arr = Mint.array m ~elem ~min_len:0 ~max_len:None in
+                  let seq =
+                    Pres.Counted_seq
+                      { len_field = "_length"; buf_field = "_buffer";
+                        elem = Pres.Direct }
+                  in
+                  let d = compile ~enc ~mint:m [ Stub_opt.Dvalue (arr, seq) ] in
+                  let before = Gc.allocated_bytes () in
+                  (match d (Mbuf.reader_of_bytes wire) with
+                  | (_ : Value.t array) ->
+                      Alcotest.fail "decoded 2^31 - 1 elements from 8 bytes"
+                  | exception (Mbuf.Short_buffer | Codec.Decode_error _) -> ());
+                  let grown = Gc.allocated_bytes () -. before in
+                  if grown > 1e6 then
+                    Alcotest.failf "allocated %.0f bytes before failing" grown)
+                [ Mint.int32 m; Mint.int_ m ~bits:64 ~signed:true ]))
+        [
+          ("Stub_opt", fun ~enc ~mint droots ->
+              Stub_opt.compile_decoder ~enc ~mint ~named:[] droots);
+          ("Stub_naive", fun ~enc ~mint droots ->
+              Stub_naive.compile_decoder ~enc ~mint ~named:[] droots);
+        ])
+    [ Encoding.msgpack; Encoding.cbor; Encoding.xdr ]
+
 (* -- the verifier rejects a dropped worst-case reservation ------------ *)
 
 let verifier_tests =
@@ -393,5 +646,7 @@ let suite =
       msgpack_int_tests @ msgpack_len_tests @ cbor_int_tests @ cbor_len_tests
       @ non_minimal_tests );
     ("varhead:pipeline", pipeline_scalar_tests @ truncation_parity_tests);
+    ("varhead:widths", width_tests @ [ wide_length_test ]);
+    ("varhead:hostile", hostile_count_tests);
     ("varhead:verifier", verifier_tests);
   ]
