@@ -524,24 +524,24 @@ let banner tr pc what =
     | Pres_c.Fluke -> "fluke-c")
     tr.tr_name tr.tr_description
 
-let generate_header (tr : transport) (pc : Pres_c.t) : string
-    =
-  let decls =
-    [ Dcomment (banner tr pc "header") ]
-    @ pc.Pres_c.pc_decls
-    @ [
-        Dfun_proto
-          ( Public,
-            dispatch_name pc,
-            Tvoid,
-            [
-              ("_msg", Tptr (Tnamed "flick_msg_t"));
-              ("_out", Tptr (Tnamed "flick_buf_t"));
-              ("_state", Tptr Tvoid);
-            ] );
-      ]
-  in
-  Cast_pp.guard (pc.Pres_c.pc_name ^ "_H") decls
+let header_decls (tr : transport) (pc : Pres_c.t) =
+  [ Dcomment (banner tr pc "header") ]
+  @ pc.Pres_c.pc_decls
+  @ [
+      Dfun_proto
+        ( Public,
+          dispatch_name pc,
+          Tvoid,
+          [
+            ("_msg", Tptr (Tnamed "flick_msg_t"));
+            ("_out", Tptr (Tnamed "flick_buf_t"));
+            ("_state", Tptr Tvoid);
+          ] );
+    ]
+
+let header_guard (pc : Pres_c.t) = pc.Pres_c.pc_name ^ "_H"
+
+let generate_header tr pc = Cast_pp.guard (header_guard pc) (header_decls tr pc)
 
 let header_name (pc : Pres_c.t) = String.lowercase_ascii pc.Pres_c.pc_name ^ ".h"
 
@@ -561,38 +561,43 @@ let marshal_subs (tr : transport) (pc : Pres_c.t) =
     pc.Pres_c.pc_named
   |> Cgen.marshal_sub_functions ~enc:tr.tr_enc
 
-let generate_client (tr : transport) (pc : Pres_c.t) : string =
+let client_decls (tr : transport) (pc : Pres_c.t) =
   Cgen.fresh_reset ();
-  let decls =
-    [
-      Dcomment (banner tr pc "client stubs");
-      Dinclude_local (header_name pc);
-    ]
-    @ marshal_subs tr pc
-    @ Cgen.unmarshal_sub_functions ~enc:tr.tr_enc ~mint:pc.Pres_c.pc_mint
-        ~named:pc.Pres_c.pc_named
-    @ List.map (client_stub tr pc) pc.Pres_c.pc_stubs
-  in
-  Cast_pp.file decls
+  [
+    Dcomment (banner tr pc "client stubs");
+    Dinclude_local (header_name pc);
+  ]
+  @ marshal_subs tr pc
+  @ Cgen.unmarshal_sub_functions ~enc:tr.tr_enc ~mint:pc.Pres_c.pc_mint
+      ~named:pc.Pres_c.pc_named
+  @ List.map (client_stub tr pc) pc.Pres_c.pc_stubs
 
-let generate_server (tr : transport) (pc : Pres_c.t) : string =
+let server_decls (tr : transport) (pc : Pres_c.t) =
   Cgen.fresh_reset ();
-  let decls =
-    [
-      Dcomment (banner tr pc "server skeleton");
-      Dinclude_local (header_name pc);
-    ]
-    @ marshal_subs tr pc
-    @ Cgen.unmarshal_sub_functions ~enc:tr.tr_enc ~mint:pc.Pres_c.pc_mint
-        ~named:pc.Pres_c.pc_named
-    @ [ server_dispatch tr pc ]
-  in
-  Cast_pp.file decls
+  [
+    Dcomment (banner tr pc "server skeleton");
+    Dinclude_local (header_name pc);
+  ]
+  @ marshal_subs tr pc
+  @ Cgen.unmarshal_sub_functions ~enc:tr.tr_enc ~mint:pc.Pres_c.pc_mint
+      ~named:pc.Pres_c.pc_named
+  @ [ server_dispatch tr pc ]
 
+let generate_client tr pc = Cast_pp.file (client_decls tr pc)
+let generate_server tr pc = Cast_pp.file (server_decls tr pc)
+
+(* Each file's CAST is built first (plan compilation included), then
+   printed under its own span, so traces show printing apart from
+   plan-compile inside [backend]. *)
 let generate_files tr pc =
   let base = String.lowercase_ascii pc.Pres_c.pc_name in
+  let emit name print decls =
+    ( name,
+      Obs_trace.with_span ~cat:"backend" ~args:[ ("file", name) ] "emit-c"
+        (fun () -> print decls) )
+  in
   [
-    (base ^ ".h", generate_header tr pc);
-    (base ^ "_client.c", generate_client tr pc);
-    (base ^ "_server.c", generate_server tr pc);
+    emit (base ^ ".h") (Cast_pp.guard (header_guard pc)) (header_decls tr pc);
+    emit (base ^ "_client.c") Cast_pp.file (client_decls tr pc);
+    emit (base ^ "_server.c") Cast_pp.file (server_decls tr pc);
   ]

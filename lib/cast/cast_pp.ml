@@ -1,43 +1,110 @@
 open Cast
 
+(* Every printer appends to the buffer it is handed: a rendered file is
+   one buffer, and the string-returning entry points at the bottom are
+   thin wrappers that each create a fresh one.  Nothing is kept between
+   calls. *)
+
+let str = Buffer.add_string
+let chr = Buffer.add_char
+
+let str3 buf pre s post =
+  str buf pre;
+  str buf s;
+  str buf post
+
+let int64 buf n =
+  if Int64.compare n 0L >= 0 && Int64.compare n (Int64.of_int max_int) <= 0
+  then Decimal.add_int buf (Int64.to_int n)
+  else str buf (Int64.to_string n)
+
 (* ------------------------------------------------------------------ *)
 (* Declarators                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* C declarations wrap the declared name: base specifier on the left,
-   array/function suffixes on the right, pointers binding tighter than
-   suffixes.  [inner] is the declarator text built so far. *)
-let rec declarator ty inner =
+(* C declarations wrap the declared name: the base specifier on the
+   left, then each type constructor's left part innermost first, the
+   name, and the right parts outermost first.  [star] says whether the
+   text inside this constructor starts with a pointer's '*'; an array or
+   function suffix directly outside one must parenthesize it. *)
+let rec base buf ty =
   match ty with
-  | Tvoid -> ("void", inner)
-  | Tchar -> ("char", inner)
-  | Tnamed n -> (n, inner)
-  | Tfloat -> ("float", inner)
-  | Tdouble -> ("double", inner)
-  | Tstruct_ref n -> ("struct " ^ n, inner)
-  | Tunion_ref n -> ("union " ^ n, inner)
-  | Tenum_ref n -> ("enum " ^ n, inner)
-  | Tptr t -> declarator t ("*" ^ inner)
-  | Tconst_ptr t -> declarator t ("*" ^ inner) |> fun (base, d) -> ("const " ^ base, d)
+  | Tvoid -> str buf "void"
+  | Tchar -> str buf "char"
+  | Tnamed n -> str buf n
+  | Tfloat -> str buf "float"
+  | Tdouble -> str buf "double"
+  | Tstruct_ref n ->
+      str buf "struct ";
+      str buf n
+  | Tunion_ref n ->
+      str buf "union ";
+      str buf n
+  | Tenum_ref n ->
+      str buf "enum ";
+      str buf n
+  | Tptr t | Tarray (t, _) | Tfunc_ptr { ret = t; _ } -> base buf t
+  | Tconst_ptr t ->
+      str buf "const ";
+      base buf t
+
+let rec lefts buf ty star =
+  match ty with
+  | Tptr t | Tconst_ptr t ->
+      lefts buf t true;
+      chr buf '*'
+  | Tarray (t, _) ->
+      lefts buf t false;
+      if star then chr buf '('
+  | Tfunc_ptr { ret; _ } ->
+      lefts buf ret false;
+      str buf "(*"
+  | Tvoid | Tchar | Tnamed _ | Tfloat | Tdouble | Tstruct_ref _ | Tunion_ref _
+  | Tenum_ref _ -> ()
+
+let rec rights buf ty star =
+  match ty with
+  | Tptr t | Tconst_ptr t -> rights buf t true
   | Tarray (t, n) ->
-      let dim = match n with Some n -> string_of_int n | None -> "" in
-      let inner = if needs_parens inner then "(" ^ inner ^ ")" else inner in
-      declarator t (inner ^ "[" ^ dim ^ "]")
+      if star then chr buf ')';
+      chr buf '[';
+      (match n with Some n -> Decimal.add_int buf n | None -> ());
+      chr buf ']';
+      rights buf t false
   | Tfunc_ptr { ret; params } ->
-      let args =
-        match params with
-        | [] -> "void"
-        | _ -> String.concat ", " (List.map (fun p -> ctype p "") params)
-      in
-      declarator ret ("(*" ^ inner ^ ")(" ^ args ^ ")")
+      str buf ")(";
+      (match params with
+      | [] -> str buf "void"
+      | p :: ps ->
+          declare buf p "" None;
+          List.iter (fun p -> str buf ", "; declare buf p "" None) ps);
+      chr buf ')';
+      rights buf ret false
+  | Tvoid | Tchar | Tnamed _ | Tfloat | Tdouble | Tstruct_ref _ | Tunion_ref _
+  | Tenum_ref _ -> ()
 
-(* a pointer declarator directly inside an array/function suffix needs
-   parentheses *)
-and needs_parens inner = String.length inner > 0 && inner.[0] = '*'
-
-and ctype ty name =
-  let base, d = declarator ty name in
-  if d = "" then base else base ^ " " ^ d
+(* [declare buf ty name params] writes the declaration of [name] at type
+   [ty]; with [Some params] the name is a function's, followed by its
+   parameter list and [ty] is its return type. *)
+and declare buf ty name params =
+  base buf ty;
+  match (ty, name, params) with
+  | (Tvoid | Tchar | Tnamed _ | Tfloat | Tdouble | Tstruct_ref _ | Tunion_ref _
+    | Tenum_ref _), "", None -> ()
+  | _ ->
+      chr buf ' ';
+      let star = String.length name > 0 && name.[0] = '*' in
+      lefts buf ty star;
+      str buf name;
+      (match params with
+      | None -> ()
+      | Some [] -> str buf "(void)"
+      | Some ((n, t) :: ps) ->
+          chr buf '(';
+          declare buf t n None;
+          List.iter (fun (n, t) -> str buf ", "; declare buf t n None) ps;
+          chr buf ')');
+      rights buf ty star
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
@@ -64,209 +131,378 @@ let binop_prec = function
 let unop_token = function
   | Neg -> "-" | Lognot -> "!" | Bitnot -> "~" | Deref -> "*" | Addr -> "&"
 
-let escape_char c =
-  match c with
-  | '\n' -> "\\n"
-  | '\t' -> "\\t"
-  | '\r' -> "\\r"
-  | '\000' -> "\\0"
-  | '\\' -> "\\\\"
-  | '\'' -> "\\'"
-  | c when Char.code c >= 32 && Char.code c < 127 -> String.make 1 c
-  | c -> Printf.sprintf "\\%03o" (Char.code c)
+(* A negative literal is a unary minus applied to a constant; INT64_MIN
+   prints as a parenthesized subtraction. *)
+let negative_int n = Int64.compare n 0L < 0 && not (Int64.equal n Int64.min_int)
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\'' -> Buffer.add_char buf '\''
-      | c -> Buffer.add_string buf (escape_char c))
-    s;
-  Buffer.contents buf
+let prec_of = function
+  | Eid _ | Echar _ | Estr _ | Efloat _ -> 16
+  | Eint n -> if negative_int n then 14 else 16
+  | Ecall _ | Efield _ | Earrow _ | Eindex _ -> 15
+  | Eunop _ | Ecast _ | Esizeof _ | Esizeof_expr _ -> 14
+  | Ebinop (op, _, _) -> binop_prec op
+  | Econd _ -> 3
+  | Eassign _ | Eassign_op _ -> 2
+
+(* Operands that would fuse with their unary operator into another C
+   token: [- -5] into a decrement, [& &x] into a logical and. *)
+let fuses op a =
+  match (op, a) with
+  | Neg, Eunop (Neg, _) -> true
+  | Neg, Eint n -> negative_int n
+  | Neg, Efloat f -> Float.sign_bit f
+  | Addr, Eunop (Addr, _) -> true
+  | _ -> false
+
+let escape_char buf c =
+  match c with
+  | '\n' -> str buf "\\n"
+  | '\t' -> str buf "\\t"
+  | '\r' -> str buf "\\r"
+  | '\000' -> str buf "\\0"
+  | '\\' -> str buf "\\\\"
+  | '\'' -> str buf "\\'"
+  | c when Char.code c >= 32 && Char.code c < 127 -> chr buf c
+  | c ->
+      let k = Char.code c in
+      chr buf '\\';
+      chr buf (Char.unsafe_chr (48 + (k lsr 6)));
+      chr buf (Char.unsafe_chr (48 + ((k lsr 3) land 7)));
+      chr buf (Char.unsafe_chr (48 + (k land 7)))
 
 (* [prec] is the precedence of the context; parenthesize when the
    expression binds less tightly. *)
-let rec expr_prec prec e =
-  let text, my_prec =
-    match e with
-    | Eid s -> (s, 16)
-    | Eint n ->
-        (* INT64_MIN cannot be written as a plain literal *)
-        if n = Int64.min_int then ("(-9223372036854775807LL - 1)", 16)
-        else if Int64.compare n (Int64.of_int32 Int32.max_int) > 0
-                || Int64.compare n (Int64.of_int32 Int32.min_int) < 0 then
-          (Int64.to_string n ^ "LL", if Int64.compare n 0L < 0 then 14 else 16)
-        else (Int64.to_string n, if Int64.compare n 0L < 0 then 14 else 16)
-    | Echar c -> ("'" ^ escape_char c ^ "'", 16)
-    | Estr s -> ("\"" ^ escape_string s ^ "\"", 16)
-    | Efloat f -> (Printf.sprintf "%.17g" f, 16)
-    | Ecall (f, args) ->
-        (f ^ "(" ^ String.concat ", " (List.map (expr_prec 0) args) ^ ")", 15)
-    | Eunop (op, a) -> (unop_token op ^ expr_prec 14 a, 14)
-    | Ebinop (op, a, b) ->
-        let p = binop_prec op in
-        (* left-associative: right operand needs strictly higher prec *)
-        ( expr_prec p a ^ " " ^ binop_token op ^ " " ^ expr_prec (p + 1) b,
-          p )
-    | Efield (a, f) -> (expr_prec 15 a ^ "." ^ f, 15)
-    | Earrow (a, f) -> (expr_prec 15 a ^ "->" ^ f, 15)
-    | Eindex (a, i) -> (expr_prec 15 a ^ "[" ^ expr_prec 0 i ^ "]", 15)
-    | Ecast (ty, a) -> ("(" ^ ctype ty "" ^ ")" ^ expr_prec 14 a, 14)
-    | Eassign (l, r) -> (expr_prec 15 l ^ " = " ^ expr_prec 2 r, 2)
-    | Eassign_op (op, l, r) ->
-        (expr_prec 15 l ^ " " ^ binop_token op ^ "= " ^ expr_prec 2 r, 2)
-    | Econd (c, a, b) ->
-        (expr_prec 4 c ^ " ? " ^ expr_prec 0 a ^ " : " ^ expr_prec 3 b, 3)
-    | Esizeof ty -> ("sizeof(" ^ ctype ty "" ^ ")", 14)
-    | Esizeof_expr e -> ("sizeof(" ^ expr_prec 0 e ^ ")", 14)
-  in
-  if my_prec < prec then "(" ^ text ^ ")" else text
+let rec expr_in buf prec e =
+  if prec_of e < prec then begin
+    chr buf '(';
+    expr_body buf e;
+    chr buf ')'
+  end
+  else expr_body buf e
 
-let expr e = expr_prec 0 e
+and expr_body buf e =
+  match e with
+  | Eid s -> str buf s
+  | Eint n ->
+      if Int64.equal n Int64.min_int then str buf "(-9223372036854775807LL - 1)"
+      else begin
+        int64 buf n;
+        if Int64.compare n (Int64.of_int32 Int32.max_int) > 0
+           || Int64.compare n (Int64.of_int32 Int32.min_int) < 0
+        then str buf "LL"
+      end
+  | Echar c ->
+      chr buf '\'';
+      escape_char buf c;
+      chr buf '\''
+  | Estr s ->
+      chr buf '"';
+      String.iter
+        (function
+          | '"' -> str buf "\\\""
+          | '\'' -> chr buf '\''
+          | c -> escape_char buf c)
+        s;
+      chr buf '"'
+  | Efloat f -> Printf.bprintf buf "%.17g" f
+  | Ecall (f, args) ->
+      str buf f;
+      chr buf '(';
+      (match args with
+      | [] -> ()
+      | a :: rest ->
+          expr_in buf 0 a;
+          List.iter (fun a -> str buf ", "; expr_in buf 0 a) rest);
+      chr buf ')'
+  | Eunop (op, a) ->
+      str buf (unop_token op);
+      if fuses op a then begin
+        chr buf '(';
+        expr_body buf a;
+        chr buf ')'
+      end
+      else expr_in buf 14 a
+  | Ebinop (op, a, b) ->
+      let p = binop_prec op in
+      expr_in buf p a;
+      chr buf ' ';
+      str buf (binop_token op);
+      chr buf ' ';
+      (* left-associative: the right operand needs strictly higher prec *)
+      expr_in buf (p + 1) b
+  | Efield (a, f) ->
+      expr_in buf 15 a;
+      chr buf '.';
+      str buf f
+  | Earrow (a, f) ->
+      expr_in buf 15 a;
+      str buf "->";
+      str buf f
+  | Eindex (a, i) ->
+      expr_in buf 15 a;
+      chr buf '[';
+      expr_in buf 0 i;
+      chr buf ']'
+  | Ecast (ty, a) ->
+      chr buf '(';
+      declare buf ty "" None;
+      chr buf ')';
+      expr_in buf 14 a
+  | Eassign (l, r) ->
+      expr_in buf 15 l;
+      str buf " = ";
+      expr_in buf 2 r
+  | Eassign_op (op, l, r) ->
+      expr_in buf 15 l;
+      chr buf ' ';
+      str buf (binop_token op);
+      str buf "= ";
+      expr_in buf 2 r
+  | Econd (c, a, b) ->
+      expr_in buf 4 c;
+      str buf " ? ";
+      expr_in buf 0 a;
+      str buf " : ";
+      expr_in buf 3 b
+  | Esizeof ty ->
+      str buf "sizeof(";
+      declare buf ty "" None;
+      chr buf ')'
+  | Esizeof_expr e ->
+      str buf "sizeof(";
+      expr_in buf 0 e;
+      chr buf ')'
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rec stmt_buf buf ind s =
-  let pad = String.make (2 * ind) ' ' in
-  let line text =
-    Buffer.add_string buf pad;
-    Buffer.add_string buf text;
-    Buffer.add_char buf '\n'
-  in
+(* two spaces per level, copied from this literal a run at a time *)
+let spaces = "                                "
+
+let rec pad buf n =
+  if n <= String.length spaces then Buffer.add_substring buf spaces 0 n
+  else begin
+    str buf spaces;
+    pad buf (n - String.length spaces)
+  end
+
+let indent buf ind = pad buf (2 * ind)
+
+let rec ends_in_jump = function
+  | [] -> false
+  | [ (Sreturn _ | Sbreak | Scontinue | Sgoto _) ] -> true
+  | [ _ ] -> false
+  | _ :: rest -> ends_in_jump rest
+
+let opt_expr buf = function None -> () | Some e -> expr_in buf 0 e
+
+let rec stmt_in buf ind s =
   match s with
-  | Sexpr e -> line (expr e ^ ";")
+  | Sexpr e ->
+      indent buf ind;
+      expr_in buf 0 e;
+      str buf ";\n"
   | Sdecl (name, ty, init) ->
-      let d = ctype ty name in
+      indent buf ind;
+      declare buf ty name None;
       (match init with
-      | None -> line (d ^ ";")
-      | Some e -> line (d ^ " = " ^ expr e ^ ";"))
-  | Sif (c, then_s, []) ->
-      line ("if (" ^ expr c ^ ") {");
-      List.iter (stmt_buf buf (ind + 1)) then_s;
-      line "}"
+      | None -> ()
+      | Some e ->
+          str buf " = ";
+          expr_in buf 0 e);
+      str buf ";\n"
   | Sif (c, then_s, else_s) ->
-      line ("if (" ^ expr c ^ ") {");
-      List.iter (stmt_buf buf (ind + 1)) then_s;
-      line "} else {";
-      List.iter (stmt_buf buf (ind + 1)) else_s;
-      line "}"
-  | Swhile (c, body) ->
-      line ("while (" ^ expr c ^ ") {");
-      List.iter (stmt_buf buf (ind + 1)) body;
-      line "}"
-  | Sfor (init, cond, step, body) ->
-      let p = function None -> "" | Some e -> expr e in
-      line ("for (" ^ p init ^ "; " ^ p cond ^ "; " ^ p step ^ ") {");
-      List.iter (stmt_buf buf (ind + 1)) body;
-      line "}"
-  | Sreturn None -> line "return;"
-  | Sreturn (Some e) -> line ("return " ^ expr e ^ ";")
+      indent buf ind;
+      str buf "if (";
+      expr_in buf 0 c;
+      str buf ") {\n";
+      body buf ind then_s;
+      (match else_s with
+      | [] -> ()
+      | _ ->
+          indent buf ind;
+          str buf "} else {\n";
+          body buf ind else_s);
+      close buf ind
+  | Swhile (c, b) ->
+      indent buf ind;
+      str buf "while (";
+      expr_in buf 0 c;
+      str buf ") {\n";
+      body buf ind b;
+      close buf ind
+  | Sfor (init, cond, step, b) ->
+      indent buf ind;
+      str buf "for (";
+      opt_expr buf init;
+      str buf "; ";
+      opt_expr buf cond;
+      str buf "; ";
+      opt_expr buf step;
+      str buf ") {\n";
+      body buf ind b;
+      close buf ind
+  | Sreturn None ->
+      indent buf ind;
+      str buf "return;\n"
+  | Sreturn (Some e) ->
+      indent buf ind;
+      str buf "return ";
+      expr_in buf 0 e;
+      str buf ";\n"
   | Sswitch (scrutinee, cases) ->
-      line ("switch (" ^ expr scrutinee ^ ") {");
+      indent buf ind;
+      str buf "switch (";
+      expr_in buf 0 scrutinee;
+      str buf ") {\n";
       List.iter
         (fun { sc_labels; sc_body } ->
           (match sc_labels with
-          | [] -> line "default:"
-          | ls -> List.iter (fun l -> line ("case " ^ expr l ^ ":")) ls);
-          List.iter (stmt_buf buf (ind + 1)) sc_body;
-          if not (ends_in_jump sc_body) then
-            stmt_buf buf (ind + 1) Sbreak)
+          | [] ->
+              indent buf ind;
+              str buf "default:\n"
+          | ls ->
+              List.iter
+                (fun l ->
+                  indent buf ind;
+                  str buf "case ";
+                  expr_in buf 0 l;
+                  str buf ":\n")
+                ls);
+          body buf ind sc_body;
+          if not (ends_in_jump sc_body) then stmt_in buf (ind + 1) Sbreak)
         cases;
-      line "}"
-  | Sbreak -> line "break;"
-  | Scontinue -> line "continue;"
-  | Sgoto l -> line ("goto " ^ l ^ ";")
+      close buf ind
+  | Sbreak ->
+      indent buf ind;
+      str buf "break;\n"
+  | Scontinue ->
+      indent buf ind;
+      str buf "continue;\n"
+  | Sgoto l ->
+      indent buf ind;
+      str3 buf "goto " l ";\n"
   | Slabel l ->
-      Buffer.add_string buf (l ^ ":\n")
-  | Sblock body ->
-      line "{";
-      List.iter (stmt_buf buf (ind + 1)) body;
-      line "}"
-  | Scomment text -> line ("/* " ^ text ^ " */")
+      str buf l;
+      str buf ":\n"
+  | Sblock b ->
+      indent buf ind;
+      str buf "{\n";
+      body buf ind b;
+      close buf ind
+  | Scomment text ->
+      indent buf ind;
+      str3 buf "/* " text " */\n"
   | Sraw text ->
-      Buffer.add_string buf text;
-      Buffer.add_char buf '\n'
+      str buf text;
+      chr buf '\n'
 
-and ends_in_jump body =
-  match List.rev body with
-  | (Sreturn _ | Sbreak | Scontinue | Sgoto _) :: _ -> true
-  | _ -> false
+(* the statements of a block, one level inside [ind] *)
+and body buf ind ss = List.iter (stmt_in buf (ind + 1)) ss
 
-let stmt ?(indent = 0) s =
-  let buf = Buffer.create 128 in
-  stmt_buf buf indent s;
-  Buffer.contents buf
+and close buf ind =
+  indent buf ind;
+  str buf "}\n"
 
 (* ------------------------------------------------------------------ *)
 (* Declarations                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let storage_prefix = function Public -> "" | Static -> "static "
+let storage buf = function Public -> () | Static -> str buf "static "
 
-let params_text params =
-  match params with
-  | [] -> "void"
-  | _ -> String.concat ", " (List.map (fun (n, ty) -> ctype ty n) params)
+let fields buf kind tag fs =
+  str3 buf kind tag " {\n";
+  List.iter
+    (fun (n, ty) ->
+      str buf "  ";
+      declare buf ty n None;
+      str buf ";\n")
+    fs;
+  str buf "};\n"
 
-let decl_buf buf d =
-  let line text =
-    Buffer.add_string buf text;
-    Buffer.add_char buf '\n'
-  in
+let decl_in buf d =
   match d with
-  | Dinclude path -> line ("#include <" ^ path ^ ">")
-  | Dinclude_local path -> line ("#include \"" ^ path ^ "\"")
-  | Dcomment text -> line ("/* " ^ text ^ " */")
-  | Ddefine (name, value) -> line ("#define " ^ name ^ " " ^ value)
-  | Dtypedef (name, ty) -> line ("typedef " ^ ctype ty name ^ ";")
-  | Dstruct (tag, fields) ->
-      line ("struct " ^ tag ^ " {");
-      List.iter (fun (n, ty) -> line ("  " ^ ctype ty n ^ ";")) fields;
-      line "};"
-  | Dunion_decl (tag, fields) ->
-      line ("union " ^ tag ^ " {");
-      List.iter (fun (n, ty) -> line ("  " ^ ctype ty n ^ ";")) fields;
-      line "};"
+  | Dinclude path -> str3 buf "#include <" path ">\n"
+  | Dinclude_local path -> str3 buf "#include \"" path "\"\n"
+  | Dcomment text -> str3 buf "/* " text " */\n"
+  | Ddefine (name, value) ->
+      str3 buf "#define " name " ";
+      str buf value;
+      chr buf '\n'
+  | Dtypedef (name, ty) ->
+      str buf "typedef ";
+      declare buf ty name None;
+      str buf ";\n"
+  | Dstruct (tag, fs) -> fields buf "struct " tag fs
+  | Dunion_decl (tag, fs) -> fields buf "union " tag fs
   | Denum_decl (tag, items) ->
-      line ("enum " ^ tag ^ " {");
-      List.iter (fun (n, v) -> line (Printf.sprintf "  %s = %Ld," n v)) items;
-      line "};"
+      str3 buf "enum " tag " {\n";
+      List.iter
+        (fun (n, v) ->
+          str3 buf "  " n " = ";
+          int64 buf v;
+          str buf ",\n")
+        items;
+      str buf "};\n"
   | Dvar (st, name, ty, init) ->
-      let d = storage_prefix st ^ ctype ty name in
+      storage buf st;
+      declare buf ty name None;
       (match init with
-      | None -> line (d ^ ";")
-      | Some e -> line (d ^ " = " ^ expr e ^ ";"))
+      | None -> ()
+      | Some e ->
+          str buf " = ";
+          expr_in buf 0 e);
+      str buf ";\n"
   | Dfun_proto (st, name, ret, params) ->
-      line (storage_prefix st ^ ctype ret (name ^ "(" ^ params_text params ^ ")") ^ ";")
-  | Dfun (st, name, ret, params, body) ->
-      line (storage_prefix st ^ ctype ret (name ^ "(" ^ params_text params ^ ")"));
-      line "{";
-      List.iter (stmt_buf buf 1) body;
-      line "}"
-  | Draw text -> line text
+      storage buf st;
+      declare buf ret name (Some params);
+      str buf ";\n"
+  | Dfun (st, name, ret, params, b) ->
+      storage buf st;
+      declare buf ret name (Some params);
+      str buf "\n{\n";
+      List.iter (stmt_in buf 1) b;
+      str buf "}\n"
+  | Draw text ->
+      str buf text;
+      chr buf '\n'
 
-let decl d =
-  let buf = Buffer.create 256 in
-  decl_buf buf d;
-  Buffer.contents buf
-
-let file decls =
-  let buf = Buffer.create 4096 in
+(* declarations one after another, a blank line before each except the
+   first and the preprocessor lines *)
+let decls_in buf decls =
   List.iteri
     (fun i d ->
       (match (i, d) with
       | 0, _ | _, (Dinclude _ | Dinclude_local _ | Ddefine _) -> ()
-      | _, _ -> Buffer.add_char buf '\n');
-      decl_buf buf d)
-    decls;
+      | _, _ -> chr buf '\n');
+      decl_in buf d)
+    decls
+
+(* ------------------------------------------------------------------ *)
+(* Entry points: one fresh buffer each                                 *)
+(* ------------------------------------------------------------------ *)
+
+let render size f =
+  let buf = Buffer.create size in
+  f buf;
   Buffer.contents buf
 
+let ctype ty name = render 32 (fun buf -> declare buf ty name None)
+let expr e = render 64 (fun buf -> expr_in buf 0 e)
+let stmt ?(indent = 0) s = render 128 (fun buf -> stmt_in buf indent s)
+let decl d = render 256 (fun buf -> decl_in buf d)
+let file decls = render 4096 (fun buf -> decls_in buf decls)
+
 let guard name decls =
-  let g = String.uppercase_ascii name |> String.map (fun c ->
-    match c with 'A' .. 'Z' | '0' .. '9' -> c | _ -> '_') in
-  "#ifndef " ^ g ^ "\n#define " ^ g ^ "\n\n" ^ file decls ^ "\n#endif /* " ^ g
-  ^ " */\n"
+  let g =
+    String.map
+      (function ('A' .. 'Z' | '0' .. '9') as c -> c | _ -> '_')
+      (String.uppercase_ascii name)
+  in
+  render 4096 (fun buf ->
+      str3 buf "#ifndef " g "\n#define ";
+      str buf g;
+      str buf "\n\n";
+      decls_in buf decls;
+      str3 buf "\n#endif /* " g " */\n")

@@ -2,9 +2,12 @@
 
     The printer is deliberately deterministic and simple: two-space
     indentation, one statement per line, parentheses inserted from a
-    standard C precedence table only where required.  Declarators are
-    printed inside-out (arrays, pointers, function pointers), following
-    C's declaration syntax. *)
+    standard C precedence table only where required (and around a
+    unary operand that would otherwise fuse with its operator into
+    another token, as in [-(-x)]).  Declarators are printed inside-out
+    (arrays, pointers, function pointers), following C's declaration
+    syntax.  Each call below prints straight into one fresh buffer;
+    nothing is kept between calls. *)
 
 val ctype : Cast.ctype -> string -> string
 (** [ctype ty name] renders a declarator: the type wrapped around the

@@ -15,6 +15,10 @@ val bench_idl : string
 val dir_idl : string
 (** The directory interface used for Table 2's object-code comparison. *)
 
+val dir_idl_noexc : string
+(** [dir_idl] without its [raises] clause, for presentations that cannot
+    express exceptions. *)
+
 val bench_presc : [ `Corba | `Rpcgen | `Fluke ] -> Pres_c.t
 (** The [Bench] presentation under each style (all derived from the same
     AOI — the kit's cross-presentation flexibility at work). *)

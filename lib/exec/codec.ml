@@ -125,6 +125,43 @@ let read_stream r ~be (atom : Mplan.atom) =
   Mbuf.skip r atom.Mplan.size;
   v
 
+(* The loads return each word sign-extended from 32 bits, which is
+   already a signed 32-bit element; narrower or unsigned elements keep
+   their low [bits] bits, shifted to the top of the int and back,
+   arithmetically when signed and logically when not. *)
+let read_i32s ~be ~signed ~bits r n =
+  Mbuf.ralign r 4;
+  Mbuf.need r (n * 4);
+  let out = Array.make n 0 in
+  let shift = Sys.int_size - bits in
+  (match (signed && bits = 32, signed, be) with
+  | true, _, true ->
+      for i = 0 to n - 1 do
+        Array.unsafe_set out i (Mbuf.get_i32_be r (i * 4))
+      done
+  | true, _, false ->
+      for i = 0 to n - 1 do
+        Array.unsafe_set out i (Mbuf.get_i32_le r (i * 4))
+      done
+  | false, true, true ->
+      for i = 0 to n - 1 do
+        Array.unsafe_set out i ((Mbuf.get_i32_be r (i * 4) lsl shift) asr shift)
+      done
+  | false, true, false ->
+      for i = 0 to n - 1 do
+        Array.unsafe_set out i ((Mbuf.get_i32_le r (i * 4) lsl shift) asr shift)
+      done
+  | false, false, true ->
+      for i = 0 to n - 1 do
+        Array.unsafe_set out i ((Mbuf.get_i32_be r (i * 4) lsl shift) lsr shift)
+      done
+  | false, false, false ->
+      for i = 0 to n - 1 do
+        Array.unsafe_set out i ((Mbuf.get_i32_le r (i * 4) lsl shift) lsr shift)
+      done);
+  Mbuf.skip r (n * 4);
+  out
+
 (* -- shared length/padding helpers ----------------------------------- *)
 
 let read_len r ~be ~align =

@@ -102,26 +102,6 @@ let compile_move ~src_be ~dst_be (m : Fplan.fmove) :
       fun _ w -> Codec.write_const_at w ~be:dst_be dst_off atom value
   | Fplan.Fm_zero { dst_off; len } -> fun _ w -> Mbuf.fill_zero w dst_off len
 
-(* The 32-bit-integer decode fast path, exactly as the plan decoder
-   runs it: one alignment, one bounds check, unchecked loads, then the
-   signedness mask. *)
-let read_i32s ~be ~signed ~bits r n =
-  Mbuf.ralign r 4;
-  Mbuf.need r (n * 4);
-  let out = Array.make n 0 in
-  (if be then
-     for i = 0 to n - 1 do
-       Array.unsafe_set out i (Mbuf.get_i32_be r (i * 4))
-     done
-   else
-     for i = 0 to n - 1 do
-       Array.unsafe_set out i (Mbuf.get_i32_le r (i * 4))
-     done);
-  Mbuf.skip r (n * 4);
-  if signed || bits > 32 then out
-  else if bits = 32 then Array.map (fun x -> x land 0xFFFFFFFF) out
-  else Array.map (fun x -> x land ((1 lsl bits) - 1)) out
-
 let rec compile_op ~(src : Encoding.t) ~(dst : Encoding.t) (op : Fplan.fop) :
     Mbuf.reader -> Mbuf.t -> unit =
   let src_be = src.Encoding.big_endian and dst_be = dst.Encoding.big_endian in
@@ -255,7 +235,7 @@ let rec compile_op ~(src : Encoding.t) ~(dst : Encoding.t) (op : Fplan.fop) :
             fun r w ->
               let n = get_n r in
               dst_pre w n;
-              let elems = read_i32s ~be:src_be ~signed ~bits r n in
+              let elems = Codec.read_i32s ~be:src_be ~signed ~bits r n in
               if d_fast then begin
                 let set =
                   if dst_be then Mbuf.set_i32_be w else Mbuf.set_i32_le w

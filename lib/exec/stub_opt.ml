@@ -1257,24 +1257,7 @@ let compile_value_decoder ~(enc : Encoding.t) ~mint
                 Codec.check_bounds ~what:"array" n ~min_len:0 ~max_len;
                 n
           in
-          Mbuf.ralign r 4;
-          Mbuf.need r (n * 4);
-          let out = Array.make n 0 in
-          (if be then
-             for i = 0 to n - 1 do
-               Array.unsafe_set out i (Mbuf.get_i32_be r (i * 4))
-             done
-           else
-             for i = 0 to n - 1 do
-               Array.unsafe_set out i (Mbuf.get_i32_le r (i * 4))
-             done);
-          Mbuf.skip r (n * 4);
-          let out =
-            if signed || bits > 32 then out
-            else if bits = 32 then Array.map (fun x -> x land 0xFFFFFFFF) out
-            else Array.map (fun x -> x land ((1 lsl bits) - 1)) out
-          in
-          Value.Vint_array out
+          Value.Vint_array (Codec.read_i32s ~be ~signed ~bits r n)
     | _, _ ->
         fun r ->
           hdr r;
@@ -1693,25 +1676,7 @@ let dcompiler ~(enc : Encoding.t) ~(subs : (string, dframe_exec ref) Hashtbl.t)
             (* chunked read: one bounds check for the whole run *)
             fun r slots ->
               let n = get_n r in
-              Mbuf.ralign r 4;
-              Mbuf.need r (n * 4);
-              let out = Array.make n 0 in
-              (if be then
-                 for i = 0 to n - 1 do
-                   Array.unsafe_set out i (Mbuf.get_i32_be r (i * 4))
-                 done
-               else
-                 for i = 0 to n - 1 do
-                   Array.unsafe_set out i (Mbuf.get_i32_le r (i * 4))
-                 done);
-              Mbuf.skip r (n * 4);
-              let out =
-                if signed || bits > 32 then out
-                else if bits = 32 then
-                  Array.map (fun x -> x land 0xFFFFFFFF) out
-                else Array.map (fun x -> x land ((1 lsl bits) - 1)) out
-              in
-              slots.(slot) <- Value.Vint_array out
+              slots.(slot) <- Value.Vint_array (Codec.read_i32s ~be ~signed ~bits r n)
         | _, _ ->
             fun r slots ->
               let n = get_n r in
@@ -2094,37 +2059,12 @@ let staged_decoder_of_dplan ~(enc : Encoding.t) (plan : Dplan.plan) :
             slot;
           }
         when bits <= 32 && enc.Encoding.var = None ->
-          (* fold the fixed element count: the byte total becomes a
-             compile-time constant and the per-message count call
-             disappears; extension rules match the tier-0 path.
-             Value-dependent encodings fall through to the tier-0
-             per-element reader: their elements are variable-width. *)
-          let total = n * 4 in
-          let fill =
-            if be then fun r out ->
-              for i = 0 to n - 1 do
-                Array.unsafe_set out i (Mbuf.get_i32_be r (i * 4))
-              done
-            else fun r out ->
-              for i = 0 to n - 1 do
-                Array.unsafe_set out i (Mbuf.get_i32_le r (i * 4))
-              done
-          in
-          let extend =
-            if signed || bits > 32 then fun out -> out
-            else if bits = 32 then
-              fun out -> Array.map (fun x -> x land 0xFFFFFFFF) out
-            else
-              let mask = (1 lsl bits) - 1 in
-              fun out -> Array.map (fun x -> x land mask) out
-          in
+          (* fold the fixed element count: the per-message count call
+             disappears.  Value-dependent encodings fall through to the
+             tier-0 per-element reader: their elements are
+             variable-width. *)
           fun r slots ->
-            Mbuf.ralign r 4;
-            Mbuf.need r total;
-            let out = Array.make n 0 in
-            fill r out;
-            Mbuf.skip r total;
-            slots.(slot) <- Value.Vint_array (extend out)
+            slots.(slot) <- Value.Vint_array (Codec.read_i32s ~be ~signed ~bits r n)
       | op -> c.c_op op
     and stage_frame (frame : Dplan.frame) : dframe_exec =
       {

@@ -166,7 +166,7 @@ type fp = {
 
 let fp_int fp n =
   Buffer.add_char fp.buf '#';
-  Buffer.add_string fp.buf (string_of_int n)
+  Decimal.add_int fp.buf n
 
 (* every embedded string is length-prefixed so concatenations of
    different fields can never collide *)

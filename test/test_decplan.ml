@@ -226,6 +226,61 @@ let failure_tests =
             ("closure", Stub_opt.build_decoder ~enc ~mint ~named:[] droots);
             ("naive", Stub_naive.compile_decoder ~config:naive_config ~enc ~mint ~named:[] droots);
           ]);
+    Alcotest.test_case "sub-32-bit array elements narrow alike in every engine"
+      `Quick (fun () ->
+        (* XDR widens shorts to 4-byte words.  A word whose high
+           half is not its element's extension still decodes, to its low
+           [bits] bits sign- or zero-extended, in the fast integer-array
+           paths exactly as in the per-element reference engines. *)
+        let enc = Encoding.xdr in
+        let words = [ 0x00000007; 0xff01fffd ] in
+        let wire ~counted =
+          let buf = Mbuf.create 16 in
+          if counted then Mbuf.put_i32 buf ~be:true (List.length words);
+          List.iter (fun w -> Mbuf.put_i32 buf ~be:true w) words;
+          Mbuf.contents buf
+        in
+        List.iter
+          (fun (bits, signed, expect) ->
+            List.iter
+              (fun counted ->
+                let mint = Mint.create () in
+                let elem = Mint.int_ mint ~bits ~signed in
+                let idx, pres =
+                  if counted then
+                    ( Mint.array mint ~elem ~min_len:0 ~max_len:(Some 8),
+                      Pres.Counted_seq
+                        { len_field = "len"; buf_field = "val"; elem = Pres.Direct } )
+                  else (Mint.fixed_array mint ~elem ~len:2, Pres.Fixed_array Pres.Direct)
+                in
+                let droots = [ Stub_opt.Dvalue (idx, pres) ] in
+                let dplan =
+                  Plan_cache.dplan ~enc ~mint ~named:[]
+                    (List.map Stub_opt.to_dplan_droot droots)
+                in
+                let wire = wire ~counted in
+                let want = Ok_value (Value.Vint_array expect) in
+                List.iter
+                  (fun (name, d) ->
+                    let got = run_decoder d wire in
+                    if not (same_outcome got want) then
+                      Alcotest.failf "%s, %d-bit %s %s: %a, want %a" name bits
+                        (if signed then "signed" else "unsigned")
+                        (if counted then "sequence" else "array")
+                        pp_outcome got pp_outcome want)
+                  [
+                    ("plan", Stub_opt.compile_decoder ~enc ~mint ~named:[] droots);
+                    ("tier 0", Stub_opt.decoder_of_dplan ~enc dplan);
+                    ("staged", Option.get (Stub_opt.staged_decoder_of_dplan ~enc dplan));
+                    ("closure", Stub_opt.build_decoder ~enc ~mint ~named:[] droots);
+                    ("naive", Stub_naive.compile_decoder ~config:naive_config ~enc ~mint ~named:[] droots);
+                    ("interp", Stub_interp.compile_decoder ~enc ~mint ~named:[] droots);
+                  ])
+              [ true; false ])
+          [
+            (16, true, [| 7; -3 |]);
+            (16, false, [| 7; 0xfffd |]);
+          ]);
     Alcotest.test_case "Opt_ptr error carries the wire offset" `Quick
       (fun () ->
         (* an int32 ahead of the optional puts its count word at byte 4 *)

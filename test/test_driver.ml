@@ -209,6 +209,17 @@ let read_golden name =
   close_in ic;
   s
 
+(* Golden regeneration aid (DESIGN.md §8): FLICK_REGEN_GOLDENS names the
+   golden file to rewrite, and the test that owns a golden of that name
+   writes its fresh output there. *)
+let regen_golden name contents =
+  match Sys.getenv_opt "FLICK_REGEN_GOLDENS" with
+  | Some path when Filename.basename path = name ->
+      let oc = open_out_bin path in
+      output_string oc contents;
+      close_out oc
+  | _ -> ()
+
 let dump_tests =
   [
     test "dump-plan renders one marshal plan per stub" (fun () ->
@@ -227,15 +238,9 @@ let dump_tests =
           render ~op:(Some "send_dirents") ~config:Opt_config.all
             Plan_dump.Trace
         in
-        (* Golden regeneration aid (DESIGN.md §8): the output is
-           deterministic under the fake clock, so dumping it *is* the
-           new golden. *)
-        (match Sys.getenv_opt "FLICK_REGEN_GOLDENS" with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc out;
-            close_out oc
-        | None -> ());
+        (* the output is deterministic under the fake clock, so
+           dumping it *is* the new golden *)
+        regen_golden "dump_trace_dirents_oncrpc.golden" out;
         Alcotest.(check string) "dump_trace_dirents_oncrpc.golden"
           (String.trim (read_golden "dump_trace_dirents_oncrpc.golden"))
           (String.trim out));
@@ -309,10 +314,65 @@ let dump_tests =
               (contains (Diag.to_string d) "bogus"));
   ]
 
+(* -- the emitted C, byte for byte --------------------------------------- *)
+
+(* The MD5 of every file Driver.compile emits for the paper's fixture
+   IDLs under each (presentation, back end) pair that can present them,
+   one line per file: a change anywhere in the generators or the printer
+   that moves one byte of C shows up as a one-line diff.  dir.idl raises
+   an exception, which only the CORBA presentations can express. *)
+let emitted_pairs =
+  Driver.
+    [
+      ("corba-c/iiop", Pres_corba, Back_iiop);
+      ("corba-len-c/iiop", Pres_corba_len, Back_iiop);
+      ("rpcgen-c/oncrpc", Pres_rpcgen, Back_oncrpc);
+      ("fluke-c/fluke", Pres_fluke, Back_fluke);
+      ("corba-c/mach3", Pres_corba, Back_mach3);
+    ]
+
+let emitted_fixtures =
+  Paper_fixtures.
+    [
+      ("mail.idl", Driver.Idl_corba, mail_corba, false);
+      ("mail.x", Driver.Idl_onc, mail_onc, false);
+      ("bench.idl", Driver.Idl_corba, bench_idl, false);
+      ("dir.idl", Driver.Idl_corba, dir_idl, true);
+      ("dir_noexc.idl", Driver.Idl_corba, dir_idl_noexc, false);
+    ]
+
+let emitted_digests () =
+  List.concat_map
+    (fun (file, idl, source, raises) ->
+      List.concat_map
+        (fun (pair, pres, backend) ->
+          if raises && pres <> Driver.Pres_corba && pres <> Driver.Pres_corba_len
+          then []
+          else
+            List.map
+              (fun (name, contents) ->
+                Printf.sprintf "%s %s %s %s\n" pair file name
+                  (Digest.to_hex (Digest.string contents)))
+              (Driver.compile idl pres backend ~file ~source ~interface:None))
+        emitted_pairs)
+    emitted_fixtures
+  |> String.concat ""
+
+let emitted_tests =
+  [
+    test "every emitted C file matches its golden digest" (fun () ->
+        let out = emitted_digests () in
+        regen_golden "emitted_c.golden" out;
+        Alcotest.(check string) "emitted_c.golden"
+          (String.trim (read_golden "emitted_c.golden"))
+          (String.trim out));
+  ]
+
 let suite =
   [
     ("driver:matrix", driver_tests);
     ("driver:fixtures", fixture_tests);
     ("driver:dump-plan", dump_tests);
+    ("driver:emitted-c", emitted_tests);
     ("driver:reuse", reuse_tests);
   ]

@@ -327,7 +327,7 @@ let pipeline_tests =
               (fun stage ->
                 Alcotest.(check bool)
                   (stage ^ " span present") true (List.mem stage names))
-              [ "parse"; "presgen"; "backend"; "plan-compile" ];
+              [ "parse"; "presgen"; "backend"; "plan-compile"; "emit-c" ];
             List.iter
               (fun pass ->
                 Alcotest.(check bool)
@@ -342,7 +342,34 @@ let pipeline_tests =
                   Alcotest.(check bool) "plan-compile nested under backend"
                     true
                     (e.Obs_trace.ev_depth >= 1))
-              (Obs_trace.events ())));
+              (Obs_trace.events ());
+            (* one printing span per file, directly inside backend and
+               holding no plan compilation *)
+            let evs = Obs_trace.events () in
+            let named n = List.filter (fun e -> e.Obs_trace.ev_name = n) evs in
+            let within outer e =
+              e.Obs_trace.ev_ts_ns >= outer.Obs_trace.ev_ts_ns
+              && e.Obs_trace.ev_ts_ns +. e.Obs_trace.ev_dur_ns
+                 <= outer.Obs_trace.ev_ts_ns +. outer.Obs_trace.ev_dur_ns
+            in
+            Alcotest.(check (list string))
+              "emit-c spans name their files"
+              [ "bench.h"; "bench_client.c"; "bench_server.c" ]
+              (List.sort compare
+                 (List.map
+                    (fun e -> List.assoc "file" e.Obs_trace.ev_args)
+                    (named "emit-c")));
+            List.iter
+              (fun e ->
+                Alcotest.(check bool) "emit-c nested under backend" true
+                  (List.exists
+                     (fun b ->
+                       e.Obs_trace.ev_depth = b.Obs_trace.ev_depth + 1
+                       && within b e)
+                     (named "backend"));
+                Alcotest.(check bool) "no plan-compile inside emit-c" false
+                  (List.exists (within e) (named "plan-compile")))
+              (named "emit-c")));
   ]
 
 let suite =

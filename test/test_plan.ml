@@ -192,4 +192,23 @@ let plan_tests =
     ;
   ]
 
-let suite = [ ("plan:structure", plan_tests) ]
+(* Plan-cache keys spell integers exactly as string_of_int does, so a
+   key computed by any build of the cache is the same string. *)
+let key_tests =
+  [
+    test "cache keys spell integers as string_of_int" (fun () ->
+        List.iter
+          (fun n ->
+            let fp =
+              Plan_cache.fp_create ~enc:Encoding.xdr ~mint:(Mint.create ())
+                ~named:[] ()
+            in
+            let before = Plan_cache.fp_contents fp in
+            Plan_cache.fp_int fp n;
+            Alcotest.(check string) (string_of_int n)
+              (before ^ "#" ^ string_of_int n)
+              (Plan_cache.fp_contents fp))
+          [ 0; 9; 10; 99; 4095; 4096; max_int; -1; min_int ]);
+  ]
+
+let suite = [ ("plan:structure", plan_tests); ("plan:cache-keys", key_tests) ]
