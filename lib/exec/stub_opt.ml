@@ -999,7 +999,9 @@ let compile_encoder ?config ~enc ~mint ~named roots : encoder =
       let tier0 =
         instrument_encoder encode_ns encode_bytes (encoder_of_plan ~enc plan)
       in
-      if not (Opt_config.stage_enabled ()) then tier0
+      if not (Opt_config.stage_enabled ()) then (fun buf params ->
+        Obs.incr stage_interp_calls 1;
+        tier0 buf params)
       else
         match staged_encoder_of_plan ~enc plan with
         | None ->
@@ -1664,12 +1666,12 @@ let dcompiler ~(enc : Encoding.t) ~(subs : (string, dframe_exec ref) Hashtbl.t)
           in
           Codec.skip_pad r ~pad_unit n;
           slots.(slot) <- v
-    | Dplan.D_get_atom_array { count; atom; slot } when vc <> None ->
+    | Dplan.D_get_atom_array { count; atom; slot; _ } when vc <> None ->
         let vcc = Option.get vc in
         let get_n = read_count count in
         let kind = atom.Mplan.kind in
         fun r slots -> slots.(slot) <- read_var_elems vcc kind r (get_n r)
-    | Dplan.D_get_atom_array { count; atom; slot } -> (
+    | Dplan.D_get_atom_array { count; atom; slot; _ } -> (
         let get_n = read_count count in
         match (atom.Mplan.kind, atom.Mplan.size) with
         | Encoding.Kint { bits; signed }, 4 when bits <= 32 ->
@@ -2057,6 +2059,7 @@ let staged_decoder_of_dplan ~(enc : Encoding.t) (plan : Dplan.plan) :
             atom =
               { Mplan.kind = Encoding.Kint { bits; signed }; size = 4; _ };
             slot;
+            _;
           }
         when bits <= 32 && enc.Encoding.var = None ->
           (* fold the fixed element count: the per-message count call
@@ -2188,7 +2191,9 @@ let compile_decoder ?config ~enc ~mint ~named ?(views = false) droots :
       let tier0 =
         instrument_decoder decode_ns decode_bytes (decoder_of_dplan ~enc dplan)
       in
-      if not (Opt_config.stage_enabled ()) then tier0
+      if not (Opt_config.stage_enabled ()) then (fun r ->
+        Obs.incr stage_interp_calls 1;
+        tier0 r)
       else
         match staged_decoder_of_dplan ~enc dplan with
         | None ->

@@ -46,7 +46,12 @@ type dop =
   | D_get_string of { max_len : int option; slot : int; view : bool }
   | D_const_str of string  (* verify a constant counted string *)
   | D_get_byteseq of { count : dcount; slot : int; view : bool }
-  | D_get_atom_array of { count : dcount; atom : Mplan.atom; slot : int }
+  | D_get_atom_array of {
+      count : dcount;
+      atom : Mplan.atom;
+      var : bool;  (* value-dependent elements: no static advance *)
+      slot : int;
+    }
   | D_loop of { count : dcount; ensure : int option; frame : frame; slot : int }
       (* [ensure]: every iteration advances exactly that many bytes, so
          one [need count * ensure] covers the whole run *)
@@ -125,9 +130,10 @@ let rec pp_op ppf = function
   | D_get_byteseq { count; slot; view } ->
       Format.fprintf ppf "s%d <- get_byteseq %a%s" slot pp_count count
         (if view then " view" else "")
-  | D_get_atom_array { count; atom; slot } ->
-      Format.fprintf ppf "s%d <- get_atom_array %a %a" slot pp_count count
+  | D_get_atom_array { count; atom; var; slot } ->
+      Format.fprintf ppf "s%d <- get_atom_array %a %a%s" slot pp_count count
         pp_atom atom
+        (if var then " var" else "")
   | D_loop { count; ensure; frame; slot } ->
       Format.fprintf ppf "@[<v 2>s%d <- for %a%s {" slot pp_count count
         (match ensure with

@@ -65,7 +65,14 @@ type dop =
   | D_get_string of { max_len : int option; slot : int; view : bool }
   | D_const_str of string
   | D_get_byteseq of { count : dcount; slot : int; view : bool }
-  | D_get_atom_array of { count : dcount; atom : Mplan.atom; slot : int }
+  | D_get_atom_array of {
+      count : dcount;
+      atom : Mplan.atom;
+      var : bool;
+          (** value-dependent elements (self-describing encodings): the
+              array's advance is never static *)
+      slot : int;
+    }
   | D_loop of { count : dcount; ensure : int option; frame : frame; slot : int }
       (** [ensure = Some u]: every iteration advances exactly [u]
           bytes, so the executor reserves [count * u] once and interior

@@ -37,6 +37,7 @@ type st = {
 
 let round_up = Plan_compile.round_up
 let atom_of st kind = Plan_compile.atom_of st.enc kind
+let var_atoms st = st.enc.Encoding.var <> None
 let len_atom st = Plan_compile.len_atom st.enc
 
 let flush st =
@@ -311,7 +312,7 @@ and compile_array st ~elem ~min_len ~max_len (pres : Pres.t) =
           let slot = fresh_slot st in
           emit st
             (Dplan.D_get_atom_array
-               { count = Dplan.Dc_fixed min_len; atom; slot });
+               { count = Dplan.Dc_fixed min_len; atom; var = var_atoms st; slot });
           lose_alignment st (min atom.Mplan.size 4);
           Dplan.Sh_slot slot
       | None -> compile_loop st (Dplan.Dc_fixed min_len) elem sub)
@@ -341,6 +342,7 @@ and compile_array st ~elem ~min_len ~max_len (pres : Pres.t) =
                  {
                    count = Dplan.Dc_len { min_len = 0; max_len; what = "array" };
                    atom;
+                   var = var_atoms st;
                    slot;
                  });
             lose_alignment st (min atom.Mplan.size 4);

@@ -344,7 +344,7 @@ let rec exact_advance_op (op : Dplan.dop) : int option =
   | Dplan.D_chunk { size; _ } -> Some size
   | Dplan.D_loop { count = Dplan.Dc_fixed n; frame; _ } ->
       Option.map (fun u -> n * u) (exact_advance frame.Dplan.f_ops)
-  | Dplan.D_get_atom_array { count = Dplan.Dc_fixed n; atom; _ }
+  | Dplan.D_get_atom_array { count = Dplan.Dc_fixed n; atom; var = false; _ }
     when atom.Mplan.align <= 1 ->
       Some (n * atom.Mplan.size)
   | Dplan.D_get_string _ | Dplan.D_const_str _ | Dplan.D_get_byteseq _
@@ -442,7 +442,7 @@ and optimize_dop rw st (op : Dplan.dop) : Dplan.dop list =
              atom array read (decode twin of the encode loop-blit
              fusion) *)
           st.loops_fused <- st.loops_fused + 1;
-          [ Dplan.D_get_atom_array { count; atom; slot } ]
+          [ Dplan.D_get_atom_array { count; atom; var = false; slot } ]
       | _ -> (
       match ensure with
       | Some _ -> [ Dplan.D_loop { count; ensure; frame; slot } ]

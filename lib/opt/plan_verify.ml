@@ -240,7 +240,7 @@ let rec d_exact_advance_op (op : Dplan.dop) : int option =
   | Dplan.D_chunk { size; _ } -> Some size
   | Dplan.D_loop { count = Dplan.Dc_fixed n; frame; _ } ->
       Option.map (fun u -> n * u) (d_exact_advance frame.Dplan.f_ops)
-  | Dplan.D_get_atom_array { count = Dplan.Dc_fixed n; atom; _ }
+  | Dplan.D_get_atom_array { count = Dplan.Dc_fixed n; atom; var = false; _ }
     when atom.Mplan.align <= 1 ->
       Some (n * atom.Mplan.size)
   | _ -> None
@@ -352,7 +352,7 @@ let rec check_frame path ~subs ~covered (f : Dplan.frame) =
     | Dplan.D_get_byteseq { count; slot; _ } ->
         check_dcount path count;
         write path slot
-    | Dplan.D_get_atom_array { count; atom; slot } ->
+    | Dplan.D_get_atom_array { count; atom; slot; _ } ->
         check_dcount path count;
         check_atom path atom;
         (* the array op reads elements at a fixed stride of [size]
@@ -517,20 +517,24 @@ let check_fmoves path ~src_size ~dst_size moves =
 
 (* Exact static source consumption of a forward op sequence — the
    forward twin of [d_exact_advance], admitting only the op kinds a
-   reservation-carrying loop body can contain. *)
-let rec f_src_exact_op (op : Fplan.fop) : int option =
+   reservation-carrying loop body can contain.  [var]: the source is a
+   self-describing encoding, whose scalars are value-dependent. *)
+let rec f_src_exact_op ~var (op : Fplan.fop) : int option =
   match op with
   | Fplan.F_src_align a -> if a <= 1 then Some 0 else None
   | Fplan.F_dst_align _ -> Some 0 (* destination-only: no source bytes *)
   | Fplan.F_run { src_size; _ } -> Some src_size
   | Fplan.F_loop { count = Fplan.Fc_fixed n; body; _ } ->
-      Option.map (fun u -> n * u) (f_src_exact body)
+      Option.map (fun u -> n * u) (f_src_exact ~var body)
+  | Fplan.F_atom_array { count = Fplan.Fc_fixed n; src_atom; _ }
+    when (not var) && src_atom.Mplan.align <= 1 ->
+      Some (n * src_atom.Mplan.size)
   | _ -> None
 
-and f_src_exact ops =
+and f_src_exact ~var ops =
   List.fold_left
     (fun acc op ->
-      match (acc, f_src_exact_op op) with
+      match (acc, f_src_exact_op ~var op) with
       | Some a, Some b -> Some (a + b)
       | _, _ -> None)
     (Some 0) ops
@@ -553,7 +557,7 @@ and f_dst_bound ops =
       | _, _ -> None)
     (Some 0) ops
 
-let rec check_fops path ~covered_src ~covered_dst ops =
+let rec check_fops path ~var ~covered_src ~covered_dst ops =
   List.iteri
     (fun i (op : Fplan.fop) ->
       let path = Printf.sprintf "%s[%d]" path i in
@@ -629,7 +633,7 @@ let rec check_fops path ~covered_src ~covered_dst ops =
           | Some u -> (
               if u <= 0 then
                 failv path "source reservation of %d bytes is not positive" u;
-              match f_src_exact body with
+              match f_src_exact ~var body with
               | Some v when v = u -> ()
               | Some v ->
                   failv path
@@ -654,13 +658,13 @@ let rec check_fops path ~covered_src ~covered_dst ops =
                      under-covers a worst-case per-element advance of %d"
                     u v
               | _ -> ()));
-          check_fops (path ^ ".loop")
+          check_fops (path ^ ".loop") ~var
             ~covered_src:(covered_src || src_ensure <> None)
             ~covered_dst:(covered_dst || dst_ensure <> None)
             body
       | Fplan.F_opt { body } ->
-          check_fops (path ^ ".opt") ~covered_src:false ~covered_dst:false
-            body
+          check_fops (path ^ ".opt") ~var ~covered_src:false
+            ~covered_dst:false body
       | Fplan.F_materialize { dplan; mplan; _ } -> (
           (match check_dplan dplan with
           | Ok () -> ()
@@ -674,6 +678,8 @@ let rec check_fops path ~covered_src ~covered_dst ops =
 
 let check_fplan (plan : Fplan.plan) =
   try
-    check_fops "fwd" ~covered_src:false ~covered_dst:false plan.Fplan.f_ops;
+    check_fops "fwd"
+      ~var:(plan.Fplan.f_src.Encoding.var <> None)
+      ~covered_src:false ~covered_dst:false plan.Fplan.f_ops;
     Ok ()
   with Fail e -> Error e

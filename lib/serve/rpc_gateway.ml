@@ -6,11 +6,12 @@
    or, with [forward:false], the decode-then-reencode baseline the
    bench compares against.
 
-   Framing is Rpc_serve's wire format on both hops.  The proxy owns the
-   sequence space on the backend hop (one backend connection funnels
-   every client), demultiplexing replies through a pending table back
-   to the originating client connection and its original sequence
-   number. *)
+   Framing is Rpc_serve's wire format on both hops (Frame); requests
+   reach the backend as the writer they were relayed into.  The proxy
+   owns the sequence space on the backend hop (one backend connection
+   funnels every client), demultiplexing replies through a pending
+   table back to the originating client connection and its original
+   sequence number. *)
 
 type route = {
   rt_name : string;
@@ -49,17 +50,11 @@ and gconn = {
   g_gw : t;
   g_deliver : bytes -> unit;
   mutable g_closed : bool;
-  mutable g_buf : bytes;  (* partial-frame input buffer *)
-  mutable g_off : int;
-  mutable g_len : int;
+  g_parser : Frame.parser;
 }
 
 let c_gw_requests = Obs.counter "gateway.requests"
 let c_gw_relay_errors = Obs.counter "gateway.relay_errors"
-
-let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xffffffff
-let body_min = 12 (* iface + op + seq *)
-let reply_body_min = 8 (* status + seq *)
 
 (* The decode-then-reencode baseline the fused path is measured
    against: materialize every value, re-encode under the destination
@@ -103,102 +98,73 @@ let deliver_to_client ?rec_ t (g : gconn) data =
       in
       Obs_request.add_wire_queue_ns r (Obs_request.ns_of_s tm.Link.tx_queue_s)
 
-let error_frame status seq =
-  let f = Bytes.create (4 + reply_body_min) in
-  Bytes.set_int32_be f 0 (Int32.of_int reply_body_min);
-  Bytes.set_int32_be f 4 (Int32.of_int (Rpc_serve.status_code status));
-  Bytes.set_int32_be f 8 (Int32.of_int seq);
-  f
+(* A reply frame for the client, [payload] written behind its head.
+   Client edges are bytes, so the frame is flattened once here. *)
+let reply_frame status ~seq payload =
+  let w = Mbuf.acquire () in
+  Fun.protect
+    ~finally:(fun () -> Mbuf.release w)
+    (fun () ->
+      let at = Frame.open_reply w ~status ~seq in
+      payload w;
+      Frame.close w at;
+      Mbuf.contents w)
 
-(* Assemble one reply frame around a relayed payload writer: header,
-   then one segment walk (the scatter-gather DMA of a real NIC; the
-   relay engine's own copy accounting is already settled). *)
-let payload_frame ~head ~fill (w : Mbuf.t) =
-  let plen = Mbuf.pos w in
-  let f = Bytes.create (4 + head + plen) in
-  Bytes.set_int32_be f 0 (Int32.of_int (head + plen));
-  fill f;
-  let at = ref (4 + head) in
-  Mbuf.iter_segments w (fun b off len ->
-      Bytes.blit b off f !at len;
-      at := !at + len);
-  f
+let bad_request = Rpc_serve.status_code Rpc_serve.Sbad_request
 
+let relay_failed ?rec_ t g seq =
+  t.g_relay_errors <- t.g_relay_errors + 1;
+  Obs.incr c_gw_relay_errors 1;
+  (match rec_ with
+  | Some r -> Obs_request.set_outcome r Obs_request.Rbad_request
+  | None -> ());
+  deliver_to_client ?rec_ t g (reply_frame bad_request ~seq ignore)
+
+let on_backend_reply t p payload =
+  let status = Frame.word p 0 and pseq = Frame.word p 1 in
+  match Hashtbl.find_opt t.pending pseq with
+  | None -> () (* originating client connection is gone *)
+  | Some (g, seq, rt, rec_) -> (
+      Hashtbl.remove t.pending pseq;
+      (* the backend window just closed: the hop-1 record (finished at
+         this same instant) owns it, so the client hop's record skips
+         to now without charging a phase *)
+      (match rec_ with
+      | Some r -> Obs_request.skip_to r ~now_s:(Sim_core.now t.gsim)
+      | None -> ());
+      if status <> Rpc_serve.status_code Rpc_serve.Sok then begin
+        (* shed / error statuses pass through untouched *)
+        (match rec_ with
+        | Some r ->
+            Obs_request.set_outcome r (Obs_request.outcome_of_fault_status status)
+        | None -> ());
+        deliver_to_client ?rec_ t g (reply_frame status ~seq ignore)
+      end
+      else
+        match reply_frame status ~seq (rt.rt_relay_rep payload) with
+        | exception (Mbuf.Short_buffer | Codec.Decode_error _) ->
+            relay_failed ?rec_ t g seq
+        | f ->
+            t.g_relayed_rep <- t.g_relayed_rep + 1;
+            deliver_to_client ?rec_ t g f)
+
+(* Flushes carry whole frames, so a frame may not run past the data. *)
 let on_backend_flush t data =
-  List.iter
-    (fun (status, pseq, payload) ->
-      match Hashtbl.find_opt t.pending pseq with
-      | None -> () (* originating client connection is gone *)
-      | Some (g, seq, rt, rec_) -> (
-          Hashtbl.remove t.pending pseq;
-          (* the backend window just closed: the hop-1 record (finished
-             at this same instant) owns it, so the client hop's record
-             skips to now without charging a phase *)
-          (match rec_ with
-          | Some r -> Obs_request.skip_to r ~now_s:(Sim_core.now t.gsim)
-          | None -> ());
-          match status with
-          | Rpc_serve.Sok -> (
-              let r = Mbuf.reader_of_bytes payload in
-              let w = Mbuf.acquire () in
-              match rt.rt_relay_rep r w with
-              | exception (Mbuf.Short_buffer | Codec.Decode_error _) ->
-                  Mbuf.release w;
-                  t.g_relay_errors <- t.g_relay_errors + 1;
-                  Obs.incr c_gw_relay_errors 1;
-                  (match rec_ with
-                  | Some r ->
-                      Obs_request.set_outcome r Obs_request.Rbad_request
-                  | None -> ());
-                  deliver_to_client ?rec_ t g
-                    (error_frame Rpc_serve.Sbad_request seq)
-              | () ->
-                  let f =
-                    payload_frame ~head:reply_body_min
-                      ~fill:(fun f ->
-                        Bytes.set_int32_be f 4
-                          (Int32.of_int (Rpc_serve.status_code Rpc_serve.Sok));
-                        Bytes.set_int32_be f 8 (Int32.of_int seq))
-                      w
-                  in
-                  Mbuf.release w;
-                  t.g_relayed_rep <- t.g_relayed_rep + 1;
-                  deliver_to_client ?rec_ t g f)
-          | err ->
-              (* shed / error statuses pass through untouched *)
-              (match rec_ with
-              | Some r ->
-                  Obs_request.set_outcome r
-                    (Obs_request.outcome_of_fault_status
-                       (Rpc_serve.status_code err))
-              | None -> ());
-              deliver_to_client ?rec_ t g (error_frame err seq)))
-    (Rpc_serve.parse_replies data)
+  let p = Frame.parser ~head:Frame.reply_head ~max_body:(Bytes.length data) in
+  Frame.feed p (Mbuf.reader_of_bytes data)
+    ~bad:(fun _ -> invalid_arg "Rpc_gateway: torn backend reply")
+    (on_backend_reply t p)
 
 (* -- request hop: client -> proxy -> backend ------------------------ *)
 
-let handle_frame t (g : gconn) ~body_off ~body_len =
+let handle_frame t (g : gconn) body =
   t.g_requests_in <- t.g_requests_in + 1;
   Obs.incr c_gw_requests 1;
-  let iface = get_u32 g.g_buf body_off in
-  let op = get_u32 g.g_buf (body_off + 4) in
-  let seq = get_u32 g.g_buf (body_off + 8) in
+  let iface = Frame.word g.g_parser 0 in
+  let op = Frame.word g.g_parser 1 in
+  let seq = Frame.word g.g_parser 2 in
   let rec_ =
-    if Obs_request.enabled () then begin
-      let now = Sim_core.now t.gsim in
-      let r =
-        match Obs_request.find ~domain:t.gw_domain ~conn:g.g_id ~seq with
-        | Some r -> r
-        | None ->
-            (* fed straight into the parser: the timeline starts here *)
-            Obs_request.client_send ~domain:t.gw_domain ~conn:g.g_id ~seq
-              ~now_s:now
-      in
-      Obs_request.mark r Obs_request.Ingress_wire ~now_s:now;
-      Obs_request.mark r Obs_request.Header_parse ~now_s:now;
-      Some r
-    end
-    else None
+    Rpc_serve.arrival_record ~sim:t.gsim ~domain:t.gw_domain ~conn:g.g_id ~seq
   in
   match Hashtbl.find_opt t.routes (iface, op) with
   | None ->
@@ -206,35 +172,20 @@ let handle_frame t (g : gconn) ~body_off ~body_len =
       (match rec_ with
       | Some r -> Obs_request.set_outcome r Obs_request.Runknown_op
       | None -> ());
-      deliver_to_client ?rec_ t g (error_frame Rpc_serve.Sunknown_op seq)
+      deliver_to_client ?rec_ t g
+        (reply_frame (Rpc_serve.status_code Rpc_serve.Sunknown_op) ~seq ignore)
   | Some rt -> (
-      let r =
-        Mbuf.reader_of_bytes ~off:(body_off + body_min)
-          ~len:(body_len - body_min) g.g_buf
-      in
+      let pseq = t.next_pseq land 0xffffffff in
       let w = Mbuf.acquire () in
-      match rt.rt_relay_req r w with
+      let at = Frame.open_request w ~iface ~op ~seq:pseq in
+      match rt.rt_relay_req body w with
       | exception (Mbuf.Short_buffer | Codec.Decode_error _) ->
           Mbuf.release w;
-          t.g_relay_errors <- t.g_relay_errors + 1;
-          Obs.incr c_gw_relay_errors 1;
-          (match rec_ with
-          | Some r -> Obs_request.set_outcome r Obs_request.Rbad_request
-          | None -> ());
-          deliver_to_client ?rec_ t g (error_frame Rpc_serve.Sbad_request seq)
+          relay_failed ?rec_ t g seq
       | () ->
-          let pseq = t.next_pseq land 0xffffffff in
+          Frame.close w at;
           t.next_pseq <- t.next_pseq + 1;
           Hashtbl.add t.pending pseq (g, seq, rt, rec_);
-          let f =
-            payload_frame ~head:body_min
-              ~fill:(fun f ->
-                Bytes.set_int32_be f 4 (Int32.of_int iface);
-                Bytes.set_int32_be f 8 (Int32.of_int op);
-                Bytes.set_int32_be f 12 (Int32.of_int pseq))
-              w
-          in
-          Mbuf.release w;
           t.g_relayed_req <- t.g_relayed_req + 1;
           (* hand the trace to the backend hop before relaying: its
              record (keyed by the backend's domain, the shared backend
@@ -250,74 +201,35 @@ let handle_frame t (g : gconn) ~body_off ~body_len =
                 ~hop:1
                 ~sampled:(Obs_request.is_sampled r)
           | None -> ());
-          Rpc_serve.send t.bconn f)
+          (* the writer itself crosses to the backend, which releases
+             it once the body is done *)
+          Rpc_serve.send_mbuf t.bconn w)
 
-let rec parse_loop t (g : gconn) =
-  if not g.g_closed then begin
-    let avail = g.g_len - g.g_off in
-    if avail >= 4 then begin
-      let body_len = get_u32 g.g_buf g.g_off in
-      if body_len < body_min || body_len > t.mf then begin
-        (* protocol error: this client connection dies, others live *)
-        t.g_killed_conns <- t.g_killed_conns + 1;
-        g.g_closed <- true;
-        g.g_off <- 0;
-        g.g_len <- 0;
-        if Obs_request.enabled () then
-          Obs_request.abort_conn ~domain:t.gw_domain ~conn:g.g_id
-            ~ensure_marker:true ~outcome:Obs_request.Rkilled
-            ~now_s:(Sim_core.now t.gsim) ()
-      end
-      else if avail >= 4 + body_len then begin
-        let body_off = g.g_off + 4 in
-        g.g_off <- g.g_off + 4 + body_len;
-        handle_frame t g ~body_off ~body_len;
-        parse_loop t g
-      end
-    end
-  end
+(* Protocol error: this client connection dies, others live. *)
+let kill t (g : gconn) =
+  t.g_killed_conns <- t.g_killed_conns + 1;
+  g.g_closed <- true;
+  Frame.discard g.g_parser;
+  if Obs_request.enabled () then
+    Obs_request.abort_conn ~domain:t.gw_domain ~conn:g.g_id
+      ~ensure_marker:true ~outcome:Obs_request.Rkilled
+      ~now_s:(Sim_core.now t.gsim) ()
 
 let feed (g : gconn) data =
   if not g.g_closed then begin
     let t = g.g_gw in
-    let n = Bytes.length data in
-    t.g_bytes_in <- t.g_bytes_in + n;
-    if g.g_len + n > Bytes.length g.g_buf && g.g_off > 0 then begin
-      Bytes.blit g.g_buf g.g_off g.g_buf 0 (g.g_len - g.g_off);
-      g.g_len <- g.g_len - g.g_off;
-      g.g_off <- 0
-    end;
-    if g.g_len + n > Bytes.length g.g_buf then begin
-      let cap = ref (2 * Bytes.length g.g_buf) in
-      while g.g_len + n > !cap do
-        cap := 2 * !cap
-      done;
-      let bigger = Bytes.create !cap in
-      Bytes.blit g.g_buf 0 bigger 0 g.g_len;
-      g.g_buf <- bigger
-    end;
-    Bytes.blit data 0 g.g_buf g.g_len n;
-    g.g_len <- g.g_len + n;
-    parse_loop t g
+    t.g_bytes_in <- t.g_bytes_in + Bytes.length data;
+    Frame.feed g.g_parser (Mbuf.reader_of_bytes data)
+      ~bad:(fun _ -> kill t g)
+      (handle_frame t g)
   end
 
 let send (g : gconn) data =
   let t = g.g_gw in
-  if not (Obs_request.enabled ()) then
-    Link.transmit t.cl_ingress ~bytes:(Bytes.length data) (fun () ->
-        feed g data)
-  else begin
-    let recs =
-      Rpc_serve.trace_request_frames ~domain:t.gw_domain ~conn_id:g.g_id
-        ~now_s:(Sim_core.now t.gsim) data
-    in
-    let tm =
-      Link.transmit_timed t.cl_ingress ~bytes:(Bytes.length data) (fun () ->
-          feed g data)
-    in
-    let qns = Obs_request.ns_of_s tm.Link.tx_queue_s in
-    List.iter (fun r -> Obs_request.add_wire_queue_ns r qns) recs
-  end
+  Rpc_serve.client_transmit ~sim:t.gsim ~link:t.cl_ingress ~domain:t.gw_domain
+    ~conn_id:g.g_id ~bytes:(Bytes.length data)
+    (fun () -> Mbuf.reader_of_bytes data)
+    (fun () -> feed g data)
 
 let connect t ~deliver =
   let id = t.next_conn in
@@ -327,17 +239,14 @@ let connect t ~deliver =
     g_gw = t;
     g_deliver = deliver;
     g_closed = false;
-    g_buf = Bytes.create 256;
-    g_off = 0;
-    g_len = 0;
+    g_parser = Frame.parser ~head:Frame.request_head ~max_body:t.mf;
   }
 
 let conn_id (g : gconn) = g.g_id
 
 let close_conn (g : gconn) =
   g.g_closed <- true;
-  g.g_off <- 0;
-  g.g_len <- 0;
+  Frame.discard g.g_parser;
   if Obs_request.enabled () then begin
     let t = g.g_gw in
     Obs_request.abort_conn ~domain:t.gw_domain ~conn:g.g_id

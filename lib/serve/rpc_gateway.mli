@@ -15,6 +15,11 @@
     what [bench gateway] compares against and what [make ci] exercises
     as the forced-fallback pass.
 
+    Buffers: bytes handed to {!send} or {!feed} are retained by
+    reference until their requests complete.  A relayed request crosses
+    to the backend as the pooled writer it was relayed into
+    ({!Rpc_serve.send_mbuf}), which the backend then owns.
+
     Sequence numbers: the proxy owns the backend hop's sequence space
     (one backend connection funnels every client) and demultiplexes
     replies through a pending table back to the originating client
@@ -67,8 +72,9 @@ val send : gconn -> bytes -> unit
 
 val feed : gconn -> bytes -> unit
 (** Hand bytes straight to the proxy's frame parser (the byte-exact
-    seam the fault tests drive).  Partial frames buffer per
-    connection; a bad length prefix kills exactly this connection. *)
+    seam the fault tests drive).  A frame cut across deliveries is
+    carried per connection; a bad length prefix kills exactly this
+    connection. *)
 
 val close_conn : gconn -> unit
 

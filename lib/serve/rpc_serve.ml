@@ -8,17 +8,16 @@
      the queue reaches [max_in_flight], arrivals are shed with a header
      parse only.
 
-   - A reply payload is encoded into its own pooled writer and copied
-     segment-wise into the connection's outgoing writer under the frame
-     header.  The copy is unavoidable — the frame's length word must
-     precede a payload of unknown size, and borrowing from the payload
-     writer would dangle once it is released back to the pool — but it
-     is one segment walk, never a flatten.
+   - Framing copies nothing (Frame): an accepted body is a reader over
+     the delivery it arrived in until its service completes.  A reply
+     is encoded behind its header in its own pooled writer, queued only
+     once the encode succeeded, so a failure never touches queued
+     frames.
 
    - Flushes coalesce per connection with a cancellable timer: the
      first reply arms it, replies landing inside the window ride along,
      connection death cancels it.  All reply frames queued at fire time
-     leave as one wire message. *)
+     leave as one wire message, flattened once. *)
 
 type status = Sok | Sshed | Sbad_request | Sunknown_op
 
@@ -145,15 +144,21 @@ type conn = {
   c_deliver : bytes -> unit;
   mutable c_closed : bool;
   mutable c_in_flight : int;  (* this connection's share of the budget *)
-  mutable c_buf : bytes;  (* partial-frame input buffer *)
-  mutable c_off : int;  (* consumed prefix of c_buf *)
-  mutable c_len : int;  (* valid prefix of c_buf *)
-  mutable c_out : Mbuf.t option;  (* queued reply frames *)
-  mutable c_out_count : int;  (* replies queued in c_out *)
+  c_parser : Frame.parser;
+  mutable c_out : Mbuf.t list;  (* queued reply frames, newest first *)
   mutable c_flush : Sim_core.handle option;
   mutable c_recs : Obs_request.record list;
       (* newest first: trace records of the replies queued in c_out *)
 }
+
+(* A delivered writer and the accepted bodies still reading it. *)
+type hold = { h_msg : Mbuf.t; mutable h_refs : int }
+
+let drop = function
+  | Some h ->
+      h.h_refs <- h.h_refs - 1;
+      if h.h_refs = 0 then Mbuf.release h.h_msg
+  | None -> ()
 
 let create ~sim ?(config = default_config) ~ingress ~egress () =
   {
@@ -207,11 +212,9 @@ let connect t ~deliver =
     c_deliver = deliver;
     c_closed = false;
     c_in_flight = 0;
-    c_buf = Bytes.create 256;
-    c_off = 0;
-    c_len = 0;
-    c_out = None;
-    c_out_count = 0;
+    c_parser =
+      Frame.parser ~head:Frame.request_head ~max_body:t.cfg.max_frame;
+    c_out = [];
     c_flush = None;
     c_recs = [];
   }
@@ -232,41 +235,33 @@ let record_diag t fmt =
 
 (* -- framing ------------------------------------------------------- *)
 
-let body_min = 12 (* iface + op + seq *)
-let reply_body_min = 8 (* status + seq *)
-
-let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xffffffff
+let body_min = Frame.request_head
 
 let set_gauge_in_flight t =
   Obs.set_gauge g_in_flight (float_of_int t.in_flight);
   if t.in_flight > t.s_in_flight_hw then t.s_in_flight_hw <- t.in_flight
 
 (* Tear a connection down: discard buffered input, cancel the pending
-   flush, release the outgoing writer (counting its queued replies as
-   dropped).  Shared by voluntary close and protocol-error kill.  The
-   flight recorder gets every in-flight record of the connection before
-   the state is discarded — queued replies, requests still on the CPU
+   flush, release the queued reply frames (counting them as dropped).
+   Shared by voluntary close and protocol-error kill.  The flight
+   recorder gets every in-flight record of the connection before the
+   state is discarded — queued replies, requests still on the CPU
    queue, replies riding the egress wire — with the terminal outcome,
    so a dead connection's partial timelines land in the ring instead of
    vanishing with it. *)
 let teardown c ~outcome =
   let t = c.c_server in
   c.c_closed <- true;
-  c.c_off <- 0;
-  c.c_len <- 0;
+  Frame.discard c.c_parser;
   (match c.c_flush with
   | Some h ->
       Sim_core.cancel h;
       c.c_flush <- None
   | None -> ());
   c.c_recs <- [];
-  (match c.c_out with
-  | Some f ->
-      t.s_dropped_replies <- t.s_dropped_replies + c.c_out_count;
-      c.c_out <- None;
-      c.c_out_count <- 0;
-      Mbuf.release f
-  | None -> ());
+  t.s_dropped_replies <- t.s_dropped_replies + List.length c.c_out;
+  List.iter Mbuf.release c.c_out;
+  c.c_out <- [];
   if Obs_request.enabled () then
     Obs_request.abort_conn ~domain:t.rec_domain ~conn:c.c_id
       ~ensure_marker:(outcome = Obs_request.Rkilled)
@@ -275,7 +270,7 @@ let teardown c ~outcome =
 let close_conn c =
   if not c.c_closed then begin
     let t = c.c_server in
-    let pending = c.c_len - c.c_off in
+    let pending = Frame.pending c.c_parser in
     if pending > 0 then
       record_diag t
         "connection %d closed mid-frame (%d buffered bytes discarded)" c.c_id
@@ -297,15 +292,17 @@ let kill c fmt =
 let flush c =
   let t = c.c_server in
   c.c_flush <- None;
-  match c.c_out with
-  | None -> ()
-  | Some f ->
-      c.c_out <- None;
-      c.c_out_count <- 0;
+  match List.rev c.c_out with
+  | [] -> ()
+  | f :: rest as frames ->
+      c.c_out <- [];
       let recs = List.rev c.c_recs in
       c.c_recs <- [];
+      (* chain the later frames behind the first by reference, then
+         flatten the whole flush once *)
+      List.iter (fun w -> Mbuf.iter_segments w (Mbuf.put_borrow_bytes f)) rest;
       let data = Mbuf.contents f in
-      Mbuf.release f;
+      List.iter Mbuf.release frames;
       t.s_flushes <- t.s_flushes + 1;
       Obs.incr c_flushes 1;
       t.s_bytes_out <- t.s_bytes_out + Bytes.length data;
@@ -335,15 +332,15 @@ let flush c =
         List.iter (fun r -> Obs_request.add_wire_queue_ns r qns) recs
       end
 
-(* Append one reply frame to the connection's outgoing writer and make
-   sure a flush is armed.  [payload] (when present) is copied segment
-   by segment — the caller releases it.  [rec_] is the request's trace
+(* Queue one finished reply frame [w] (the connection takes it over)
+   and make sure a flush is armed.  [rec_] is the request's trace
    record: it rides the connection's reply queue until the coalesced
    flush carries it out (fault statuses stamp their outcome here, which
    is what forces the record into the flight ring at finish). *)
-let enqueue_reply ?rec_ c status seq (payload : Mbuf.t option) =
+let enqueue_reply ?rec_ c status w =
   let t = c.c_server in
   if c.c_closed then begin
+    Mbuf.release w;
     t.s_dropped_replies <- t.s_dropped_replies + 1;
     match rec_ with
     | Some r ->
@@ -352,29 +349,8 @@ let enqueue_reply ?rec_ c status seq (payload : Mbuf.t option) =
     | None -> ()
   end
   else begin
-    let f =
-      match c.c_out with
-      | Some f ->
-          t.s_coalesced <- t.s_coalesced + 1;
-          f
-      | None ->
-          let f = Mbuf.acquire () in
-          c.c_out <- Some f;
-          f
-    in
-    c.c_out_count <- c.c_out_count + 1;
-    let plen = match payload with Some p -> Mbuf.pos p | None -> 0 in
-    Mbuf.put_i32 f ~be:true (reply_body_min + plen);
-    Mbuf.put_i32 f ~be:true (status_code status);
-    Mbuf.put_i32 f ~be:true seq;
-    (match payload with
-    | None -> ()
-    | Some p ->
-        Mbuf.iter_segments p (fun b off len ->
-            Mbuf.ensure f len;
-            (* set_* offsets are cursor-relative *)
-            Mbuf.set_bytes f 0 b off len;
-            Mbuf.advance f len));
+    if c.c_out <> [] then t.s_coalesced <- t.s_coalesced + 1;
+    c.c_out <- w :: c.c_out;
     (match rec_ with
     | Some r ->
         (match status with
@@ -392,6 +368,12 @@ let enqueue_reply ?rec_ c status seq (payload : Mbuf.t option) =
             (Sim_core.schedule_cancellable t.sim ~delay:t.cfg.flush_delay_s
                (fun () -> flush c))
   end
+
+(* A reply that carries no payload. *)
+let fault_reply ?rec_ c status seq =
+  let w = Mbuf.acquire () in
+  Frame.close w (Frame.open_reply w ~status:(status_code status) ~seq);
+  enqueue_reply ?rec_ c status w
 
 (* Split the service window into its marshal and handler shares for the
    phase timeline: the per-byte cost is marshal work, halved between
@@ -419,14 +401,17 @@ let charge_service t r ~start ~body_len ~decode_only =
 
 (* Service completion: runs on the virtual CPU once the request's slot
    comes up.  The work was spent either way; a connection that died in
-   the meantime just loses the reply. *)
-let complete c (entry : op_entry) ~seq ~body ~arrival ~start rec_ =
+   the meantime just loses the reply.  Every path lets go of the
+   body's delivery. *)
+let complete c (entry : op_entry) ~seq ~body ~hold ~arrival ~start rec_ =
   let t = c.c_server in
   t.in_flight <- t.in_flight - 1;
   c.c_in_flight <- c.c_in_flight - 1;
   set_gauge_in_flight t;
-  let body_len = Bytes.length body + body_min in
+  let plen = Mbuf.remaining body in
+  let body_len = plen + body_min in
   if c.c_closed then begin
+    drop hold;
     t.s_dropped_replies <- t.s_dropped_replies + 1;
     match rec_ with
     | Some r ->
@@ -435,27 +420,32 @@ let complete c (entry : op_entry) ~seq ~body ~arrival ~start rec_ =
         Obs_request.finish r
     | None -> ()
   end
-  else begin
-    let rd = Mbuf.reader_of_bytes body in
-    match entry.oe_decode rd with
+  else
+    match entry.oe_decode body with
     | exception (Mbuf.Short_buffer | Codec.Decode_error _) ->
+        drop hold;
         (match rec_ with
         | Some r -> charge_service t r ~start ~body_len ~decode_only:true
         | None -> ());
         t.s_bad_request <- t.s_bad_request + 1;
         record_diag t "connection %d: undecodable %s request (seq %d, %d bytes)"
-          c.c_id entry.oe_spec.os_name seq (Bytes.length body);
-        enqueue_reply ?rec_ c Sbad_request seq None
-    | vals ->
-        let out = entry.oe_spec.os_handler vals in
-        let p = Mbuf.acquire () in
-        (match entry.oe_encode p out with
+          c.c_id entry.oe_spec.os_name seq plen;
+        fault_reply ?rec_ c Sbad_request seq
+    | vals -> (
+        let w = Mbuf.acquire () in
+        let at = Frame.open_reply w ~status:(status_code Sok) ~seq in
+        match entry.oe_encode w (entry.oe_spec.os_handler vals) with
+        | exception e ->
+            Mbuf.release w;
+            drop hold;
+            raise e
         | () ->
+            drop hold;
+            Frame.close w at;
             (match rec_ with
             | Some r -> charge_service t r ~start ~body_len ~decode_only:false
             | None -> ());
-            enqueue_reply ?rec_ c Sok seq (Some p);
-            Mbuf.release p;
+            enqueue_reply ?rec_ c Sok w;
             t.s_ok_replies <- t.s_ok_replies + 1;
             let lat_ns = (Sim_core.now t.sim -. arrival) *. 1e9 in
             (match rec_ with
@@ -463,47 +453,45 @@ let complete c (entry : op_entry) ~seq ~body ~arrival ~start rec_ =
                 Obs.observe_ex h_latency lat_ns
                   ~exemplar:(Obs_request.trace_id r)
             | None -> Obs.observe h_latency lat_ns);
-            Obs.observe (conn_hist c.c_id) lat_ns
-        | exception e ->
-            Mbuf.release p;
-            raise e)
-  end
+            Obs.observe (conn_hist c.c_id) lat_ns)
 
 (* -- request path -------------------------------------------------- *)
 
-let handle_frame c ~body_off ~body_len =
+(* The trace record of a request frame that just arrived, when the
+   recorder is on: the client-transmit record, its wire and header
+   phases closed at this instant.  A frame fed straight into a parser
+   (no client transmit) starts its timeline here, so fault-injected
+   requests still reach the flight ring. *)
+let arrival_record ~sim ~domain ~conn ~seq =
+  if not (Obs_request.enabled ()) then None
+  else begin
+    let now_s = Sim_core.now sim in
+    let r =
+      match Obs_request.find ~domain ~conn ~seq with
+      | Some r -> r
+      | None -> Obs_request.client_send ~domain ~conn ~seq ~now_s
+    in
+    Obs_request.mark r Obs_request.Ingress_wire ~now_s;
+    Obs_request.mark r Obs_request.Header_parse ~now_s;
+    Some r
+  end
+
+let handle_frame c hold body =
   let t = c.c_server in
   t.s_frames_in <- t.s_frames_in + 1;
   Obs.incr c_frames_in 1;
-  let iface = get_u32 c.c_buf body_off in
-  let op = get_u32 c.c_buf (body_off + 4) in
-  let seq = get_u32 c.c_buf (body_off + 8) in
-  (* correlate with the client-transmit record and close its wire and
-     header phases — both boundaries land on this instant.  A frame fed
-     straight into the parser (no client transmit) starts its timeline
-     here, so fault-injected requests still reach the flight ring. *)
+  let iface = Frame.word c.c_parser 0 in
+  let op = Frame.word c.c_parser 1 in
+  let seq = Frame.word c.c_parser 2 in
   let rec_ =
-    if Obs_request.enabled () then begin
-      let now = Sim_core.now t.sim in
-      let r =
-        match Obs_request.find ~domain:t.rec_domain ~conn:c.c_id ~seq with
-        | Some r -> r
-        | None ->
-            Obs_request.client_send ~domain:t.rec_domain ~conn:c.c_id ~seq
-              ~now_s:now
-      in
-      Obs_request.mark r Obs_request.Ingress_wire ~now_s:now;
-      Obs_request.mark r Obs_request.Header_parse ~now_s:now;
-      Some r
-    end
-    else None
+    arrival_record ~sim:t.sim ~domain:t.rec_domain ~conn:c.c_id ~seq
   in
   match Hashtbl.find_opt t.ops (iface, op) with
   | None ->
       t.s_unknown_op <- t.s_unknown_op + 1;
       record_diag t "connection %d: unknown operation (iface %d, op %d)" c.c_id
         iface op;
-      enqueue_reply ?rec_ c Sunknown_op seq None
+      fault_reply ?rec_ c Sunknown_op seq
   | Some entry ->
       (* fairness: one connection cannot pipeline its way to the whole
          budget — past its per-connection share it sheds even while
@@ -518,112 +506,77 @@ let handle_frame c ~body_off ~body_len =
         if conn_capped && t.in_flight < t.cfg.max_in_flight then
           t.s_shed_per_conn <- t.s_shed_per_conn + 1;
         Obs.incr c_shed 1;
-        enqueue_reply ?rec_ c Sshed seq None
+        fault_reply ?rec_ c Sshed seq
       end else begin
         t.s_accepted <- t.s_accepted + 1;
         Obs.incr c_accepted 1;
         t.in_flight <- t.in_flight + 1;
         c.c_in_flight <- c.c_in_flight + 1;
         set_gauge_in_flight t;
-        (* the input buffer is reused for the next frame, so the body
-           must outlive it *)
-        let body =
-          Bytes.sub c.c_buf (body_off + body_min) (body_len - body_min)
-        in
+        (* the body stays a reader over its delivery until service *)
+        (match hold with Some h -> h.h_refs <- h.h_refs + 1 | None -> ());
         let arrival = Sim_core.now t.sim in
         let service =
           t.cfg.service_fixed_s
-          +. (t.cfg.service_per_byte_s *. float_of_int body_len)
+          +. t.cfg.service_per_byte_s
+             *. float_of_int (Mbuf.remaining body + body_min)
         in
         let start = Float.max arrival t.cpu_busy_until in
         let finish = start +. service in
         t.cpu_busy_until <- finish;
         Sim_core.schedule t.sim ~delay:(finish -. arrival) (fun () ->
-            complete c entry ~seq ~body ~arrival ~start rec_)
+            complete c entry ~seq ~body ~hold ~arrival ~start rec_)
       end
 
-let rec parse_loop c =
+(* One delivery: client bytes, or a writer the server now owns (let go
+   of once no accepted body reads it). *)
+let receive c rd ~bytes hold =
   let t = c.c_server in
   if not c.c_closed then begin
-    let avail = c.c_len - c.c_off in
-    if avail >= 4 then begin
-      let body_len = get_u32 c.c_buf c.c_off in
-      if body_len < body_min || body_len > t.cfg.max_frame then
-        kill c "bad frame length %d (min %d, max %d)" body_len body_min
-          t.cfg.max_frame
-      else if avail >= 4 + body_len then begin
-        let body_off = c.c_off + 4 in
-        c.c_off <- c.c_off + 4 + body_len;
-        handle_frame c ~body_off ~body_len;
-        parse_loop c
-      end
-    end
-  end
+    t.s_bytes_in <- t.s_bytes_in + bytes;
+    Frame.feed c.c_parser rd
+      ~bad:(fun len ->
+        kill c "bad frame length %d (min %d, max %d)" len body_min
+          t.cfg.max_frame)
+      (handle_frame c hold)
+  end;
+  drop hold
 
 let feed c data =
-  if not c.c_closed then begin
-    let t = c.c_server in
-    let n = Bytes.length data in
-    t.s_bytes_in <- t.s_bytes_in + n;
-    (* compact, then grow if the tail still does not fit *)
-    if c.c_len + n > Bytes.length c.c_buf && c.c_off > 0 then begin
-      Bytes.blit c.c_buf c.c_off c.c_buf 0 (c.c_len - c.c_off);
-      c.c_len <- c.c_len - c.c_off;
-      c.c_off <- 0
-    end;
-    if c.c_len + n > Bytes.length c.c_buf then begin
-      let cap = ref (2 * Bytes.length c.c_buf) in
-      while c.c_len + n > !cap do
-        cap := 2 * !cap
-      done;
-      let bigger = Bytes.create !cap in
-      Bytes.blit c.c_buf 0 bigger 0 c.c_len;
-      c.c_buf <- bigger
-    end;
-    Bytes.blit data 0 c.c_buf c.c_len n;
-    c.c_len <- c.c_len + n;
-    parse_loop c
-  end
+  receive c (Mbuf.reader_of_bytes data) ~bytes:(Bytes.length data) None
 
-(* Open a trace record for every complete request frame in [data] at
-   the client-transmit instant — the gateway reuses this for the frames
-   it sends over its own client link.  Returns the records oldest
-   first; [] when the recorder is off or nothing parsed. *)
-let trace_request_frames ~domain ~conn_id ~now_s data =
-  if not (Obs_request.enabled ()) then []
+(* Put a client transmission on [link].  With the recorder on, a trace
+   record opens per whole request frame in it at this (client-transmit)
+   instant and is charged the wire queueing. *)
+let client_transmit ~sim ~link ~domain ~conn_id ~bytes frames k =
+  if not (Obs_request.enabled ()) then Link.transmit link ~bytes k
   else begin
-    let total = Bytes.length data in
-    let rec go off acc =
-      if off + 4 > total then acc
-      else begin
-        let body_len = get_u32 data off in
-        if body_len < body_min || off + 4 + body_len > total then acc
-        else begin
-          let seq = get_u32 data (off + 12) in
-          let r = Obs_request.client_send ~domain ~conn:conn_id ~seq ~now_s in
-          go (off + 4 + body_len) (r :: acc)
-        end
-      end
-    in
-    List.rev (go 0 [])
+    let rd = frames () in
+    let p = Frame.parser ~head:Frame.request_head ~max_body:(Mbuf.remaining rd) in
+    let now_s = Sim_core.now sim and recs = ref [] in
+    Frame.feed p rd ~bad:ignore (fun _ ->
+        let seq = Frame.word p 2 in
+        recs := Obs_request.client_send ~domain ~conn:conn_id ~seq ~now_s :: !recs);
+    let tm = Link.transmit_timed link ~bytes k in
+    let qns = Obs_request.ns_of_s tm.Link.tx_queue_s in
+    List.iter (fun r -> Obs_request.add_wire_queue_ns r qns) !recs
   end
 
 let send c data =
   let t = c.c_server in
-  if not (Obs_request.enabled ()) then
-    Link.transmit t.ingress ~bytes:(Bytes.length data) (fun () -> feed c data)
-  else begin
-    let recs =
-      trace_request_frames ~domain:t.rec_domain ~conn_id:c.c_id
-        ~now_s:(Sim_core.now t.sim) data
-    in
-    let tm =
-      Link.transmit_timed t.ingress ~bytes:(Bytes.length data) (fun () ->
-          feed c data)
-    in
-    let qns = Obs_request.ns_of_s tm.Link.tx_queue_s in
-    List.iter (fun r -> Obs_request.add_wire_queue_ns r qns) recs
-  end
+  client_transmit ~sim:t.sim ~link:t.ingress ~domain:t.rec_domain
+    ~conn_id:c.c_id ~bytes:(Bytes.length data)
+    (fun () -> Mbuf.reader_of_bytes data)
+    (fun () -> feed c data)
+
+let send_mbuf c w =
+  let t = c.c_server in
+  client_transmit ~sim:t.sim ~link:t.ingress ~domain:t.rec_domain
+    ~conn_id:c.c_id ~bytes:(Mbuf.pos w)
+    (fun () -> Mbuf.reader w)
+    (fun () ->
+      receive c (Mbuf.reader w) ~bytes:(Mbuf.pos w)
+        (Some { h_msg = w; h_refs = 1 }))
 
 (* -- client-side frame helpers ------------------------------------- *)
 
@@ -632,41 +585,33 @@ let request_frame spec ~seq vals =
     Stub_opt.compile_encoder ~enc:spec.os_enc ~mint:spec.os_mint
       ~named:spec.os_named spec.os_req_roots
   in
-  let m = Mbuf.acquire () in
-  encode m vals;
-  let plen = Mbuf.pos m in
-  let frame = Bytes.create (4 + body_min + plen) in
-  Bytes.set_int32_be frame 0 (Int32.of_int (body_min + plen));
-  Bytes.set_int32_be frame 4 (Int32.of_int spec.os_iface);
-  Bytes.set_int32_be frame 8 (Int32.of_int spec.os_op);
-  Bytes.set_int32_be frame 12 (Int32.of_int seq);
-  let at = ref (4 + body_min) in
-  Mbuf.iter_segments m (fun b off len ->
-      Bytes.blit b off frame !at len;
-      at := !at + len);
-  Mbuf.release m;
-  frame
+  let w = Mbuf.acquire () in
+  Fun.protect
+    ~finally:(fun () -> Mbuf.release w)
+    (fun () ->
+      let at =
+        Frame.open_request w ~iface:spec.os_iface ~op:spec.os_op ~seq
+      in
+      encode w vals;
+      Frame.close w at;
+      Mbuf.contents w)
 
 let parse_replies data =
-  let total = Bytes.length data in
-  let rec go off acc =
-    if off >= total then List.rev acc
-    else begin
-      if off + 4 > total then invalid_arg "Rpc_serve.parse_replies: torn frame";
-      let body_len = get_u32 data off in
-      if body_len < reply_body_min || off + 4 + body_len > total then
-        invalid_arg "Rpc_serve.parse_replies: torn frame";
+  let p = Frame.parser ~head:Frame.reply_head ~max_body:(Bytes.length data) in
+  let torn () = invalid_arg "Rpc_serve.parse_replies: torn frame" in
+  let acc = ref [] in
+  Frame.feed p (Mbuf.reader_of_bytes data)
+    ~bad:(fun _ -> torn ())
+    (fun pl ->
       let status =
-        match status_of_code (get_u32 data (off + 4)) with
+        match status_of_code (Frame.word p 0) with
         | Some s -> s
         | None -> invalid_arg "Rpc_serve.parse_replies: bad status"
       in
-      let seq = get_u32 data (off + 8) in
-      let payload = Bytes.sub data (off + 12) (body_len - reply_body_min) in
-      go (off + 4 + body_len) ((status, seq, payload) :: acc)
-    end
-  in
-  go 0 []
+      acc := (status, Frame.word p 1, Mbuf.read_bytes pl (Mbuf.remaining pl))
+             :: !acc);
+  if Frame.pending p > 0 then torn ();
+  List.rev !acc
 
 (* -- accounting ---------------------------------------------------- *)
 
@@ -741,9 +686,11 @@ let run_workload ?(enc = Encoding.xdr) ?(payload = `Ints) ?(payload_bytes = 1024
   let spec = echo_op ~iface:1 ~op:1 ~enc ms in
   register t spec;
   let vals = [| Paper_fixtures.payload payload ~bytes:payload_bytes |] in
-  let frame = request_frame spec ~seq:0 vals in
   let expect =
-    Bytes.sub frame (4 + body_min) (Bytes.length frame - 4 - body_min)
+    let w = Mbuf.create 256 in
+    (Stub_opt.compile_encoder ~enc ~mint:spec.os_mint ~named:spec.os_named
+       spec.os_req_roots) w vals;
+    Mbuf.contents w
   in
   let ok = ref 0
   and shed_final = ref 0
@@ -758,10 +705,8 @@ let run_workload ?(enc = Encoding.xdr) ?(payload = `Ints) ?(payload_bytes = 1024
     let the_conn = ref None in
     let send_current () =
       let seq = (cid * 1_000_000) + !issued in
-      let f = Bytes.copy frame in
-      Bytes.set_int32_be f 12 (Int32.of_int seq);
       send_time := Sim_core.now sim;
-      send (Option.get !the_conn) f
+      send (Option.get !the_conn) (request_frame spec ~seq vals)
     in
     let send_next () =
       if !issued < requests_per_conn then begin

@@ -34,10 +34,12 @@
 
     {2 Wire format}
 
-    Big-endian throughout.  Request frame:
+    Big-endian throughout ({!Frame}).  Request frame:
     [len:u32] [iface:u32] [op:u32] [seq:u32] [payload...], where [len]
     counts the body (everything after the length word).  Reply frame:
-    [len:u32] [status:u32] [seq:u32] [payload...]. *)
+    [len:u32] [status:u32] [seq:u32] [payload...].  Frames are parsed
+    in place: bytes handed to {!send} or {!feed} are retained by
+    reference until their requests complete. *)
 
 (** {1 Server} *)
 
@@ -124,17 +126,28 @@ val send : conn -> bytes -> unit
     frame at this (client-transmit) instant — the recorder-off path is
     the historical one, untouched. *)
 
-val trace_request_frames :
-  domain:int -> conn_id:int -> now_s:float -> bytes -> Obs_request.record list
-(** Open a trace record for every complete request frame in the buffer
-    (oldest first), as {!send} does — exposed for callers that transmit
-    over their own links, e.g. the gateway's client side.  [] when the
-    recorder is disabled. *)
+val send_mbuf : conn -> Mbuf.t -> unit
+(** {!send} for a pooled writer of request frames (the gateway's
+    backend hop): the decoder reads its segments in place, borrowed ones
+    included.  The server owns the writer from here and releases it
+    once the last body in it is done, on every path. *)
+
+val client_transmit :
+  sim:Sim_core.t -> link:Link.t -> domain:int -> conn_id:int -> bytes:int ->
+  (unit -> Mbuf.reader) -> (unit -> unit) -> unit
+(** {!send} on any link: with the recorder on, a trace record opens per
+    request frame in [frames ()] under [(domain, conn_id)]. *)
+
+val arrival_record :
+  sim:Sim_core.t -> domain:int -> conn:int -> seq:int ->
+  Obs_request.record option
+(** The trace record of a request frame arriving now (its wire and
+    header phases closed here), or [None] with the recorder off. *)
 
 val feed : conn -> bytes -> unit
 (** Hand bytes straight to the server's frame parser, bypassing the
     link — the fault-injection tests use this for byte-exact control.
-    Partial frames are buffered per connection until completed. *)
+    A frame cut across deliveries is carried per connection. *)
 
 val close_conn : conn -> unit
 (** The client vanishes: pending input is discarded (a partial frame is

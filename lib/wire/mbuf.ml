@@ -82,6 +82,7 @@ type t = {
   mutable w_off : int;  (* where the active region starts inside [buf] *)
   mutable base : int;  (* global position of the active region's start *)
   mutable pos : int;  (* global cursor = message length so far *)
+  mutable origin : int;  (* global position [align] measures from *)
   mutable promised : int;  (* high-water [ensure] mark (global), so
                               unchecked stores stay in bounds even when a
                               borrow seals the chunk mid-reservation *)
@@ -106,6 +107,7 @@ let create n =
     w_off = 0;
     base = 0;
     pos = 0;
+    origin = 0;
     promised = 0;
     segs_rev = [];
     nsegs = 0;
@@ -143,6 +145,7 @@ let reset t =
   t.w_off <- 0;
   t.base <- 0;
   t.pos <- 0;
+  t.origin <- 0;
   t.promised <- 0;
   t.segs_rev <- [];
   t.nsegs <- 0;
@@ -195,9 +198,10 @@ let ensure t n =
     end
 
 let advance t n = t.pos <- t.pos + n
+let set_origin t = t.origin <- t.pos
 
 let align t a =
-  let rem = t.pos land (a - 1) in
+  let rem = (t.pos - t.origin) land (a - 1) in
   if rem <> 0 then begin
     let pad = a - rem in
     ensure t pad;
@@ -261,6 +265,24 @@ let set_string t off src srcoff len =
   t.st_copies <- t.st_copies + 1;
   g_copied := !g_copied + len;
   incr g_copies
+
+(* Store at a message-absolute position, wherever that byte now lives:
+   the active region, or the sealed own segment holding it (walked back
+   from the newest). *)
+let patch_i32_be t at v =
+  if at < 0 || at + 4 > t.pos then invalid_arg "Mbuf.patch_i32_be";
+  t.flat <- None;
+  let v = Int32.of_int v in
+  let v = if native_big then v else bswap32 v in
+  if at >= t.base then unsafe_set32 t.buf (t.w_off + at - t.base) v
+  else
+    let rec go seg_end = function
+      | s :: rest when at < seg_end - s.s_len -> go (seg_end - s.s_len) rest
+      | s :: _ when s.s_owned && at + 4 <= seg_end ->
+          unsafe_set32 s.s_base (s.s_off + at - (seg_end - s.s_len)) v
+      | _ -> invalid_arg "Mbuf.patch_i32_be"
+    in
+    go t.base t.segs_rev
 
 (* -- checked appends ------------------------------------------------ *)
 
@@ -490,7 +512,7 @@ let reader_of_bytes ?(off = 0) ?len b =
     rbuf = b;
     rpos = off;
     rend = off + len;
-    rbase = 0;
+    rbase = -off;
     rmore = [];
     rrest = 0;
     rsrc = None;
@@ -513,20 +535,21 @@ let fill_reader r fwd total =
       r.rmore <- rest;
       r.rrest <- total - len
 
+(* The first [left] bytes of a forward segment list. *)
+let rec take_segs left = function
+  | [] -> []
+  | (b, off, slen) :: rest ->
+      if left <= 0 then []
+      else if slen >= left then [ (b, off, left) ]
+      else (b, off, slen) :: take_segs (left - slen) rest
+
 (* Forward segment list of the first [total] bytes of [t]'s message. *)
 let segs_forward t total =
-  let rec take left = function
-    | [] -> []
-    | (b, off, slen) :: rest ->
-        if left <= 0 then []
-        else if slen >= left then [ (b, off, left) ]
-        else (b, off, slen) :: take (left - slen) rest
-  in
   let active =
     let alen = t.pos - t.base in
     if alen > 0 then [ (t.buf, t.w_off, alen) ] else []
   in
-  take total
+  take_segs total
     (List.rev_map (fun s -> (s.s_base, s.s_off, s.s_len)) t.segs_rev @ active)
 
 let init_reader r ?len t =
@@ -714,10 +737,23 @@ let read_f64 r ~be =
 (* Gather-aware bulk reads: the fast path is an in-window sub; the slow
    path copies across segment boundaries without disturbing the window
    (no pullup needed, the result is its own buffer). *)
-let read_bytes r len =
-  rd_copied := !rd_copied + max len 0;
+let read_into r dst at len =
+  if len < 0 || remaining r < len then raise Short_buffer;
+  rd_copied := !rd_copied + len;
   incr rd_copies;
+  let filled = ref 0 in
+  while !filled < len do
+    if r.rpos = r.rend then advance_seg r;
+    let take = min (r.rend - r.rpos) (len - !filled) in
+    Bytes.blit r.rbuf r.rpos dst (at + !filled) take;
+    r.rpos <- r.rpos + take;
+    filled := !filled + take
+  done
+
+let read_bytes r len =
   if len >= 0 && r.rpos + len <= r.rend then begin
+    rd_copied := !rd_copied + len;
+    incr rd_copies;
     let v = Bytes.sub r.rbuf r.rpos len in
     r.rpos <- r.rpos + len;
     v
@@ -725,31 +761,11 @@ let read_bytes r len =
   else begin
     if len < 0 || remaining r < len then raise Short_buffer;
     let out = Bytes.create len in
-    let filled = ref 0 in
-    while !filled < len do
-      if r.rpos = r.rend then advance_seg r;
-      let take = min (r.rend - r.rpos) (len - !filled) in
-      Bytes.blit r.rbuf r.rpos out !filled take;
-      r.rpos <- r.rpos + take;
-      filled := !filled + take
-    done;
+    read_into r out 0 len;
     out
   end
 
-let read_string r len =
-  rd_copied := !rd_copied + max len 0;
-  incr rd_copies;
-  if len >= 0 && r.rpos + len <= r.rend then begin
-    let v = Bytes.sub_string r.rbuf r.rpos len in
-    r.rpos <- r.rpos + len;
-    v
-  end
-  else begin
-    (* undo the copy accounting done twice through read_bytes *)
-    rd_copied := !rd_copied - max len 0;
-    decr rd_copies;
-    Bytes.unsafe_to_string (read_bytes r len)
-  end
+let read_string r len = Bytes.unsafe_to_string (read_bytes r len)
 
 (* Zero-copy view of the next [len] bytes, when they sit whole inside
    one segment: returns the window slice and advances the cursor.
@@ -771,6 +787,29 @@ let view_bytes r len =
     Some res
   end
   else None
+
+(* A sub-reader over the next [len] bytes, rebased so its positions
+   count from its own first byte; [r] skips past them. *)
+let split r len =
+  if len < 0 || remaining r < len then raise Short_buffer;
+  while r.rpos = r.rend && r.rmore <> [] do
+    advance_seg r
+  done;
+  let inwin = r.rend - r.rpos in
+  let inwin = if len < inwin then len else inwin in
+  let sub =
+    {
+      rbuf = r.rbuf;
+      rpos = r.rpos;
+      rend = r.rpos + inwin;
+      rbase = -r.rpos;
+      rmore = (if len = inwin then [] else take_segs (len - inwin) r.rmore);
+      rrest = len - inwin;
+      rsrc = r.rsrc;
+    }
+  in
+  skip r len;
+  sub
 
 (* -- reader -> writer forwarding ------------------------------------ *)
 

@@ -66,7 +66,14 @@
       ([Value.Vbytes_view]/[Vstring_view]) pin the reader at decode
       time for exactly this reason; consumers that need the bytes to
       survive the original message's lifetime must still
-      [Value.materialize] them. *)
+      [Value.materialize] them.
+    - Positions are relative: {!align} measures from the writer's
+      origin ({!set_origin}, 0 after {!reset}) and a reader counts from
+      its own start ({!reader_of_bytes} [~off], {!split}), so a payload
+      behind a frame header pads as it would alone.
+    - {!patch_i32_be} writes into storage that readers and
+      {!iter_segments} slices already see: patch before the message is
+      read, transmitted or exposed. *)
 
 exception Short_buffer
 
@@ -116,8 +123,16 @@ val advance : t -> int -> unit
 (** Move the cursor forward over bytes already stored with [set_*]. *)
 
 val align : t -> int -> unit
-(** Pad the cursor with zero bytes to the given power-of-two alignment
-    (message-relative); includes its own capacity check. *)
+(** Pad the cursor with zero bytes to the given power-of-two alignment,
+    measured from the origin; includes its own capacity check. *)
+
+val set_origin : t -> unit
+(** Make the cursor the origin {!align} measures from. *)
+
+val patch_i32_be : t -> int -> int -> unit
+(** [patch_i32_be t at v] stores [v] big-endian at message-absolute
+    position [at], 4 bytes inside one writer-owned segment (else
+    [Invalid_argument]): a length word back-patched after its payload. *)
 
 (** Unchecked stores at [pos t + off]; call {!ensure} first. *)
 
@@ -227,6 +242,9 @@ val pool_stats : unit -> pool_stats
 type reader
 
 val reader_of_bytes : ?off:int -> ?len:int -> bytes -> reader
+(** Reads [len] bytes of the buffer in place from [off] (defaults: all
+    of it); positions, alignment included, count from [off]. *)
+
 val reader : ?len:int -> t -> reader
 (** Read back what was written, directly over the writer's segments (no
     flattening, no copy).  [?len] caps the readable prefix — used to
@@ -239,7 +257,7 @@ val acquire_reader : ?len:int -> t -> reader
 val release_reader : reader -> unit
 
 val rpos : reader -> int
-(** Global (message-relative) read position. *)
+(** Bytes consumed since the reader's start. *)
 
 val remaining : reader -> int
 val need : reader -> int -> unit
@@ -278,6 +296,15 @@ val read_f32 : reader -> be:bool -> float
 val read_f64 : reader -> be:bool -> float
 val read_bytes : reader -> int -> bytes
 val read_string : reader -> int -> string
+
+val read_into : reader -> bytes -> int -> int -> unit
+(** [read_into r dst at len] copies the next [len] bytes into
+    [dst.(at .. at+len)] (gathering across segments) and advances. *)
+
+val split : reader -> int -> reader
+(** [split r len] is a reader over the next [len] bytes of [r] (same
+    storage, positions counted from its own start); [r] skips them.
+    Raises {!Short_buffer} when fewer remain. *)
 
 (** {2 Zero-copy reader views} *)
 

@@ -397,10 +397,101 @@ let cache_tests =
         Alcotest.(check int) "dplan hits" 10 dp.Plan_cache.hits);
   ]
 
+(* A fixed array of shorts inside a sequence of structs: under msgpack
+   and CBOR each short takes 1 to 3 bytes, so the element loop has no
+   static advance and must not ride a hoisted reservation (it once
+   reserved 17 bytes an element and rejected well-formed messages with
+   Short_buffer). *)
+let s3_idl =
+  "struct s1 { double f; }; struct s3 { short a[2]; short b[2]; s1 c; };\n\
+   typedef sequence<s3> s3_seq; interface T { void f(in s3_seq x); };"
+
+let verify_config = { (Opt_config.default ()) with Opt_config.verify = true }
+
+let selfdesc_array_tests =
+  let ms =
+    lazy
+      (Paper_fixtures.request_spec
+         (Presgen_corba.generate (Corba_parser.parse ~file:"s3.idl" s3_idl) [ "T" ])
+         ~op:"f")
+  in
+  let elem a b =
+    Value.Vstruct
+      [| Value.Vint_array a; Value.Vint_array b; Value.Vstruct [| Value.Vfloat 1.5 |] |]
+  in
+  let v =
+    Value.Varray [| elem [| 1; 2 |] [| 3; 4 |]; elem [| -300; 7 |] [| 0; 32767 |] |]
+  in
+  List.map
+    (fun enc ->
+      Alcotest.test_case
+        (Printf.sprintf "short arrays in a sequence of structs (%s)" enc.Encoding.name)
+        `Quick (fun () ->
+          let ms = Lazy.force ms in
+          let mint = ms.Paper_fixtures.ms_mint and named = ms.Paper_fixtures.ms_named in
+          let w = Mbuf.create 64 in
+          (Stub_opt.compile_encoder ~config:verify_config ~enc ~mint ~named
+             ms.Paper_fixtures.ms_roots)
+            w [| v |];
+          let wire = Mbuf.contents w in
+          let opt =
+            Stub_opt.compile_decoder ~config:verify_config ~enc ~mint ~named
+              ms.Paper_fixtures.ms_droots
+          in
+          let naive =
+            Stub_naive.compile_decoder ~config:naive_config ~enc ~mint ~named
+              ms.Paper_fixtures.ms_droots
+          in
+          let got = run_decoder opt wire in
+          Alcotest.(check bool) "the optimized decoder accepts the message" true
+            (got <> Failed);
+          Alcotest.(check bool) "and agrees with the naive decoder" true
+            (same_outcome got (run_decoder naive wire))))
+    [ Encoding.msgpack; Encoding.cbor ]
+  @ [
+      Alcotest.test_case "verifier rejects a reservation over var atom arrays"
+        `Quick (fun () ->
+          let plan var =
+            let a16 =
+              { Mplan.kind = Encoding.Kint { bits = 16; signed = true }; size = 2;
+                align = 1 }
+            in
+            {
+              Dplan.d_nslots = 1;
+              d_ops =
+                [
+                  Dplan.D_loop
+                    {
+                      count = Dplan.Dc_len { min_len = 0; max_len = None; what = "s" };
+                      ensure = Some 4;
+                      frame =
+                        {
+                          Dplan.f_nslots = 1;
+                          f_ops =
+                            [
+                              Dplan.D_get_atom_array
+                                { count = Dplan.Dc_fixed 2; atom = a16; var; slot = 0 };
+                            ];
+                          f_shape = Dplan.Sh_slot 0;
+                        };
+                      slot = 0;
+                    };
+                ];
+              d_shapes = [ Dplan.Sh_slot 0 ];
+              d_subs = [];
+            }
+          in
+          Alcotest.(check bool) "fixed-width elements: exact" true
+            (Plan_verify.check_dplan (plan false) = Ok ());
+          Alcotest.(check bool) "value-dependent elements: rejected" true
+            (Plan_verify.check_dplan (plan true) <> Ok ()));
+    ]
+
 let suite =
   [
     ("decplan:differential", property_tests);
     ("decplan:failures", failure_tests);
+    ("decplan:selfdesc-arrays", selfdesc_array_tests);
     ("decplan:views", view_tests);
     ("decplan:cache", cache_tests);
   ]

@@ -245,11 +245,70 @@ let promotion_pool_test () =
   Alcotest.(check int) "pooled readers outstanding unchanged"
     before.Mbuf.readers_outstanding after.Mbuf.readers_outstanding
 
+(* -- a bool array inside a fixed array of structs ---------------------- *)
+
+(* The element loop reserves its 5 source bytes (a char, then four packed
+   bools) up front; the verifier must recognize that reservation as
+   exact.  Runs with verification on in every lane. *)
+let bool_array_reservation_test () =
+  let idl =
+    "struct s1 { char c; }; struct s2 { s1 a; boolean b[4]; };\n\
+     typedef s2 s2arr[3]; interface T { void f(in s2arr x); };"
+  in
+  let ms =
+    Paper_fixtures.request_spec
+      (Presgen_corba.generate (Corba_parser.parse ~file:"s2.idl" idl) [ "T" ])
+      ~op:"f"
+  in
+  let mint = ms.Paper_fixtures.ms_mint and named = ms.Paper_fixtures.ms_named in
+  let roots = ms.Paper_fixtures.ms_roots in
+  let droots = List.map Stub_opt.to_dplan_droot ms.Paper_fixtures.ms_droots in
+  let config = { (Opt_config.default ()) with Opt_config.verify = true } in
+  let elem c bs =
+    Value.Vstruct
+      [| Value.Vstruct [| Value.Vchar c |]; Value.Varray (Array.map (fun b -> Value.Vbool b) bs) |]
+  in
+  let v =
+    Value.Varray
+      [|
+        elem 'a' [| true; false; true; true |];
+        elem 'b' [| false; false; false; true |];
+        elem 'c' [| true; true; true; false |];
+      |]
+  in
+  let encode enc =
+    let w = Mbuf.create 64 in
+    (Stub_opt.compile_encoder ~enc ~mint ~named roots) w [| v |];
+    Mbuf.contents w
+  in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun dst ->
+          let plan =
+            Stub_forward.forward_plan ~config ~src ~dst ~mint ~named droots roots
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s->%s plan verifies" src.Encoding.name dst.Encoding.name)
+            true
+            (Plan_verify.check_fplan plan = Ok ());
+          let w = Mbuf.create 64 in
+          Stub_forward.forward_of_plan plan (Mbuf.reader_of_bytes (encode src)) w;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s->%s relay = direct encode" src.Encoding.name
+               dst.Encoding.name)
+            true
+            (Bytes.equal (Mbuf.contents w) (encode dst)))
+        [ Encoding.cdr; Encoding.xdr; Encoding.mach3; Encoding.fluke ])
+    [ Encoding.cdr; Encoding.fluke ]
+
 let suite =
   [
     ( "forward",
       pair_tests
       @ [
+          Alcotest.test_case "bool array reservation verifies" `Quick
+            bool_array_reservation_test;
           Alcotest.test_case "gateway roundtrip fused vs fallback" `Quick
             gateway_roundtrip_test;
           Alcotest.test_case "pool balance across relay promotion" `Quick

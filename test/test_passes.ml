@@ -466,7 +466,7 @@ let fusion_tests =
         in
         (match fused.Dplan.d_ops with
         | [ Dplan.D_get_atom_array
-              { count = Dplan.Dc_fixed 3; atom; slot = 0 } ] ->
+              { count = Dplan.Dc_fixed 3; atom; slot = 0; _ } ] ->
             Alcotest.(check bool) "atom preserved" true (atom = achar)
         | _ -> Alcotest.fail "expected one D_get_atom_array");
         Alcotest.(check int) "node count after" 1
@@ -526,6 +526,7 @@ let fusion_tests =
                         size = 6;
                         align = 4;
                       };
+                    var = false;
                     slot = 0;
                   };
               ];
