@@ -17,10 +17,11 @@ test:
 test-verify:
 	FLICK_VERIFY_PLANS=1 dune runtest --force
 
-# The whole suite with the tier-1 staged specializer disabled
-# (FLICK_STAGE=0), so the tier-0 interpreter path — the permanent
+# The whole suite with the tier-1 staged encoder disabled
+# (FLICK_STAGE=0), so the tier-0 encode interpreter — the permanent
 # fallback for unstageable plans — stays fully tested even though
-# staging is on by default.
+# staging is on by default.  FLICK_STAGE affects encoders only:
+# decoding has one tier.
 test-tier0:
 	FLICK_STAGE=0 dune runtest --force
 
@@ -29,7 +30,7 @@ test-tier0:
 # report (BENCH_3.json), the full-matrix pass-trace report (merged
 # into BENCH_1.json), the concurrent-server sweep (BENCH_4.json), and
 # the tiered-execution report (BENCH_5.json) with its staged-vs-tier-0
-# speedup gate, and the forward-relay report (BENCH_6.json) with its
+# encode speedup gate (its decode columns time the one decoder), and the forward-relay report (BENCH_6.json) with its
 # fused-vs-materialize throughput and zero-copy gates; the pipeline/
 # verifier/engine-equality/pin/scaling/backpressure/byte-identity
 # self-checks make the run exit non-zero on any regression.  The

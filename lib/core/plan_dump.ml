@@ -100,9 +100,11 @@ let trace_one_side b ~label ~nodes ~checks run prog =
 (* Rendering                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One line under each plan header saying which execution tier the stub
-   engine will run it at: whether the staged (tier 1) specializer is
-   enabled, and whether this particular plan has a flat-closure form. *)
+(* One line under each marshal plan header saying which execution tier
+   the stub engine will run it at: whether the staged (tier 1)
+   specializer is enabled, and whether this particular plan has a
+   flat-closure form.  Decode plans have one tier; their header is
+   followed by one line per frame saying how its value is built. *)
 let tier_line stageable =
   if not (Opt_config.stage_enabled ()) then
     "tier: 0 interpreted (staging disabled)\n"
@@ -203,7 +205,11 @@ let render ~idl ~pres ~backend ~interface ~op ~mode ?config ?encoding ~file
           Buffer.add_string b
             (Format.asprintf "=== unmarshal plan: %s (%s) ===@."
                st.Pres_c.os_client_name enc_label);
-          Buffer.add_string b (tier_line (Dplan_stage.stageable plan));
+          List.iter
+            (fun (path, build) ->
+              Buffer.add_string b
+                (Printf.sprintf "frame %s: %s\n" path (Dplan.build_name build)))
+            (Dplan.frame_builds plan);
           Buffer.add_string b (Format.asprintf "%a@." Dplan.pp_plan plan)
       | Forward dst_backend ->
           let dtr = Driver.transport_of dst_backend in

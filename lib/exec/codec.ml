@@ -125,42 +125,35 @@ let read_stream r ~be (atom : Mplan.atom) =
   Mbuf.skip r atom.Mplan.size;
   v
 
-(* The loads return each word sign-extended from 32 bits, which is
-   already a signed 32-bit element; narrower or unsigned elements keep
-   their low [bits] bits, shifted to the top of the int and back,
-   arithmetically when signed and logically when not. *)
-let read_i32s ~be ~signed ~bits r n =
-  Mbuf.ralign r 4;
-  Mbuf.need r (n * 4);
-  let out = Array.make n 0 in
-  let shift = Sys.int_size - bits in
-  (match (signed && bits = 32, signed, be) with
-  | true, _, true ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set out i (Mbuf.get_i32_be r (i * 4))
-      done
-  | true, _, false ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set out i (Mbuf.get_i32_le r (i * 4))
-      done
-  | false, true, true ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set out i ((Mbuf.get_i32_be r (i * 4) lsl shift) asr shift)
-      done
-  | false, true, false ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set out i ((Mbuf.get_i32_le r (i * 4) lsl shift) asr shift)
-      done
-  | false, false, true ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set out i ((Mbuf.get_i32_be r (i * 4) lsl shift) lsr shift)
-      done
-  | false, false, false ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set out i ((Mbuf.get_i32_le r (i * 4) lsl shift) lsr shift)
-      done);
-  Mbuf.skip r (n * 4);
-  out
+(* One bounds check, then the words are read in place, unchecked, from
+   the reader's window.  Each element keeps its low [bits] bits, shifted to
+   the top of the int and back, arithmetically when signed and
+   logically when not (a signed 32-bit word comes back unchanged).
+   Applied to its labels alone it builds the kernel once, so a caller
+   that does so allocates nothing per call but the array. *)
+external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+let read_i32s ~be ~signed ~bits =
+  let shift = Sys.int_size - bits and swap = be <> Sys.big_endian in
+  let fill out b cur _ =
+    for i = 0 to Array.length out - 1 do
+      let at = cur + (i * 4) in
+      let w =
+        if swap then Int32.to_int (bswap32 (get32u b at))
+        else Int32.to_int (get32u b at)
+      in
+      Array.unsafe_set out i
+        (if signed then (w lsl shift) asr shift else (w lsl shift) lsr shift)
+    done
+  in
+  fun r n ->
+    Mbuf.ralign r 4;
+    Mbuf.need r (n * 4);
+    let out = Array.make n 0 in
+    Mbuf.window r fill out;
+    Mbuf.skip r (n * 4);
+    out
 
 (* -- shared length/padding helpers ----------------------------------- *)
 

@@ -29,9 +29,11 @@ val read_at : Mbuf.reader -> be:bool -> int -> Mplan.atom -> Value.t
 val read_i32s :
   be:bool -> signed:bool -> bits:int -> Mbuf.reader -> int -> int array
 (** [read_i32s ~be ~signed ~bits r n] reads [n] aligned 4-byte integer
-    elements of [bits <= 32] bits with one bounds check, narrowing each
-    in the same pass exactly as {!read_at} narrows one.  The integer-array
-    fast path of {!Stub_opt}'s decoders and {!Stub_forward}'s relays. *)
+    elements of [bits <= 32] bits with one bounds check, in place from
+    the reader's window, narrowing each in the same pass exactly as
+    {!read_at} narrows one.  Partially applied to its labels it builds
+    its kernel once.  The integer-array fast path of {!Stub_opt}'s
+    decoders and {!Stub_forward}'s relays. *)
 
 val as_int : Value.t -> int
 val as_int64 : Value.t -> int64

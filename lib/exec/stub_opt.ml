@@ -920,8 +920,6 @@ let stage_interp_calls = Obs.counter "stage.interp_calls"
 let stage_fallbacks = Obs.counter "stage.fallbacks"
 let stage_encode_interp_ns = Obs.hist "stage.encode_interp_ns"
 let stage_encode_staged_ns = Obs.hist "stage.encode_staged_ns"
-let stage_decode_interp_ns = Obs.hist "stage.decode_interp_ns"
-let stage_decode_staged_ns = Obs.hist "stage.decode_staged_ns"
 
 (* Compiled encoders are memoized: the closure chains carry no per-call
    state (each invocation allocates its own env), so one encoder safely
@@ -1023,22 +1021,25 @@ let compile_encoder ?config ~enc ~mint ~named roots : encoder =
    header-checked on its own (the advance is data-dependent, so no
    run-wide [need] is possible), but each takes at least one byte, which
    bounds the count before anything is allocated.  Ints of at most 32
-   bits fill an int array directly. *)
-let read_var_elems vcc (kind : Encoding.atom_kind) r n =
-  Codec.need_elems r n ~min_elem:1;
+   bits fill an int array in place from the reader's window.  Applied
+   to its first two arguments it builds that kernel once. *)
+let read_var_elems vcc (kind : Encoding.atom_kind) =
   match kind with
   | Encoding.Kint { bits; _ } when bits <= 32 ->
-      let out = Array.make n 0 in
-      for i = 0 to n - 1 do
-        Array.unsafe_set out i (Encoding.var_get_int vcc kind r)
-      done;
-      Value.Vint_array out
+      let fill = Encoding.var_fill_ints vcc kind in
+      fun r n ->
+        Codec.need_elems r n ~min_elem:1;
+        let out = Array.make n 0 in
+        fill r out;
+        Value.Vint_array out
   | _ ->
-      let out = Array.make n Value.Vvoid in
-      for i = 0 to n - 1 do
-        Array.unsafe_set out i (Codec.read_var vcc kind r)
-      done;
-      Value.Varray out
+      fun r n ->
+        Codec.need_elems r n ~min_elem:1;
+        let out = Array.make n Value.Vvoid in
+        for i = 0 to n - 1 do
+          Array.unsafe_set out i (Codec.read_var vcc kind r)
+        done;
+        Value.Varray out
 
 let compile_value_decoder ~(enc : Encoding.t) ~mint
     ~(named : (string * (Mint.idx * Pres.t)) list) root_idx root_pres :
@@ -1426,61 +1427,77 @@ let build_decoder ~enc ~mint ~named droots : decoder =
 (* Plan-driven decoding                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The executor for Dplan programs: each frame decodes into a slot
-   array, then its shape assembles the slots into one value.  Slot
-   frames are allocated per call (and reused across loop iterations),
-   so compiled decoders carry no cross-call state. *)
+(* The executor for Dplan programs compiles every frame to one
+   [Mbuf.reader -> Value.t] closure that decodes straight to the
+   frame's value, built the way Dplan.frame_build says:
+   - a direct chunk checks once, loads each item at its constant offset
+     into the shape, and advances once;
+   - an in-order frame runs its ops in wire order, each shape leaf
+     taking the next value read, into literal struct arrays;
+   - only a slot frame, whose shape reads out of wire order, decodes
+     into a per-call slot array first.
+   Nothing outlives a call, so compiled decoders carry no cross-call
+   state. *)
 
-type dframe_exec = {
-  fx_nslots : int;
-  fx_run : Mbuf.reader -> Value.t array -> unit;
-  fx_build : Value.t array -> Value.t;
-}
+(* One wire-order step of a frame: it reads one slot's value, or only
+   checks or moves the cursor. *)
+type step =
+  | Fill of int * (Mbuf.reader -> Value.t)
+  | Effect of (Mbuf.reader -> unit)
 
 let sign_extend n bits =
   let shift = Sys.int_size - bits in
   (n lsl shift) asr shift
 
-let rec shape_builder (sh : Dplan.shape) : Value.t array -> Value.t =
+let seq_effects = function
+  | [] -> None
+  | [ e ] -> Some e
+  | es ->
+      let es = Array.of_list es in
+      Some
+        (fun r ->
+          for k = 0 to Array.length es - 1 do
+            (Array.unsafe_get es k) r
+          done)
+
+(* A struct whose fields are read left to right.  Array-literal
+   elements are evaluated right to left, so each field is bound
+   first. *)
+let struct_of (fields : ('a -> Value.t) list) : 'a -> Value.t =
+  match fields with
+  | [ a ] -> fun r -> Value.Vstruct [| a r |]
+  | [ a; b ] ->
+      fun r ->
+        let x = a r in
+        let y = b r in
+        Value.Vstruct [| x; y |]
+  | [ a; b; c ] ->
+      fun r ->
+        let x = a r in
+        let y = b r in
+        let z = c r in
+        Value.Vstruct [| x; y; z |]
+  | fields ->
+      let fields = Array.of_list fields in
+      fun r -> Value.Vstruct (Array.map (fun f -> f r) fields)
+
+(* [leaf] is asked for the shape's slots in reading order. *)
+let rec shape_reader leaf (sh : Dplan.shape) : 'a -> Value.t =
   match sh with
   | Dplan.Sh_void -> fun _ -> Value.Vvoid
-  | Dplan.Sh_slot i -> fun slots -> Array.unsafe_get slots i
-  | Dplan.Sh_struct shapes
-    when List.for_all
-           (function Dplan.Sh_slot _ -> true | _ -> false)
-           shapes ->
-      (* flat field list: gather by index, no per-field closure calls *)
-      let idxs =
-        Array.of_list
-          (List.map (function Dplan.Sh_slot i -> i | _ -> 0) shapes)
-      in
-      fun slots ->
-        Value.Vstruct (Array.map (fun i -> Array.unsafe_get slots i) idxs)
-  | Dplan.Sh_struct shapes -> (
-      let builders = Array.of_list (List.map shape_builder shapes) in
-      match builders with
-      | [| a; b |] -> fun slots -> Value.Vstruct [| a slots; b slots |]
-      | _ -> fun slots -> Value.Vstruct (Array.map (fun b -> b slots) builders))
+  | Dplan.Sh_slot i -> leaf i
+  | Dplan.Sh_struct shapes ->
+      (* a fold, not a map: [leaf] must see the slots left to right *)
+      struct_of
+        (List.rev
+           (List.fold_left (fun acc s -> shape_reader leaf s :: acc) [] shapes))
 
-(* The dplan op compiler, shared by the tier-0 executor and the tier-1
-   staged specializer (which fuses what it can and compiles the rest
-   through these). *)
-type dcompiler = {
-  c_op : Dplan.dop -> Mbuf.reader -> Value.t array -> unit;
-  c_item : Dplan.ditem -> Mbuf.reader -> Value.t array -> unit;
-  c_frame : Dplan.frame -> dframe_exec;
-  c_count : Dplan.dcount -> Mbuf.reader -> int;
-  c_key : Mbuf.reader -> string;
-  c_opt : Mbuf.reader -> int * int;
-      (* optional-count read: (count, byte position for diagnostics) *)
-  c_discrim : Mplan.atom -> Mbuf.reader -> Value.t;
-      (* union discriminator read, value-dependent under var codecs *)
-}
-
-let dcompiler ~(enc : Encoding.t) ~(subs : (string, dframe_exec ref) Hashtbl.t)
-    : dcompiler =
+let dcompiler ~(enc : Encoding.t)
+    ~(subs : (string, (Mbuf.reader -> Value.t) ref) Hashtbl.t) :
+    Dplan.frame -> Mbuf.reader -> Value.t =
   let be = enc.Encoding.big_endian in
   let vc = enc.Encoding.var in
+  let selfdesc = vc <> None in
   let nul = enc.Encoding.string_nul in
   let pad_unit = enc.Encoding.pad_unit in
   (* a view is handed out only when the payload clears the borrow
@@ -1490,39 +1507,43 @@ let dcompiler ~(enc : Encoding.t) ~(subs : (string, dframe_exec ref) Hashtbl.t)
   let view_threshold view =
     if view && Mbuf.sg_enabled () then Mbuf.borrow_threshold () else max_int
   in
-  let compile_item (it : Dplan.ditem) : Mbuf.reader -> Value.t array -> unit =
+  let expect_const ~expect got =
+    let got =
+      match got with
+      | Value.Vint n -> Int64.of_int n
+      | Value.Vint64 n -> n
+      | Value.Vbool b -> if b then 1L else 0L
+      | Value.Vchar c -> Int64.of_int (Char.code c)
+      | _ -> raise (Codec.Decode_error "bad constant")
+    in
+    if got <> expect then
+      raise
+        (Codec.Decode_error
+           (Printf.sprintf "expected constant %Ld, found %Ld" expect got))
+  in
+  (* one chunk item, loaded at its offset from the chunk's start (the
+     cursor stays there until the chunk's single advance) *)
+  let load_item (it : Dplan.ditem) : step =
     match it with
     | Dplan.Dit_atom { off; atom; slot } -> (
         match (atom.Mplan.kind, atom.Mplan.size) with
         | Encoding.Kint { bits; signed }, 4 when bits <= 32 ->
             (* the hot 32-bit load, with Codec.read_at's extension rules *)
             let get = if be then Mbuf.get_i32_be else Mbuf.get_i32_le in
-            if signed then
-              fun r slots ->
-                slots.(slot) <- Value.Vint (sign_extend (get r off) bits)
-            else if bits >= 32 then
-              fun r slots ->
-                slots.(slot) <- Value.Vint (get r off land 0xFFFFFFFF)
-            else
-              let mask = (1 lsl bits) - 1 in
-              fun r slots -> slots.(slot) <- Value.Vint (get r off land mask)
-        | _, _ -> fun r slots -> slots.(slot) <- Codec.read_at r ~be off atom)
+            Fill
+              ( slot,
+                if signed then fun r ->
+                  Value.Vint (sign_extend (get r off) bits)
+                else if bits >= 32 then fun r ->
+                  Value.Vint (get r off land 0xFFFFFFFF)
+                else
+                  let mask = (1 lsl bits) - 1 in
+                  fun r -> Value.Vint (get r off land mask) )
+        | _, _ -> Fill (slot, fun r -> Codec.read_at r ~be off atom))
     | Dplan.Dit_bytes { off; len; slot } ->
-        fun r slots -> slots.(slot) <- Value.Vbytes (Mbuf.get_bytes r off len)
+        Fill (slot, fun r -> Value.Vbytes (Mbuf.get_bytes r off len))
     | Dplan.Dit_const { off; atom; value = expect } ->
-        fun r _ ->
-          let got =
-            match Codec.read_at r ~be off atom with
-            | Value.Vint n -> Int64.of_int n
-            | Value.Vint64 n -> n
-            | Value.Vbool b -> if b then 1L else 0L
-            | Value.Vchar c -> Int64.of_int (Char.code c)
-            | _ -> raise (Codec.Decode_error "bad constant")
-          in
-          if got <> expect then
-            raise
-              (Codec.Decode_error
-                 (Printf.sprintf "expected constant %Ld, found %Ld" expect got))
+        Effect (fun r -> expect_const ~expect (Codec.read_at r ~be off atom))
   in
   let read_count_lk lk (count : Dplan.dcount) : Mbuf.reader -> int =
     match count with
@@ -1557,6 +1578,7 @@ let dcompiler ~(enc : Encoding.t) ~(subs : (string, dframe_exec ref) Hashtbl.t)
           Codec.skip_pad r ~pad_unit wire_len;
           key
   in
+  (* optional-count read: (count, byte position for diagnostics) *)
   let read_opt =
     match vc with
     | Some vcc ->
@@ -1569,172 +1591,159 @@ let dcompiler ~(enc : Encoding.t) ~(subs : (string, dframe_exec ref) Hashtbl.t)
           let at = Mbuf.rpos r in
           (Codec.read_len r ~be ~align:4, at)
   in
+  (* union discriminator read, value-dependent under var codecs *)
   let read_discrim (atom : Mplan.atom) : Mbuf.reader -> Value.t =
     match vc with
     | Some vcc -> fun r -> Codec.read_var vcc atom.Mplan.kind r
     | None -> fun r -> Codec.read_stream r ~be atom
   in
-  let rec compile_op (op : Dplan.dop) : Mbuf.reader -> Value.t array -> unit =
+  (* a payload of [n] bytes: a view of the receive buffer when it
+     clears [vthresh] and lies in one piece, else a copy *)
+  let payload ~vthresh ~view_of ~copy r n =
+    if n >= vthresh then
+      match Mbuf.view_bytes r n with
+      | Some (base, off, len) ->
+          Mbuf.pin_reader r;
+          view_of { Value.v_base = base; v_off = off; v_len = len }
+      | None -> copy r n
+    else copy r n
+  in
+  let string_view v = Value.Vstring_view v
+  and copy_string r n = Value.Vstring (Mbuf.read_string r n) in
+  let rec compile_op (op : Dplan.dop) : step list =
     match op with
-    | Dplan.D_align n -> fun r _ -> Mbuf.ralign r n
-    | Dplan.D_chunk { size; items; check } -> (
-        let readers = Array.of_list (List.map compile_item items) in
-        let n = Array.length readers in
-        (* the check decision and the common one-item shape are static:
-           keep the per-message closure branch-free *)
-        match (readers, check) with
-        | [| f |], true ->
-            fun r slots ->
-              Mbuf.need r size;
-              f r slots;
-              Mbuf.skip r size
-        | [| f |], false ->
-            fun r slots ->
-              f r slots;
-              Mbuf.skip r size
-        | _, true ->
-            fun r slots ->
-              Mbuf.need r size;
-              for k = 0 to n - 1 do
-                (Array.unsafe_get readers k) r slots
-              done;
-              Mbuf.skip r size
-        | _, false ->
-            fun r slots ->
-              for k = 0 to n - 1 do
-                (Array.unsafe_get readers k) r slots
-              done;
-              Mbuf.skip r size)
+    | Dplan.D_align n -> [ Effect (fun r -> Mbuf.ralign r n) ]
+    | Dplan.D_chunk { size; items = []; _ } ->
+        [ Effect (fun r -> Mbuf.skip r size) ]
+    | Dplan.D_chunk { size; items; check } ->
+        (if check then [ Effect (fun r -> Mbuf.need r size) ] else [])
+        @ List.map load_item items
+        @ [ Effect (fun r -> Mbuf.skip r size) ]
     | Dplan.D_get_string { max_len; slot; view } when vc <> None ->
         let vcc = Option.get vc in
         let vthresh = view_threshold view in
-        fun r slots ->
-          let n = Codec.read_vlen vcc Encoding.Lstr r in
-          Codec.check_bounds ~what:"string" n ~min_len:0 ~max_len;
-          let v =
-            if n >= vthresh then
-              match Mbuf.view_bytes r n with
-              | Some (base, off, len) ->
-                  Mbuf.pin_reader r;
-                  Value.Vstring_view
-                    { Value.v_base = base; v_off = off; v_len = len }
-              | None -> Value.Vstring (Mbuf.read_string r n)
-            else Value.Vstring (Mbuf.read_string r n)
-          in
-          slots.(slot) <- v
+        [
+          Fill
+            ( slot,
+              fun r ->
+                let n = Codec.read_vlen vcc Encoding.Lstr r in
+                Codec.check_bounds ~what:"string" n ~min_len:0 ~max_len;
+                payload ~vthresh ~view_of:string_view ~copy:copy_string r n );
+        ]
     | Dplan.D_get_string { max_len; slot; view } ->
         let vthresh = view_threshold view in
-        fun r slots ->
-          let wire_len = Codec.read_len r ~be ~align:4 in
-          let data_len = if nul then wire_len - 1 else wire_len in
-          if data_len < 0 then raise (Codec.Decode_error "bad string length");
-          Codec.check_bounds ~what:"string" data_len ~min_len:0 ~max_len;
-          let v =
-            if data_len >= vthresh then
-              match Mbuf.view_bytes r data_len with
-              | Some (base, off, len) ->
-                  Mbuf.pin_reader r;
-                  Value.Vstring_view
-                    { Value.v_base = base; v_off = off; v_len = len }
-              | None -> Value.Vstring (Mbuf.read_string r data_len)
-            else Value.Vstring (Mbuf.read_string r data_len)
-          in
-          if nul then Mbuf.skip r 1;
-          Codec.skip_pad r ~pad_unit wire_len;
-          slots.(slot) <- v
+        [
+          Fill
+            ( slot,
+              fun r ->
+                let wire_len = Codec.read_len r ~be ~align:4 in
+                let data_len = if nul then wire_len - 1 else wire_len in
+                if data_len < 0 then
+                  raise (Codec.Decode_error "bad string length");
+                Codec.check_bounds ~what:"string" data_len ~min_len:0 ~max_len;
+                let v =
+                  payload ~vthresh ~view_of:string_view ~copy:copy_string r
+                    data_len
+                in
+                if nul then Mbuf.skip r 1;
+                Codec.skip_pad r ~pad_unit wire_len;
+                v );
+        ]
     | Dplan.D_const_str expect ->
-        fun r _ ->
-          let key = read_key r in
-          if key <> expect then
-            raise
-              (Codec.Decode_error
-                 (Printf.sprintf "expected key %S, found %S" expect key))
+        [
+          Effect
+            (fun r ->
+              let key = read_key r in
+              if key <> expect then
+                raise
+                  (Codec.Decode_error
+                     (Printf.sprintf "expected key %S, found %S" expect key)));
+        ]
     | Dplan.D_get_byteseq { count; slot; view } ->
         let get_n = read_count_lk Encoding.Lbin count in
         let vthresh = view_threshold view in
-        fun r slots ->
-          let n = get_n r in
-          let v =
-            if n >= vthresh then
-              match Mbuf.view_bytes r n with
-              | Some (base, off, len) ->
-                  Mbuf.pin_reader r;
-                  Value.Vbytes_view
-                    { Value.v_base = base; v_off = off; v_len = len }
-              | None -> Value.Vbytes (Mbuf.read_bytes r n)
-            else Value.Vbytes (Mbuf.read_bytes r n)
-          in
-          Codec.skip_pad r ~pad_unit n;
-          slots.(slot) <- v
+        [
+          Fill
+            ( slot,
+              fun r ->
+                let n = get_n r in
+                let v =
+                  payload ~vthresh
+                    ~view_of:(fun v -> Value.Vbytes_view v)
+                    ~copy:(fun r n -> Value.Vbytes (Mbuf.read_bytes r n))
+                    r n
+                in
+                Codec.skip_pad r ~pad_unit n;
+                v );
+        ]
     | Dplan.D_get_atom_array { count; atom; slot; _ } when vc <> None ->
-        let vcc = Option.get vc in
         let get_n = read_count count in
-        let kind = atom.Mplan.kind in
-        fun r slots -> slots.(slot) <- read_var_elems vcc kind r (get_n r)
+        let read = read_var_elems (Option.get vc) atom.Mplan.kind in
+        [ Fill (slot, fun r -> read r (get_n r)) ]
     | Dplan.D_get_atom_array { count; atom; slot; _ } -> (
         let get_n = read_count count in
         match (atom.Mplan.kind, atom.Mplan.size) with
         | Encoding.Kint { bits; signed }, 4 when bits <= 32 ->
             (* chunked read: one bounds check for the whole run *)
-            fun r slots ->
-              let n = get_n r in
-              slots.(slot) <- Value.Vint_array (Codec.read_i32s ~be ~signed ~bits r n)
+            let read = Codec.read_i32s ~be ~signed ~bits in
+            [ Fill (slot, fun r -> Value.Vint_array (read r (get_n r))) ]
         | _, _ ->
-            fun r slots ->
-              let n = get_n r in
-              Codec.need_elems r n ~min_elem:atom.Mplan.size;
-              let out = Array.make n Value.Vvoid in
-              for i = 0 to n - 1 do
-                out.(i) <- Codec.read_stream r ~be atom
-              done;
-              slots.(slot) <-
-                (match atom.Mplan.kind with
-                | Encoding.Kint { bits; _ } when bits <= 32 ->
-                    Value.Vint_array (Array.map Codec.as_int out)
-                | _ -> Value.Varray out))
-    | Dplan.D_loop { count; ensure; frame; slot } -> (
+            [
+              Fill
+                ( slot,
+                  fun r ->
+                    let n = get_n r in
+                    Codec.need_elems r n ~min_elem:atom.Mplan.size;
+                    let out = Array.make n Value.Vvoid in
+                    for i = 0 to n - 1 do
+                      out.(i) <- Codec.read_stream r ~be atom
+                    done;
+                    match atom.Mplan.kind with
+                    | Encoding.Kint { bits; _ } when bits <= 32 ->
+                        Value.Vint_array (Array.map Codec.as_int out)
+                    | _ -> Value.Varray out );
+            ])
+    | Dplan.D_loop { count; ensure; frame; slot } ->
         let get_n = read_count count in
-        let fx = compile_frame frame in
-        let run = fx.fx_run and build = fx.fx_build in
-        let nslots = max fx.fx_nslots 1 in
-        match ensure with
-        | Some u ->
-            fun r slots ->
-              let n = get_n r in
-              Mbuf.need r (n * u);
-              let out = Array.make n Value.Vvoid in
-              let fslots = Array.make nslots Value.Vvoid in
-              for i = 0 to n - 1 do
-                run r fslots;
-                Array.unsafe_set out i (build fslots)
-              done;
-              slots.(slot) <- Value.Varray out
-        | None ->
-            fun r slots ->
-              let n = get_n r in
-              let out = Array.make n Value.Vvoid in
-              let fslots = Array.make nslots Value.Vvoid in
-              for i = 0 to n - 1 do
-                run r fslots;
-                Array.unsafe_set out i (build fslots)
-              done;
-              slots.(slot) <- Value.Varray out)
+        let body = compile_frame frame in
+        (* a hoisted reservation covers the whole run; otherwise the
+           count is first checked against the bytes that remain *)
+        let reserve = Option.value ensure ~default:0 in
+        let min_elem =
+          if ensure = None then Dplan.min_wire ~selfdesc frame.Dplan.f_ops
+          else 0
+        in
+        [
+          Fill
+            ( slot,
+              fun r ->
+                let n = get_n r in
+                if reserve > 0 then Mbuf.need r (n * reserve)
+                else if min_elem > 0 then Codec.need_elems r n ~min_elem;
+                let out = Array.make n Value.Vvoid in
+                for i = 0 to n - 1 do
+                  Array.unsafe_set out i (body r)
+                done;
+                Value.Varray out );
+        ]
     | Dplan.D_opt { frame; slot } ->
-        let fx = compile_frame frame in
-        fun r slots ->
-          let n, at = read_opt r in
-          (match n with
-          | 0 -> slots.(slot) <- Value.Vopt None
-          | 1 ->
-              let fslots = Array.make (max fx.fx_nslots 1) Value.Vvoid in
-              fx.fx_run r fslots;
-              slots.(slot) <- Value.Vopt (Some (fx.fx_build fslots))
-          | n ->
-              raise
-                (Codec.Decode_error
-                   (Printf.sprintf "optional count %d at byte %d" n at)))
-    | Dplan.D_switch { discrim_atom; arms; default; slot } -> (
-        let table : (Mint.const, int * dframe_exec) Hashtbl.t =
+        let body = compile_frame frame in
+        [
+          Fill
+            ( slot,
+              fun r ->
+                let n, at = read_opt r in
+                match n with
+                | 0 -> Value.Vopt None
+                | 1 -> Value.Vopt (Some (body r))
+                | n ->
+                    raise
+                      (Codec.Decode_error
+                         (Printf.sprintf "optional count %d at byte %d" n at))
+            );
+        ]
+    | Dplan.D_switch { discrim_atom; arms; default; slot } ->
+        let table : (Mint.const, int * (Mbuf.reader -> Value.t)) Hashtbl.t =
           Hashtbl.create 16
         in
         List.iter
@@ -1742,51 +1751,46 @@ let dcompiler ~(enc : Encoding.t) ~(subs : (string, dframe_exec ref) Hashtbl.t)
             Hashtbl.replace table a.Dplan.d_const
               (a.Dplan.d_case, compile_frame a.Dplan.d_frame))
           arms;
-        let default_fx = Option.map compile_frame default in
-        let run_frame (fx : dframe_exec) r =
-          let fslots = Array.make (max fx.fx_nslots 1) Value.Vvoid in
-          fx.fx_run r fslots;
-          fx.fx_build fslots
-        in
-        match discrim_atom with
-        | Some atom ->
-            let get_d = read_discrim atom in
-            fun r slots ->
-              let v = get_d r in
-              let const : Mint.const =
-                match v with
-                | Value.Vint n -> Mint.Cint (Int64.of_int n)
-                | Value.Vbool b -> Mint.Cbool b
-                | Value.Vchar c -> Mint.Cchar c
-                | _ -> raise (Codec.Decode_error "bad discriminator")
-              in
-              (match Hashtbl.find_opt table const with
-              | Some (case, fx) ->
-                  slots.(slot) <-
-                    Value.Vunion { case; discrim = const; payload = run_frame fx r }
-              | None -> (
-                  match default_fx with
-                  | Some fx ->
-                      slots.(slot) <-
+        let default_body = Option.map compile_frame default in
+        let read =
+          match discrim_atom with
+          | Some atom ->
+              let get_d = read_discrim atom in
+              fun r ->
+                let const : Mint.const =
+                  match get_d r with
+                  | Value.Vint n -> Mint.Cint (Int64.of_int n)
+                  | Value.Vbool b -> Mint.Cbool b
+                  | Value.Vchar c -> Mint.Cchar c
+                  | _ -> raise (Codec.Decode_error "bad discriminator")
+                in
+                (match Hashtbl.find_opt table const with
+                | Some (case, body) ->
+                    Value.Vunion { case; discrim = const; payload = body r }
+                | None -> (
+                    match default_body with
+                    | Some body ->
                         Value.Vunion
-                          { case = -1; discrim = const; payload = run_frame fx r }
-                  | None ->
-                      raise
-                        (Codec.Decode_error
-                           (Format.asprintf "unknown discriminator %a"
-                              Mint.pp_const const))))
-        | None ->
-            (* string-keyed operation union: a miss is always an unknown
-               operation (the closure decoder behaves the same) *)
-            fun r slots ->
-              let key = read_key r in
-              let const = Mint.Cstring key in
-              (match Hashtbl.find_opt table const with
-              | Some (case, fx) ->
-                  slots.(slot) <-
-                    Value.Vunion { case; discrim = const; payload = run_frame fx r }
-              | None ->
-                  raise (Codec.Decode_error ("unknown operation " ^ key))))
+                          { case = -1; discrim = const; payload = body r }
+                    | None ->
+                        raise
+                          (Codec.Decode_error
+                             (Format.asprintf "unknown discriminator %a"
+                                Mint.pp_const const))))
+          | None ->
+              (* string-keyed operation union: a miss is always an
+                 unknown operation (the closure decoder behaves the
+                 same) *)
+              fun r ->
+                let key = read_key r in
+                let const = Mint.Cstring key in
+                (match Hashtbl.find_opt table const with
+                | Some (case, body) ->
+                    Value.Vunion { case; discrim = const; payload = body r }
+                | None ->
+                    raise (Codec.Decode_error ("unknown operation " ^ key)))
+        in
+        [ Fill (slot, read) ]
     | Dplan.D_get_varhead { vh_kind; vh_slot; vh_expect; _ } -> (
         let vcc =
           match vc with
@@ -1795,23 +1799,20 @@ let dcompiler ~(enc : Encoding.t) ~(subs : (string, dframe_exec ref) Hashtbl.t)
               invalid_arg "Stub_opt: D_get_varhead under a fixed encoding"
         in
         match (vh_slot, vh_expect) with
-        | Some slot, None ->
-            fun r slots -> slots.(slot) <- Codec.read_var vcc vh_kind r
+        | Some slot, None -> (
+            match vh_kind with
+            | Encoding.Kint { bits; _ } when bits <= 32 ->
+                [
+                  Fill
+                    ( slot,
+                      fun r -> Value.Vint (Encoding.var_get_int vcc vh_kind r) );
+                ]
+            | _ -> [ Fill (slot, fun r -> Codec.read_var vcc vh_kind r) ])
         | None, Some expect ->
-            fun r _ ->
-              let got =
-                match Codec.read_var vcc vh_kind r with
-                | Value.Vint n -> Int64.of_int n
-                | Value.Vint64 n -> n
-                | Value.Vbool b -> if b then 1L else 0L
-                | Value.Vchar c -> Int64.of_int (Char.code c)
-                | _ -> raise (Codec.Decode_error "bad constant")
-              in
-              if got <> expect then
-                raise
-                  (Codec.Decode_error
-                     (Printf.sprintf "expected constant %Ld, found %Ld" expect
-                        got))
+            [
+              Effect
+                (fun r -> expect_const ~expect (Codec.read_var vcc vh_kind r));
+            ]
         | _, _ -> invalid_arg "Stub_opt: D_get_varhead needs slot xor expect")
     | Dplan.D_call { sub; slot } ->
         let cell =
@@ -1819,285 +1820,128 @@ let dcompiler ~(enc : Encoding.t) ~(subs : (string, dframe_exec ref) Hashtbl.t)
           | Some c -> c
           | None -> invalid_arg ("Stub_opt: unknown unmarshal subroutine " ^ sub)
         in
-        fun r slots ->
-          let fx = !cell in
-          let fslots = Array.make (max fx.fx_nslots 1) Value.Vvoid in
-          fx.fx_run r fslots;
-          slots.(slot) <- fx.fx_build fslots
-  and compile_frame (frame : Dplan.frame) : dframe_exec =
-    let fns = Array.of_list (List.map compile_op frame.Dplan.f_ops) in
-    let n = Array.length fns in
-    let run =
-      (* loop bodies are usually one or two ops; skip the dispatch loop *)
-      match fns with
-      | [| f |] -> f
-      | [| f; g |] ->
-          fun r slots ->
-            f r slots;
-            g r slots
-      | _ ->
-          fun r slots ->
-            for k = 0 to n - 1 do
-              (Array.unsafe_get fns k) r slots
-            done
+        [ Fill (slot, fun r -> !cell r) ]
+  and direct_chunk ~align ~size ~items ~check shape =
+    let steps = List.map load_item items in
+    let loads =
+      List.filter_map
+        (function Fill (s, p) -> Some (s, p) | Effect _ -> None)
+        steps
     in
-    {
-      fx_nslots = frame.Dplan.f_nslots;
-      fx_run = run;
-      fx_build = shape_builder frame.Dplan.f_shape;
-    }
+    let consts =
+      seq_effects
+        (List.filter_map (function Effect e -> Some e | Fill _ -> None) steps)
+    in
+    let build = shape_reader (fun s -> List.assoc s loads) shape in
+    match consts with
+    | None when align <= 1 ->
+        if check then fun r ->
+          Mbuf.need r size;
+          let v = build r in
+          Mbuf.skip r size;
+          v
+        else fun r ->
+          let v = build r in
+          Mbuf.skip r size;
+          v
+    | _ ->
+        let consts = Option.value consts ~default:ignore in
+        fun r ->
+          if align > 1 then Mbuf.ralign r align;
+          if check then Mbuf.need r size;
+          consts r;
+          let v = build r in
+          Mbuf.skip r size;
+          v
+  and in_order steps shape =
+    (* each leaf runs the effects before its fill, then the fill; the
+       effects after the last fill run once the value is built *)
+    let rest = ref steps in
+    let leaf _ =
+      let rec take pre = function
+        | Effect e :: tl -> take (e :: pre) tl
+        | Fill (_, p) :: tl -> (
+            rest := tl;
+            match seq_effects (List.rev pre) with
+            | None -> p
+            | Some e ->
+                fun r ->
+                  e r;
+                  p r)
+        | [] -> invalid_arg "Stub_opt: in-order frame has too few fills"
+      in
+      take [] !rest
+    in
+    let build = shape_reader leaf shape in
+    match
+      seq_effects
+        (List.filter_map (function Effect e -> Some e | Fill _ -> None) !rest)
+    with
+    | None -> build
+    | Some post ->
+        fun r ->
+          let v = build r in
+          post r;
+          v
+  and slot_frame nslots steps shape =
+    let steps =
+      Array.of_list
+        (List.map
+           (function
+             | Effect e -> fun r _ -> e r
+             | Fill (s, p) -> fun r slots -> slots.(s) <- p r)
+           steps)
+    in
+    let build = shape_reader (fun i slots -> Array.unsafe_get slots i) shape in
+    fun r ->
+      let slots = Array.make (max nslots 1) Value.Vvoid in
+      for k = 0 to Array.length steps - 1 do
+        (Array.unsafe_get steps k) r slots
+      done;
+      build slots
+  and compile_frame (f : Dplan.frame) : Mbuf.reader -> Value.t =
+    match (Dplan.frame_build f, f.Dplan.f_ops) with
+    | Dplan.Direct_chunk, [ Dplan.D_chunk { size; items; check } ] ->
+        direct_chunk ~align:1 ~size ~items ~check f.Dplan.f_shape
+    | ( Dplan.Direct_chunk,
+        [ Dplan.D_align align; Dplan.D_chunk { size; items; check } ] ) ->
+        direct_chunk ~align ~size ~items ~check f.Dplan.f_shape
+    | Dplan.Slot_frame _, ops ->
+        slot_frame f.Dplan.f_nslots
+          (List.concat_map compile_op ops)
+          f.Dplan.f_shape
+    | (Dplan.Direct_chunk | Dplan.In_order), ops ->
+        in_order (List.concat_map compile_op ops) f.Dplan.f_shape
   in
-  {
-    c_op = compile_op;
-    c_item = compile_item;
-    c_frame = compile_frame;
-    c_count = read_count;
-    c_key = read_key;
-    c_opt = read_opt;
-    c_discrim = read_discrim;
-  }
+  compile_frame
 
 let decoder_of_dplan ~(enc : Encoding.t) (plan : Dplan.plan) : decoder =
-  let subs : (string, dframe_exec ref) Hashtbl.t = Hashtbl.create 4 in
-  let c = dcompiler ~enc ~subs in
   (* subroutine cells first, so D_call sites (including recursive ones)
      can link before the bodies are compiled *)
+  let subs = Hashtbl.create 4 in
   List.iter
-    (fun (name, _) ->
-      Hashtbl.replace subs name
-        (ref
-           {
-             fx_nslots = 0;
-             fx_run = (fun _ _ -> ());
-             fx_build = (fun _ -> Value.Vvoid);
-           }))
+    (fun (name, _) -> Hashtbl.replace subs name (ref (fun _ -> Value.Vvoid)))
     plan.Dplan.d_subs;
+  let compile_frame = dcompiler ~enc ~subs in
   List.iter
-    (fun (name, frame) -> Hashtbl.find subs name := c.c_frame frame)
+    (fun (name, frame) -> Hashtbl.find subs name := compile_frame frame)
     plan.Dplan.d_subs;
   let top =
-    c.c_frame
+    compile_frame
       {
         Dplan.f_nslots = plan.Dplan.d_nslots;
         f_ops = plan.Dplan.d_ops;
-        f_shape = Dplan.Sh_void;
+        f_shape = Dplan.Sh_struct plan.Dplan.d_shapes;
       }
   in
-  let builders = Array.of_list (List.map shape_builder plan.Dplan.d_shapes) in
-  fun r ->
-    let slots = Array.make (max plan.Dplan.d_nslots 1) Value.Vvoid in
-    top.fx_run r slots;
-    Array.map (fun b -> b slots) builders
-
-(* ------------------------------------------------------------------ *)
-(* Tier 1: staged decoding                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* The decode-side specializer, mirroring staged_encoder_of_plan: chunk
-   loads regroup through Dplan_stage (runs of 32-bit integer loads
-   share one extension rule and a tight offset/slot loop), frame and
-   arm op lists become single fused closures, and everything without a
-   fused form keeps its tier-0 compilation.  Value results are
-   identical to tier 0 on well-formed and malformed input alike
-   (differential-tested in test/test_stage.ml). *)
-let staged_decoder_of_dplan ~(enc : Encoding.t) (plan : Dplan.plan) :
-    decoder option =
-  if not (Dplan_stage.stageable plan) then None
-  else begin
-    let be = enc.Encoding.big_endian in
-    (* stageable plans have no D_call ops, so the empty table is safe *)
-    let subs : (string, dframe_exec ref) Hashtbl.t = Hashtbl.create 1 in
-    let c = dcompiler ~enc ~subs in
-    let stage_dseg (seg : Dplan_stage.dseg) :
-        Mbuf.reader -> Value.t array -> unit =
-      match seg with
-      | Dplan_stage.Dseg_run { offs; slots; bits; signed } ->
-          let n = Array.length offs in
-          let get = if be then Mbuf.get_i32_be else Mbuf.get_i32_le in
-          if signed then
-            fun r sl ->
-              for k = 0 to n - 1 do
-                Array.unsafe_set sl
-                  (Array.unsafe_get slots k)
-                  (Value.Vint
-                     (sign_extend (get r (Array.unsafe_get offs k)) bits))
-              done
-          else if bits >= 32 then
-            fun r sl ->
-              for k = 0 to n - 1 do
-                Array.unsafe_set sl
-                  (Array.unsafe_get slots k)
-                  (Value.Vint (get r (Array.unsafe_get offs k) land 0xFFFFFFFF))
-              done
-          else
-            let mask = (1 lsl bits) - 1 in
-            fun r sl ->
-              for k = 0 to n - 1 do
-                Array.unsafe_set sl
-                  (Array.unsafe_get slots k)
-                  (Value.Vint (get r (Array.unsafe_get offs k) land mask))
-              done
-      | Dplan_stage.Dseg_item it -> c.c_item it
-    in
-    let rec stage_op (op : Dplan.dop) : Mbuf.reader -> Value.t array -> unit =
-      match op with
-      | Dplan.D_chunk { size; items; check } ->
-          let run =
-            seq_fns
-              (Array.of_list
-                 (List.map stage_dseg (Dplan_stage.chunk_dsegments items)))
-          in
-          if check then fun r slots ->
-            Mbuf.need r size;
-            run r slots;
-            Mbuf.skip r size
-          else fun r slots ->
-            run r slots;
-            Mbuf.skip r size
-      | Dplan.D_loop { count; ensure; frame; slot } -> (
-          let get_n = c.c_count count in
-          let fx = stage_frame frame in
-          let run = fx.fx_run and build = fx.fx_build in
-          let nslots = max fx.fx_nslots 1 in
-          match ensure with
-          | Some u ->
-              fun r slots ->
-                let n = get_n r in
-                Mbuf.need r (n * u);
-                let out = Array.make n Value.Vvoid in
-                let fslots = Array.make nslots Value.Vvoid in
-                for i = 0 to n - 1 do
-                  run r fslots;
-                  Array.unsafe_set out i (build fslots)
-                done;
-                slots.(slot) <- Value.Varray out
-          | None ->
-              fun r slots ->
-                let n = get_n r in
-                let out = Array.make n Value.Vvoid in
-                let fslots = Array.make nslots Value.Vvoid in
-                for i = 0 to n - 1 do
-                  run r fslots;
-                  Array.unsafe_set out i (build fslots)
-                done;
-                slots.(slot) <- Value.Varray out)
-      | Dplan.D_opt { frame; slot } ->
-          let fx = stage_frame frame in
-          fun r slots ->
-            let n, at = c.c_opt r in
-            (match n with
-            | 0 -> slots.(slot) <- Value.Vopt None
-            | 1 ->
-                let fslots = Array.make (max fx.fx_nslots 1) Value.Vvoid in
-                fx.fx_run r fslots;
-                slots.(slot) <- Value.Vopt (Some (fx.fx_build fslots))
-            | n ->
-                raise
-                  (Codec.Decode_error
-                     (Printf.sprintf "optional count %d at byte %d" n at)))
-      | Dplan.D_switch { discrim_atom; arms; default; slot } -> (
-          let table : (Mint.const, int * dframe_exec) Hashtbl.t =
-            Hashtbl.create 16
-          in
-          List.iter
-            (fun (a : Dplan.darm) ->
-              Hashtbl.replace table a.Dplan.d_const
-                (a.Dplan.d_case, stage_frame a.Dplan.d_frame))
-            arms;
-          let default_fx = Option.map stage_frame default in
-          let run_frame (fx : dframe_exec) r =
-            let fslots = Array.make (max fx.fx_nslots 1) Value.Vvoid in
-            fx.fx_run r fslots;
-            fx.fx_build fslots
-          in
-          match discrim_atom with
-          | Some atom ->
-              let get_d = c.c_discrim atom in
-              fun r slots ->
-                let v = get_d r in
-                let const : Mint.const =
-                  match v with
-                  | Value.Vint n -> Mint.Cint (Int64.of_int n)
-                  | Value.Vbool b -> Mint.Cbool b
-                  | Value.Vchar ch -> Mint.Cchar ch
-                  | _ -> raise (Codec.Decode_error "bad discriminator")
-                in
-                (match Hashtbl.find_opt table const with
-                | Some (case, fx) ->
-                    slots.(slot) <-
-                      Value.Vunion
-                        { case; discrim = const; payload = run_frame fx r }
-                | None -> (
-                    match default_fx with
-                    | Some fx ->
-                        slots.(slot) <-
-                          Value.Vunion
-                            {
-                              case = -1;
-                              discrim = const;
-                              payload = run_frame fx r;
-                            }
-                    | None ->
-                        raise
-                          (Codec.Decode_error
-                             (Format.asprintf "unknown discriminator %a"
-                                Mint.pp_const const))))
-          | None ->
-              fun r slots ->
-                let key = c.c_key r in
-                let const = Mint.Cstring key in
-                (match Hashtbl.find_opt table const with
-                | Some (case, fx) ->
-                    slots.(slot) <-
-                      Value.Vunion
-                        { case; discrim = const; payload = run_frame fx r }
-                | None ->
-                    raise (Codec.Decode_error ("unknown operation " ^ key))))
-      | Dplan.D_get_atom_array
-          {
-            count = Dplan.Dc_fixed n;
-            atom =
-              { Mplan.kind = Encoding.Kint { bits; signed }; size = 4; _ };
-            slot;
-            _;
-          }
-        when bits <= 32 && enc.Encoding.var = None ->
-          (* fold the fixed element count: the per-message count call
-             disappears.  Value-dependent encodings fall through to the
-             tier-0 per-element reader: their elements are
-             variable-width. *)
-          fun r slots ->
-            slots.(slot) <- Value.Vint_array (Codec.read_i32s ~be ~signed ~bits r n)
-      | op -> c.c_op op
-    and stage_frame (frame : Dplan.frame) : dframe_exec =
-      {
-        fx_nslots = frame.Dplan.f_nslots;
-        fx_run = seq_fns (Array.of_list (List.map stage_op frame.Dplan.f_ops));
-        fx_build = shape_builder frame.Dplan.f_shape;
-      }
-    in
-    let top =
-      stage_frame
-        {
-          Dplan.f_nslots = plan.Dplan.d_nslots;
-          f_ops = plan.Dplan.d_ops;
-          f_shape = Dplan.Sh_void;
-        }
-    in
-    let builders = Array.of_list (List.map shape_builder plan.Dplan.d_shapes) in
-    Some
-      (fun r ->
-        let slots = Array.make (max plan.Dplan.d_nslots 1) Value.Vvoid in
-        top.fx_run r slots;
-        Array.map (fun b -> b slots) builders)
-  end
+  fun r -> match top r with Value.Vstruct roots -> roots | v -> [| v |]
 
 (* Compiled decoders are stateless between calls (per-call state lives
-   in the reader and the slot frames), so they are memoized under the
-   same structural fingerprints as encoders.  A cached decoder that
-   raised on one malformed message decodes the next message from
-   scratch — test/test_decplan.ml injects truncations and corrupt
-   discriminators against reused decoders to pin this. *)
+   in the reader and the values under construction), so they are
+   memoized under the same structural fingerprints as encoders.  A
+   cached decoder that raised on one malformed message decodes the next
+   message afresh — test/test_decplan.ml injects truncations and
+   corrupt discriminators against reused decoders to pin this. *)
 let decoder_cache : decoder Plan_cache.t =
   Plan_cache.create ~name:"stub_opt.decoder" ()
 
@@ -2107,10 +1951,9 @@ let droot_key ~enc ~mint ~named ~views ~config droots =
      pass pipeline, so the view/SG/pipeline configuration is part of
      the decoder key, mirroring the encoder's sg tag *)
   Plan_cache.fp_tag fp
-    (Printf.sprintf "views=%b,sg=%b,%d,%s,%s" views (Mbuf.sg_enabled ())
+    (Printf.sprintf "views=%b,sg=%b,%d,%s" views (Mbuf.sg_enabled ())
        (Mbuf.borrow_threshold ())
-       (Opt_config.selection_fingerprint config)
-       (Opt_config.stage_fingerprint ()));
+       (Opt_config.selection_fingerprint config));
   List.iter
     (fun droot ->
       match droot with
@@ -2133,48 +1976,6 @@ let to_dplan_droot (droot : droot) : Dplan_compile.droot =
   | Dconst_str s -> Dplan_compile.Dconst_str s
   | Dvalue (idx, pres) -> Dplan_compile.Dvalue (idx, pres)
 
-(* Decode-side twin of tiered_encoder: same stable-wrapper promotion
-   protocol against the decoder cache's hotness counters. *)
-let tiered_decoder ~key (tier0 : decoder) (staged : decoder) : decoder =
-  let threshold = Opt_config.stage_threshold () in
-  let calls = Plan_cache.hotness decoder_cache key in
-  let promoted = ref (!calls >= threshold) in
-  if !promoted then Obs.incr stage_promotions 1;
-  let self = ref tier0 in
-  let wrapper r =
-    if !promoted then begin
-      Obs.incr stage_staged_calls 1;
-      if Obs.timing_enabled () then begin
-        let t0 = Obs.now_ns () in
-        let v = staged r in
-        Obs.observe stage_decode_staged_ns (Obs.now_ns () -. t0);
-        v
-      end
-      else staged r
-    end
-    else begin
-      Obs.incr stage_interp_calls 1;
-      incr calls;
-      let v =
-        if Obs.timing_enabled () then begin
-          let t0 = Obs.now_ns () in
-          let v = tier0 r in
-          Obs.observe stage_decode_interp_ns (Obs.now_ns () -. t0);
-          v
-        end
-        else tier0 r
-      in
-      if !calls >= threshold then begin
-        promoted := true;
-        Obs.incr stage_promotions 1;
-        Plan_cache.promote decoder_cache key !self
-      end;
-      v
-    end
-  in
-  self := wrapper;
-  wrapper
-
 let compile_decoder ?config ~enc ~mint ~named ?(views = false) droots :
     decoder =
   let config =
@@ -2188,17 +1989,4 @@ let compile_decoder ?config ~enc ~mint ~named ?(views = false) droots :
         Plan_cache.dplan ~enc ~mint ~named ~views ~config
           (List.map to_dplan_droot droots)
       in
-      let tier0 =
-        instrument_decoder decode_ns decode_bytes (decoder_of_dplan ~enc dplan)
-      in
-      if not (Opt_config.stage_enabled ()) then (fun r ->
-        Obs.incr stage_interp_calls 1;
-        tier0 r)
-      else
-        match staged_decoder_of_dplan ~enc dplan with
-        | None ->
-            Obs.incr stage_fallbacks 1;
-            tier0
-        | Some staged ->
-            tiered_decoder ~key tier0
-              (instrument_decoder decode_ns decode_bytes staged))
+      instrument_decoder decode_ns decode_bytes (decoder_of_dplan ~enc dplan))

@@ -92,18 +92,14 @@ val staged_encoder_of_plan :
     automatically once a plan's hotness counter passes
     {!Opt_config.stage_threshold}. *)
 
-val staged_decoder_of_dplan :
-  enc:Encoding.t -> Dplan.plan -> decoder option
-(** Decode-side twin of {!staged_encoder_of_plan}: chunk loads regroup
-    into fused integer runs, frame op lists become single closures.
-    Decodes identically to {!decoder_of_dplan} on well-formed and
-    malformed input alike; [None] on plans with unmarshal
-    subroutines. *)
-
 val decoder_of_dplan :
   enc:Encoding.t -> Dplan.plan -> decoder
-(** Lower-level entry: execute an already compiled decode plan (used by
-    the ablation benchmarks, which tweak plans). *)
+(** Lower-level entry: compile an already built decode plan (used by
+    the ablation benchmarks, which tweak plans).  Each frame becomes
+    one closure that decodes straight to its value, built as
+    {!Dplan.frame_build} says; only a slot frame fills a per-call slot
+    array first.  A loop checks its count against the bytes that
+    remain ({!Dplan.min_wire}) before it allocates. *)
 
 val build_decoder :
   enc:Encoding.t ->

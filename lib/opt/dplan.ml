@@ -1,12 +1,14 @@
 (* The unmarshal plan: the decode-side mirror of Mplan.  Where an
    encode plan reads runtime values through Mplan.rv paths and writes
-   wire bytes, a decode plan reads wire bytes and writes decoded values
-   into numbered *slots* of the enclosing frame; a [shape] tree then
-   assembles the frame's slots into one structured value.  The
-   slot/frame split is what lets chunking work on the decode side:
+   wire bytes, a decode plan reads wire bytes and names the numbered
+   *slot* of the enclosing frame each decoded value fills; a [shape]
+   tree says how the frame's slots assemble into one structured value.
+   The slot/frame split is what lets chunking work on the decode side:
    loads belonging to different struct fields can share one chunk (one
    bounds check, constant offsets) because each load says where its
-   result goes, independent of any construction order. *)
+   result goes, independent of any construction order.  [frame_build]
+   below tells the executor when it can skip the slots and build the
+   value as it reads. *)
 
 type shape =
   | Sh_void
@@ -239,4 +241,122 @@ let rec count_checks ops =
               (fun a arm -> a + count_checks arm.d_frame.f_ops)
               0 arms
           + (match default with None -> 0 | Some f -> count_checks f.f_ops))
+    0 ops
+
+(* ------------------------------------------------------------------ *)
+(* How the executor builds each frame's value                          *)
+(* ------------------------------------------------------------------ *)
+
+type build = Direct_chunk | In_order | Slot_frame of string
+
+let op_fills = function
+  | D_chunk { items; _ } ->
+      List.filter_map
+        (function
+          | Dit_atom { slot; _ } | Dit_bytes { slot; _ } -> Some slot
+          | Dit_const _ -> None)
+        items
+  | D_get_varhead { vh_slot; _ } -> Option.to_list vh_slot
+  | D_align _ | D_const_str _ -> []
+  | D_get_string { slot; _ }
+  | D_get_byteseq { slot; _ }
+  | D_get_atom_array { slot; _ }
+  | D_loop { slot; _ }
+  | D_opt { slot; _ }
+  | D_switch { slot; _ }
+  | D_call { slot; _ } ->
+      [ slot ]
+
+let rec shape_reads acc = function
+  | Sh_void -> acc
+  | Sh_slot i -> i :: acc
+  | Sh_struct shapes -> List.fold_left shape_reads acc shapes
+
+(* Wire order is fill order: a frame whose shape reads its slots in
+   that order is built as it is read; one lone chunk may be read in any
+   order, since every load sits at a constant offset under one check. *)
+let build_of ops shapes =
+  let fills = List.concat_map op_fills ops in
+  let reads = List.rev (List.fold_left shape_reads [] shapes) in
+  let direct =
+    match ops with [ D_chunk _ ] | [ D_align _; D_chunk _ ] -> true | _ -> false
+  in
+  let sorted = List.sort compare fills in
+  if direct && sorted = List.sort compare reads
+     && List.length (List.sort_uniq compare fills) = List.length fills
+  then Direct_chunk
+  else if fills = reads then In_order
+  else if sorted <> List.sort compare reads then
+    Slot_frame "slots filled and read differ"
+  else Slot_frame "shape reads slots out of wire order"
+
+let frame_build f = build_of f.f_ops [ f.f_shape ]
+let plan_build p = build_of p.d_ops p.d_shapes
+
+let build_name = function
+  | Direct_chunk -> "direct chunk"
+  | In_order -> "in order"
+  | Slot_frame why -> "slot frame: " ^ why
+
+let frame_builds p =
+  let out = ref [ ("top", plan_build p) ] in
+  let rec walk path ops =
+    List.iter
+      (function
+        | D_loop { frame; slot; _ } ->
+            sub (Printf.sprintf "%s/s%d loop" path slot) frame
+        | D_opt { frame; slot } ->
+            sub (Printf.sprintf "%s/s%d opt" path slot) frame
+        | D_switch { arms; default; slot; _ } ->
+            List.iter
+              (fun arm ->
+                sub
+                  (Format.asprintf "%s/s%d case %a" path slot Mint.pp_const
+                     arm.d_const)
+                  arm.d_frame)
+              arms;
+            Option.iter
+              (sub (Printf.sprintf "%s/s%d default" path slot))
+              default
+        | _ -> ())
+      ops
+  and sub path f =
+    out := (path, frame_build f) :: !out;
+    walk path f.f_ops
+  in
+  walk "top" p.d_ops;
+  List.iter (fun (name, f) -> sub ("sub " ^ name) f) p.d_subs;
+  List.rev !out
+
+(* A lower bound on the bytes one run of [ops] consumes: chunk sizes,
+   one count/length/option word per variable-length op (4 bytes, or a
+   1-byte head when self-describing), the cheapest union arm, and
+   nothing for alignment or subroutine calls. *)
+let rec min_wire ~selfdesc ops =
+  let word = if selfdesc then 1 else 4 in
+  let count c ~elem = match c with Dc_fixed n -> n * elem | Dc_len _ -> word in
+  List.fold_left
+    (fun acc op ->
+      acc
+      +
+      match op with
+      | D_align _ | D_call _ -> 0
+      | D_chunk { size; _ } -> size
+      | D_get_varhead _ -> 1
+      | D_get_string _ | D_const_str _ | D_opt _ -> word
+      | D_get_byteseq { count = c; _ } -> count c ~elem:1
+      | D_get_atom_array { count = c; atom; _ } ->
+          count c ~elem:(if selfdesc then 1 else atom.Mplan.size)
+      | D_loop { count = c; frame; _ } ->
+          count c ~elem:(min_wire ~selfdesc frame.f_ops)
+      | D_switch { discrim_atom; arms; default; _ } -> (
+          (match discrim_atom with
+          | Some a when not selfdesc -> a.Mplan.size
+          | Some _ | None -> word)
+          +
+          match List.map (fun a -> a.d_frame) arms @ Option.to_list default with
+          | [] -> 0
+          | fs ->
+              List.fold_left min max_int
+                (List.map (fun f -> min_wire ~selfdesc f.f_ops) fs)))
     0 ops

@@ -19,10 +19,14 @@
     - {b inlined control flow} with {!constructor-D_call} exactly at
       the recursion points of self-referential types.
 
-    Decoded atoms land in numbered {e slots} of the enclosing frame; a
-    {!shape} tree assembles slots into the final structured value.
-    This indirection decouples wire order from construction order,
-    which is what lets one chunk span several struct fields. *)
+    Each load names the numbered {e slot} of its frame that it fills,
+    and a {!shape} tree says how the frame's slots assemble into its
+    value.  Naming decouples wire order from construction order, which
+    is what lets one chunk span several struct fields.  Slots need not
+    exist at runtime: a frame whose ops fill slots in the order its
+    shape reads them, or that is one fixed chunk, is built straight
+    into its value ({!frame_build}); only the rest decode into a slot
+    array first. *)
 
 type shape =
   | Sh_void
@@ -111,3 +115,34 @@ val count_ops : dop list -> int
 val count_checks : dop list -> int
 (** Static count of bounds-check sites (checked chunks plus the
     self-checking variable-length reads); loop bodies count once. *)
+
+(** {2 How the executor builds each frame's value} *)
+
+type build =
+  | Direct_chunk
+      (** the frame is one fixed chunk, optionally after an
+          alignment: one check, each item loaded at its constant
+          offset straight into the shape, one advance *)
+  | In_order
+      (** the ops fill slots in the order the shape reads them, so each
+          value is built as it is read, with no slot array *)
+  | Slot_frame of string
+      (** the shape reads slots out of wire order (the reason): the
+          frame decodes into a per-call slot array first *)
+
+val frame_build : frame -> build
+val plan_build : plan -> build
+(** The top frame, whose shapes are the plan's roots. *)
+
+val build_name : build -> string
+(** ["direct chunk"], ["in order"], or ["slot frame: <reason>"]. *)
+
+val frame_builds : plan -> (string * build) list
+(** Every frame of the plan, top first, each under its path (["top"],
+    ["top/s0 loop"], ["sub name"], ...). *)
+
+val min_wire : selfdesc:bool -> dop list -> int
+(** A static lower bound on the wire bytes [ops] consume ([selfdesc]:
+    msgpack/CBOR, whose counts are 1-byte heads rather than 4-byte
+    words); 0 means no bound.  What a loop checks against the bytes
+    that remain before allocating for its count. *)

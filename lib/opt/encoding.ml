@@ -163,20 +163,27 @@ let emit8 ~check b tag v =
   Mbuf.set_i64_be b 1 v;
   Mbuf.advance b 9
 
-(* Read the [width]-byte (1, 2 or 4) big-endian payload after a one-byte
-   tag, in place and zero-extended; checks tag+payload are in bounds. *)
+(* the [width]-byte (1, 2 or 4) big-endian payload after the tag at
+   [b.[i]], zero-extended *)
+let[@inline] payload_at b i width =
+  match width with
+  | 1 -> Bytes.get_uint8 b (i + 1)
+  | 2 -> Bytes.get_uint16_be b (i + 1)
+  | _ -> Int32.to_int (Bytes.get_int32_be b (i + 1)) land 0xffff_ffff
+
+let payload_in width b i _ = payload_at b i width
+
+(* The same payload read through a reader, in place; checks
+   tag+payload are in bounds. *)
 let payload r width =
   Mbuf.need r (1 + width);
-  match width with
-  | 1 -> Mbuf.get_u8 r 1
-  | 2 -> Mbuf.get_i16_be r 1
-  | _ -> Mbuf.get_i32_be r 1 land 0xffff_ffff
+  Mbuf.window r payload_in width
 
-let sext width v =
+let[@inline] sext width v =
   let s = Sys.int_size - (8 * width) in
   (v lsl s) asr s
 
-let signed_of = function
+let[@inline] signed_of = function
   | Kint { signed; _ } -> signed
   | Kbool | Kchar | Kfloat _ -> false
 
@@ -188,9 +195,10 @@ let wide_field kind n =
   | Kint { bits; _ } -> verr "integer %Ld out of range for %d-bit field" n bits
   | Kbool | Kfloat _ -> invalid_arg "Encoding: not an integer field"
 
-let check_field kind v =
+let[@inline] check_field kind v =
   (match kind with
   | Kchar -> if v > 255 then verr "invalid character %d" v
+  | Kint { bits; _ } when bits >= 64 -> () (* the 64-bit stand-ins below *)
   | Kint { bits; signed } ->
       let c = if signed then sext (bits / 8) v else v land ((1 lsl bits) - 1) in
       if c <> v then verr "integer %d out of range for %d-bit field" v bits
@@ -198,7 +206,7 @@ let check_field kind v =
   v
 
 (* the parsers' stand-in fields for the native part of a 64-bit read,
-   which never reaches [wide_field] *)
+   which never reaches [wide_field] and which [check_field] passes *)
 let k_i64 = Kint { bits = 64; signed = true }
 let k_u64 = Kint { bits = 64; signed = false }
 
@@ -256,48 +264,58 @@ let mp_get_wide ~signed r t =
   Mbuf.skip r 9;
   v
 
-let mp_uint r width floor what =
-  let v = payload r width in
+(* An integer head is read in one width/value step over bytes: the tag
+   alone fixes the head's width, and once that many bytes are present
+   the value is read in place.  One head lying whole in the reader's
+   window ([var_get_int]), a run of them ([var_fill_ints]) and the
+   reader path for a head that does not ([get_int]) all drive the same
+   step, so they accept, reject and report exactly alike.  The step's
+   helpers are [@inline]: the run calls them for every element, and a
+   call each was most of their cost. *)
+
+let[@inline] mp_uint b i width floor what =
+  let v = payload_at b i width in
   if v < floor then verr "msgpack: non-minimal %s" what;
-  Mbuf.skip r (1 + width);
   v
 
-let mp_negint ~signed r width ceil what =
-  if not signed then verr "msgpack: negative integer for unsigned field";
-  let v = sext width (payload r width) in
+let[@inline] mp_negint b i width ceil what =
+  let v = sext width (payload_at b i width) in
   if v > ceil then verr "msgpack: non-minimal %s" what;
-  Mbuf.skip r (1 + width);
   v
 
-(* one integer read into [kind]: tag and payload in place, the value a
-   native int *)
-let mp_get_int kind r =
-  let signed = signed_of kind in
-  Mbuf.need r 1;
-  let t = Mbuf.get_u8 r 0 in
-  if t <= 0x7f then (
-    Mbuf.skip r 1;
-    t)
-  else if t >= 0xe0 then (
-    if not signed then verr "msgpack: negative integer for unsigned field";
-    Mbuf.skip r 1;
-    t - 256)
+(* Width of the integer head tagged [t]: 1, 2, 3, 5, or 9 for the
+   8-byte forms.  A negative form in an unsigned field fails before
+   its payload is needed. *)
+let[@inline] mp_int_width ~signed t =
+  if t <= 0x7f then 1
+  else
+    let w =
+      match t with
+      | 0xcc | 0xd0 -> 2
+      | 0xcd | 0xd1 -> 3
+      | 0xce | 0xd2 -> 5
+      | 0xcf | 0xd3 -> 9
+      | _ ->
+          if t < 0xe0 then verr "msgpack: expected integer, got tag 0x%02x" t;
+          1
+    in
+    if (not signed) && (t >= 0xe0 || (t >= 0xd0 && t <= 0xd3)) then
+      verr "msgpack: negative integer for unsigned field";
+    w
+
+(* the value of the head at [b.[i]], of width at most 5, all present *)
+let[@inline] mp_int_value b i =
+  let t = Bytes.get_uint8 b i in
+  if t <= 0x7f then t
+  else if t >= 0xe0 then t - 256
   else
     match t with
-    | 0xcc -> mp_uint r 1 0x80 "uint8"
-    | 0xcd -> mp_uint r 2 0x100 "uint16"
-    | 0xce -> mp_uint r 4 0x10000 "uint32"
-    | 0xd0 -> mp_negint ~signed r 1 (-33) "int8"
-    | 0xd1 -> mp_negint ~signed r 2 (-129) "int16"
-    | 0xd2 -> mp_negint ~signed r 4 (-32769) "int32"
-    | 0xcf | 0xd3 -> wide_field kind (mp_get_wide ~signed r t)
-    | _ -> verr "msgpack: expected integer, got tag 0x%02x" t
-
-let mp_get_int64 ~signed r =
-  Mbuf.need r 1;
-  let t = Mbuf.get_u8 r 0 in
-  if t = 0xcf || t = 0xd3 then mp_get_wide ~signed r t
-  else Int64.of_int (mp_get_int (if signed then k_i64 else k_u64) r)
+    | 0xcc -> mp_uint b i 1 0x80 "uint8"
+    | 0xcd -> mp_uint b i 2 0x100 "uint16"
+    | 0xce -> mp_uint b i 4 0x10000 "uint32"
+    | 0xd0 -> mp_negint b i 1 (-33) "int8"
+    | 0xd1 -> mp_negint b i 2 (-129) "int16"
+    | _ -> mp_negint b i 4 (-32769) "int32"
 
 let mp_len r width floor what =
   let n = payload r width in
@@ -404,26 +422,35 @@ let cbor_wide_int ~signed r t =
       Int64.lognot n
   | major -> verr "cbor: expected integer, got major type %d" major
 
-(* one integer read into [kind], the value a native int *)
-let cbor_get_int kind r =
-  let signed = signed_of kind in
-  Mbuf.need r 1;
-  let t = Mbuf.get_u8 r 0 in
-  if t land 0x1f = 27 then wide_field kind (cbor_wide_int ~signed r t)
-  else
-    let n = cbor_arg r t in
-    match t lsr 5 with
-    | 0 -> n
-    | 1 ->
-        if not signed then verr "cbor: negative integer for unsigned field";
-        lnot n
-    | major -> verr "cbor: expected integer, got major type %d" major
+let[@inline] cbor_int_width t =
+  match t land 0x1f with
+  | 24 -> 2
+  | 25 -> 3
+  | 26 -> 5
+  | 27 -> 9
+  | info ->
+      if info > 23 then verr "cbor: malformed head 0x%02x" t;
+      1
 
-let cbor_get_int64 ~signed r =
-  Mbuf.need r 1;
-  let t = Mbuf.get_u8 r 0 in
-  if t land 0x1f = 27 then cbor_wide_int ~signed r t
-  else Int64.of_int (cbor_get_int (if signed then k_i64 else k_u64) r)
+let[@inline] cbor_int_value ~signed b i =
+  let t = Bytes.get_uint8 b i in
+  let info = t land 0x1f in
+  let n =
+    if info <= 23 then info
+    else
+      let width, floor =
+        match info with 24 -> (1, 24) | 25 -> (2, 0x100) | _ -> (4, 0x10000)
+      in
+      let n = payload_at b i width in
+      if n < floor then verr "cbor: non-minimal argument in head 0x%02x" t;
+      n
+  in
+  match t lsr 5 with
+  | 0 -> n
+  | 1 ->
+      if not signed then verr "cbor: negative integer for unsigned field";
+      lnot n
+  | major -> verr "cbor: expected integer, got major type %d" major
 
 let cbor_get_len r kind =
   let want = len_major kind in
@@ -472,14 +499,89 @@ let var_put_len vc ~check b kind n =
   | Msgpack -> mp_put_len ~check b kind n
   | Cbor -> cbor_put_head ~check b (len_major kind) n
 
+let[@inline] int_width vc ~signed t =
+  match vc with Msgpack -> mp_int_width ~signed t | Cbor -> cbor_int_width t
+
+let[@inline] int_value vc ~signed b i =
+  match vc with Msgpack -> mp_int_value b i | Cbor -> cbor_int_value ~signed b i
+
+let wide_int vc ~signed r t =
+  match vc with
+  | Msgpack -> mp_get_wide ~signed r t
+  | Cbor -> cbor_wide_int ~signed r t
+
+(* One head lying whole in a window, [b.[cur .. stop)], read into
+   [kind]: (value lsl 3) lor width, or 0 when the head is not whole
+   there or is an 8-byte form, which the reader path takes.  As
+   [Mbuf.window] kernels, one per format, closed so that no read
+   allocates. *)
+let[@inline] head_in_window vc kind b cur stop =
+  if cur >= stop then 0
+  else
+    let signed = signed_of kind in
+    let w = int_width vc ~signed (Bytes.get_uint8 b cur) in
+    if w = 9 || cur + w > stop then 0
+    else (check_field kind (int_value vc ~signed b cur) lsl 3) lor w
+
+let mp_head kind b cur stop = head_in_window Msgpack kind b cur stop
+let cbor_head kind b cur stop = head_in_window Cbor kind b cur stop
+let[@inline] head vc = match vc with Msgpack -> mp_head | Cbor -> cbor_head
+
+(* one integer head read through the reader into [kind], the value a
+   native int checked against the field: the path for a head not lying
+   whole in the window *)
+let get_int vc kind r =
+  let signed = signed_of kind in
+  Mbuf.need r 1;
+  let t = Mbuf.get_u8 r 0 in
+  let w = int_width vc ~signed t in
+  if w = 9 then wide_field kind (wide_int vc ~signed r t)
+  else begin
+    Mbuf.need r w;
+    let got = Mbuf.window r (head vc) kind in
+    Mbuf.skip r w;
+    got asr 3
+  end
+
 let var_get_int vc kind r =
-  check_field kind
-    (match vc with Msgpack -> mp_get_int kind r | Cbor -> cbor_get_int kind r)
+  let got = Mbuf.window r (head vc) kind in
+  if got = 0 then get_int vc kind r
+  else begin
+    Mbuf.skip r (got land 7);
+    got asr 3
+  end
 
 let var_get_int64 vc ~signed r =
-  match vc with
-  | Msgpack -> mp_get_int64 ~signed r
-  | Cbor -> cbor_get_int64 ~signed r
+  Mbuf.need r 1;
+  let t = Mbuf.get_u8 r 0 in
+  if int_width vc ~signed t = 9 then wide_int vc ~signed r t
+  else Int64.of_int (get_int vc (if signed then k_i64 else k_u64) r)
+
+(* The same step over a run: heads parse in place while they lie whole
+   in the window, and the first that does not, with everything after
+   it, goes through [var_get_int].  The kernel reports how far it got
+   as (elements lsl 31) lor bytes, scanning at most 2^31 - 1 bytes. *)
+let var_fill_ints vc kind =
+  let fill out b cur stop =
+    let n = Array.length out and stop = min stop (cur + 0x7fff_ffff) in
+    let k = ref 0 and i = ref cur and more = ref true in
+    while !more && !k < n do
+      let got = head_in_window vc kind b !i stop in
+      if got = 0 then more := false
+      else begin
+        Array.unsafe_set out !k (got asr 3);
+        incr k;
+        i := !i + (got land 7)
+      end
+    done;
+    (!k lsl 31) lor (!i - cur)
+  in
+  fun r out ->
+    let got = Mbuf.window r fill out in
+    Mbuf.skip r (got land 0x7fff_ffff);
+    for j = got lsr 31 to Array.length out - 1 do
+      Array.unsafe_set out j (var_get_int vc kind r)
+    done
 
 let var_get_bool vc r =
   Mbuf.need r 1;

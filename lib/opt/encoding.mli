@@ -132,6 +132,15 @@ val var_get_int : varcodec -> atom_kind -> Mbuf.reader -> int
 (** Parse one integer into a [Kchar] field or a [Kint] field of at most
     32 bits; rejects values outside the field. *)
 
+val var_fill_ints : varcodec -> atom_kind -> Mbuf.reader -> int array -> unit
+(** [var_fill_ints vc kind r out] fills [out] with consecutive integers
+    read into [kind] as {!var_get_int} reads one: heads lying whole in
+    the reader's window parse in place in one pass, and the first that
+    does not (an 8-byte form, or one crossing the window's end) and
+    everything after it go through {!var_get_int}.  Values and errors
+    are those of [Array.length out] calls to {!var_get_int}.  Partially
+    applied to [vc] and [kind] it builds its kernel once. *)
+
 val var_get_int64 : varcodec -> signed:bool -> Mbuf.reader -> int64
 (** Parse one integer into a 64-bit field. *)
 

@@ -35,11 +35,12 @@ val selection_fingerprint : t -> string
 
 (** {1 Tiered execution}
 
-    Process-global policy for the staged (tier 1) plan specializer:
-    whether hot plans are promoted to staged flat closures, and after
-    how many calls.  Global rather than per-compile because the
-    decision is baked into cached closures; it is serialized into every
-    encoder/decoder cache key via {!stage_fingerprint}.
+    Process-global policy for the staged (tier 1) encode specializer:
+    whether hot marshal plans are promoted to staged flat closures, and
+    after how many calls (decoding has one tier).  Global rather than
+    per-compile because the decision is baked into cached closures; it
+    is serialized into every encoder cache key via
+    {!stage_fingerprint}.
 
     Resolution order: the programmatic setters win over the
     [FLICK_STAGE] environment variable ([unset] = on with threshold 32,

@@ -697,6 +697,7 @@ let get_f64_le r off =
 
 let get_bytes r off len = Bytes.sub r.rbuf (r.rpos + off) len
 let get_string r off len = Bytes.sub_string r.rbuf (r.rpos + off) len
+let window r k x = k x r.rbuf r.rpos r.rend
 
 let read_u8 r =
   need r 1;

@@ -285,6 +285,14 @@ val get_f64_le : reader -> int -> float
 val get_bytes : reader -> int -> int -> bytes
 val get_string : reader -> int -> int -> string
 
+val window : reader -> ('a -> bytes -> int -> int -> 'b) -> 'a -> 'b
+(** [window r k x] is [k x b cur stop]: [b.[cur .. stop)] are the next
+    unread bytes of [r]'s current window ({!need} [n] first makes at
+    least [n] of them contiguous).  For decode kernels that read a run
+    in place; [x] lets a kernel built once take per-call state without
+    a closure.  [k] must not keep [b], and the caller advances the
+    cursor with {!skip} afterwards. *)
+
 (** Checked sequential reads (advance the cursor); the bulk reads
     gather across segment boundaries. *)
 

@@ -271,7 +271,6 @@ let failure_tests =
                   [
                     ("plan", Stub_opt.compile_decoder ~enc ~mint ~named:[] droots);
                     ("tier 0", Stub_opt.decoder_of_dplan ~enc dplan);
-                    ("staged", Option.get (Stub_opt.staged_decoder_of_dplan ~enc dplan));
                     ("closure", Stub_opt.build_decoder ~enc ~mint ~named:[] droots);
                     ("naive", Stub_naive.compile_decoder ~config:naive_config ~enc ~mint ~named:[] droots);
                     ("interp", Stub_interp.compile_decoder ~enc ~mint ~named:[] droots);
@@ -487,9 +486,318 @@ let selfdesc_array_tests =
             (Plan_verify.check_dplan (plan true) <> Ok ()));
     ]
 
+(* -- window edges --------------------------------------------------- *)
+
+(* The in-window kernels (Codec.read_i32s, the msgpack/CBOR integer run)
+   and every chunk check must decode a message cut into segments at any
+   byte exactly as they decode it whole: the same value, or the same
+   exception on a truncated prefix. *)
+
+type edge_outcome = Decoded of Value.t | Raised of string
+
+let edge_outcome d r =
+  match d r with
+  | [| v |] -> Decoded v
+  | _ -> Raised "arity"
+  | exception Mbuf.Short_buffer -> Raised "Short_buffer"
+  | exception Codec.Decode_error _ -> Raised "Decode_error"
+
+let pp_edge fmt = function
+  | Decoded v -> Format.fprintf fmt "ok %a" Value.pp v
+  | Raised e -> Format.pp_print_string fmt e
+
+(* a reader over [wire.[0 .. len)] whose segments end at [cuts], each
+   segment a copy of its own, so nothing past a window's end is
+   readable *)
+let segmented ?(len = -1) (wire : bytes) cuts =
+  let len = if len < 0 then Bytes.length wire else len in
+  let w = Mbuf.create 16 in
+  let piece a b = Mbuf.put_borrow_bytes w (Bytes.sub wire a (b - a)) 0 (b - a) in
+  let prev =
+    List.fold_left
+      (fun prev c ->
+        if c > prev && c < len then begin
+          piece prev c;
+          c
+        end
+        else prev)
+      0 (List.sort_uniq compare cuts)
+  in
+  if len > prev then piece prev len;
+  Mbuf.reader w
+
+let random_cuts n =
+  if n < 2 then []
+  else if Random.State.int rng 4 = 0 then List.init (n - 1) (fun i -> i + 1)
+  else List.init (1 + Random.State.int rng 8) (fun _ -> 1 + Random.State.int rng (n - 1))
+
+let window_edge_prop enc (c : Test_engines.case) =
+  let v =
+    Workload.random rng c.Test_engines.mint ~named:c.Test_engines.named
+      c.Test_engines.idx c.Test_engines.pres
+  in
+  let wire = Bytes.of_string (encode enc c v) in
+  let d =
+    Stub_opt.compile_decoder ~enc ~mint:c.Test_engines.mint
+      ~named:c.Test_engines.named (Test_engines.droots_of c)
+  in
+  let n = Bytes.length wire in
+  List.iter
+    (fun len ->
+      let cuts = random_cuts len in
+      let whole = edge_outcome d (Mbuf.reader_of_bytes ~len wire)
+      and cut = edge_outcome d (segmented ~len wire cuts) in
+      let same =
+        match (whole, cut) with
+        | Decoded a, Decoded b -> Value.equal a b
+        | Raised a, Raised b -> a = b
+        | Decoded _, Raised _ | Raised _, Decoded _ -> false
+      in
+      if not same then
+        QCheck.Test.fail_reportf
+          "%s, %d/%d bytes cut at [%s]: whole %a, segmented %a"
+          c.Test_engines.label len n
+          (String.concat ";" (List.map string_of_int cuts))
+          pp_edge whole pp_edge cut;
+      match whole with
+      | Decoded x when len = n && not (Value.equal x v) ->
+          QCheck.Test.fail_reportf "%s: whole decode %a" c.Test_engines.label
+            pp_edge whole
+      | Raised _ when len = n ->
+          QCheck.Test.fail_reportf "%s: whole decode %a" c.Test_engines.label
+            pp_edge whole
+      | Decoded _ | Raised _ -> ())
+    [ n; (if n > 0 then Random.State.int rng n else 0) ];
+  true
+
+let window_edge_tests =
+  List.map
+    (fun enc ->
+      QCheck_alcotest.to_alcotest
+        (QCheck.Test.make ~count:300
+           ~name:(enc.Encoding.name ^ ": segmented decode = contiguous decode")
+           Test_engines.arbitrary_case (window_edge_prop enc)))
+    Encoding.all
+  @ [
+      Alcotest.test_case "read_i32s narrows sub-32-bit words across a cut"
+        `Quick (fun () ->
+          (* the words of the sign-extension fix: a high half that is
+             not the element's extension still narrows to the low bits *)
+          List.iter
+            (fun be ->
+              let wire =
+                let buf = Mbuf.create 8 in
+                List.iter (Mbuf.put_i32 buf ~be) [ 0x00000007; 0xff01fffd ];
+                Mbuf.contents buf
+              in
+              List.iter
+                (fun (bits, signed, expect) ->
+                  List.iter
+                    (fun (how, r) ->
+                      let got = Codec.read_i32s ~be ~signed ~bits r 2 in
+                      Alcotest.(check (array int))
+                        (Printf.sprintf "%s %d-bit %s, %s" (if be then "BE" else "LE")
+                           bits (if signed then "signed" else "unsigned") how)
+                        expect got;
+                      Alcotest.(check int) "whole run consumed" 0 (Mbuf.remaining r))
+                    [
+                      ("contiguous", Mbuf.reader_of_bytes wire);
+                      ("cut inside the second word", segmented wire [ 5 ]);
+                      ("cut at every byte", segmented wire [ 1; 2; 3; 4; 5; 6; 7 ]);
+                    ])
+                [
+                  (16, true, [| 7; -3 |]);
+                  (16, false, [| 7; 0xfffd |]);
+                  (8, true, [| 7; -3 |]);
+                  (8, false, [| 7; 0xfd |]);
+                  (32, false, [| 7; 0xff01fffd |]);
+                  (32, true, [| 7; 0xff01fffd - 0x1_0000_0000 |]);
+                ])
+            [ true; false ]);
+      Alcotest.test_case "non-minimal head: the run rejects it as one read does"
+        `Quick (fun () ->
+          let mint = Mint.create () in
+          let idx =
+            Mint.array mint ~elem:(Mint.int32 mint) ~min_len:0 ~max_len:None
+          in
+          let pres =
+            Pres.Counted_seq
+              { len_field = "len"; buf_field = "val"; elem = Pres.Direct }
+          in
+          List.iter
+            (fun (enc, head, bad, want) ->
+              let vcc = Option.get enc.Encoding.var in
+              let wire = Bytes.of_string (head ^ "\x01" ^ bad ^ "\x03") in
+              let d =
+                Stub_opt.compile_decoder ~enc ~mint ~named:[]
+                  [ Stub_opt.Dvalue (idx, pres) ]
+              in
+              let one =
+                match
+                  Encoding.var_get_int vcc (Encoding.Kint { bits = 32; signed = true })
+                    (Mbuf.reader_of_bytes (Bytes.of_string bad))
+                with
+                | _ -> "accepted"
+                | exception Codec.Decode_error m -> m
+              in
+              Alcotest.(check string) (enc.Encoding.name ^ ": one read") want one;
+              List.iter
+                (fun (how, r) ->
+                  match d r with
+                  | _ -> Alcotest.failf "%s %s: accepted a non-minimal head" enc.Encoding.name how
+                  | exception Codec.Decode_error m ->
+                      Alcotest.(check string) (enc.Encoding.name ^ ": " ^ how) want m)
+                [
+                  ("in the window", Mbuf.reader_of_bytes wire);
+                  ("cut inside the head", segmented wire [ String.length head + 2 ]);
+                ])
+            [
+              (Encoding.msgpack, "\x93", "\xcc\x05", "msgpack: non-minimal uint8");
+              (Encoding.cbor, "\x83", "\x18\x05", "cbor: non-minimal argument in head 0x18");
+            ]);
+    ]
+
+(* -- how frames are built ------------------------------------------ *)
+
+(* Hand-written plans reach the frame builds the compiler rarely emits:
+   a top frame whose roots read out of wire order, and one lone chunk
+   read in any order.  Every build must decode the same values. *)
+let frame_build_test () =
+  let i32 = { Mplan.kind = Encoding.Kint { bits = 32; signed = true }; size = 4; align = 4 } in
+  let chunk slots =
+    Dplan.D_chunk
+      {
+        size = 4 * List.length slots;
+        items = List.mapi (fun k slot -> Dplan.Dit_atom { off = 4 * k; atom = i32; slot }) slots;
+        check = true;
+      }
+  in
+  let wire =
+    let buf = Mbuf.create 16 in
+    List.iter (Mbuf.put_i32 buf ~be:true) [ 10; 20; 30 ];
+    Mbuf.contents buf
+  in
+  List.iter
+    (fun (what, ops, shapes, build, expect) ->
+      let plan = { Dplan.d_nslots = 3; d_ops = ops; d_shapes = shapes; d_subs = [] } in
+      Alcotest.(check string) (what ^ ": build") build
+        (Dplan.build_name (Dplan.plan_build plan));
+      let d = Stub_opt.decoder_of_dplan ~enc:Encoding.xdr plan in
+      let got = d (Mbuf.reader_of_bytes wire) in
+      Alcotest.(check bool) (what ^ ": values") true
+        (Array.length got = Array.length expect
+        && Array.for_all2 Value.equal got expect);
+      match d (Mbuf.reader_of_bytes ~len:10 wire) with
+      | _ -> Alcotest.failf "%s: decoded a truncated message" what
+      | exception Mbuf.Short_buffer -> ())
+    [
+      ( "roots in wire order",
+        [ chunk [ 0 ]; chunk [ 1; 2 ] ],
+        [ Dplan.Sh_slot 0; Dplan.Sh_struct [ Dplan.Sh_slot 1; Dplan.Sh_slot 2 ] ],
+        "in order",
+        [| Value.Vint 10; Value.Vstruct [| Value.Vint 20; Value.Vint 30 |] |] );
+      ( "one chunk read out of order",
+        [ chunk [ 0; 1; 2 ] ],
+        [ Dplan.Sh_slot 2; Dplan.Sh_struct [ Dplan.Sh_slot 0; Dplan.Sh_slot 1 ] ],
+        "direct chunk",
+        [| Value.Vint 30; Value.Vstruct [| Value.Vint 10; Value.Vint 20 |] |] );
+      ( "interleaved roots",
+        [ chunk [ 0 ]; chunk [ 1; 2 ] ],
+        [ Dplan.Sh_struct [ Dplan.Sh_slot 0; Dplan.Sh_slot 2 ]; Dplan.Sh_slot 1 ],
+        "slot frame: shape reads slots out of wire order",
+        [| Value.Vstruct [| Value.Vint 10; Value.Vint 30 |]; Value.Vint 20 |] );
+      ( "a slot read twice",
+        [ chunk [ 0 ]; chunk [ 1; 2 ] ],
+        [ Dplan.Sh_slot 0; Dplan.Sh_slot 0; Dplan.Sh_slot 2 ],
+        "slot frame: slots filled and read differ",
+        [| Value.Vint 10; Value.Vint 10; Value.Vint 30 |] );
+    ]
+
+(* -- hostile counts ------------------------------------------------- *)
+
+(* A count word that promises millions of directory entries in a body
+   of one: every loop checks the count against the bytes that remain,
+   at its static minimum per element, before allocating, so the decode
+   fails with a typed error having allocated almost nothing. *)
+let hostile_count_test () =
+  let hostile = 4_194_304 in
+  let entry =
+    Value.Vstruct
+      [|
+        Value.Vstring "abcdefgh";
+        Value.Vstruct
+          [| Value.Vint_array (Array.make 30 7); Value.Vbytes (Bytes.make 16 'x') |];
+      |]
+  in
+  List.iter
+    (fun (enc, style) ->
+      let pc = Paper_fixtures.bench_presc style in
+      let spec = Paper_fixtures.request_spec pc ~op:"send_dirents" in
+      let mint = spec.Paper_fixtures.ms_mint
+      and named = spec.Paper_fixtures.ms_named in
+      let wire_of n =
+        let e = Stub_opt.compile_encoder ~enc ~mint ~named spec.Paper_fixtures.ms_roots in
+        let buf = Mbuf.create 256 in
+        e buf [| Value.Varray (Array.make n entry) |];
+        Bytes.to_string (Mbuf.contents buf)
+      in
+      (* the count is where the one- and two-entry messages first differ *)
+      let one = wire_of 1 and two = wire_of 2 in
+      let at =
+        let rec go i = if one.[i] <> two.[i] then i else go (i + 1) in
+        go 0
+      in
+      let wire =
+        match enc.Encoding.var with
+        | None ->
+            let w = at land lnot 3 in
+            let b = Bytes.of_string one in
+            if enc.Encoding.big_endian then Bytes.set_int32_be b w (Int32.of_int hostile)
+            else Bytes.set_int32_le b w (Int32.of_int hostile);
+            b
+        | Some vc ->
+            let head =
+              (match vc with Encoding.Msgpack -> "\xdd" | Encoding.Cbor -> "\x9a")
+              ^ "\x00\x40\x00\x00"
+            in
+            Bytes.of_string
+              (String.sub one 0 at ^ head
+              ^ String.sub one (at + 1) (String.length one - at - 1))
+      in
+      let d = Stub_opt.compile_decoder ~enc ~mint ~named spec.Paper_fixtures.ms_droots in
+      let a0 = Gc.allocated_bytes () in
+      let typed =
+        match d (Mbuf.reader_of_bytes wire) with
+        | _ -> false
+        | exception (Mbuf.Short_buffer | Codec.Decode_error _) -> true
+      in
+      let allocated = Gc.allocated_bytes () -. a0 in
+      Alcotest.(check bool) (enc.Encoding.name ^ ": typed error") true typed;
+      if allocated >= 1e6 then
+        Alcotest.failf "%s: %d-byte body allocated %.0f bytes before failing"
+          enc.Encoding.name (Bytes.length wire) allocated)
+    [
+      (Encoding.xdr, `Rpcgen);
+      (Encoding.cdr, `Corba);
+      (Encoding.mach3, `Fluke);
+      (Encoding.msgpack, `Fluke);
+      (Encoding.cbor, `Fluke);
+    ]
+
 let suite =
   [
     ("decplan:differential", property_tests);
+    ("decplan:window-edges", window_edge_tests);
+    ( "decplan:frame-builds",
+      [
+        Alcotest.test_case "every frame build decodes the same values" `Quick
+          frame_build_test;
+      ] );
+    ( "decplan:hostile-count",
+      [
+        Alcotest.test_case "a hostile count fails typed, allocating < 1 MB"
+          `Quick hostile_count_test;
+      ] );
     ("decplan:failures", failure_tests);
     ("decplan:selfdesc-arrays", selfdesc_array_tests);
     ("decplan:views", view_tests);

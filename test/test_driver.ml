@@ -232,6 +232,36 @@ let dump_tests =
           (occurrences out "=== unmarshal plan:");
         Alcotest.(check int) "others filtered out" 0
           (occurrences out "send_ints"));
+    test "dump-plan --decode says how every Bench frame is built" (fun () ->
+        (* every frame of the three operations decodes straight to its
+           value, in all five encodings: no slot frames *)
+        List.iter
+          (fun enc ->
+            let out =
+              Plan_dump.render ~idl:Driver.Idl_corba ~pres:Driver.Pres_rpcgen
+                ~backend:Driver.Back_oncrpc ~interface:None ~op:None
+                ~mode:Plan_dump.Unmarshal ~encoding:enc ~file:"bench.idl"
+                ~source:Paper_fixtures.bench_idl ()
+            in
+            let frames =
+              List.filter
+                (fun l -> String.length l > 6 && String.sub l 0 6 = "frame ")
+                (String.split_on_char '\n' out)
+            in
+            let rects_loop =
+              if enc.Encoding.var = None then "direct chunk" else "in order"
+            in
+            Alcotest.(check (list string))
+              (enc.Encoding.name ^ " frames")
+              [
+                "frame top: in order";
+                "frame top: in order";
+                "frame top/s0 loop: " ^ rects_loop;
+                "frame top: in order";
+                "frame top/s0 loop: in order";
+              ]
+              frames)
+          Encoding.[ xdr; cdr; mach3; msgpack; cbor ]);
     test "dump-plan --trace-passes matches golden (send_dirents, oncrpc)"
       (fun () ->
         let out =

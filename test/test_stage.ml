@@ -1,25 +1,27 @@
-(* Differential coverage for the tier-1 staged plan specializer
-   (Plan_stage / Dplan_stage and the tiered closures in Stub_opt).
+(* Differential coverage for the tier-1 staged encoder (Plan_stage and
+   the tiered closures in Stub_opt).  Decoding has a single tier; the
+   decode checks here pin it against the rpcgen-style engine.
 
    For >= 500 random (MINT, PRES) cases per paper encoding:
 
    1. every subroutine-free plan has a flat-closure form, and the
       staged encoder produces bytes identical to the tier-0 plan
       executor and the rpcgen-style engine;
-   2. the staged decoder recovers the encoded value (Value.equal) and
-      consumes the whole message, exactly like tier 0;
-   3. truncated prefixes and a corrupted byte keep the two decode
-      tiers in agreement: both fail (Short_buffer / Decode_error) or
-      both succeed on the same value.
+   2. the decoder recovers the encoded value (Value.equal) and consumes
+      the whole message, and Stub_naive decodes the same value;
+   3. truncated prefixes and a corrupted byte keep the decoder and
+      Stub_naive in agreement: both fail (Short_buffer / Decode_error)
+      or both succeed on the same value.
 
    Unit tests pin the promotion machinery itself: the per-fingerprint
-   hotness counter promotes an encoder and a decoder exactly at the
-   configured threshold (the first N calls run interpreted, every
-   later call staged, bytes and values unchanged across the
-   boundary); a threshold of 1 promotes on the very first call;
-   recursive plans decline staging, are counted under stage.fallbacks,
-   and still marshal correctly at tier 0; and a serve workload driven
-   across a mid-run promotion returns every pooled buffer. *)
+   hotness counter promotes an encoder exactly at the configured
+   threshold (the first N calls run interpreted, every later call
+   staged, bytes unchanged across the boundary); a threshold of 1
+   promotes on the very first call; decoders never touch the tier
+   counters; recursive plans decline staging, are counted under
+   stage.fallbacks, and still marshal correctly at tier 0; and a serve
+   workload driven across a mid-run promotion returns every pooled
+   buffer. *)
 
 let rng = Random.State.make [| 0x57a6ed |]
 
@@ -62,7 +64,7 @@ let pp_outcome fmt = function
 let dplan_droots (c : Test_engines.case) =
   [ Dplan_compile.Dvalue (c.Test_engines.idx, c.Test_engines.pres) ]
 
-(* -- staged == tier 0 == naive, on good and bad input ---------------- *)
+(* -- staged encode = tier 0 = naive; decoder = naive, good and bad input *)
 
 let staged_prop enc (c : Test_engines.case) =
   let mint = c.Test_engines.mint and named = c.Test_engines.named in
@@ -91,58 +93,54 @@ let staged_prop enc (c : Test_engines.case) =
     QCheck.Test.fail_reportf "staged/naive bytes differ on %s:@.%s@.%s"
       c.Test_engines.label (Test_engines.hex b1) (Test_engines.hex naive);
   let dplan = Plan_cache.dplan ~enc ~mint ~named (dplan_droots c) in
-  let dec1 =
-    match Stub_opt.staged_decoder_of_dplan ~enc dplan with
-    | Some d -> d
-    | None ->
-        QCheck.Test.fail_reportf
-          "subroutine-free decode plan has no flat closure on %s"
-          c.Test_engines.label
+  let dec = Stub_opt.decoder_of_dplan ~enc dplan in
+  let naive =
+    Stub_naive.compile_decoder ~config:Stub_naive.default_config ~enc ~mint
+      ~named (Test_engines.droots_of c)
   in
-  let dec0 = Stub_opt.decoder_of_dplan ~enc dplan in
   let wire = Bytes.of_string b1 in
-  (* well-formed input: the staged decode recovers the value and
-     consumes the whole message, and tier 0 agrees *)
+  (* well-formed input: the decode recovers the value and consumes the
+     whole message, and Stub_naive agrees *)
   let r = Mbuf.reader_of_bytes wire in
-  (match dec1 r with
+  (match dec r with
   | [| v' |] ->
       if not (Value.equal v v') then
-        QCheck.Test.fail_reportf "staged decode mismatch on %s:@.%a@.%a"
+        QCheck.Test.fail_reportf "decode mismatch on %s:@.%a@.%a"
           c.Test_engines.label Value.pp v Value.pp v';
       if Mbuf.remaining r <> 0 then
-        QCheck.Test.fail_reportf "staged decode left trailing bytes on %s"
+        QCheck.Test.fail_reportf "decode left trailing bytes on %s"
           c.Test_engines.label
   | _ -> QCheck.Test.fail_reportf "wrong arity on %s" c.Test_engines.label);
-  (match run_dec dec0 wire with
+  (match run_dec naive wire with
   | Ok_value v' when Value.equal v v' -> ()
   | out ->
-      QCheck.Test.fail_reportf "tier-0 decode disagrees on %s: %a"
+      QCheck.Test.fail_reportf "naive decode disagrees on %s: %a"
         c.Test_engines.label pp_outcome out);
-  (* truncation parity between the tiers *)
+  (* truncation parity with the rpcgen-style engine *)
   let n = Bytes.length wire in
   List.iter
     (fun cut ->
       if cut >= 0 && cut < n then begin
         let prefix = Bytes.sub wire 0 cut in
-        let a = run_dec dec1 prefix and b = run_dec dec0 prefix in
+        let a = run_dec dec prefix and b = run_dec naive prefix in
         if not (same_outcome a b) then
           QCheck.Test.fail_reportf
-            "truncation at %d/%d disagrees on %s: staged %a, tier-0 %a" cut n
+            "truncation at %d/%d disagrees on %s: decoder %a, naive %a" cut n
             c.Test_engines.label pp_outcome a pp_outcome b
       end)
     [ n - 1; n / 2; (if n > 0 then Random.State.int rng n else -1) ];
   (* corruption parity: a flipped bit lands on discriminators, bools,
-     counts, ... and must fail (or not) identically in both tiers *)
+     counts, ... and must fail (or not) identically in both engines *)
   if n > 0 then begin
     let corrupt = Bytes.copy wire in
     let at = Random.State.int rng n in
     Bytes.set corrupt at
       (Char.chr
          (Char.code (Bytes.get corrupt at) lxor (1 lsl Random.State.int rng 8)));
-    let a = run_dec dec1 corrupt and b = run_dec dec0 corrupt in
+    let a = run_dec dec corrupt and b = run_dec naive corrupt in
     if not (same_outcome a b) then
       QCheck.Test.fail_reportf
-        "corrupt byte %d disagrees on %s: staged %a, tier-0 %a" at
+        "corrupt byte %d disagrees on %s: decoder %a, naive %a" at
         c.Test_engines.label pp_outcome a pp_outcome b
   end;
   true
@@ -155,7 +153,7 @@ let property_tests =
   List.map
     (fun enc ->
       qtest
-        (enc.Encoding.name ^ ": staged tier agrees with tier 0 and naive")
+        (enc.Encoding.name ^ ": staged encode and the decoder agree with naive")
         (staged_prop enc))
     Encoding.all
 
@@ -236,7 +234,10 @@ let threshold_one_test () =
   Alcotest.(check int) "still one promotion" (p0 + 1) p2;
   Alcotest.(check int) "second call staged" (s0 + 1) s2
 
-let promotion_decode_test () =
+(* Decoders have one tier: however often a cached decoder runs, it
+   decodes the same value as Stub_naive and never touches the tier
+   counters. *)
+let decoder_one_tier_test () =
   with_stage ~threshold:7 @@ fun () ->
   let c = case_for 0x3707 in
   let mint = c.Test_engines.mint and named = c.Test_engines.named in
@@ -251,29 +252,28 @@ let promotion_decode_test () =
   let d =
     Stub_opt.compile_decoder ~enc ~mint ~named (Test_engines.droots_of c)
   in
-  let decode_once () =
-    match d (Mbuf.reader_of_bytes wire) with
-    | [| v' |] ->
-        Alcotest.(check bool) "decoded value stable" true (Value.equal v v')
-    | _ -> Alcotest.fail "wrong arity"
+  let naive =
+    Stub_naive.compile_decoder ~config:Stub_naive.default_config ~enc ~mint
+      ~named (Test_engines.droots_of c)
   in
-  let i0, p0, s0 = tiers () in
-  for _ = 1 to 6 do decode_once () done;
-  let i1, p1, s1 = tiers () in
-  Alcotest.(check int) "six interpreted decodes" (i0 + 6) i1;
-  Alcotest.(check int) "no promotion below the threshold" p0 p1;
-  Alcotest.(check int) "no staged decodes below the threshold" s0 s1;
-  decode_once ();
-  let i2, p2, s2 = tiers () in
-  Alcotest.(check int) "threshold decode still interpreted" (i0 + 7) i2;
-  Alcotest.(check int) "promotion exactly at the threshold" (p0 + 1) p2;
-  Alcotest.(check int) "threshold decode not yet staged" s0 s2;
-  decode_once ();
-  decode_once ();
-  let i3, p3, s3 = tiers () in
-  Alcotest.(check int) "interpreted count frozen after promotion" (i0 + 7) i3;
-  Alcotest.(check int) "exactly one promotion" (p0 + 1) p3;
-  Alcotest.(check int) "two staged decodes" (s0 + 2) s3
+  let t0 = tiers () in
+  for _ = 1 to 10 do
+    match (d (Mbuf.reader_of_bytes wire), naive (Mbuf.reader_of_bytes wire)) with
+    | [| v' |], [| vn |] ->
+        Alcotest.(check bool) "decoded value stable" true (Value.equal v v');
+        Alcotest.(check bool) "decoder = naive" true (Value.equal vn v')
+    | _ -> Alcotest.fail "wrong arity"
+  done;
+  Alcotest.(check bool) "no tier counter moved" true (t0 = tiers ());
+  let n = Bytes.length wire in
+  List.iter
+    (fun cut ->
+      let prefix = Bytes.sub wire 0 cut in
+      Alcotest.(check bool)
+        (Printf.sprintf "truncation at %d/%d: decoder = naive" cut n)
+        true
+        (same_outcome (run_dec d prefix) (run_dec naive prefix)))
+    [ 0; n / 2; n - 1 ]
 
 (* -- fallback: recursive plans stay at tier 0 ------------------------ *)
 
@@ -289,13 +289,7 @@ let fallback_test () =
   (match Stub_opt.staged_encoder_of_plan ~enc plan with
   | None -> ()
   | Some _ -> Alcotest.fail "staged encoder built for a recursive plan");
-  let dplan = Plan_cache.dplan ~enc ~mint ~named (dplan_droots c) in
-  Alcotest.(check bool) "recursive decode plan is unstageable" false
-    (Dplan_stage.stageable dplan);
-  (match Stub_opt.staged_decoder_of_dplan ~enc dplan with
-  | None -> ()
-  | Some _ -> Alcotest.fail "staged decoder built for a recursive plan");
-  (* the cached entry points count the declined plans ... *)
+  (* the cached encoder entry point counts the declined plan ... *)
   let f0 = counter "stage.fallbacks" in
   let e =
     Stub_opt.compile_encoder ~enc ~mint ~named (Test_engines.roots_of c)
@@ -305,9 +299,10 @@ let fallback_test () =
   let d =
     Stub_opt.compile_decoder ~enc ~mint ~named (Test_engines.droots_of c)
   in
-  Alcotest.(check int) "decoder fallback counted" (f0 + 2)
+  Alcotest.(check int) "decoders decline nothing" (f0 + 1)
     (counter "stage.fallbacks");
-  (* ... and the fallback closures run correctly, entirely at tier 0 *)
+  (* ... and the fallback encoder runs correctly, entirely at tier 0,
+     into the one decoder *)
   let _, p0, s0 = tiers () in
   let wire = encode_to e v in
   let naive =
@@ -320,6 +315,19 @@ let fallback_test () =
   | [| v' |] ->
       Alcotest.(check bool) "fallback roundtrip" true (Value.equal v v')
   | _ -> Alcotest.fail "wrong arity");
+  let naive_dec =
+    Stub_naive.compile_decoder ~config:Stub_naive.default_config ~enc ~mint
+      ~named (Test_engines.droots_of c)
+  in
+  let wire = Bytes.of_string wire in
+  List.iter
+    (fun cut ->
+      let prefix = Bytes.sub wire 0 cut in
+      Alcotest.(check bool)
+        (Printf.sprintf "recursive truncation at %d: decoder = naive" cut)
+        true
+        (same_outcome (run_dec d prefix) (run_dec naive_dec prefix)))
+    [ Bytes.length wire / 2; Bytes.length wire - 1 ];
   let _, p1, s1 = tiers () in
   Alcotest.(check int) "no promotion on the fallback path" p0 p1;
   Alcotest.(check int) "no staged calls on the fallback path" s0 s1
@@ -348,8 +356,8 @@ let unit_tests =
       promotion_encode_test;
     Alcotest.test_case "threshold 1 promotes on the first call" `Quick
       threshold_one_test;
-    Alcotest.test_case "decoder promotes exactly at the threshold" `Quick
-      promotion_decode_test;
+    Alcotest.test_case "decoder has one tier and agrees with naive" `Quick
+      decoder_one_tier_test;
     Alcotest.test_case "recursive plans fall back to tier 0" `Quick
       fallback_test;
     Alcotest.test_case "staged serve run returns every pooled buffer" `Quick
