@@ -12,8 +12,12 @@
 # one after the other, alternating which side goes first.  Printed: one
 # row per seed and metric, then for each of the five end-to-end metrics
 # the median and quartiles of both sides, the median change, the parent
-# interquartile range, and how many seeds the working tree won.  The
-# extracted tree is removed on exit.  Needs git, dune and python3.
+# interquartile range, how many seeds the working tree won, and each
+# side's attempted and failed operation totals.  A run that crashed
+# (no result line) or reports "correct": false or failed > 0 is named
+# by seed and side, its pair is left out of the summary, and the
+# script exits 1.  The extracted tree is removed on exit.  Needs git,
+# dune and python3.
 set -eu
 
 if [ $# -lt 4 ]; then
@@ -62,12 +66,22 @@ metrics = [("setup_s", "lower"), ("ops_per_s", "higher"),
            ("latency_p50_us", "lower"), ("latency_p99_us", "lower"),
            ("heap_peak_mb", "lower")]
 runs = {}
+bad = []
+totals = {"base": [0, 0], "change": [0, 0]}
 for line in open(path):
-    seed, side, payload = line.split(" ", 2)
-    r = json.loads(payload)
-    if not r.get("correct", False) or r.get("failed", 0):
-        print(f"seed {seed} {side}: incorrect run {payload.strip()}")
-    runs.setdefault(seed, {})[side] = {k: v["value"] for k, v in r["metrics"].items()}
+    seed, side, payload = line.rstrip("\n").split(" ", 2)
+    try:
+        r = json.loads(payload)
+        values = {k: v["value"] for k, v in r["metrics"].items()}
+    except (ValueError, KeyError, TypeError, AttributeError):
+        bad.append(f"seed {seed} {side}: the run crashed, no result line")
+        continue
+    totals[side][0] += r.get("attempted", 0)
+    totals[side][1] += r.get("failed", 0)
+    if r.get("correct") is not True or r.get("failed", 0):
+        bad.append(f"seed {seed} {side}: incorrect run {payload.strip()}")
+        continue
+    runs.setdefault(seed, {})[side] = values
 
 def num(x):
     return f"{x:.2f}" if abs(x) >= 1 else f"{x:.4f}"
@@ -88,7 +102,7 @@ for s in seeds:
         print(f"{s:>6} {m:<16} {num(b):>12} {num(c):>12} {100 * (c - b) / b:+7.1f}%")
 print()
 print(f"{'metric':<16} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} {'delta':>8} {'base IQR':>10} {'wins':>6}")
-for m, better in metrics:
+for m, better in metrics if seeds else []:
     b = [runs[s]["base"][m] for s in seeds]
     c = [runs[s]["change"][m] for s in seeds]
     bm, cm = quantile(b, 0.5), quantile(c, 0.5)
@@ -96,4 +110,13 @@ for m, better in metrics:
     wins = sum(1 for x, y in zip(b, c) if (y > x if better == "higher" else y < x))
     fmt = lambda xs: f"{num(quantile(xs, 0.5))} [{num(quantile(xs, 0.25))}, {num(quantile(xs, 0.75))}]"
     print(f"{m:<16} {fmt(b):>30} {fmt(c):>30} {100 * (cm - bm) / bm:+7.1f}% {num(iqr):>10} {wins:>3}/{len(seeds)}")
+print()
+for side in ("base", "change"):
+    attempted, failed = totals[side]
+    print(f"{side:<6} attempted {attempted}, failed {failed}")
+if bad:
+    print()
+    for b in bad:
+        print(b)
+    sys.exit(1)
 EOF

@@ -125,27 +125,47 @@ let read_stream r ~be (atom : Mplan.atom) =
   Mbuf.skip r atom.Mplan.size;
   v
 
-(* One bounds check, then the words are read in place, unchecked, from
-   the reader's window.  Each element keeps its low [bits] bits, shifted to
-   the top of the int and back, arithmetically when signed and
-   logically when not (a signed 32-bit word comes back unchanged).
-   Applied to its labels alone it builds the kernel once, so a caller
-   that does so allocates nothing per call but the array. *)
+(* -- in-window integer kernels ---------------------------------------- *)
+
+(* [load] and [store] are inlined into each loop below with [swap] a
+   constant, so a loop makes no call and tests no flag per element. *)
 external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external set32u : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"
 external bswap32 : int32 -> int32 = "%bswap_int32"
 
+let[@inline] load ~swap b at =
+  Int32.to_int (if swap then bswap32 (get32u b at) else get32u b at)
+
+let[@inline] store ~swap b at v =
+  let w = Int32.of_int v in
+  set32u b at (if swap then bswap32 w else w)
+
+(* a signed 32-bit word comes back as it is, an unsigned one keeps its
+   low 32 bits *)
+let[@inline] fill32 ~swap ~signed out b cur =
+  for i = 0 to Array.length out - 1 do
+    let w = load ~swap b (cur + (i * 4)) in
+    Array.unsafe_set out i (if signed then w else w land 0xffff_ffff)
+  done
+
+(* One bounds check, then one of four 32-bit loops, or the loop that
+   keeps a narrower element's low [bits] bits, shifted to the top of
+   the int and back, arithmetically when signed and logically when not. *)
 let read_i32s ~be ~signed ~bits =
-  let shift = Sys.int_size - bits and swap = be <> Sys.big_endian in
-  let fill out b cur _ =
-    for i = 0 to Array.length out - 1 do
-      let at = cur + (i * 4) in
-      let w =
-        if swap then Int32.to_int (bswap32 (get32u b at))
-        else Int32.to_int (get32u b at)
-      in
-      Array.unsafe_set out i
-        (if signed then (w lsl shift) asr shift else (w lsl shift) lsr shift)
-    done
+  let swap = be <> Sys.big_endian in
+  let fill : int array -> bytes -> int -> int -> unit =
+    match (bits, swap, signed) with
+    | 32, true, true -> fun out b cur _ -> fill32 ~swap:true ~signed:true out b cur
+    | 32, true, false -> fun out b cur _ -> fill32 ~swap:true ~signed:false out b cur
+    | 32, false, true -> fun out b cur _ -> fill32 ~swap:false ~signed:true out b cur
+    | 32, false, false -> fun out b cur _ -> fill32 ~swap:false ~signed:false out b cur
+    | _ ->
+        let shift = Sys.int_size - bits in
+        fun out b cur _ ->
+          for i = 0 to Array.length out - 1 do
+            let w = load ~swap b (cur + (i * 4)) lsl shift in
+            Array.unsafe_set out i (if signed then w asr shift else w lsr shift)
+          done
   in
   fun r n ->
     Mbuf.ralign r 4;
@@ -154,6 +174,65 @@ let read_i32s ~be ~signed ~bits =
     Mbuf.window r fill out;
     Mbuf.skip r (n * 4);
     out
+
+let[@inline] int_elem v = match v with Value.Vint n -> n | v -> as_int v
+
+let[@inline] store_run ~swap v b at =
+  match v with
+  | Value.Vint_array a ->
+      for i = 0 to Array.length a - 1 do
+        store ~swap b (at + (i * 4)) (Array.unsafe_get a i)
+      done
+  | Value.Varray a ->
+      for i = 0 to Array.length a - 1 do
+        store ~swap b (at + (i * 4)) (int_elem (Array.unsafe_get a i))
+      done
+  | _ -> invalid_arg "Codec.write_i32s: not an integer array"
+
+let write_i32s ~be =
+  let run : Value.t -> bytes -> int -> int -> unit =
+    if be <> Sys.big_endian then fun v b at _ -> store_run ~swap:true v b at
+    else fun v b at _ -> store_run ~swap:false v b at
+  in
+  fun w v -> Mbuf.wwindow w run v
+
+(* a relay's run whose two layouts differ only in byte order *)
+let swap_i32s r w n =
+  Mbuf.window r
+    (fun w src s _ ->
+      Mbuf.wwindow w
+        (fun () dst d _ ->
+          for i = 0 to n - 1 do
+            set32u dst (d + (i * 4)) (bswap32 (get32u src (s + (i * 4))))
+          done)
+        ())
+    w
+
+(* member [idxs.(k)] of the aggregate at chunk offset [offs.(k)] *)
+let[@inline] store_fields ~swap offs idxs v b at =
+  let n = Array.length offs in
+  match v with
+  | Value.Vint_array a ->
+      for k = 0 to n - 1 do
+        store ~swap b (at + Array.unsafe_get offs k) a.(idxs.(k))
+      done
+  | Value.Vstruct a | Value.Varray a ->
+      for k = 0 to n - 1 do
+        store ~swap b (at + Array.unsafe_get offs k) (int_elem a.(idxs.(k)))
+      done
+  | Value.Vbytes s ->
+      for k = 0 to n - 1 do
+        store ~swap b (at + Array.unsafe_get offs k) (Char.code (Bytes.get s idxs.(k)))
+      done
+  | _ -> invalid_arg "Codec.write_i32_fields: not an aggregate"
+
+let write_i32_fields ~be ~offs ~idxs =
+  let run : Value.t -> bytes -> int -> int -> unit =
+    if be <> Sys.big_endian then fun v b at _ ->
+      store_fields ~swap:true offs idxs v b at
+    else fun v b at _ -> store_fields ~swap:false offs idxs v b at
+  in
+  fun w v -> Mbuf.wwindow w run v
 
 (* -- shared length/padding helpers ----------------------------------- *)
 

@@ -26,14 +26,38 @@ val read_stream : Mbuf.reader -> be:bool -> Mplan.atom -> Value.t
 val read_at : Mbuf.reader -> be:bool -> int -> Mplan.atom -> Value.t
 (** Unchecked read at an offset ([Mbuf.need] already done). *)
 
+(** {2 In-window integer kernels}
+
+    Each run of 4-byte integers is one loop, picked when the kernel is
+    built (applied to its labels): swapped or native byte order, and
+    for reads signed or unsigned 32-bit or one narrowing loop.  It reads
+    or stores the buffer's window in place, unchecked, with no call and
+    no flag test per element. *)
+
 val read_i32s :
   be:bool -> signed:bool -> bits:int -> Mbuf.reader -> int -> int array
 (** [read_i32s ~be ~signed ~bits r n] reads [n] aligned 4-byte integer
     elements of [bits <= 32] bits with one bounds check, in place from
-    the reader's window, narrowing each in the same pass exactly as
-    {!read_at} narrows one.  Partially applied to its labels it builds
-    its kernel once.  The integer-array fast path of {!Stub_opt}'s
-    decoders and {!Stub_forward}'s relays. *)
+    the reader's window ({!Mbuf.window}), narrowing each exactly as
+    {!read_at} narrows one. *)
+
+val write_i32s : be:bool -> Mbuf.t -> Value.t -> unit
+(** [write_i32s ~be w v] stores the elements of [v], a [Vint_array] or
+    a [Varray] of integers, as consecutive 4-byte words (their low 32
+    bits) from the cursor, in the window ({!Mbuf.wwindow}) of the
+    preceding [Mbuf.ensure] of 4 bytes each.  The caller advances. *)
+
+val swap_i32s : Mbuf.reader -> Mbuf.t -> int -> unit
+(** [swap_i32s r w n] stores the next [n] 4-byte words of [r], each
+    byte-reversed, from [w]'s cursor, after a [need] and an [ensure] of
+    [4 * n]; neither cursor moves.  A relay's pure byte-order swap. *)
+
+val write_i32_fields :
+  be:bool -> offs:int array -> idxs:int array -> Mbuf.t -> Value.t -> unit
+(** The field-run form of {!write_i32s}: member [idxs.(k)] of the
+    aggregate [v] (a [Vstruct], [Varray], [Vint_array] or [Vbytes]) is
+    stored at offset [offs.(k)] from the cursor, inside a chunk the
+    caller reserved and advances over. *)
 
 val as_int : Value.t -> int
 val as_int64 : Value.t -> int64
@@ -73,13 +97,6 @@ val write_var :
     truncated to the declared field width first (the round trip a
     fixed-size store performs).  [check:false] requires the caller to
     have reserved the atom's worst case. *)
-
-val write_var_int :
-  Encoding.varcodec -> check:bool -> Encoding.atom_kind -> Mbuf.t -> int ->
-  unit
-(** {!write_var} for a non-float scalar given as a native int (an
-    element of a [Vint_array]): nothing is allocated for fields of at
-    most 32 bits. *)
 
 val read_var :
   Encoding.varcodec -> Encoding.atom_kind -> Mbuf.reader -> Value.t

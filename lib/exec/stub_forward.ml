@@ -32,18 +32,6 @@ let account ~len borrowed =
 
 let round_up n u = (n + u - 1) / u * u
 
-(* Byte-reverse each 32-bit lane of a 64-bit word: two array elements
-   endian-swapped per load on the relay's hottest convert shape. *)
-let swap32x2 x =
-  let open Int64 in
-  logor
-    (logor
-       (shift_left (logand x 0x000000FF000000FFL) 24)
-       (shift_left (logand x 0x0000FF000000FF00L) 8))
-    (logor
-       (logand (shift_right_logical x 8) 0x0000FF000000FF00L)
-       (logand (shift_right_logical x 24) 0x000000FF000000FFL))
-
 let counter_of ~be (c : Fplan.fcount) : Mbuf.reader -> int =
   match c with
   | Fplan.Fc_fixed n -> fun _ -> n
@@ -186,11 +174,11 @@ let rec compile_op ~(src : Encoding.t) ~(dst : Encoding.t) (op : Fplan.fop) :
           Mbuf.align w dst_atom.Mplan.align
       in
       (* a convert run whose two layouts differ only in byte order is a
-         pure per-element byte reversal (cdr -> fluke ints): swap two
-         32-bit lanes per 64-bit word instead of materializing an int
-         array and re-encoding element by element.  Same alignment,
-         bounds checks and advances as the s_fast/d_fast convert path,
-         so the relayed bytes and failure behavior are identical. *)
+         pure per-element byte reversal (cdr -> fluke ints): one
+         in-window loop instead of materializing an int array and
+         re-encoding it.  Same alignment, bounds checks and advances as
+         the s_fast/d_fast convert path, so the relayed bytes and
+         failure behavior are identical. *)
       let pure_swap32 =
         (not blit) && s_fast && d_fast && src_be <> dst_be
         &&
@@ -199,6 +187,7 @@ let rec compile_op ~(src : Encoding.t) ~(dst : Encoding.t) (op : Fplan.fop) :
             true
         | _, _ -> false
       in
+      let write_ints = Codec.write_i32s ~be:dst_be in
       if blit then
         (* same bytes under both encodings: bulk transfer, with the
            source side's alignment behavior replicated per path *)
@@ -216,13 +205,7 @@ let rec compile_op ~(src : Encoding.t) ~(dst : Encoding.t) (op : Fplan.fop) :
           let total = n * 4 in
           Mbuf.need r total;
           Mbuf.ensure w total;
-          for i = 0 to (n / 2) - 1 do
-            Mbuf.set_i64_be w (i * 8) (swap32x2 (Mbuf.get_i64_be r (i * 8)))
-          done;
-          if n land 1 = 1 then begin
-            let off = n / 2 * 8 in
-            Mbuf.set_i32_le w off (Mbuf.get_i32_be r off)
-          end;
+          Codec.swap_i32s r w n;
           Mbuf.skip r total;
           Mbuf.advance w total;
           Obs.incr bswap_runs 1;
@@ -232,18 +215,14 @@ let rec compile_op ~(src : Encoding.t) ~(dst : Encoding.t) (op : Fplan.fop) :
            encoder, per-element *)
         match (s_fast, src_atom.Mplan.kind) with
         | true, Encoding.Kint { bits; signed } ->
+            let read = Codec.read_i32s ~be:src_be ~signed ~bits in
             fun r w ->
               let n = get_n r in
               dst_pre w n;
-              let elems = Codec.read_i32s ~be:src_be ~signed ~bits r n in
+              let elems = read r n in
               if d_fast then begin
-                let set =
-                  if dst_be then Mbuf.set_i32_be w else Mbuf.set_i32_le w
-                in
                 Mbuf.ensure w (n * 4);
-                for i = 0 to n - 1 do
-                  set (i * 4) (Array.unsafe_get elems i)
-                done;
+                write_ints w (Value.Vint_array elems);
                 Mbuf.advance w (n * 4)
               end
               else begin
@@ -258,18 +237,15 @@ let rec compile_op ~(src : Encoding.t) ~(dst : Encoding.t) (op : Fplan.fop) :
             fun r w ->
               let n = get_n r in
               dst_pre w n;
-              let elems = Array.make (max n 1) Value.Vvoid in
+              (* the decoder's bound: no allocation the bytes cannot back *)
+              Codec.need_elems r n ~min_elem:ssize;
+              let elems = Array.make n Value.Vvoid in
               for i = 0 to n - 1 do
                 Array.unsafe_set elems i (Codec.read_stream r ~be:src_be src_atom)
               done;
               if d_fast then begin
-                let set =
-                  if dst_be then Mbuf.set_i32_be w else Mbuf.set_i32_le w
-                in
                 Mbuf.ensure w (n * 4);
-                for i = 0 to n - 1 do
-                  set (i * 4) (Codec.as_int (Array.unsafe_get elems i))
-                done;
+                write_ints w (Value.Varray elems);
                 Mbuf.advance w (n * 4)
               end
               else begin

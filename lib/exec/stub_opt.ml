@@ -366,19 +366,21 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : (Mbuf.t -> env -> unit) list =
         let kind = atom.Mplan.kind in
         (* one worst-case reservation for the whole run, then unchecked
            minimal-width emits per element; a Vint_array's ints go to
-           the emitter as they are *)
+           the emitter as they are, in one writer window *)
         let worst = Plan_compile.vh_worst_of kind in
+        let put_ints =
+          match kind with
+          | Encoding.Kint { bits; signed } when bits <= 32 ->
+              Encoding.var_put_ints vcc ~bits ~signed
+          | _ -> fun _ _ -> invalid_arg "Stub_opt: int array of a wider field"
+        in
         fun buf env ->
           let v = a env in
           let n = value_len v in
           if with_len then Codec.write_vlen vcc ~check:true Encoding.Larr buf n;
           Mbuf.ensure buf (n * worst);
           (match v with
-          | Value.Vint_array elems ->
-              for i = 0 to n - 1 do
-                Codec.write_var_int vcc ~check:false kind buf
-                  (Array.unsafe_get elems i)
-              done
+          | Value.Vint_array elems -> put_ints buf elems
           | Value.Varray elems ->
               for i = 0 to n - 1 do
                 Codec.write_var vcc ~check:false kind buf
@@ -592,30 +594,17 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : (Mbuf.t -> env -> unit) list =
     in
     match (atom.Mplan.kind, size) with
     | Encoding.Kint { bits; _ }, 4 when bits <= 32 ->
-        (* the memcpy-analog fast path: one reservation, one tight loop.
-           Boxed arrays of ints (e.g. loops the peephole pass fused into
-           Put_atom_array) take the same path through a per-element
-           unbox. *)
-        let set = if be then Mbuf.set_i32_be else Mbuf.set_i32_le in
+        (* the memcpy-analog fast path: one reservation, one in-window
+           loop, over an int array or a boxed array of ints (e.g. loops
+           the peephole pass fused into Put_atom_array) *)
+        let write = Codec.write_i32s ~be in
         fun buf env ->
-          (match a env with
-          | Value.Vint_array elems ->
-              let n = Array.length elems in
-              if with_len then write_len buf n;
-              Mbuf.ensure buf (n * 4);
-              for i = 0 to n - 1 do
-                set buf (i * 4) (Array.unsafe_get elems i)
-              done;
-              Mbuf.advance buf (n * 4)
-          | Value.Varray elems ->
-              let n = Array.length elems in
-              if with_len then write_len buf n;
-              Mbuf.ensure buf (n * 4);
-              for i = 0 to n - 1 do
-                set buf (i * 4) (Codec.as_int (Array.unsafe_get elems i))
-              done;
-              Mbuf.advance buf (n * 4)
-          | _ -> invalid_arg "Stub_opt: atom array over non-int-array")
+          let v = a env in
+          let n = value_len v in
+          if with_len then write_len buf n;
+          Mbuf.ensure buf (n * 4);
+          write buf v;
+          Mbuf.advance buf (n * 4)
     | _, _ ->
         fun buf env ->
           let v = a env in
@@ -724,36 +713,10 @@ let staged_encoder_of_plan ~(enc : Encoding.t) (plan : Plan_compile.plan) :
       | Plan_stage.Seg_image { off; image } ->
           let n = Bytes.length image in
           fun buf _ -> Mbuf.set_bytes buf off image 0 n
-      | Plan_stage.Seg_run { base; offs; idxs } -> (
+      | Plan_stage.Seg_run { base; offs; idxs } ->
           let b = compile_rv base in
-          let n = Array.length offs in
-          let set = if be then Mbuf.set_i32_be else Mbuf.set_i32_le in
-          fun buf env ->
-            match b env with
-            | Value.Vstruct fs ->
-                for k = 0 to n - 1 do
-                  set buf
-                    (Array.unsafe_get offs k)
-                    (Codec.as_int
-                       (Array.unsafe_get fs (Array.unsafe_get idxs k)))
-                done
-            | Value.Vint_array a ->
-                for k = 0 to n - 1 do
-                  set buf
-                    (Array.unsafe_get offs k)
-                    (Array.unsafe_get a (Array.unsafe_get idxs k))
-                done
-            | Value.Varray a ->
-                for k = 0 to n - 1 do
-                  set buf
-                    (Array.unsafe_get offs k)
-                    (Codec.as_int (Array.unsafe_get a (Array.unsafe_get idxs k)))
-                done
-            | Value.Vbytes s ->
-                for k = 0 to n - 1 do
-                  set buf offs.(k) (Char.code (Bytes.get s idxs.(k)))
-                done
-            | _ -> invalid_arg "Stub_opt: staged field run over non-aggregate")
+          let write = Codec.write_i32_fields ~be ~offs ~idxs in
+          fun buf env -> write buf (b env)
       | Plan_stage.Seg_item it -> compile_item ~be it
     in
     let rec stage_op (op : Mplan.op) : Mbuf.t -> env -> unit =

@@ -143,19 +143,31 @@ let var_float_tag vc ~bits =
   | Msgpack -> if bits = 32 then 0xca else 0xcb
   | Cbor -> if bits = 32 then 0xfa else 0xfb
 
-(* Emit a tag byte and its big-endian payload straight into the buffer.
+(* A head is a tag byte and a big-endian payload of 0, 1, 2 or 4 bytes,
+   which the format rules below choose as [hd width tag].  [put_head] is
+   the one writer of heads: it stores head [h] with payload [v] at
+   [b.[i]] and returns the head's width, for one value ([emit]) and for
+   a run ([var_put_ints]) alike. *)
+let[@inline] hd width tag = (width lsl 8) lor tag
+
+let[@inline] put_head b i h v =
+  Bytes.set_uint8 b i (h land 0xff);
+  (match h lsr 8 with
+  | 0 -> ()
+  | 1 -> Bytes.set_uint8 b (i + 1) (v land 0xff)
+  | 2 -> Bytes.set_uint16_be b (i + 1) (v land 0xffff)
+  | _ -> Bytes.set_int32_be b (i + 1) (Int32.of_int v));
+  1 + (h lsr 8)
+
+(* One head at the cursor, through the writer's window; the kernel
+   takes the head in the low 12 bits and the payload above them.
    [check:false] rides a covering reservation of the atom's worst case;
    [check:true] reserves exactly the bytes emitted. *)
+let head_in x b i _ = put_head b i (x land 0xfff) (x lsr 12)
 
-let emit ~check b width tag v =
-  if check then Mbuf.ensure b (1 + width);
-  Mbuf.set_u8 b 0 tag;
-  (match width with
-  | 0 -> ()
-  | 1 -> Mbuf.set_u8 b 1 v
-  | 2 -> Mbuf.set_i16_be b 1 (v land 0xffff)
-  | _ -> Mbuf.set_i32_be b 1 v);
-  Mbuf.advance b (1 + width)
+let emit ~check b h v =
+  if check then Mbuf.ensure b (1 + (h lsr 8));
+  Mbuf.advance b (Mbuf.wwindow b head_in (((v land 0xffff_ffff) lsl 12) lor h))
 
 let emit8 ~check b tag v =
   if check then Mbuf.ensure b 9;
@@ -212,42 +224,30 @@ let k_u64 = Kint { bits = 64; signed = false }
 
 (* ---------------------------- msgpack ----------------------------- *)
 
-(* [v] >= -2^31: fixints, then the tagged forms *)
-let mp_put_int ~check b v =
+(* The integer head of [v] in [-2^31, 2^32): a fixint, else the
+   narrowest tagged form; its payload is [v] itself. *)
+let[@inline] mp_int_head v =
   if v >= 0 then
-    if v <= 0x7f then emit ~check b 0 v 0
-    else if v <= 0xff then emit ~check b 1 0xcc v
-    else if v <= 0xffff then emit ~check b 2 0xcd v
-    else if v <= 0xffff_ffff then emit ~check b 4 0xce v
-    else emit8 ~check b 0xcf (Int64.of_int v)
-  else if v >= -32 then emit ~check b 0 (v land 0xff) 0
-  else if v >= -128 then emit ~check b 1 0xd0 v
-  else if v >= -32768 then emit ~check b 2 0xd1 v
-  else emit ~check b 4 0xd2 v
+    if v <= 0x7f then hd 0 v
+    else if v <= 0xff then hd 1 0xcc
+    else if v <= 0xffff then hd 2 0xcd
+    else hd 4 0xce
+  else if v >= -32 then hd 0 (v land 0xff)
+  else if v >= -128 then hd 1 0xd0
+  else if v >= -32768 then hd 2 0xd1
+  else hd 4 0xd2
 
-let mp_put_int64 ~check ~signed b v =
-  if signed && Int64.compare v 0L < 0 then
-    if Int64.compare v (-0x8000_0000L) >= 0 then
-      mp_put_int ~check b (Int64.to_int v)
-    else emit8 ~check b 0xd3 v
-  else if u_le v 0xffff_ffffL then mp_put_int ~check b (Int64.to_int v)
-  else emit8 ~check b 0xcf v
-
-let mp_put_len ~check b kind n =
+let mp_len_head kind n =
   match kind with
   | Lstr ->
-      if n <= 31 then emit ~check b 0 (0xa0 lor n) 0
-      else if n <= 0xff then emit ~check b 1 0xd9 n
-      else if n <= 0xffff then emit ~check b 2 0xda n
-      else emit ~check b 4 0xdb n
+      if n <= 31 then hd 0 (0xa0 lor n)
+      else if n <= 0xff then hd 1 0xd9
+      else if n <= 0xffff then hd 2 0xda
+      else hd 4 0xdb
   | Lbin ->
-      if n <= 0xff then emit ~check b 1 0xc4 n
-      else if n <= 0xffff then emit ~check b 2 0xc5 n
-      else emit ~check b 4 0xc6 n
+      if n <= 0xff then hd 1 0xc4 else if n <= 0xffff then hd 2 0xc5 else hd 4 0xc6
   | Larr ->
-      if n <= 15 then emit ~check b 0 (0x90 lor n) 0
-      else if n <= 0xffff then emit ~check b 2 0xdc n
-      else emit ~check b 4 0xdd n
+      if n <= 15 then hd 0 (0x90 lor n) else if n <= 0xffff then hd 2 0xdc else hd 4 0xdd
 
 (* the 8-byte forms (tags 0xcf, 0xd3) *)
 let mp_get_wide ~signed r t =
@@ -357,26 +357,14 @@ let mp_get_len r kind =
 (* ----------------------------- CBOR ------------------------------- *)
 
 (* RFC 8949 preferred (minimal-width) heads: 3-bit major type, 5-bit
-   additional info, then a 1/2/4/8-byte big-endian argument [n] >= 0. *)
-let cbor_put_head ~check b major n =
+   additional info, then a 1/2/4-byte big-endian argument [n] in
+   [0, 2^32); the 8-byte arguments of 64-bit fields go through [emit8]. *)
+let[@inline] cbor_head_of major n =
   let mt = major lsl 5 in
-  if n <= 23 then emit ~check b 0 (mt lor n) 0
-  else if n <= 0xff then emit ~check b 1 (mt lor 24) n
-  else if n <= 0xffff then emit ~check b 2 (mt lor 25) n
-  else if n <= 0xffff_ffff then emit ~check b 4 (mt lor 26) n
-  else emit8 ~check b (mt lor 27) (Int64.of_int n)
-
-let cbor_put_int ~check b v =
-  if v >= 0 then cbor_put_head ~check b 0 v
-  else cbor_put_head ~check b 1 (lnot v)
-
-let cbor_put_int64 ~check ~signed b v =
-  if signed && Int64.compare v 0L < 0 then
-    let n = Int64.lognot v in
-    if u_le n 0xffff_ffffL then cbor_put_head ~check b 1 (Int64.to_int n)
-    else emit8 ~check b 0x3b n
-  else if u_le v 0xffff_ffffL then cbor_put_head ~check b 0 (Int64.to_int v)
-  else emit8 ~check b 0x1b v
+  if n <= 23 then hd 0 (mt lor n)
+  else if n <= 0xff then hd 1 (mt lor 24)
+  else if n <= 0xffff then hd 2 (mt lor 25)
+  else hd 4 (mt lor 26)
 
 let len_major = function Lbin -> 2 | Lstr -> 3 | Larr -> 4
 
@@ -470,22 +458,63 @@ let cbor_get_len r kind =
 
 (* ------------------------- shared plumbing ------------------------ *)
 
-let var_put_int vc ~check b v =
-  match vc with
-  | Msgpack -> mp_put_int ~check b v
-  | Cbor -> cbor_put_int ~check b v
+(* An integer's argument, and the one integer-head rule per format: in
+   CBOR a negative [v] is major type 1 with argument [-1 - v]. *)
+let[@inline] int_arg vc v =
+  match vc with Msgpack -> v | Cbor -> v lxor (v asr (Sys.int_size - 1))
 
-let var_put_int64 vc ~check ~signed b v =
+let[@inline] int_head vc v =
   match vc with
-  | Msgpack -> mp_put_int64 ~check ~signed b v
-  | Cbor -> cbor_put_int64 ~check ~signed b v
+  | Msgpack -> mp_int_head v
+  | Cbor -> cbor_head_of (v lsr (Sys.int_size - 1)) (int_arg Cbor v)
+
+let var_put_int vc ~check b v = emit ~check b (int_head vc v) (int_arg vc v)
+
+(* a 64-bit field's value: an integer head while it has one, else the
+   8-byte form *)
+let var_put_int64 vc ~check ~signed b v =
+  let neg = signed && Int64.compare v 0L < 0 in
+  let fits =
+    match vc with
+    | Msgpack ->
+        if neg then Int64.compare v (-0x8000_0000L) >= 0
+        else u_le v 0xffff_ffffL
+    | Cbor -> u_le (if neg then Int64.lognot v else v) 0xffff_ffffL
+  in
+  if fits then var_put_int vc ~check b (Int64.to_int v)
+  else
+    match (vc, neg) with
+    | Msgpack, _ -> emit8 ~check b (if neg then 0xd3 else 0xcf) v
+    | Cbor, true -> emit8 ~check b 0x3b (Int64.lognot v)
+    | Cbor, false -> emit8 ~check b 0x1b v
+
+(* A run of values of a field of at most 32 bits, each reduced to the
+   field width as a fixed-size store reduces it, head after head inside
+   one writer window. *)
+let[@inline] put_ints vc shift signed a b i =
+  let j = ref i in
+  for k = 0 to Array.length a - 1 do
+    let v = Array.unsafe_get a k lsl shift in
+    let v = if signed then v asr shift else v lsr shift in
+    j := !j + put_head b !j (int_head vc v) (int_arg vc v)
+  done;
+  !j - i
+
+let var_put_ints vc ~bits ~signed =
+  let shift = Sys.int_size - bits in
+  let run : int array -> bytes -> int -> int -> int =
+    match vc with
+    | Msgpack -> fun a b i _ -> put_ints Msgpack shift signed a b i
+    | Cbor -> fun a b i _ -> put_ints Cbor shift signed a b i
+  in
+  fun w a -> Mbuf.advance w (Mbuf.wwindow w run a)
 
 let bool_tag vc x =
   match vc with
   | Msgpack -> if x then 0xc3 else 0xc2
   | Cbor -> if x then 0xf5 else 0xf4
 
-let var_put_bool vc ~check b x = emit ~check b 0 (bool_tag vc x) 0
+let var_put_bool vc ~check b x = emit ~check b (hd 0 (bool_tag vc x)) 0
 
 let var_put_float vc ~check ~bits b f =
   let n = bits / 8 in
@@ -496,8 +525,8 @@ let var_put_float vc ~check ~bits b f =
 
 let var_put_len vc ~check b kind n =
   match vc with
-  | Msgpack -> mp_put_len ~check b kind n
-  | Cbor -> cbor_put_head ~check b (len_major kind) n
+  | Msgpack -> emit ~check b (mp_len_head kind n) n
+  | Cbor -> emit ~check b (cbor_head_of (len_major kind) n) n
 
 let[@inline] int_width vc ~signed t =
   match vc with Msgpack -> mp_int_width ~signed t | Cbor -> cbor_int_width t

@@ -118,7 +118,17 @@ val var_float_tag : varcodec -> bits:int -> int
 (** The canonical tag byte before a big-endian IEEE payload. *)
 
 val var_put_int : varcodec -> check:bool -> Mbuf.t -> int -> unit
-(** Emit an integer [>= -2^31], already reduced to its field width. *)
+(** Emit an integer already reduced to its field width (in
+    [\[-2^31, 2^32)]), through the writer's window. *)
+
+val var_put_ints :
+  varcodec -> bits:int -> signed:bool -> Mbuf.t -> int array -> unit
+(** [var_put_ints vc ~bits ~signed w a] emits the elements of [a] into
+    a [Kint] field of [bits <= 32] bits, each reduced to the field width
+    first, inside one writer window ({!Mbuf.wwindow}) whose worst case
+    the caller reserved: the heads the same emitter writes for
+    [Array.length a] calls to {!var_put_int}.  Partially applied to its
+    labels it builds its kernel once. *)
 
 val var_put_int64 :
   varcodec -> check:bool -> signed:bool -> Mbuf.t -> int64 -> unit

@@ -3,15 +3,22 @@ let reply_head = 8 (* status + seq *)
 
 let u32 v = v land 0xffffffff
 
-(* Reserve the length word, write the head words ([c] only in a
-   request's 12-byte head), and make the payload start the origin. *)
+let put b i v = Bytes.set_int32_be b i (Int32.of_int v)
+let get b i = u32 (Int32.to_int (Bytes.get_int32_be b i))
+
+(* Reserve the length word, write it and the head words ([c] only in a
+   request's 12-byte head) in one window, and make the payload start
+   the origin. *)
 let start w head a b c =
   let at = Mbuf.pos w in
   Mbuf.ensure w (4 + head);
-  Mbuf.set_i32_be w 0 0;
-  Mbuf.set_i32_be w 4 a;
-  Mbuf.set_i32_be w 8 b;
-  if head > 8 then Mbuf.set_i32_be w 12 c;
+  Mbuf.wwindow w
+    (fun () buf i _ ->
+      put buf i 0;
+      put buf (i + 4) a;
+      put buf (i + 8) b;
+      if head > 8 then put buf (i + 12) c)
+    ();
   Mbuf.advance w (4 + head);
   Mbuf.set_origin w;
   at
@@ -42,20 +49,27 @@ let discard p =
   p.have <- 0;
   p.carry <- Bytes.empty
 
+(* The length word at [b.[i]], and the head words after it once the
+   window holds them. *)
+let read_head p b i stop =
+  if stop - i >= 4 + p.head then begin
+    p.w0 <- get b (i + 4);
+    p.w1 <- get b (i + 8);
+    if p.head > 8 then p.w2 <- get b (i + 12)
+  end;
+  get b i
+
 (* The frame at the front of [r] ([avail] bytes): its size once handed
    out whole, 0 when it is not all there, -1 after a bad length. *)
 let take p r avail ~bad frame =
   Mbuf.need r (if avail < 4 + p.head then 4 else 4 + p.head);
-  let len = u32 (Mbuf.get_i32_be r 0) in
+  let len = Mbuf.window r read_head p in
   if len < p.head || len > p.max_body then begin
     bad len;
     -1
   end
   else if avail < 4 + len then 0
   else begin
-    p.w0 <- u32 (Mbuf.get_i32_be r 4);
-    p.w1 <- u32 (Mbuf.get_i32_be r 8);
-    if p.head > 8 then p.w2 <- u32 (Mbuf.get_i32_be r 12);
     Mbuf.skip r (4 + p.head);
     frame (Mbuf.split r (len - p.head));
     4 + len
@@ -81,7 +95,7 @@ and carry p r avail ~bad frame =
     let b = p.carry in
     let took = take p (Mbuf.reader_of_bytes b) want ~bad frame in
     if took = 0 then begin
-      p.carry <- Bytes.extend b 0 (u32 (Int32.to_int (Bytes.get_int32_be b 0)));
+      p.carry <- Bytes.extend b 0 (get b 0);
       carry p r (avail - n) ~bad frame
     end
     else if took > 0 then begin

@@ -259,6 +259,11 @@ let set_bytes t off src srcoff len =
 
 let fill_zero t off len = Bytes.fill t.buf (apos t off) len '\000'
 
+(* the active chunk from the cursor to the end of what [ensure] promised *)
+let wwindow t k x =
+  let at = apos t 0 in
+  k x t.buf at (at + t.promised - t.pos)
+
 let set_string t off src srcoff len =
   Bytes.blit_string src srcoff t.buf (apos t off) len;
   t.st_copied <- t.st_copied + len;

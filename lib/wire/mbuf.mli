@@ -156,6 +156,13 @@ val fill_zero : t -> int -> int -> unit
 
 val set_string : t -> int -> string -> int -> int -> unit
 
+val wwindow : t -> ('a -> bytes -> int -> int -> 'b) -> 'a -> 'b
+(** The writer twin of {!window}: [wwindow t k x] is [k x b at stop],
+    where [b.[at .. stop)] are the bytes the preceding {!ensure}
+    reserved, from the cursor on.  [k] stores inside them and keeps no
+    [b]; the caller {!advance}s.  A borrow after the [ensure] voids the
+    window. *)
+
 (** Checked appends: each performs its own {!ensure} — the per-datum
     shape of traditional stubs. *)
 

@@ -165,6 +165,139 @@ let int4_struct () =
   in
   (mint, idx, pres)
 
+(* -- integer-array kernels at their edges ----------------------------- *)
+
+let int_array_case ~bits ~signed ~counted ~len =
+  let mint = Mint.create () in
+  let elem = Mint.int_ mint ~bits ~signed in
+  let idx, pres =
+    if counted then
+      ( Mint.array mint ~elem ~min_len:0 ~max_len:(Some 8),
+        Pres.Counted_seq { len_field = "len"; buf_field = "val"; elem = Pres.Direct } )
+    else (Mint.fixed_array mint ~elem ~len, Pres.Fixed_array Pres.Direct)
+  in
+  let label =
+    Printf.sprintf "%d-bit %s %s" bits
+      (if signed then "signed" else "unsigned")
+      (if counted then "sequence" else "array")
+  in
+  { Test_engines.label; mint; named = []; idx; pres }
+
+let naive_bytes enc c v =
+  Test_engines.encode_with
+    (Stub_naive.compile_encoder ~config:naive_config)
+    enc c (Test_engines.roots_of c) v
+
+(* [wire_of enc] decodes to [v] in Stub_naive and every other decoder;
+   every encoder (tier 0, staged) writes Stub_naive's bytes for [v]; and
+   every relay between two of [encs], whether it converts, swaps or
+   copies the run, writes the bytes Stub_naive writes for [v]. *)
+let check_int_array_engines (c : Test_engines.case) v ~encs ~wire_of =
+  let mint = c.Test_engines.mint and named = [] in
+  let droots = Test_engines.droots_of c and roots = Test_engines.roots_of c in
+  let decoded src =
+    let naive =
+      Stub_naive.compile_decoder ~config:naive_config ~enc:src ~mint ~named droots
+    in
+    let want = run_decoder naive (wire_of src) in
+    let dplan =
+      Plan_cache.dplan ~enc:src ~mint ~named
+        (List.map Stub_opt.to_dplan_droot droots)
+    in
+    List.iter
+      (fun (name, d) ->
+        let got = run_decoder d (wire_of src) in
+        if not (same_outcome got want) then
+          Alcotest.failf "%s %s, %s decoder: %a, naive %a" src.Encoding.name
+            c.Test_engines.label name pp_outcome got pp_outcome want)
+      [
+        ("plan", Stub_opt.compile_decoder ~enc:src ~mint ~named droots);
+        ("tier 0", Stub_opt.decoder_of_dplan ~enc:src dplan);
+        ("closure", Stub_opt.build_decoder ~enc:src ~mint ~named droots);
+        ("interp", Stub_interp.compile_decoder ~enc:src ~mint ~named droots);
+      ];
+    if not (same_outcome want (Ok_value v)) then
+      Alcotest.failf "%s %s: naive decode %a" src.Encoding.name
+        c.Test_engines.label pp_outcome want
+  in
+  List.iter
+    (fun src ->
+      decoded src;
+      List.iter
+        (fun dst ->
+          let want = naive_bytes dst c v in
+          let encode what e =
+            let buf = Mbuf.create 64 in
+            e buf [| v |];
+            let got = Bytes.to_string (Mbuf.contents buf) in
+            if got <> want then
+              Alcotest.failf "%s %s, %s: %s, naive %s" dst.Encoding.name
+                c.Test_engines.label what (Test_engines.hex got)
+                (Test_engines.hex want)
+          in
+          let plan = Plan_cache.plan ~enc:dst ~mint ~named roots in
+          encode "tier-0 encoder" (Stub_opt.encoder_of_plan ~enc:dst plan);
+          Option.iter (encode "staged encoder")
+            (Stub_opt.staged_encoder_of_plan ~enc:dst plan);
+          let fplan =
+            Stub_forward.forward_plan ~src ~dst ~mint ~named
+              (List.map Stub_opt.to_dplan_droot droots) roots
+          in
+          let w = Mbuf.create 64 in
+          Stub_forward.forward_of_plan fplan (Mbuf.reader_of_bytes (wire_of src)) w;
+          let got = Bytes.to_string (Mbuf.contents w) in
+          if got <> want then
+            Alcotest.failf "%s->%s %s relay: %s, naive %s" src.Encoding.name
+              dst.Encoding.name c.Test_engines.label (Test_engines.hex got)
+              (Test_engines.hex want))
+        encs)
+    encs
+
+let narrow_test () =
+  (* XDR widens shorts to 4-byte words.  A word whose high half is not
+     its element's extension still decodes, to its low [bits] bits sign-
+     or zero-extended, in the fast integer-array paths exactly as in the
+     per-element reference engines. *)
+  let words = [ 0x00000007; 0xff01fffd ] in
+  let xdr_wire ~counted =
+    let buf = Mbuf.create 16 in
+    if counted then Mbuf.put_i32 buf ~be:true (List.length words);
+    List.iter (fun w -> Mbuf.put_i32 buf ~be:true w) words;
+    Mbuf.contents buf
+  in
+  List.iter
+    (fun (bits, signed, expect) ->
+      List.iter
+        (fun counted ->
+          let c = int_array_case ~bits ~signed ~counted ~len:2 in
+          let v = Value.Vint_array expect in
+          (* the relays' 16-bit shapes: xdr -> xdr converts 4-byte words,
+             cdr -> xdr widens 2-byte elements through the boxed path *)
+          check_int_array_engines c v
+            ~encs:[ Encoding.xdr; Encoding.cdr; Encoding.fluke ]
+            ~wire_of:(fun enc ->
+              if enc == Encoding.xdr then xdr_wire ~counted
+              else Bytes.of_string (naive_bytes enc c v)))
+        [ true; false ])
+    [ (16, true, [| 7; -3 |]); (16, false, [| 7; 0xfffd |]) ];
+  (* the 32-bit extremes under both byte orders, decoded and encoded:
+     the four read loops, the swapped and native store loops, the staged
+     field runs of a fixed array, and the relays' swap runs *)
+  List.iter
+    (fun (signed, expect) ->
+      List.iter
+        (fun counted ->
+          let c = int_array_case ~bits:32 ~signed ~counted ~len:4 in
+          let v = Value.Vint_array expect in
+          check_int_array_engines c v
+            ~encs:[ Encoding.xdr; Encoding.cdr; Encoding.mach3; Encoding.fluke ]
+            ~wire_of:(fun enc -> Bytes.of_string (naive_bytes enc c v)))
+        [ true; false ])
+    [
+      (true, [| 0; 0x7fffffff; -0x80000000; -1 |]);
+      (false, [| 0; 0x7fffffff; 0x80000000; 0xffffffff |]);
+    ]
+
 let failure_tests =
   [
     Alcotest.test_case "Short_buffer mid-chunk: plan and closure both fail"
@@ -227,59 +360,7 @@ let failure_tests =
             ("naive", Stub_naive.compile_decoder ~config:naive_config ~enc ~mint ~named:[] droots);
           ]);
     Alcotest.test_case "sub-32-bit array elements narrow alike in every engine"
-      `Quick (fun () ->
-        (* XDR widens shorts to 4-byte words.  A word whose high
-           half is not its element's extension still decodes, to its low
-           [bits] bits sign- or zero-extended, in the fast integer-array
-           paths exactly as in the per-element reference engines. *)
-        let enc = Encoding.xdr in
-        let words = [ 0x00000007; 0xff01fffd ] in
-        let wire ~counted =
-          let buf = Mbuf.create 16 in
-          if counted then Mbuf.put_i32 buf ~be:true (List.length words);
-          List.iter (fun w -> Mbuf.put_i32 buf ~be:true w) words;
-          Mbuf.contents buf
-        in
-        List.iter
-          (fun (bits, signed, expect) ->
-            List.iter
-              (fun counted ->
-                let mint = Mint.create () in
-                let elem = Mint.int_ mint ~bits ~signed in
-                let idx, pres =
-                  if counted then
-                    ( Mint.array mint ~elem ~min_len:0 ~max_len:(Some 8),
-                      Pres.Counted_seq
-                        { len_field = "len"; buf_field = "val"; elem = Pres.Direct } )
-                  else (Mint.fixed_array mint ~elem ~len:2, Pres.Fixed_array Pres.Direct)
-                in
-                let droots = [ Stub_opt.Dvalue (idx, pres) ] in
-                let dplan =
-                  Plan_cache.dplan ~enc ~mint ~named:[]
-                    (List.map Stub_opt.to_dplan_droot droots)
-                in
-                let wire = wire ~counted in
-                let want = Ok_value (Value.Vint_array expect) in
-                List.iter
-                  (fun (name, d) ->
-                    let got = run_decoder d wire in
-                    if not (same_outcome got want) then
-                      Alcotest.failf "%s, %d-bit %s %s: %a, want %a" name bits
-                        (if signed then "signed" else "unsigned")
-                        (if counted then "sequence" else "array")
-                        pp_outcome got pp_outcome want)
-                  [
-                    ("plan", Stub_opt.compile_decoder ~enc ~mint ~named:[] droots);
-                    ("tier 0", Stub_opt.decoder_of_dplan ~enc dplan);
-                    ("closure", Stub_opt.build_decoder ~enc ~mint ~named:[] droots);
-                    ("naive", Stub_naive.compile_decoder ~config:naive_config ~enc ~mint ~named:[] droots);
-                    ("interp", Stub_interp.compile_decoder ~enc ~mint ~named:[] droots);
-                  ])
-              [ true; false ])
-          [
-            (16, true, [| 7; -3 |]);
-            (16, false, [| 7; 0xfffd |]);
-          ]);
+      `Quick narrow_test;
     Alcotest.test_case "Opt_ptr error carries the wire offset" `Quick
       (fun () ->
         (* an int32 ahead of the optional puts its count word at byte 4 *)
@@ -581,37 +662,51 @@ let window_edge_tests =
   @ [
       Alcotest.test_case "read_i32s narrows sub-32-bit words across a cut"
         `Quick (fun () ->
-          (* the words of the sign-extension fix: a high half that is
-             not the element's extension still narrows to the low bits *)
+          (* the words of the sign-extension fix (a high half that is
+             not the element's extension still narrows to the low bits),
+             then the 32-bit extremes through each of the four 32-bit
+             loops *)
           List.iter
             (fun be ->
-              let wire =
-                let buf = Mbuf.create 8 in
-                List.iter (Mbuf.put_i32 buf ~be) [ 0x00000007; 0xff01fffd ];
-                Mbuf.contents buf
-              in
               List.iter
-                (fun (bits, signed, expect) ->
+                (fun (words, cases) ->
+                  let wire =
+                    let buf = Mbuf.create 16 in
+                    List.iter (Mbuf.put_i32 buf ~be) words;
+                    Mbuf.contents buf
+                  in
+                  let n = List.length words in
                   List.iter
-                    (fun (how, r) ->
-                      let got = Codec.read_i32s ~be ~signed ~bits r 2 in
-                      Alcotest.(check (array int))
-                        (Printf.sprintf "%s %d-bit %s, %s" (if be then "BE" else "LE")
-                           bits (if signed then "signed" else "unsigned") how)
-                        expect got;
-                      Alcotest.(check int) "whole run consumed" 0 (Mbuf.remaining r))
-                    [
-                      ("contiguous", Mbuf.reader_of_bytes wire);
-                      ("cut inside the second word", segmented wire [ 5 ]);
-                      ("cut at every byte", segmented wire [ 1; 2; 3; 4; 5; 6; 7 ]);
-                    ])
+                    (fun (bits, signed, expect) ->
+                      List.iter
+                        (fun (how, r) ->
+                          let got = Codec.read_i32s ~be ~signed ~bits r n in
+                          Alcotest.(check (array int))
+                            (Printf.sprintf "%s %d-bit %s, %s" (if be then "BE" else "LE")
+                               bits (if signed then "signed" else "unsigned") how)
+                            expect got;
+                          Alcotest.(check int) "whole run consumed" 0 (Mbuf.remaining r))
+                        [
+                          ("contiguous", Mbuf.reader_of_bytes wire);
+                          ("cut inside the second word", segmented wire [ 5 ]);
+                          ("cut at every byte", segmented wire (List.init (4 * n - 1) succ));
+                        ])
+                    cases)
                 [
-                  (16, true, [| 7; -3 |]);
-                  (16, false, [| 7; 0xfffd |]);
-                  (8, true, [| 7; -3 |]);
-                  (8, false, [| 7; 0xfd |]);
-                  (32, false, [| 7; 0xff01fffd |]);
-                  (32, true, [| 7; 0xff01fffd - 0x1_0000_0000 |]);
+                  ( [ 0x00000007; 0xff01fffd ],
+                    [
+                      (16, true, [| 7; -3 |]);
+                      (16, false, [| 7; 0xfffd |]);
+                      (8, true, [| 7; -3 |]);
+                      (8, false, [| 7; 0xfd |]);
+                      (32, false, [| 7; 0xff01fffd |]);
+                      (32, true, [| 7; 0xff01fffd - 0x1_0000_0000 |]);
+                    ] );
+                  ( [ 0; 0x7fffffff; 0x80000000; 0xffffffff ],
+                    [
+                      (32, true, [| 0; 0x7fffffff; -0x80000000; -1 |]);
+                      (32, false, [| 0; 0x7fffffff; 0x80000000; 0xffffffff |]);
+                    ] );
                 ])
             [ true; false ]);
       Alcotest.test_case "non-minimal head: the run rejects it as one read does"
@@ -782,6 +877,41 @@ let hostile_count_test () =
       (Encoding.mach3, `Fluke);
       (Encoding.msgpack, `Fluke);
       (Encoding.cbor, `Fluke);
+    ];
+  (* the same count in front of a cdr -> xdr relay's element-by-element
+     convert run: a 13-byte request must not make it allocate an array
+     for millions of elements *)
+  List.iter
+    (fun (what, elem) ->
+      let mint = Mint.create () in
+      let idx = Mint.array mint ~elem:(elem mint) ~min_len:0 ~max_len:None in
+      let pres =
+        Pres.Counted_seq { len_field = "len"; buf_field = "val"; elem = Pres.Direct }
+      in
+      let c = { Test_engines.label = what; mint; named = []; idx; pres } in
+      let fwd =
+        Stub_forward.compile_forward ~src:Encoding.cdr ~dst:Encoding.xdr ~mint ~named:[]
+          (List.map Stub_opt.to_dplan_droot (Test_engines.droots_of c))
+          (Test_engines.roots_of c)
+      in
+      let wire = Bytes.make 13 '\001' in
+      Bytes.set_int32_be wire 0 (Int32.of_int hostile);
+      let w = Mbuf.create 64 in
+      let a0 = Gc.allocated_bytes () in
+      let typed =
+        match fwd (Mbuf.reader_of_bytes wire) w with
+        | () -> false
+        | exception (Mbuf.Short_buffer | Codec.Decode_error _) -> true
+      in
+      let allocated = Gc.allocated_bytes () -. a0 in
+      Alcotest.(check bool) ("cdr->xdr " ^ what ^ ": typed error") true typed;
+      if allocated >= 1e6 then
+        Alcotest.failf "cdr->xdr %s: 13-byte request allocated %.0f bytes before failing"
+          what allocated)
+    [
+      ("sequence<boolean>", Mint.bool_);
+      ("sequence<double>", fun m -> Mint.float_ m ~bits:64);
+      ("sequence<short>", fun m -> Mint.int_ m ~bits:16 ~signed:true);
     ]
 
 let suite =

@@ -148,6 +148,27 @@ let sg_tests =
         Alcotest.(check int) "length" 708 (Bytes.length c);
         Alcotest.(check string) "head" "00001111" (hex (Bytes.sub c 0 4));
         Alcotest.(check string) "tail" "00002222" (hex (Bytes.sub c 704 4)));
+    test "write_i32s after an ensure that sealed the active chunk behind a borrow"
+      (fun () ->
+        (* the borrow seals the 4 bytes before it; the ensure cannot fit
+           40 bytes in the rest of that chunk and continues in a fresh
+           one, which the writer window must cover exactly *)
+        let b = Mbuf.create 16 in
+        Mbuf.put_i32 b ~be:true 0x1111;
+        Mbuf.put_borrow_string b (String.make 600 'z') 0 600;
+        Mbuf.ensure b 40;
+        Alcotest.(check int) "window covers the reservation" 40
+          (Mbuf.wwindow b (fun () _ at stop -> stop - at) ());
+        let words = [| 0; 0x7fffffff; 0x80000000; 0xffffffff; -1; 1; 2; 3; 4; 5 |] in
+        Codec.write_i32s ~be:false b (Value.Vint_array words);
+        Mbuf.advance b 40;
+        Alcotest.(check int) "segments" 3 (Mbuf.segment_count b);
+        let want = Mbuf.create 16 in
+        Mbuf.put_i32 want ~be:true 0x1111;
+        Mbuf.put_borrow_string want (String.make 600 'z') 0 600;
+        Array.iter (Mbuf.put_i32 want ~be:false) words;
+        Alcotest.(check string) "flattened bytes" (hex (Mbuf.contents want))
+          (hex (Mbuf.unsafe_contents b)));
     (* the writer-reuse aliasing regression (mbuf.mli contract):
        bytes handed out by unsafe_contents/view, and borrowed payloads,
        must survive a subsequent reset+encode on the same writer *)
