@@ -2,26 +2,35 @@
 # Paired runs of one bench/e2e workload: a base revision against the
 # working tree.
 #
-#   bench/pairs.sh REV WORKLOAD SECONDS SEED...
+#   bench/pairs.sh [--trace] REV WORKLOAD SECONDS SEED...
 #   bench/pairs.sh HEAD~1 marshal 20 1 2 3 4 5 6 7 8 9 10
+#   bench/pairs.sh --trace HEAD~1 marshal 20 21 22 23
 #
 # REV is extracted (git archive) into a fresh directory under
 # ${TMPDIR:-/tmp}; it and the working tree are each built from their
 # own sources with the dune cache off.  For every seed both sides run
 #   bench/e2e/run.sh --workload WORKLOAD --seed S --seconds SECONDS --trace 0
-# one after the other, alternating which side goes first.  Printed: one
-# row per seed and metric, then for each of the five end-to-end metrics
-# the median and quartiles of both sides, the median change, the parent
-# interquartile range, how many seeds the working tree won, and each
-# side's attempted and failed operation totals.  A run that crashed
+# (--trace 1 with --trace) one after the other, alternating which side
+# goes first.  The metrics are those BENCHMARK.json declares: the
+# end-to-end ones, or with --trace every per-layer one that either side
+# reports nonzero, each read in its declared direction.  Printed: one
+# row per seed and metric, then for each metric the median and
+# quartiles of both sides, the median change, the parent interquartile
+# range, how many seeds the working tree reads better, and each side's
+# attempted and failed operation totals.  A run that crashed
 # (no result line) or reports "correct": false or failed > 0 is named
 # by seed and side, its pair is left out of the summary, and the
 # script exits 1.  The extracted tree is removed on exit.  Needs git,
 # dune and python3.
 set -eu
 
+trace=0
+if [ "${1:-}" = --trace ]; then
+  trace=1
+  shift
+fi
 if [ $# -lt 4 ]; then
-  echo "usage: bench/pairs.sh REV WORKLOAD SECONDS SEED..." >&2
+  echo "usage: bench/pairs.sh [--trace] REV WORKLOAD SECONDS SEED..." >&2
   exit 2
 fi
 rev=$1 workload=$2 seconds=$3
@@ -42,7 +51,7 @@ echo "building $rev and the working tree" >&2
 # one run: the last stdout line of run.sh is its JSON result
 run() {
   (cd "$1" && bash bench/e2e/run.sh --workload "$workload" --seed "$2" \
-     --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1)
+     --seconds "$seconds" --trace "$trace" 2>/dev/null | tail -n 1)
 }
 
 results=$work/results
@@ -58,13 +67,12 @@ for seed in "$@"; do
   i=$((i + 1))
 done
 
-python3 - "$results" "$rev" "$workload" "$seconds" <<'EOF'
+python3 - "$results" "$rev" "$workload" "$seconds" "$trace" "$here/BENCHMARK.json" <<'EOF'
 import json, sys
 
-path, rev, workload, seconds = sys.argv[1:]
-metrics = [("setup_s", "lower"), ("ops_per_s", "higher"),
-           ("latency_p50_us", "lower"), ("latency_p99_us", "lower"),
-           ("heap_peak_mb", "lower")]
+path, rev, workload, seconds, trace, spec = sys.argv[1:]
+declared = json.load(open(spec))["per_layer" if trace == "1" else "end_to_end"]
+metrics = [(m["name"], m["better"]) for m in declared]
 runs = {}
 bad = []
 totals = {"base": [0, 0], "change": [0, 0]}
@@ -94,14 +102,27 @@ def quantile(xs, q):
     return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
 
 seeds = [s for s in runs if "base" in runs[s] and "change" in runs[s]]
-print(f"{workload}: {rev} (base) vs working tree (change), {len(seeds)} pairs of {seconds} s")
-print(f"{'seed':>6} {'metric':<16} {'base':>12} {'change':>12} {'delta':>8}")
+# a metric counts when every pair reports it and, traced, some run
+# reports it nonzero
+reported = [(m, better) for m, better in metrics
+            if all(m in runs[s][side] for s in seeds for side in ("base", "change"))]
+zero = [m for m, _ in reported
+        if trace == "1" and all(runs[s][side][m] == 0 for s in seeds for side in ("base", "change"))]
+metrics = [(m, better) for m, better in reported if m not in zero]
+
+def delta(b, c):
+    return f"{100 * (c - b) / b:+7.1f}%" if b else "     n/a"
+
+traced = " traced" if trace == "1" else ""
+print(f"{workload}: {rev} (base) vs working tree (change), {len(seeds)}{traced} pairs of {seconds} s")
+w = max([16] + [len(m) for m, _ in metrics])
+print(f"{'seed':>6} {'metric':<{w}} {'base':>12} {'change':>12} {'delta':>8}")
 for s in seeds:
     for m, _ in metrics:
         b, c = runs[s]["base"][m], runs[s]["change"][m]
-        print(f"{s:>6} {m:<16} {num(b):>12} {num(c):>12} {100 * (c - b) / b:+7.1f}%")
+        print(f"{s:>6} {m:<{w}} {num(b):>12} {num(c):>12} {delta(b, c)}")
 print()
-print(f"{'metric':<16} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} {'delta':>8} {'base IQR':>10} {'wins':>6}")
+print(f"{'metric':<{w}} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} {'delta':>8} {'base IQR':>10} {'wins':>6}")
 for m, better in metrics if seeds else []:
     b = [runs[s]["base"][m] for s in seeds]
     c = [runs[s]["change"][m] for s in seeds]
@@ -109,7 +130,9 @@ for m, better in metrics if seeds else []:
     iqr = quantile(b, 0.75) - quantile(b, 0.25)
     wins = sum(1 for x, y in zip(b, c) if (y > x if better == "higher" else y < x))
     fmt = lambda xs: f"{num(quantile(xs, 0.5))} [{num(quantile(xs, 0.25))}, {num(quantile(xs, 0.75))}]"
-    print(f"{m:<16} {fmt(b):>30} {fmt(c):>30} {100 * (cm - bm) / bm:+7.1f}% {num(iqr):>10} {wins:>3}/{len(seeds)}")
+    print(f"{m:<{w}} {fmt(b):>30} {fmt(c):>30} {delta(bm, cm)} {num(iqr):>10} {wins:>3}/{len(seeds)}")
+if zero:
+    print(f"0 in every run: {', '.join(zero)}")
 print()
 for side in ("base", "change"):
     attempted, failed = totals[side]

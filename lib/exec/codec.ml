@@ -8,7 +8,8 @@ let as_int (v : Value.t) =
   | Value.Vint64 n -> Int64.to_int n
   | Value.Vvoid | Value.Vfloat _ | Value.Vstring _ | Value.Vbytes _
   | Value.Vstring_view _ | Value.Vbytes_view _ | Value.Vint_array _
-  | Value.Varray _ | Value.Vopt _ | Value.Vstruct _ | Value.Vunion _ ->
+  | Value.Vint_rows _ | Value.Varray _ | Value.Vopt _ | Value.Vstruct _
+  | Value.Vunion _ ->
       invalid_arg "Codec.as_int"
 
 let as_int64 (v : Value.t) =
@@ -148,32 +149,59 @@ let[@inline] fill32 ~swap ~signed out b cur =
     Array.unsafe_set out i (if signed then w else w land 0xffff_ffff)
   done
 
-(* One bounds check, then one of four 32-bit loops, or the loop that
-   keeps a narrower element's low [bits] bits, shifted to the top of
-   the int and back, arithmetically when signed and logically when not. *)
-let read_i32s ~be ~signed ~bits =
+(* One of four 32-bit loops, or the loop that keeps a narrower
+   element's low [bits] bits, shifted to the top of the int and back,
+   arithmetically when signed and logically when not. *)
+let fill_words ~be ~signed ~bits : int array -> bytes -> int -> int -> unit =
   let swap = be <> Sys.big_endian in
+  match (bits, swap, signed) with
+  | 32, true, true -> fun out b cur _ -> fill32 ~swap:true ~signed:true out b cur
+  | 32, true, false -> fun out b cur _ -> fill32 ~swap:true ~signed:false out b cur
+  | 32, false, true -> fun out b cur _ -> fill32 ~swap:false ~signed:true out b cur
+  | 32, false, false -> fun out b cur _ -> fill32 ~swap:false ~signed:false out b cur
+  | _ ->
+      let shift = Sys.int_size - bits in
+      fun out b cur _ ->
+        for i = 0 to Array.length out - 1 do
+          let w = load ~swap b (cur + (i * 4)) lsl shift in
+          Array.unsafe_set out i (if signed then w asr shift else w lsr shift)
+        done
+
+(* row [i]'s word [j] at [cur + i * size + offs.(j)], narrowed as above *)
+let[@inline] fill_strided ~swap ~signed ~shift offs size out b cur =
+  let k = Array.length offs in
+  for i = 0 to (Array.length out / k) - 1 do
+    let at = cur + (i * size) and o = i * k in
+    for j = 0 to k - 1 do
+      let w = load ~swap b (at + Array.unsafe_get offs j) lsl shift in
+      Array.unsafe_set out (o + j) (if signed then w asr shift else w lsr shift)
+    done
+  done
+
+let read_i32_rows ~be ~signed ~bits ~size ~offs =
+  let k = Array.length offs and shift = Sys.int_size - bits in
   let fill : int array -> bytes -> int -> int -> unit =
-    match (bits, swap, signed) with
-    | 32, true, true -> fun out b cur _ -> fill32 ~swap:true ~signed:true out b cur
-    | 32, true, false -> fun out b cur _ -> fill32 ~swap:true ~signed:false out b cur
-    | 32, false, true -> fun out b cur _ -> fill32 ~swap:false ~signed:true out b cur
-    | 32, false, false -> fun out b cur _ -> fill32 ~swap:false ~signed:false out b cur
-    | _ ->
-        let shift = Sys.int_size - bits in
-        fun out b cur _ ->
-          for i = 0 to Array.length out - 1 do
-            let w = load ~swap b (cur + (i * 4)) lsl shift in
-            Array.unsafe_set out i (if signed then w asr shift else w lsr shift)
-          done
+    if size = 4 * k && offs = Array.init k (fun j -> 4 * j) then
+      fill_words ~be ~signed ~bits
+    else
+      match (be <> Sys.big_endian, signed) with
+      | true, true -> fun out b cur _ -> fill_strided ~swap:true ~signed:true ~shift offs size out b cur
+      | true, false -> fun out b cur _ -> fill_strided ~swap:true ~signed:false ~shift offs size out b cur
+      | false, true -> fun out b cur _ -> fill_strided ~swap:false ~signed:true ~shift offs size out b cur
+      | false, false -> fun out b cur _ -> fill_strided ~swap:false ~signed:false ~shift offs size out b cur
   in
   fun r n ->
-    Mbuf.ralign r 4;
-    Mbuf.need r (n * 4);
-    let out = Array.make n 0 in
+    Mbuf.need r (n * size);
+    let out = Array.make (n * k) 0 in
     Mbuf.window r fill out;
-    Mbuf.skip r (n * 4);
+    Mbuf.skip r (n * size);
     out
+
+let read_i32s ~be ~signed ~bits =
+  let read = read_i32_rows ~be ~signed ~bits ~size:4 ~offs:[| 0 |] in
+  fun r n ->
+    Mbuf.ralign r 4;
+    read r n
 
 let[@inline] int_elem v = match v with Value.Vint n -> n | v -> as_int v
 

@@ -41,6 +41,15 @@ val read_i32s :
     the reader's window ({!Mbuf.window}), narrowing each exactly as
     {!read_at} narrows one. *)
 
+val read_i32_rows :
+  be:bool -> signed:bool -> bits:int -> size:int -> offs:int array ->
+  Mbuf.reader -> int -> int array
+(** [read_i32_rows ~be ~signed ~bits ~size ~offs r n] reads [n] rows of
+    [size] bytes from the cursor, unaligned, checking all [n * size]
+    before it allocates: word [j] of row [i], at [offs.(j)] in it and
+    narrowed as {!read_i32s} narrows, is element [i * k + j], [k] being
+    [Array.length offs >= 1]. *)
+
 val write_i32s : be:bool -> Mbuf.t -> Value.t -> unit
 (** [write_i32s ~be w v] stores the elements of [v], a [Vint_array] or
     a [Varray] of integers, as consecutive 4-byte words (their low 32

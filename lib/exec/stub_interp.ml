@@ -87,6 +87,8 @@ let rec encode ~(enc : Encoding.t) ~mint ~named idx (pres : Pres.t) buf
                 | None -> invalid_arg "Stub_interp: int array of aggregates"
               in
               Array.iter (fun x -> put_scalar kind (Value.Vint x)) a
+          | _, Value.Vint_rows _ ->
+              encode ~enc ~mint ~named idx pres buf (Value.boxed v)
           | _, Value.Varray a -> (
               hdr ();
               if counted then put_len (Array.length a);

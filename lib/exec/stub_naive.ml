@@ -15,6 +15,7 @@ let array_length (v : Value.t) =
   | Value.Vbytes b -> Bytes.length b
   | Value.Vint_array a -> Array.length a
   | Value.Varray a -> Array.length a
+  | Value.Vint_rows { shape; ints } -> Array.length ints / max 1 (Value.row_width shape)
   | Value.Vopt None -> 0
   | Value.Vopt (Some _) -> 1
   | _ -> invalid_arg "Stub_naive.array_length"
@@ -286,6 +287,7 @@ let compile_value_encoder cfg (enc : Encoding.t) mint named :
   and elements f buf (v : Value.t) =
     (* one closure invocation per element: the traditional shape *)
     match v with
+    | Value.Vint_rows _ -> elements f buf (Value.boxed v)
     | Value.Vint_array a ->
         for i = 0 to Array.length a - 1 do
           f buf (Value.Vint (Array.unsafe_get a i))
@@ -550,7 +552,7 @@ let compile_value_decoder cfg (enc : Encoding.t) mint named :
               | Mint.Int { bits; _ } when bits <= 32 -> true
               | _ -> false
             in
-            let min_elem = elem_min elem in
+            let min_elem = elem_min elem sub in
             fun r ->
               hdr r;
               decode_elements d r min_len ~min_elem as_int_array)
@@ -571,7 +573,7 @@ let compile_value_decoder cfg (enc : Encoding.t) mint named :
               | Mint.Int { bits; _ } when bits <= 32 -> true
               | _ -> false
             in
-            let min_elem = elem_min elem in
+            let min_elem = elem_min elem sub in
             fun r ->
               hdr r;
               let n = read_len r in
@@ -585,13 +587,9 @@ let compile_value_decoder cfg (enc : Encoding.t) mint named :
     match Encoding.atom_of_mint (Mint.get mint elem) with
     | Some kind -> read_scalar kind
     | None -> dec elem sub
-  (* the fewest wire bytes one element takes (0: no static bound), so a
-     hostile count fails before its array is allocated *)
-  and elem_min elem =
-    match Encoding.atom_of_mint (Mint.get mint elem) with
-    | Some _ when vc <> None -> 1
-    | Some kind -> (atom_of kind).Mplan.size
-    | None -> 0
+  (* the fewest wire bytes one element takes, so a hostile count fails
+     before its array is allocated *)
+  and elem_min elem sub = Plan_compile.min_size ~enc ~mint elem sub
   and decode_elements d r n ~min_elem as_int_array =
     Codec.need_elems r n ~min_elem;
     if as_int_array then begin

@@ -14,6 +14,7 @@ let value_len (v : Value.t) =
   | Value.Vbytes b -> Bytes.length b
   | Value.Vstring_view v | Value.Vbytes_view v -> v.Value.v_len
   | Value.Vint_array a -> Array.length a
+  | Value.Vint_rows { shape; ints } -> Array.length ints / max 1 (Value.row_width shape)
   | Value.Varray a -> Array.length a
   | Value.Vopt None -> 0
   | Value.Vopt (Some _) -> 1
@@ -159,6 +160,34 @@ let rec compile_elem_path ~var (rv : Mplan.rv) : Value.t -> Value.t =
         | _ -> invalid_arg "Stub_opt: Rfield over a non-aggregate")
   | _ -> invalid_arg "Stub_opt: unsupported fused path"
 
+(* The shape of the rows whose leaves, in reading order, are the loop
+   element's members [srcs], if there is one: a loop body that stores
+   [srcs] in order stores such a row's ints in order.  The guess groups
+   the paths by their first index; the check makes it exact. *)
+let rows_shape ~var (srcs : Mplan.rv list) =
+  let rec path acc (rv : Mplan.rv) =
+    match rv with
+    | Mplan.Rvar v when v = var -> Some acc
+    | Mplan.Rfield { base; index; _ } -> path (index :: acc) base
+    | _ -> None
+  in
+  let rec guess = function
+    | [] | [ [] ] -> Value.Rint
+    | paths ->
+        let under i = List.filter_map (function j :: p when j = i -> Some p | _ -> None) paths in
+        let n = List.fold_left (fun n p -> match p with i :: _ -> max n (i + 1) | [] -> n) 0 paths in
+        Value.Rstruct (Array.init n (fun i -> guess (under i)))
+  in
+  let rec leaves = function
+    | Value.Rint -> [ [] ]
+    | Value.Rstruct fs ->
+        List.concat (List.mapi (fun i f -> List.map (List.cons i) (leaves f)) (Array.to_list fs))
+  in
+  let paths = List.filter_map (path []) srcs in
+  match guess paths with
+  | Value.Rstruct _ as s when List.length paths = List.length srcs && leaves s = paths -> Some s
+  | _ -> None
+
 (* One chunk item, compiled to a store at its constant offset.  Shared
    between the tier-0 chunk writer and the tier-1 staged chunks (which
    regroup items but keep this form for whatever does not fuse). *)
@@ -204,6 +233,106 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : (Mbuf.t -> env -> unit) list =
     else fun buf (_ : env) ->
       Mbuf.set_string buf 0 img 0 n;
       Mbuf.advance buf n
+  in
+  (* the shape inlined C compiles a struct-array loop into: one
+     capacity reservation outside (Ensure_count), then per element an
+     alignment and a run of stores at constant offsets *)
+  let fused_loop var (align, size, items) =
+    let writers =
+      Array.of_list
+        (List.map
+           (fun (it : Mplan.item) ->
+             match it with
+             | Mplan.It_atom { off; atom; src } -> (
+                 let get = compile_elem_path ~var src in
+                 match (atom.Mplan.kind, atom.Mplan.size) with
+                 | Encoding.Kint { bits; _ }, 4 when bits <= 32 ->
+                     if be then fun buf v ->
+                       Mbuf.set_i32_be buf off (Codec.as_int (get v))
+                     else fun buf v ->
+                       Mbuf.set_i32_le buf off (Codec.as_int (get v))
+                 | _, _ ->
+                     fun buf v -> Codec.write_at buf ~be off atom (get v))
+             | Mplan.It_const { off; atom; value } ->
+                 fun buf _ -> Codec.write_const_at buf ~be off atom value
+             | Mplan.It_bytes { off; len; pad; src } -> (
+                 let get = compile_elem_path ~var src in
+                 fun buf v ->
+                   (match get v with
+                   | Value.Vbytes b -> Mbuf.set_bytes buf off b 0 len
+                   | Value.Vstring s -> Mbuf.set_string buf off s 0 len
+                   | Value.Vbytes_view w | Value.Vstring_view w ->
+                       Mbuf.set_bytes buf off w.Value.v_base w.Value.v_off len
+                   | _ -> invalid_arg "Stub_opt: It_bytes over non-bytes");
+                   if pad > 0 then Mbuf.fill_zero buf (off + len) pad))
+           items)
+    in
+    let nw = Array.length writers in
+    let write_elem buf v =
+      if align > 1 then Mbuf.align buf align;
+      Mbuf.ensure buf size;
+      for k = 0 to nw - 1 do
+        (Array.unsafe_get writers k) buf v
+      done;
+      Mbuf.advance buf size
+    in
+    let rec loop buf env (v : Value.t) =
+      match v with
+      | Value.Varray elems ->
+          for i = 0 to Array.length elems - 1 do
+            write_elem buf (Array.unsafe_get elems i)
+          done
+      | Value.Vint_rows _ -> loop buf env (Value.boxed v)
+      | Value.Vopt None -> ()
+      | Value.Vopt (Some v) -> write_elem buf v
+      | _ -> invalid_arg "Stub_opt: Loop over non-array"
+    in
+    loop
+  in
+  (* A body storing one row's integer leaves in reading order, as a
+     gapless chunk of 4-byte words or as one unchecked head each, stores
+     rows of the returned shape with one kernel call, under the
+     reservation the plan makes for the loop. *)
+  let rows_store ~var body =
+    let word k (it : Mplan.item) =
+      match it with
+      | Mplan.It_atom { off; atom = { kind = Encoding.Kint { bits; _ }; size = 4; _ }; src }
+        when bits <= 32 && off = 4 * k ->
+          Some src
+      | _ -> None
+    and head kind _ (op : Mplan.op) =
+      match op with
+      | Mplan.Put_varhead
+          { vh_kind; vh_check = false; vh_src = Mplan.Vh_value src; vh_image = None; _ }
+        when vh_kind = kind ->
+          Some src
+      | _ -> None
+    in
+    (* the row shape [store] writes, when [f] finds every leaf of [l] *)
+    let rows f l store =
+      let srcs = List.filter_map Fun.id (List.mapi f l) in
+      if List.length srcs <> List.length l then None
+      else Option.map (fun shape -> (shape, store)) (rows_shape ~var srcs)
+    in
+    match (fused_loop_body ~var body, vc, body) with
+    | Some (align, size, items), _, _ when size mod align = 0 ->
+        let write = Codec.write_i32s ~be in
+        rows word items (fun buf ints ->
+            let len = 4 * Array.length ints in
+            if len > 0 then begin
+              if align > 1 then Mbuf.align buf align;
+              Mbuf.ensure buf len;
+              write buf (Value.Vint_array ints);
+              Mbuf.advance buf len
+            end)
+    | None, Some vcc, Mplan.Put_varhead { vh_kind = Encoding.Kint { bits; signed } as kind; _ } :: _
+      when bits <= 32 ->
+        let put = Encoding.var_put_ints vcc ~bits ~signed in
+        let worst = Plan_compile.vh_worst_of kind in
+        rows (head kind) body (fun buf ints ->
+            Mbuf.ensure buf (Array.length ints * worst);
+            put buf ints)
+    | _ -> None
   in
   let rec compile_op (op : Mplan.op) : Mbuf.t -> env -> unit =
     match op with
@@ -458,89 +587,20 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : (Mbuf.t -> env -> unit) list =
             let a = compile_rv rv in
             fun buf env ->
               Codec.write_var vcc ~check:vh_check vh_kind buf (a env))
-    | Mplan.Loop { arr; var; body; via = _ }
-      when fused_loop_body ~var body <> None -> (
-        (* the shape inlined C compiles a struct-array loop into: one
-           capacity reservation outside (Ensure_count), then per element
-           an alignment and a run of stores at constant offsets *)
-        let a = compile_rv arr in
-        let align, size, items =
-          match fused_loop_body ~var body with
-          | Some x -> x
-          | None -> assert false
-        in
-        let writers =
-          Array.of_list
-            (List.map
-               (fun (it : Mplan.item) ->
-                 match it with
-                 | Mplan.It_atom { off; atom; src } -> (
-                     let get = compile_elem_path ~var src in
-                     match (atom.Mplan.kind, atom.Mplan.size) with
-                     | Encoding.Kint { bits; _ }, 4 when bits <= 32 ->
-                         if be then fun buf v ->
-                           Mbuf.set_i32_be buf off (Codec.as_int (get v))
-                         else fun buf v ->
-                           Mbuf.set_i32_le buf off (Codec.as_int (get v))
-                     | _, _ ->
-                         fun buf v -> Codec.write_at buf ~be off atom (get v))
-                 | Mplan.It_const { off; atom; value } ->
-                     fun buf _ -> Codec.write_const_at buf ~be off atom value
-                 | Mplan.It_bytes { off; len; pad; src } -> (
-                     let get = compile_elem_path ~var src in
-                     fun buf v ->
-                       (match get v with
-                       | Value.Vbytes b -> Mbuf.set_bytes buf off b 0 len
-                       | Value.Vstring s -> Mbuf.set_string buf off s 0 len
-                       | Value.Vbytes_view w | Value.Vstring_view w ->
-                           Mbuf.set_bytes buf off w.Value.v_base w.Value.v_off len
-                       | _ -> invalid_arg "Stub_opt: It_bytes over non-bytes");
-                       if pad > 0 then Mbuf.fill_zero buf (off + len) pad))
-               items)
-        in
-        let nw = Array.length writers in
-        let write_elem buf v =
-          if align > 1 then Mbuf.align buf align;
-          Mbuf.ensure buf size;
-          for k = 0 to nw - 1 do
-            (Array.unsafe_get writers k) buf v
-          done;
-          Mbuf.advance buf size
-        in
-        fun buf env ->
-          match a env with
-          | Value.Varray elems ->
-              for i = 0 to Array.length elems - 1 do
-                write_elem buf (Array.unsafe_get elems i)
-              done
-          | Value.Vopt None -> ()
-          | Value.Vopt (Some v) -> write_elem buf v
-          | _ -> invalid_arg "Stub_opt: Loop over non-array")
     | Mplan.Loop { arr; var; body; via = _ } -> (
         let a = compile_rv arr in
-        let body_fns = Array.of_list (List.map compile_op body) in
-        let run_body buf env =
-          for k = 0 to Array.length body_fns - 1 do
-            (Array.unsafe_get body_fns k) buf env
-          done
+        let loop =
+          match fused_loop_body ~var body with
+          | Some fused -> fused_loop var fused
+          | None -> compile_loop var body
         in
-        fun buf env ->
-          match a env with
-          | Value.Varray elems ->
-              for i = 0 to Array.length elems - 1 do
-                env.vars.(var) <- Array.unsafe_get elems i;
-                run_body buf env
-              done
-          | Value.Vopt None -> ()
-          | Value.Vopt (Some v) ->
-              env.vars.(var) <- v;
-              run_body buf env
-          | Value.Vint_array elems ->
-              for i = 0 to Array.length elems - 1 do
-                env.vars.(var) <- Value.Vint (Array.unsafe_get elems i);
-                run_body buf env
-              done
-          | _ -> invalid_arg "Stub_opt: Loop over non-array")
+        match rows_store ~var body with
+        | None -> fun buf env -> loop buf env (a env)
+        | Some (shape, store) -> (
+            fun buf env ->
+              match a env with
+              | Value.Vint_rows { shape = s; ints } when s = shape -> store buf ints
+              | v -> loop buf env v))
     | Mplan.Switch { u; arms; default; _ } -> (
         let sel = compile_rv u in
         let n_cases =
@@ -583,6 +643,33 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : (Mbuf.t -> env -> unit) list =
         fun buf env ->
           let v = a env in
           !cell buf { params = [| v |]; vars = env.vars })
+  and compile_loop var body =
+    let body_fns = Array.of_list (List.map compile_op body) in
+    let run_body buf env =
+      for k = 0 to Array.length body_fns - 1 do
+        (Array.unsafe_get body_fns k) buf env
+      done
+    in
+    let rec loop buf env v =
+      match v with
+      | Value.Varray elems ->
+          for i = 0 to Array.length elems - 1 do
+            env.vars.(var) <- Array.unsafe_get elems i;
+            run_body buf env
+          done
+      | Value.Vopt None -> ()
+      | Value.Vopt (Some v) ->
+          env.vars.(var) <- v;
+          run_body buf env
+      | Value.Vint_array elems ->
+          for i = 0 to Array.length elems - 1 do
+            env.vars.(var) <- Value.Vint (Array.unsafe_get elems i);
+            run_body buf env
+          done
+      | Value.Vint_rows _ -> loop buf env (Value.boxed v)
+      | _ -> invalid_arg "Stub_opt: Loop over non-array"
+    in
+    loop
   and compile_atom_array arr (atom : Mplan.atom) with_len =
     let a = compile_rv arr in
     let size = atom.Mplan.size in
@@ -748,7 +835,7 @@ let staged_encoder_of_plan ~(enc : Encoding.t) (plan : Plan_compile.plan) :
              stores; nothing further to fold *)
           delegate op
       | Mplan.Loop { arr; var; body; via } -> (
-          let a = compile_rv arr in
+          let a = compile_rv arr and tier0 = delegate op in
           let run = seq_fns (Array.of_list (List.map stage_op body)) in
           let run_elem buf env v =
             env.vars.(var) <- v;
@@ -766,6 +853,7 @@ let staged_encoder_of_plan ~(enc : Encoding.t) (plan : Plan_compile.plan) :
                 for i = 0 to Array.length elems - 1 do
                   run_elem buf env (Value.Vint (Array.unsafe_get elems i))
                 done
+            | Value.Vint_rows _ -> tier0 buf env
             | _ -> invalid_arg "Stub_opt: Loop over non-array"
           in
           (* tiny fixed trip counts unroll into straight-line calls *)
@@ -986,15 +1074,19 @@ let compile_encoder ?config ~enc ~mint ~named roots : encoder =
    bounds the count before anything is allocated.  Ints of at most 32
    bits fill an int array in place from the reader's window.  Applied
    to its first two arguments it builds that kernel once. *)
+let var_ints vcc kind =
+  let fill = Encoding.var_fill_ints vcc kind in
+  fun r n ->
+    Codec.need_elems r n ~min_elem:1;
+    let out = Array.make n 0 in
+    fill r out;
+    out
+
 let read_var_elems vcc (kind : Encoding.atom_kind) =
   match kind with
   | Encoding.Kint { bits; _ } when bits <= 32 ->
-      let fill = Encoding.var_fill_ints vcc kind in
-      fun r n ->
-        Codec.need_elems r n ~min_elem:1;
-        let out = Array.make n 0 in
-        fill r out;
-        Value.Vint_array out
+      let read = var_ints vcc kind in
+      fun r n -> Value.Vint_array (read r n)
   | _ ->
       fun r n ->
         Codec.need_elems r n ~min_elem:1;
@@ -1444,6 +1536,11 @@ let struct_of (fields : ('a -> Value.t) list) : 'a -> Value.t =
       let fields = Array.of_list fields in
       fun r -> Value.Vstruct (Array.map (fun f -> f r) fields)
 
+let rec row_shape (sh : Dplan.shape) =
+  match sh with
+  | Dplan.Sh_struct shapes -> Value.Rstruct (Array.of_list (List.map row_shape shapes))
+  | Dplan.Sh_slot _ | Dplan.Sh_void -> Value.Rint
+
 (* [leaf] is asked for the shape's slots in reading order. *)
 let rec shape_reader leaf (sh : Dplan.shape) : 'a -> Value.t =
   match sh with
@@ -1573,6 +1670,24 @@ let dcompiler ~(enc : Encoding.t)
   in
   let string_view v = Value.Vstring_view v
   and copy_string r n = Value.Vstring (Mbuf.read_string r n) in
+  (* a loop's [n] rows of ints with one kernel call (Dplan.loop_build),
+     the count checked first: by the whole run's bounds check, which
+     repeats a hoisted one, or at one byte per head *)
+  let int_rows (build : Dplan.build) : Mbuf.reader -> int -> int array =
+    match (build, vc) with
+    | ( Dplan.Int_rows
+          { r_layout = Dplan.Rows_words { align; size; offs };
+            r_kind = Encoding.Kint { bits; signed }; _ },
+        _ ) ->
+        let read = Codec.read_i32_rows ~be ~signed ~bits ~size ~offs:(Array.of_list offs) in
+        fun r n ->
+          if n > 0 && align > 1 then Mbuf.ralign r align;
+          read r n
+    | Dplan.Int_rows { r_layout = Dplan.Rows_heads; r_kind; r_width }, Some vcc ->
+        let read = var_ints vcc r_kind in
+        fun r n -> read r (n * r_width)
+    | _ -> invalid_arg "Stub_opt: not an int rows loop"
+  in
   let rec compile_op (op : Dplan.dop) : step list =
     match op with
     | Dplan.D_align n -> [ Effect (fun r -> Mbuf.ralign r n) ]
@@ -1666,6 +1781,11 @@ let dcompiler ~(enc : Encoding.t)
                         Value.Vint_array (Array.map Codec.as_int out)
                     | _ -> Value.Varray out );
             ])
+    | Dplan.D_loop { count; frame; slot; _ }
+      when Dplan.loop_build frame <> Dplan.frame_build frame ->
+        let get_n = read_count count and read = int_rows (Dplan.loop_build frame) in
+        let shape = row_shape frame.Dplan.f_shape in
+        [ Fill (slot, fun r -> Value.Vint_rows { shape; ints = read r (get_n r) }) ]
     | Dplan.D_loop { count; ensure; frame; slot } ->
         let get_n = read_count count in
         let body = compile_frame frame in
@@ -1873,7 +1993,7 @@ let dcompiler ~(enc : Encoding.t)
         slot_frame f.Dplan.f_nslots
           (List.concat_map compile_op ops)
           f.Dplan.f_shape
-    | (Dplan.Direct_chunk | Dplan.In_order), ops ->
+    | (Dplan.Direct_chunk | Dplan.In_order | Dplan.Int_rows _), ops ->
         in_order (List.concat_map compile_op ops) f.Dplan.f_shape
   in
   compile_frame

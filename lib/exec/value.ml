@@ -1,4 +1,5 @@
 type view = { v_base : bytes; v_off : int; v_len : int }
+type row_shape = Rint | Rstruct of row_shape array
 
 type t =
   | Vvoid
@@ -12,6 +13,7 @@ type t =
   | Vstring_view of view
   | Vbytes_view of view
   | Vint_array of int array
+  | Vint_rows of { shape : row_shape; ints : int array }
   | Varray of t array
   | Vopt of t option
   | Vstruct of t array
@@ -19,6 +21,25 @@ type t =
 
 let string_of_view v = Bytes.sub_string v.v_base v.v_off v.v_len
 let bytes_of_view v = Bytes.sub v.v_base v.v_off v.v_len
+
+let rec row_width = function
+  | Rint -> 1
+  | Rstruct fs -> Array.fold_left (fun acc f -> acc + row_width f) 0 fs
+
+(* The rows' Varray spelling: each row rebuilt as nested structs of
+   [Vint]s, taking the leaves in order (Array.init applies in order). *)
+let boxed v =
+  match v with
+  | Vint_rows { shape; ints } ->
+      let next = ref (-1) and w = row_width shape in
+      let rec build = function
+        | Rint ->
+            incr next;
+            Vint ints.(!next)
+        | Rstruct fs -> Vstruct (Array.init (Array.length fs) (fun j -> build fs.(j)))
+      in
+      Varray (Array.init (if w = 0 then 0 else Array.length ints / w) (fun _ -> build shape))
+  | _ -> v
 
 (* Deep-copy every zero-copy view into owned storage; identity on
    view-free values. *)
@@ -32,7 +53,7 @@ let rec materialize v =
   | Vunion { case; discrim; payload } ->
       Vunion { case; discrim; payload = materialize payload }
   | Vvoid | Vbool _ | Vchar _ | Vint _ | Vint64 _ | Vfloat _ | Vstring _
-  | Vbytes _ | Vint_array _ | Vopt None ->
+  | Vbytes _ | Vint_array _ | Vint_rows _ | Vopt None ->
       v
 
 type kind =
@@ -113,28 +134,23 @@ let rec equal a b =
       let xb, xo, xl = range a and yb, yo, yl = range b in
       range_equal xb xo xl yb yo yl
   | Vint_array x, Vint_array y -> x = y
-  | Varray x, Varray y ->
-      Array.length x = Array.length y
-      && (let ok = ref true in
-          Array.iteri (fun i xi -> if not (equal xi y.(i)) then ok := false) x;
-          !ok)
+  | Vint_rows x, Vint_rows y when x.shape = y.shape -> x.ints = y.ints
+  | Vint_rows _, (Vint_rows _ | Varray _) | Varray _, Vint_rows _ ->
+      equal (boxed a) (boxed b)
+  | Varray x, Varray y | Vstruct x, Vstruct y ->
+      Array.length x = Array.length y && Array.for_all2 equal x y
   | Vopt x, Vopt y -> (
       match (x, y) with
       | None, None -> true
       | Some x, Some y -> equal x y
       | None, Some _ | Some _, None -> false)
-  | Vstruct x, Vstruct y ->
-      Array.length x = Array.length y
-      && (let ok = ref true in
-          Array.iteri (fun i xi -> if not (equal xi y.(i)) then ok := false) x;
-          !ok)
   | Vunion x, Vunion y ->
       x.case = y.case
       && Mint.equal_const x.discrim y.discrim
       && equal x.payload y.payload
   | ( ( Vvoid | Vbool _ | Vchar _ | Vint _ | Vint64 _ | Vfloat _ | Vstring _
-      | Vbytes _ | Vstring_view _ | Vbytes_view _ | Vint_array _ | Varray _
-      | Vopt _ | Vstruct _ | Vunion _ ),
+      | Vbytes _ | Vstring_view _ | Vbytes_view _ | Vint_array _ | Vint_rows _
+      | Varray _ | Vopt _ | Vstruct _ | Vunion _ ),
       _ ) ->
       false
 
@@ -155,6 +171,7 @@ let rec pp ppf = function
            ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
            Format.pp_print_int)
         (Array.to_list a)
+  | Vint_rows _ as v -> pp ppf (boxed v)
   | Varray a ->
       Format.fprintf ppf "@[<hov 2>[%a]@]"
         (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") pp)
@@ -177,7 +194,7 @@ let rec byte_size = function
   | Vstring s -> String.length s
   | Vbytes b -> Bytes.length b
   | Vstring_view v | Vbytes_view v -> v.v_len
-  | Vint_array a -> 4 * Array.length a
+  | Vint_array a | Vint_rows { ints = a; _ } -> 4 * Array.length a
   | Varray a -> Array.fold_left (fun acc v -> acc + byte_size v) 0 a
   | Vopt None -> 0
   | Vopt (Some v) -> byte_size v

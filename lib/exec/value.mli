@@ -10,8 +10,10 @@
     The representation of a (MINT, PRES) pair is fixed by {!rep_kind}:
     scalar arrays use the unboxed {!Vint_array}/{!Vbytes} forms (the
     targets of the paper's memcpy optimization), aggregate arrays use
-    boxed {!Varray} (which is why rectangle arrays marshal slower than
-    integer arrays, as in the paper's Figure 3). *)
+    boxed {!Varray}.  An array of structs of integer leaves (rectangles)
+    also has a flat spelling, {!Vint_rows}, that the optimized decoder
+    returns, every encoder accepts and {!equal} equates with the
+    [Karray] one. *)
 
 type view = { v_base : bytes; v_off : int; v_len : int }
 (** A borrowed byte range.  The decoder's zero-copy forms
@@ -19,6 +21,10 @@ type view = { v_base : bytes; v_off : int; v_len : int }
     one of these instead of copying the payload out; see the aliasing
     contract on [Mbuf.view_bytes] for how long the range stays valid
     and {!materialize} for converting to owned storage. *)
+
+type row_shape = Rint | Rstruct of row_shape array
+(** One {!Vint_rows} element's struct nesting; a rect's is
+    [Rstruct [|Rstruct [|Rint; Rint|]; Rstruct [|Rint; Rint|]|]]. *)
 
 type t =
   | Vvoid
@@ -34,6 +40,11 @@ type t =
   | Vbytes_view of view
       (** zero-copy octet payload aliasing the receive buffer *)
   | Vint_array of int array  (** array of scalars up to 32 bits *)
+  | Vint_rows of { shape : row_shape; ints : int array }
+      (** array of structs of integer leaves of at most 32 bits, row
+          major: element [i]'s leaves, in reading order, are [ints]
+          from [i * row_width shape].  Another spelling of {!boxed}'s
+          {!Varray}, with no box per field for the GC to promote *)
   | Varray of t array
   | Vopt of t option
   | Vstruct of t array
@@ -43,6 +54,12 @@ type t =
 
 val string_of_view : view -> string
 val bytes_of_view : view -> bytes
+
+val row_width : row_shape -> int
+
+val boxed : t -> t
+(** The {!Varray} of {!Vstruct}s of {!Vint}s that {!Vint_rows} spells;
+    identity on every other form. *)
 
 val materialize : t -> t
 (** Deep-copy every view into owned {!Vstring}/{!Vbytes} storage.
@@ -72,11 +89,13 @@ val rep_kind : Mint.t -> Mint.idx -> Pres.t -> kind
 
 val equal : t -> t -> bool
 (** Content equality: a view form equals the copy form holding the same
-    bytes ([Vstring_view] vs [Vstring], [Vbytes_view] vs [Vbytes]), so
-    differential checks compare zero-copy and copying decodes
-    directly.  Floats compare NaN-tolerantly. *)
+    bytes ([Vstring_view] vs [Vstring], [Vbytes_view] vs [Vbytes]) and
+    rows their {!boxed} spelling, so differential checks compare
+    zero-copy, copying, flat and boxed decodes directly.  Floats
+    compare NaN-tolerantly. *)
 
 val pp : Format.formatter -> t -> unit
+(** Rows print as their {!boxed} spelling. *)
 
 val byte_size : t -> int
 (** Approximate payload size in bytes (used to label benchmark series by

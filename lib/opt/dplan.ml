@@ -247,7 +247,12 @@ let rec count_checks ops =
 (* How the executor builds each frame's value                          *)
 (* ------------------------------------------------------------------ *)
 
-type build = Direct_chunk | In_order | Slot_frame of string
+type rows_layout =
+  | Rows_words of { align : int; size : int; offs : int list }
+  | Rows_heads
+
+type rows = { r_kind : Encoding.atom_kind; r_width : int; r_layout : rows_layout }
+type build = Direct_chunk | In_order | Slot_frame of string | Int_rows of rows
 
 let op_fills = function
   | D_chunk { items; _ } ->
@@ -293,10 +298,62 @@ let build_of ops shapes =
 let frame_build f = build_of f.f_ops [ f.f_shape ]
 let plan_build p = build_of p.d_ops p.d_shapes
 
+(* A loop whose elements are structs of integer leaves of at most 32
+   bits, read in order, decodes into one flat int array: its ops fill
+   the leaves in order with one kind, as the 4-byte words of one chunk
+   at increasing offsets (after at most one alignment that divides the
+   chunk's size), or as one value-dependent head each. *)
+let loop_build f =
+  let reads = List.rev (shape_reads [] f.f_shape) in
+  let k = List.length reads in
+  let rec ints = function
+    | Sh_slot _ -> true
+    | Sh_struct shapes -> List.for_all ints shapes
+    | Sh_void -> false
+  in
+  (* each leaf's (slot, kind, offset); slot -1 for anything else *)
+  let word = function
+    | Dit_atom { off; atom = { Mplan.size = 4; kind; _ }; slot } -> (slot, kind, off)
+    | Dit_atom _ | Dit_bytes _ | Dit_const _ -> (-1, Encoding.Kbool, 0)
+  and head = function
+    | D_get_varhead { vh_kind; vh_slot = Some s; vh_expect = None; _ } -> (s, vh_kind, 0)
+    | _ -> (-1, Encoding.Kbool, 0)
+  in
+  let leaves, chunk =
+    match f.f_ops with
+    | [ D_chunk { size; items; _ } ] -> (List.map word items, Some (1, size))
+    | [ D_align a; D_chunk { size; items; _ } ] -> (List.map word items, Some (a, size))
+    | ops -> (List.map head ops, None)
+  in
+  let offs = List.map (fun (_, _, off) -> off) leaves in
+  let rec apart size = function
+    | a :: (b :: _ as rest) -> a + 4 <= b && apart size rest
+    | [ a ] -> a + 4 <= size
+    | [] -> true
+  in
+  match (f.f_shape, leaves, chunk) with
+  | Sh_struct _, (_, (Encoding.Kint { bits; _ } as r_kind), _) :: _, _
+    when bits <= 32 && ints f.f_shape && reads = List.init k Fun.id
+         && List.map (fun (s, kind, _) -> (s, kind)) leaves = List.init k (fun j -> (j, r_kind))
+         && Option.fold chunk ~none:true ~some:(fun (a, size) -> size mod a = 0 && apart size offs)
+    ->
+      let r_layout =
+        match chunk with
+        | Some (align, size) -> Rows_words { align; size; offs }
+        | None -> Rows_heads
+      in
+      Int_rows { r_kind; r_width = k; r_layout }
+  | _ -> frame_build f
+
 let build_name = function
   | Direct_chunk -> "direct chunk"
   | In_order -> "in order"
   | Slot_frame why -> "slot frame: " ^ why
+  | Int_rows { r_kind; r_width; r_layout } ->
+      Format.asprintf "int rows ×%d %a%s" r_width Mplan.pp_kind r_kind
+        (match r_layout with
+        | Rows_words { size; _ } when size > 4 * r_width -> Printf.sprintf ", stride %d" size
+        | Rows_words _ | Rows_heads -> "")
 
 let frame_builds p =
   let out = ref [ ("top", plan_build p) ] in
@@ -304,7 +361,9 @@ let frame_builds p =
     List.iter
       (function
         | D_loop { frame; slot; _ } ->
-            sub (Printf.sprintf "%s/s%d loop" path slot) frame
+            sub ~build:(loop_build frame)
+              (Printf.sprintf "%s/s%d loop" path slot)
+              frame
         | D_opt { frame; slot } ->
             sub (Printf.sprintf "%s/s%d opt" path slot) frame
         | D_switch { arms; default; slot; _ } ->
@@ -320,8 +379,8 @@ let frame_builds p =
               default
         | _ -> ())
       ops
-  and sub path f =
-    out := (path, frame_build f) :: !out;
+  and sub ?build path f =
+    out := (path, Option.value build ~default:(frame_build f)) :: !out;
     walk path f.f_ops
   in
   walk "top" p.d_ops;

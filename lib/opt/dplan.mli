@@ -118,6 +118,18 @@ val count_checks : dop list -> int
 
 (** {2 How the executor builds each frame's value} *)
 
+(** How a loop of integer rows reads a row: one [size]-byte chunk after
+    an alignment dividing it, with the leaves' 4-byte words at [offs]
+    (other bytes, e.g. mach3's descriptors, skipped), or one head per
+    leaf. *)
+type rows_layout =
+  | Rows_words of { align : int; size : int; offs : int list }
+  | Rows_heads
+
+type rows = { r_kind : Encoding.atom_kind; r_width : int; r_layout : rows_layout }
+(** [r_width >= 1] leaves per row, each of kind [r_kind], an int of at
+    most 32 bits. *)
+
 type build =
   | Direct_chunk
       (** the frame is one fixed chunk, optionally after an
@@ -129,13 +141,28 @@ type build =
   | Slot_frame of string
       (** the shape reads slots out of wire order (the reason): the
           frame decodes into a per-call slot array first *)
+  | Int_rows of rows
+      (** a loop body ({!loop_build} only): the loop decodes to one
+          row-major int array, [Value.Vint_rows], with one kernel call *)
 
 val frame_build : frame -> build
+
 val plan_build : plan -> build
 (** The top frame, whose shapes are the plan's roots. *)
 
+val loop_build : frame -> build
+(** A [D_loop] over this body: {!Int_rows} when the shape is a struct
+    tree reading slots [0 .. k-1] in order and the ops fill them in
+    order with [k] loads of one integer kind of at most 32 bits, either
+    4-byte words of one chunk at increasing offsets, after at most one
+    [D_align] dividing its size, or [D_get_varhead]s expecting no
+    constant.  Otherwise {!frame_build}.  The one place that decides
+    which loops are rows. *)
+
 val build_name : build -> string
-(** ["direct chunk"], ["in order"], or ["slot frame: <reason>"]. *)
+(** ["direct chunk"], ["in order"], ["slot frame: <reason>"], or
+    ["int rows ×<k> <kind>"] (plus [", stride <size>"] when a row's
+    chunk holds more than its leaves). *)
 
 val frame_builds : plan -> (string * build) list
 (** Every frame of the plan, top first, each under its path (["top"],

@@ -132,6 +132,40 @@ let max_size ~enc ~mint idx pres =
   in
   go idx pres
 
+(* The lower bound: the fewest bytes a value takes on the wire.  Named
+   types count 0, which also stops recursion. *)
+let min_size ~enc ~mint idx pres =
+  let selfdesc = enc.Encoding.var <> None in
+  let word = if selfdesc then 1 else enc.Encoding.len_prefix.Encoding.size in
+  let rec go idx (pres : Pres.t) =
+    match (Mint.get mint idx, pres) with
+    | _, Pres.Ref _ | Mint.Void, _ -> 0
+    | Mint.Array { elem; min_len; _ }, (Pres.Fixed_array sub | Pres.Counted_seq { elem = sub; _ })
+      ->
+        (match pres with Pres.Fixed_array _ -> 0 | _ -> word)
+        + min_len
+          * (match Mint.get mint elem with
+            | Mint.Char8 | Mint.Int { bits = 8; _ } -> 1
+            | _ -> go elem sub)
+    | Mint.Array _, _ -> word
+    | Mint.Struct fields, Pres.Struct arms ->
+        List.fold_left2 (fun acc (_, f) (_, sub) -> acc + go f sub) 0 fields arms
+    | Mint.Union { discrim; cases; default }, Pres.Union { arms; default_arm; _ } ->
+        let bodies =
+          List.map2 (fun (c : Mint.case) (_, sub) -> go c.Mint.c_body sub) cases arms
+          @ match (default, default_arm) with Some d, Some (_, sub) -> [ go d sub ] | _ -> []
+        in
+        go discrim Pres.Direct
+        + (match bodies with [] -> 0 | b :: bs -> List.fold_left min b bs)
+    | (Mint.Struct _ | Mint.Union _), _ -> 0
+    | def, _ -> (
+        match Encoding.atom_of_mint def with
+        | Some _ when selfdesc -> 1
+        | Some kind -> (atom_of enc kind).Mplan.size
+        | None -> 0)
+  in
+  go idx pres
+
 (* ------------------------------------------------------------------ *)
 (* The plan compiler state                                              *)
 (* ------------------------------------------------------------------ *)

@@ -89,3 +89,11 @@ val max_size :
     [None] when unbounded.  The storage-class analysis of section 3.1:
     [Some] with an exact fixed layout is the paper's "fixed" class,
     [Some] otherwise is "variable but bounded", [None] is "unbounded". *)
+
+val min_size : enc:Encoding.t -> mint:Mint.t -> Mint.idx -> Pres.t -> int
+(** Lower bound on the encoded size: scalars at their wire size (1 byte
+    when value dependent), a count word (or head) per counted array,
+    string or optional, fixed arrays element by element (packed bytes
+    at 1), a union's discriminator plus its cheapest arm, and 0 for
+    alignment, typed headers and named types.  What bounds a
+    count-driven allocation by the bytes received. *)

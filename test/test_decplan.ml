@@ -140,6 +140,97 @@ let qtest enc =
     (QCheck.Test.make ~count:1000 ~name Test_engines.arbitrary_case
        (decode_prop enc))
 
+(* -- integer rows ----------------------------------------------------- *)
+
+(* A sequence of structs of integer leaves of 8, 16 or 32 bits, signed
+   or unsigned, nested up to depth 2, with all leaves of one kind or of
+   random kinds: whether it is [`Mixed] (two kinds or more) or [`All32]
+   (every leaf one 32-bit kind), or neither. *)
+let gen_rows_case st =
+  let mint = Mint.create () in
+  let kinds = [| (8, true); (8, false); (16, true); (16, false); (32, true); (32, false) |] in
+  let one = Random.State.bool st and k0 = kinds.(Random.State.int st 6) in
+  let used = ref [] and label = Buffer.create 16 in
+  let rec gen depth =
+    Buffer.add_string label "{";
+    let fields =
+      List.init (1 + Random.State.int st 3) (fun i ->
+          let f =
+            if depth < 2 && Random.State.int st 3 = 0 then gen (depth + 1)
+            else begin
+              let bits, signed = if one then k0 else kinds.(Random.State.int st 6) in
+              used := (bits, signed) :: !used;
+              Buffer.add_string label (Printf.sprintf "%s%d;" (if signed then "i" else "u") bits);
+              (Mint.int_ mint ~bits ~signed, Pres.Direct)
+            end
+          in
+          (Printf.sprintf "f%d" i, f))
+    in
+    Buffer.add_string label "}";
+    ( Mint.struct_ mint (List.map (fun (n, (f, _)) -> (n, f)) fields),
+      Pres.Struct (List.map (fun (n, (_, p)) -> (n, p)) fields) )
+  in
+  let elem, ep = gen 1 in
+  let idx = Mint.array mint ~elem ~min_len:0 ~max_len:(Some 8) in
+  let pres = Pres.Counted_seq { len_field = "len"; buf_field = "val"; elem = ep } in
+  let kind =
+    match List.sort_uniq compare !used with
+    | [ (32, _) ] -> `All32
+    | [ _ ] -> `One
+    | _ -> `Mixed
+  in
+  ({ Test_engines.label = "seq" ^ Buffer.contents label; mint; named = []; idx; pres }, kind)
+
+let naive_bytes enc c v =
+  Test_engines.encode_with
+    (Stub_naive.compile_encoder ~config:naive_config)
+    enc c (Test_engines.roots_of c) v
+
+(* Stub_opt decodes a rows-shaped sequence to the value Stub_naive
+   decodes, as rows exactly when every leaf is one kind (always, for
+   32-bit leaves), and that value, rows or boxed, re-encodes to
+   Stub_naive's bytes through tier 0, the staged tier, Stub_naive and
+   Stub_interp. *)
+let rows_prop enc ((c : Test_engines.case), kind) =
+  let mint = c.Test_engines.mint and named = [] in
+  let v = Workload.random rng mint ~named c.Test_engines.idx c.Test_engines.pres in
+  let want = naive_bytes enc c v in
+  let droots = Test_engines.droots_of c and roots = Test_engines.roots_of c in
+  let decode d =
+    match run_decoder d (Bytes.of_string want) with
+    | Ok_value x -> x
+    | Failed -> QCheck.Test.fail_reportf "%s: decode failed" c.Test_engines.label
+  in
+  let got = decode (Stub_opt.compile_decoder ~enc ~mint ~named droots) in
+  let naive = decode (Stub_naive.compile_decoder ~config:naive_config ~enc ~mint ~named droots) in
+  if not (Value.equal got naive && Value.equal naive v) then
+    QCheck.Test.fail_reportf "%s: opt %a, naive %a" c.Test_engines.label Value.pp got Value.pp
+      naive;
+  (match (got, kind) with
+  | Value.Vint_rows _, `Mixed -> QCheck.Test.fail_reportf "%s: mixed kinds as rows" c.Test_engines.label
+  | Value.Varray _, `All32 -> QCheck.Test.fail_reportf "%s: 32-bit leaves boxed" c.Test_engines.label
+  | _ -> ());
+  let plan = Plan_cache.plan ~enc ~mint ~named roots in
+  List.iter
+    (fun (what, e) ->
+      let buf = Mbuf.create 64 in
+      e buf [| got |];
+      let bytes = Bytes.to_string (Mbuf.contents buf) in
+      if bytes <> want then
+        QCheck.Test.fail_reportf "%s, %s re-encode: %s, naive %s" c.Test_engines.label what
+          (Test_engines.hex bytes) (Test_engines.hex want))
+    ([
+       ("tier 0", Stub_opt.encoder_of_plan ~enc plan);
+       ("naive", Stub_naive.compile_encoder ~config:naive_config ~enc ~mint ~named roots);
+       ("interp", Stub_interp.compile_encoder ~enc ~mint ~named roots);
+     ]
+    @ Option.fold ~none:[] ~some:(fun e -> [ ("staged", e) ])
+        (Stub_opt.staged_encoder_of_plan ~enc plan));
+  true
+
+let rows_encodings =
+  Encoding.[ xdr; cdr; mach3; fluke; msgpack; cbor ]
+
 let property_tests =
   List.map qtest
     [
@@ -149,6 +240,14 @@ let property_tests =
          the same typed failures as the fixed layouts *)
       Encoding.msgpack; Encoding.cbor;
     ]
+  @ List.map
+      (fun enc ->
+        QCheck_alcotest.to_alcotest
+          (QCheck.Test.make ~count:300
+             ~name:(enc.Encoding.name ^ ": int rows decode as naive, re-encode as boxed")
+             (QCheck.make ~print:(fun (c, _) -> c.Test_engines.label) gen_rows_case)
+             (rows_prop enc)))
+      rows_encodings
 
 (* -- targeted failure injection --------------------------------------- *)
 
@@ -167,6 +266,20 @@ let int4_struct () =
 
 (* -- integer-array kernels at their edges ----------------------------- *)
 
+(* sequence<rect> of 32-bit coordinates, rect = { {x; y}; {x; y} } *)
+let rect_seq_case ~signed =
+  let mint = Mint.create () in
+  let i = Mint.int_ mint ~bits:32 ~signed in
+  let pair = Mint.struct_ mint [ ("x", i); ("y", i) ] in
+  let rect = Mint.struct_ mint [ ("min", pair); ("max", pair) ] in
+  let pair_p = Pres.Struct [ ("x", Pres.Direct); ("y", Pres.Direct) ] in
+  let pres =
+    Pres.Counted_seq
+      { len_field = "len"; buf_field = "val"; elem = Pres.Struct [ ("min", pair_p); ("max", pair_p) ] }
+  in
+  let label = Printf.sprintf "%s rects" (if signed then "signed" else "unsigned") in
+  { Test_engines.label; mint; named = []; idx = Mint.array mint ~elem:rect ~min_len:0 ~max_len:None; pres }
+
 let int_array_case ~bits ~signed ~counted ~len =
   let mint = Mint.create () in
   let elem = Mint.int_ mint ~bits ~signed in
@@ -183,15 +296,11 @@ let int_array_case ~bits ~signed ~counted ~len =
   in
   { Test_engines.label; mint; named = []; idx; pres }
 
-let naive_bytes enc c v =
-  Test_engines.encode_with
-    (Stub_naive.compile_encoder ~config:naive_config)
-    enc c (Test_engines.roots_of c) v
-
 (* [wire_of enc] decodes to [v] in Stub_naive and every other decoder;
-   every encoder (tier 0, staged) writes Stub_naive's bytes for [v]; and
-   every relay between two of [encs], whether it converts, swaps or
-   copies the run, writes the bytes Stub_naive writes for [v]. *)
+   every encoder (tier 0, staged) writes Stub_naive's bytes for [v] and
+   for Stub_opt's decode of it (rows, for rects); and every relay
+   between two of [encs], whether it converts, swaps or copies the run,
+   writes the bytes Stub_naive writes for [v]. *)
 let check_int_array_engines (c : Test_engines.case) v ~encs ~wire_of =
   let mint = c.Test_engines.mint and named = [] in
   let droots = Test_engines.droots_of c and roots = Test_engines.roots_of c in
@@ -218,22 +327,28 @@ let check_int_array_engines (c : Test_engines.case) v ~encs ~wire_of =
       ];
     if not (same_outcome want (Ok_value v)) then
       Alcotest.failf "%s %s: naive decode %a" src.Encoding.name
-        c.Test_engines.label pp_outcome want
+        c.Test_engines.label pp_outcome want;
+    match run_decoder (Stub_opt.compile_decoder ~enc:src ~mint ~named droots) (wire_of src) with
+    | Ok_value d -> d
+    | Failed -> v
   in
   List.iter
     (fun src ->
-      decoded src;
+      let dv = decoded src in
       List.iter
         (fun dst ->
           let want = naive_bytes dst c v in
           let encode what e =
-            let buf = Mbuf.create 64 in
-            e buf [| v |];
-            let got = Bytes.to_string (Mbuf.contents buf) in
-            if got <> want then
-              Alcotest.failf "%s %s, %s: %s, naive %s" dst.Encoding.name
-                c.Test_engines.label what (Test_engines.hex got)
-                (Test_engines.hex want)
+            List.iter
+              (fun (of_what, v) ->
+                let buf = Mbuf.create 64 in
+                e buf [| v |];
+                let got = Bytes.to_string (Mbuf.contents buf) in
+                if got <> want then
+                  Alcotest.failf "%s %s, %s of %s: %s, naive %s" dst.Encoding.name
+                    c.Test_engines.label what of_what (Test_engines.hex got)
+                    (Test_engines.hex want))
+              [ ("the value", v); (src.Encoding.name ^ " decode", dv) ]
           in
           let plan = Plan_cache.plan ~enc:dst ~mint ~named roots in
           encode "tier-0 encoder" (Stub_opt.encoder_of_plan ~enc:dst plan);
@@ -293,6 +408,23 @@ let narrow_test () =
             ~encs:[ Encoding.xdr; Encoding.cdr; Encoding.mach3; Encoding.fluke ]
             ~wire_of:(fun enc -> Bytes.of_string (naive_bytes enc c v)))
         [ true; false ])
+    [
+      (true, [| 0; 0x7fffffff; -0x80000000; -1 |]);
+      (false, [| 0; 0x7fffffff; 0x80000000; 0xffffffff |]);
+    ];
+  (* rects of those coordinates: rows decoded by the contiguous and the
+     strided (mach3) kernels, and encoded from rows *)
+  List.iter
+    (fun (signed, xs) ->
+      let c = rect_seq_case ~signed in
+      let rect a b c d =
+        Value.Vstruct
+          [| Value.Vstruct [| Value.Vint a; Value.Vint b |]; Value.Vstruct [| Value.Vint c; Value.Vint d |] |]
+      in
+      let v = Value.Varray [| rect xs.(0) xs.(1) xs.(2) xs.(3); rect xs.(3) xs.(2) xs.(1) xs.(0) |] in
+      check_int_array_engines c v
+        ~encs:[ Encoding.xdr; Encoding.cdr; Encoding.mach3; Encoding.fluke ]
+        ~wire_of:(fun enc -> Bytes.of_string (naive_bytes enc c v)))
     [
       (true, [| 0; 0x7fffffff; -0x80000000; -1 |]);
       (false, [| 0; 0x7fffffff; 0x80000000; 0xffffffff |]);
@@ -660,6 +792,18 @@ let window_edge_tests =
            Test_engines.arbitrary_case (window_edge_prop enc)))
     Encoding.all
   @ [
+      Alcotest.test_case "rect rows decode alike cut anywhere" `Quick (fun () ->
+          (* the rows kernels' one check gathers a run cut across
+             segments, whole or truncated, as the boxed loops did *)
+          List.iter
+            (fun enc ->
+              List.iter
+                (fun signed ->
+                  for _ = 1 to 100 do
+                    ignore (window_edge_prop enc (rect_seq_case ~signed))
+                  done)
+                [ true; false ])
+            rows_encodings);
       Alcotest.test_case "read_i32s narrows sub-32-bit words across a cut"
         `Quick (fun () ->
           (* the words of the sign-extension fix (a high half that is
@@ -752,6 +896,37 @@ let window_edge_tests =
             ]);
     ]
 
+(* -- the two spellings of rows ---------------------------------------- *)
+
+let value_rows_test () =
+  let pair = Value.Rstruct [| Value.Rint; Value.Rint |] in
+  let rect = Value.Rstruct [| pair; pair |] in
+  let rows shape ints = Value.Vint_rows { shape; ints } in
+  let r = rows rect [| 1; 2; 3; 4; 5; -6; 7; 0xffffffff |] in
+  let vs l = Value.Vstruct (Array.of_list (List.map (fun i -> Value.Vint i) l)) in
+  let boxed =
+    Value.Varray
+      [|
+        Value.Vstruct [| vs [ 1; 2 ]; vs [ 3; 4 ] |]; Value.Vstruct [| vs [ 5; -6 ]; vs [ 7; 0xffffffff ] |];
+      |]
+  in
+  let check what want got = Alcotest.(check bool) what want got in
+  check "boxed spells the rows" true (Value.boxed r = boxed);
+  check "rows = their boxed spelling" true (Value.equal r boxed && Value.equal boxed r);
+  check "rows = the same rows" true (Value.equal r (rows rect (Array.copy [| 1; 2; 3; 4; 5; -6; 7; 0xffffffff |])));
+  check "one int differs" false (Value.equal r (rows rect [| 1; 2; 3; 4; 5; -6; 7; 8 |]));
+  check "same ints, another shape" false
+    (Value.equal r (rows (Value.Rstruct [| Value.Rint; Value.Rint; Value.Rint; Value.Rint |]) [| 1; 2; 3; 4; 5; -6; 7; 0xffffffff |]));
+  check "same ints, flat shape vs boxed" false
+    (Value.equal (rows (Value.Rstruct [| Value.Rint; pair; Value.Rint |]) [| 1; 2; 3; 4; 5; -6; 7; 0xffffffff |]) boxed);
+  check "empty rows = the empty array" true (Value.equal (rows rect [||]) (Value.Varray [||]));
+  check "empty rows box to the empty array" true (Value.boxed (rows pair [||]) = Value.Varray [||]);
+  check "boxing is the identity on boxed values" true (Value.boxed boxed == boxed);
+  check "rows are view-free" true (Value.materialize r == r);
+  Alcotest.(check string) "printed boxed" (Format.asprintf "%a" Value.pp boxed)
+    (Format.asprintf "%a" Value.pp r);
+  Alcotest.(check int) "byte size" 32 (Value.byte_size r)
+
 (* -- how frames are built ------------------------------------------ *)
 
 (* Hand-written plans reach the frame builds the compiler rarely emits:
@@ -810,10 +985,12 @@ let frame_build_test () =
 
 (* -- hostile counts ------------------------------------------------- *)
 
-(* A count word that promises millions of directory entries in a body
-   of one: every loop checks the count against the bytes that remain,
-   at its static minimum per element, before allocating, so the decode
-   fails with a typed error having allocated almost nothing. *)
+(* A count word that promises millions of directory entries or rects in
+   a body of one: every decoder checks the count against the bytes that
+   remain, at its static minimum per element, before allocating, so the
+   decode fails with a typed error having allocated almost nothing.
+   Stub_opt's rects are one rows kernel; Stub_naive and Stub_interp
+   (which runs Stub_naive's decoder) loop over boxed elements. *)
 let hostile_count_test () =
   let hostile = 4_194_304 in
   let entry =
@@ -823,20 +1000,23 @@ let hostile_count_test () =
         Value.Vstruct
           [| Value.Vint_array (Array.make 30 7); Value.Vbytes (Bytes.make 16 'x') |];
       |]
+  and rect =
+    Value.Vstruct
+      [| Value.Vstruct [| Value.Vint 1; Value.Vint 2 |]; Value.Vstruct [| Value.Vint 3; Value.Vint 4 |] |]
   in
   List.iter
-    (fun (enc, style) ->
+    (fun ((enc, style), (op, elem)) ->
       let pc = Paper_fixtures.bench_presc style in
-      let spec = Paper_fixtures.request_spec pc ~op:"send_dirents" in
+      let spec = Paper_fixtures.request_spec pc ~op in
       let mint = spec.Paper_fixtures.ms_mint
       and named = spec.Paper_fixtures.ms_named in
       let wire_of n =
         let e = Stub_opt.compile_encoder ~enc ~mint ~named spec.Paper_fixtures.ms_roots in
         let buf = Mbuf.create 256 in
-        e buf [| Value.Varray (Array.make n entry) |];
+        e buf [| Value.Varray (Array.make n elem) |];
         Bytes.to_string (Mbuf.contents buf)
       in
-      (* the count is where the one- and two-entry messages first differ *)
+      (* the count is where the one- and two-element messages first differ *)
       let one = wire_of 1 and two = wire_of 2 in
       let at =
         let rec go i = if one.[i] <> two.[i] then i else go (i + 1) in
@@ -859,25 +1039,35 @@ let hostile_count_test () =
               (String.sub one 0 at ^ head
               ^ String.sub one (at + 1) (String.length one - at - 1))
       in
-      let d = Stub_opt.compile_decoder ~enc ~mint ~named spec.Paper_fixtures.ms_droots in
-      let a0 = Gc.allocated_bytes () in
-      let typed =
-        match d (Mbuf.reader_of_bytes wire) with
-        | _ -> false
-        | exception (Mbuf.Short_buffer | Codec.Decode_error _) -> true
-      in
-      let allocated = Gc.allocated_bytes () -. a0 in
-      Alcotest.(check bool) (enc.Encoding.name ^ ": typed error") true typed;
-      if allocated >= 1e6 then
-        Alcotest.failf "%s: %d-byte body allocated %.0f bytes before failing"
-          enc.Encoding.name (Bytes.length wire) allocated)
-    [
-      (Encoding.xdr, `Rpcgen);
-      (Encoding.cdr, `Corba);
-      (Encoding.mach3, `Fluke);
-      (Encoding.msgpack, `Fluke);
-      (Encoding.cbor, `Fluke);
-    ];
+      let droots = spec.Paper_fixtures.ms_droots in
+      List.iter
+        (fun (engine, (d : Stub_opt.decoder)) ->
+          let what = Printf.sprintf "%s %s %s" engine enc.Encoding.name op in
+          let a0 = Gc.allocated_bytes () in
+          let typed =
+            match d (Mbuf.reader_of_bytes wire) with
+            | _ -> false
+            | exception (Mbuf.Short_buffer | Codec.Decode_error _) -> true
+          in
+          let allocated = Gc.allocated_bytes () -. a0 in
+          Alcotest.(check bool) (what ^ ": typed error") true typed;
+          if allocated >= 1e6 then
+            Alcotest.failf "%s: %d-byte body allocated %.0f bytes before failing" what
+              (Bytes.length wire) allocated)
+        [
+          ("opt", Stub_opt.compile_decoder ~enc ~mint ~named droots);
+          ("naive", Stub_naive.compile_decoder ~enc ~mint ~named droots);
+          ("interp", Stub_interp.compile_decoder ~enc ~mint ~named droots);
+        ])
+    (List.concat_map
+       (fun e -> [ (e, ("send_dirents", entry)); (e, ("send_rects", rect)) ])
+       [
+         (Encoding.xdr, `Rpcgen);
+         (Encoding.cdr, `Corba);
+         (Encoding.mach3, `Fluke);
+         (Encoding.msgpack, `Fluke);
+         (Encoding.cbor, `Fluke);
+       ]);
   (* the same count in front of a cdr -> xdr relay's element-by-element
      convert run: a 13-byte request must not make it allocate an array
      for millions of elements *)
@@ -929,6 +1119,8 @@ let suite =
           `Quick hostile_count_test;
       ] );
     ("decplan:failures", failure_tests);
+    ( "decplan:rows",
+      [ Alcotest.test_case "rows are another spelling of the boxed array" `Quick value_rows_test ] );
     ("decplan:selfdesc-arrays", selfdesc_array_tests);
     ("decplan:views", view_tests);
     ("decplan:cache", cache_tests);

@@ -234,7 +234,8 @@ let dump_tests =
           (occurrences out "send_ints"));
     test "dump-plan --decode says how every Bench frame is built" (fun () ->
         (* every frame of the three operations decodes straight to its
-           value, in all five encodings: no slot frames *)
+           value, in all five encodings: no slot frames, and the rects
+           loop is one run of integer rows *)
         List.iter
           (fun enc ->
             let out =
@@ -249,7 +250,8 @@ let dump_tests =
                 (String.split_on_char '\n' out)
             in
             let rects_loop =
-              if enc.Encoding.var = None then "direct chunk" else "in order"
+              if enc == Encoding.mach3 then "int rows ×4 int32, stride 32"
+              else "int rows ×4 int32"
             in
             Alcotest.(check (list string))
               (enc.Encoding.name ^ " frames")

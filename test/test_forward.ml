@@ -302,6 +302,42 @@ let bool_array_reservation_test () =
         [ Encoding.cdr; Encoding.xdr; Encoding.mach3; Encoding.fluke ])
     [ Encoding.cdr; Encoding.fluke ]
 
+(* A msgpack -> cbor relay of rects does not fuse: it materializes the
+   rects, as integer rows, and re-encodes them as Stub_naive encodes the
+   rects under cbor. *)
+let rects_relay_test () =
+  let ms = Paper_fixtures.request_spec (Paper_fixtures.bench_presc `Fluke) ~op:"send_rects" in
+  let mint = ms.Paper_fixtures.ms_mint and named = ms.Paper_fixtures.ms_named in
+  let roots = ms.Paper_fixtures.ms_roots and droots = ms.Paper_fixtures.ms_droots in
+  let rects = [| Paper_fixtures.payload `Rects ~bytes:800 |] in
+  let naive enc =
+    let w = Mbuf.create 256 in
+    Stub_naive.compile_encoder ~enc ~mint ~named roots w rects;
+    Mbuf.contents w
+  in
+  let plan =
+    Stub_forward.forward_plan ~src:Encoding.msgpack ~dst:Encoding.cbor ~mint ~named
+      (List.map Stub_opt.to_dplan_droot droots) roots
+  in
+  Alcotest.(check bool) "the relay materializes" true
+    (List.exists (function Fplan.F_materialize _ -> true | _ -> false) plan.Fplan.f_ops);
+  let decoded =
+    Stub_opt.compile_decoder ~enc:Encoding.msgpack ~mint ~named droots
+      (Mbuf.reader_of_bytes (naive Encoding.msgpack))
+  in
+  Alcotest.(check bool) "as integer rows" true
+    (match decoded with [| Value.Vint_rows _ as v |] -> Value.equal v rects.(0) | _ -> false);
+  List.iter
+    (fun (what, fwd) ->
+      Alcotest.(check string) what
+        (Test_engines.hex (Bytes.to_string (naive Encoding.cbor)))
+        (match relay_outcome fwd (naive Encoding.msgpack) with
+        | Ok_relay (bytes, 0) -> Test_engines.hex bytes
+        | o -> pp_outcome o))
+    (("relay = Stub_naive's cbor", Stub_forward.forward_of_plan plan)
+    :: Option.fold ~none:[] ~some:(fun f -> [ ("staged relay", f) ])
+         (Stub_forward.staged_forward_of_plan plan))
+
 let suite =
   [
     ( "forward",
@@ -309,6 +345,7 @@ let suite =
       @ [
           Alcotest.test_case "bool array reservation verifies" `Quick
             bool_array_reservation_test;
+          Alcotest.test_case "msgpack->cbor rects relay from rows" `Quick rects_relay_test;
           Alcotest.test_case "gateway roundtrip fused vs fallback" `Quick
             gateway_roundtrip_test;
           Alcotest.test_case "pool balance across relay promotion" `Quick

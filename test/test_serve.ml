@@ -254,6 +254,39 @@ let test_unknown_interface () =
       checki "counted as unknown_op" 1 st.Rpc_serve.st_unknown_op;
       checki "connection not killed" 0 st.Rpc_serve.st_killed_conns)
 
+(* A rects echo: the request decodes to integer rows, the handler gets
+   them as they are, and the reply encodes from them the bytes
+   Stub_naive writes for the rects that were sent. *)
+let test_rects_echo () =
+  with_pool_check (fun () ->
+      List.iter
+        (fun enc ->
+          let sim = Sim_core.create () in
+          let t =
+            Rpc_serve.create ~sim ~ingress:(Link.ethernet_100 ~sim)
+              ~egress:(Link.ethernet_100 ~sim) ()
+          in
+          let spec = spec_for enc `Rects and seen = ref [||] in
+          Rpc_serve.register t
+            { spec with Rpc_serve.os_handler = (fun vs -> seen := vs; vs) };
+          let got = ref None in
+          let c = Rpc_serve.connect t ~deliver:(fun d -> got := Some d) in
+          let rects = [| Paper_fixtures.payload `Rects ~bytes:160 |] in
+          Rpc_serve.feed c (Rpc_serve.request_frame spec ~seq:7 rects);
+          Sim_core.run sim;
+          let name = enc.Encoding.name in
+          checkb (name ^ ": the handler gets rows") true
+            (match !seen with [| Value.Vint_rows _ as v |] -> Value.equal v rects.(0) | _ -> false);
+          let naive = Mbuf.create 256 in
+          Stub_naive.compile_encoder ~enc ~mint:spec.Rpc_serve.os_mint
+            ~named:spec.Rpc_serve.os_named spec.Rpc_serve.os_reply_roots naive rects;
+          match replies_of got with
+          | [ (Rpc_serve.Sok, 7, pl) ] ->
+              checkb (name ^ ": reply = Stub_naive's bytes") true
+                (Bytes.equal pl (Mbuf.contents naive))
+          | _ -> Alcotest.failf "%s: expected one Ok reply" name)
+        [ Encoding.xdr; Encoding.cdr; Encoding.mach3; Encoding.msgpack ])
+
 (* Run [f] with the request recorder live (sampling everything into a
    small ring) and leave it disabled and empty afterwards — the fault
    tests pin that kill/close paths flush their records into the flight
@@ -608,6 +641,7 @@ let suite =
     ( "serve.faults",
       [
         Alcotest.test_case "unknown interface id" `Quick test_unknown_interface;
+        Alcotest.test_case "rects echo from integer rows" `Quick test_rects_echo;
         Alcotest.test_case "oversized length prefix" `Quick
           test_bad_length_prefix;
         Alcotest.test_case "undersized length prefix" `Quick
