@@ -1,6 +1,6 @@
 # Build, test, and smoke-benchmark entry points (used by CI).
 
-.PHONY: all build test test-verify test-tier0 bench-smoke bench ci
+.PHONY: all build test test-verify bench-smoke bench ci
 
 all: build
 
@@ -17,21 +17,12 @@ test:
 test-verify:
 	FLICK_VERIFY_PLANS=1 dune runtest --force
 
-# The whole suite with the tier-1 staged encoder disabled
-# (FLICK_STAGE=0), so the tier-0 encode interpreter — the permanent
-# fallback for unstageable plans — stays fully tested even though
-# staging is on by default.  FLICK_STAGE affects encoders only:
-# decoding has one tier.
-test-tier0:
-	FLICK_STAGE=0 dune runtest --force
-
 # The fast artifacts: the plan-optimizer/cache report (BENCH_1.json),
 # the scatter-gather wire report (BENCH_2.json), the decode-plan
 # report (BENCH_3.json), the full-matrix pass-trace report (merged
 # into BENCH_1.json), the concurrent-server sweep (BENCH_4.json), and
-# the tiered-execution report (BENCH_5.json) with its staged-vs-tier-0
-# encode speedup gate (its decode columns time the one decoder), and the forward-relay report (BENCH_6.json) with its
-# fused-vs-materialize throughput and zero-copy gates; the pipeline/
+# the forward-relay report (BENCH_6.json) with its fused-vs-materialize
+# throughput and zero-copy gates; the pipeline/
 # verifier/engine-equality/pin/scaling/backpressure/byte-identity
 # self-checks make the run exit non-zero on any regression.  The
 # gateway artifact runs twice: first with fusion forced off
@@ -47,11 +38,11 @@ test-tier0:
 # since its recorder-absent baseline is the state before the recorder
 # is ever enabled.  check_bench re-parses every BENCH_*.json and fails
 # on any recorded self-check failure, malformed serve sweep,
-# missing/failed stage or gateway gate, unsound selfdesc matrix, or
+# missing/failed gateway gate, unsound selfdesc matrix, or
 # unreconciled/uncovered tail report.
 bench-smoke:
 	dune exec bench/main.exe -- gateway --smoke --no-forward
-	dune exec bench/main.exe -- planopt sgwire decplan tracematrix serve stage gateway selfdesc tail --smoke
+	dune exec bench/main.exe -- planopt sgwire decplan tracematrix serve gateway selfdesc tail --smoke
 	dune exec bench/check_bench.exe
 
 # Every artifact at default sizes (see EXPERIMENTS.md; --full for
@@ -59,4 +50,4 @@ bench-smoke:
 bench:
 	dune exec bench/main.exe
 
-ci: build test test-verify test-tier0 bench-smoke
+ci: build test test-verify bench-smoke

@@ -12,10 +12,6 @@
      carries a structurally sound sweep: at least 4 points with
      strictly increasing connection counts, positive throughput
      everywhere, and shed rates inside [0, 1];
-   - the tiered-execution artifact ("stage", BENCH_5.json) additionally
-     carries its full measurement matrix (>= 9 rows, each with both
-     per-side speedups present and positive) and a passed speedup gate
-     with its threshold keys intact;
    - the forward-relay artifact ("gateway", BENCH_6.json) additionally
      carries byte-identical measurement cells, a clean simulator round
      trip, and — whenever fusion was enabled — a passed throughput +
@@ -23,8 +19,8 @@
      records the gate as not applied, which is accepted);
    - the value-dependent-encoding artifact ("selfdesc", BENCH_7.json)
      additionally carries its full {msgpack,cbor} x workload x size
-     matrix (>= 12 rows), every cell byte-identical across engine
-     tiers, decoded back to an equal value with the whole message
+     matrix (>= 12 rows), every cell byte-identical across engines,
+     decoded back to an equal value with the whole message
      consumed, and both plans clean under the verifier;
    - the request-tracing artifact ("tail", BENCH_8.json) additionally
      carries a sweep whose phase shares sum to 1 with p99 exemplar
@@ -83,52 +79,6 @@ let check_serve_sweep path j =
               | _ ->
                   err "%s: sweep[%d]: missing conns/rps/shed_rate" path i)
             points)
-
-(* The stage artifact carries the tentpole's speedup gate, so its shape
-   is pinned: the gate keys and a full measurement matrix must be
-   present and sound even when the benchmark's own checks were green. *)
-let check_stage path j =
-  let num obj key =
-    match Obs_json.member key obj with
-    | Some v -> Obs_json.to_float v
-    | None -> None
-  in
-  (match Obs_json.member "rows" j with
-  | None -> err "%s: stage artifact is missing its \"rows\"" path
-  | Some rows -> (
-      match Obs_json.to_list rows with
-      | None -> err "%s: \"rows\" is not an array" path
-      | Some rows ->
-          (* 3 encodings x 3 workloads x >= 1 size, each row carrying
-             both sides; the smoke run measures one size, --full two *)
-          if List.length rows < 9 then
-            err "%s: stage matrix has %d rows, want >= 9" path
-              (List.length rows);
-          List.iteri
-            (fun i row ->
-              match
-                (num row "encode_speedup", num row "decode_speedup")
-              with
-              | Some e, Some d ->
-                  if e <= 0. || d <= 0. then
-                    err "%s: rows[%d]: non-positive speedup (%.3f, %.3f)"
-                      path i e d
-              | _ -> err "%s: rows[%d]: missing per-side speedups" path i)
-            rows));
-  match Obs_json.member "gate" j with
-  | None -> err "%s: stage artifact is missing its \"gate\"" path
-  | Some gate -> (
-      (match (num gate "min_speedup", num gate "required_encodings") with
-      | Some ms, Some req ->
-          if ms < 1.15 then
-            err "%s: gate min_speedup %.2f below the pinned 1.15" path ms;
-          if int_of_float req < 2 then
-            err "%s: gate required_encodings %.0f below the pinned 2" path req
-      | _ -> err "%s: gate is missing min_speedup/required_encodings" path);
-      match Obs_json.member "passed" gate with
-      | Some (Obs_json.Bool true) -> ()
-      | Some (Obs_json.Bool false) -> err "%s: speedup gate failed" path
-      | _ -> err "%s: gate is missing \"passed\"" path)
 
 (* The gateway artifact carries the forwarding tentpole's gates, so its
    shape is pinned: every measured cell must have relayed
@@ -353,7 +303,6 @@ let check_file path =
       | Some (Obs_json.Str name) ->
           Printf.printf "%s: artifact %S" path name;
           if name = "serve" then check_serve_sweep path j;
-          if name = "stage" then check_stage path j;
           if name = "gateway" then check_gateway path j;
           if name = "selfdesc" then check_selfdesc path j;
           if name = "tail" then check_tail path j

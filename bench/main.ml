@@ -1156,16 +1156,15 @@ let sgwire () =
      chunked plan against the per-datum plan (the decode mirror of the
      planopt node counts);
    - decode time per message for the plan-driven decoder against the
-     closure-tree baseline it replaces and the naive and interpretive
-     engines;
+     naive and interpretive engines;
    - reader-side copy accounting for large string/byte-sequence
      payloads decoded with zero-copy views against the copying path,
      with throughput both ways ([--no-views] skips the view cells);
-   - small-message decode times (plan vs closure) that must not regress;
+   - small-message decode times, plan against naive;
    - decoder-closure and decode-plan cache hit rates on a repeated
      stub-compilation workload;
-   - engine self-checks: all four decoders must agree on Value.equal,
-     truncated messages must fail to decode in both plan and closure
+   - engine self-checks: all three decoders must agree on Value.equal,
+     truncated messages must fail to decode in both plan and naive
      paths, a view decode must equal its copying decode, and a >=64KB
      payload decoded with views on must copy zero payload bytes.  Any
      failure makes the whole run exit non-zero.
@@ -1269,8 +1268,8 @@ let decplan () =
 
   (* -- differential self-check + decode throughput ------------------- *)
   let bytes = if !smoke then 4096 else 65536 in
-  Printf.printf "\n%-6s %-13s %9s %10s %10s %10s %10s %9s\n" "enc" "workload"
-    "wire" "plan ns" "closure" "naive" "interp" "plan MB/s";
+  Printf.printf "\n%-6s %-13s %9s %10s %10s %10s %9s\n" "enc" "workload"
+    "wire" "plan ns" "naive" "interp" "plan MB/s";
   Buffer.add_string json ",\n  \"throughput\": [";
   first := true;
   List.iter
@@ -1292,7 +1291,6 @@ let decplan () =
           in
           let droots = spec.Paper_fixtures.ms_droots in
           let dec_plan = Stub_opt.compile_decoder ~enc ~mint ~named droots in
-          let dec_closure = Stub_opt.build_decoder ~enc ~mint ~named droots in
           let dec_naive = naive_decoder ~enc ~mint ~named droots in
           let dec_interp =
             Stub_interp.compile_decoder ~enc ~mint ~named droots
@@ -1302,9 +1300,6 @@ let decplan () =
           check
             (Printf.sprintf "%s/%s: plan decode = input value" ename op)
             (Value.equal v_plan value);
-          check
-            (Printf.sprintf "%s/%s: plan decode = closure decode" ename op)
-            (Value.equal v_plan (decode dec_closure));
           check
             (Printf.sprintf "%s/%s: plan decode = naive decode" ename op)
             (Value.equal v_plan (decode dec_naive));
@@ -1323,8 +1318,8 @@ let decplan () =
             (Printf.sprintf "%s/%s: plan rejects truncated input" ename op)
             (fails dec_plan (wlen - 1) && fails dec_plan (wlen / 2));
           check
-            (Printf.sprintf "%s/%s: closure rejects truncated input" ename op)
-            (fails dec_closure (wlen - 1) && fails dec_closure (wlen / 2));
+            (Printf.sprintf "%s/%s: naive rejects truncated input" ename op)
+            (fails dec_naive (wlen - 1) && fails dec_naive (wlen / 2));
           let time label d =
             let ns =
               measure_ns label (fun () ->
@@ -1333,21 +1328,19 @@ let decplan () =
             if Float.is_nan ns then 0. else ns
           in
           let ns_plan = time (ename ^ "/" ^ op ^ "/plan") dec_plan in
-          let ns_closure = time (ename ^ "/" ^ op ^ "/closure") dec_closure in
           let ns_naive = time (ename ^ "/" ^ op ^ "/naive") dec_naive in
           let ns_interp = time (ename ^ "/" ^ op ^ "/interp") dec_interp in
           let mb_plan = if ns_plan > 0. then mbps wlen ns_plan else 0. in
-          Printf.printf "%-6s %-13s %9d %10.0f %10.0f %10.0f %10.0f %9.1f\n"
-            ename op wlen ns_plan ns_closure ns_naive ns_interp mb_plan;
+          Printf.printf "%-6s %-13s %9d %10.0f %10.0f %10.0f %9.1f\n"
+            ename op wlen ns_plan ns_naive ns_interp mb_plan;
           Buffer.add_string json
             (Printf.sprintf
                "%s\n    { \"encoding\": %S, \"op\": %S, \"bytes\": %d, \
-                \"wire_bytes\": %d, \"plan_ns\": %.0f, \"closure_ns\": %.0f, \
+                \"wire_bytes\": %d, \"plan_ns\": %.0f, \
                 \"naive_ns\": %.0f, \"interp_ns\": %.0f, \"plan_mbps\": %.1f \
                 }"
                (if !first then "" else ",")
-               ename op bytes wlen ns_plan ns_closure ns_naive ns_interp
-               mb_plan);
+               ename op bytes wlen ns_plan ns_naive ns_interp mb_plan);
           first := false)
         [ `Ints; `Rects; `Dirents ])
     [ ("xdr", Encoding.xdr, `Rpcgen); ("cdr", Encoding.cdr, `Corba) ];
@@ -1458,9 +1451,9 @@ let decplan () =
     ];
   Buffer.add_string json "\n  ]";
 
-  (* -- small messages: the plan path must not cost on the fast path -- *)
+  (* -- small messages: the plan path against the naive engine ------- *)
   Printf.printf "\n%-13s %6s %10s %10s %7s\n" "workload" "bytes" "plan ns"
-    "closure" "ratio";
+    "naive" "ratio";
   Buffer.add_string json ",\n  \"small\": [";
   first := true;
   List.iter
@@ -1482,9 +1475,7 @@ let decplan () =
       let dec_plan =
         Stub_opt.compile_decoder ~enc:Encoding.xdr ~mint ~named droots
       in
-      let dec_closure =
-        Stub_opt.build_decoder ~enc:Encoding.xdr ~mint ~named droots
-      in
+      let dec_naive = naive_decoder ~enc:Encoding.xdr ~mint ~named droots in
       let time label d =
         (* warm both cells so measurement order does not bias the pair *)
         ignore
@@ -1498,16 +1489,16 @@ let decplan () =
         if Float.is_nan ns then 0. else ns
       in
       let ns_plan = time (op ^ "/small/plan") dec_plan in
-      let ns_closure = time (op ^ "/small/closure") dec_closure in
-      let ratio = if ns_closure > 0. then ns_plan /. ns_closure else 0. in
+      let ns_naive = time (op ^ "/small/naive") dec_naive in
+      let ratio = if ns_naive > 0. then ns_plan /. ns_naive else 0. in
       Printf.printf "%-13s %6d %10.0f %10.0f %7.2f\n" op bytes ns_plan
-        ns_closure ratio;
+        ns_naive ratio;
       Buffer.add_string json
         (Printf.sprintf
            "%s\n    { \"op\": %S, \"bytes\": %d, \"plan_ns\": %.0f, \
-            \"closure_ns\": %.0f, \"plan_vs_closure\": %.2f }"
+            \"naive_ns\": %.0f, \"plan_vs_naive\": %.2f }"
            (if !first then "" else ",")
-           op bytes ns_plan ns_closure ratio);
+           op bytes ns_plan ns_naive ratio);
       first := false)
     [ (`Ints, 64); (`Dirents, 256) ];
   Buffer.add_string json "\n  ]";
@@ -1982,224 +1973,6 @@ let serve () =
   print_endline "wrote BENCH_4.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* stage - tier-1 staged closures vs the tier-0 plan executor           *)
-(* ------------------------------------------------------------------ *)
-
-(* The tiered-execution artifact: the staged encoder
-   (Stub_opt.staged_encoder_of_plan) against the tier-0 plan executor
-   on the paper's three workloads, across all three wire encodings.
-   Decoding has one tier, so its columns time the one decoder on both
-   sides (the decode speedup reads ~1.0 and the combined gate carries
-   the encode side's gain alone).  Writes BENCH_5.json.  Self-checks:
-   - every staged encoder produces byte-identical output to tier 0;
-   - the decoder returns the input value, agrees with Stub_naive, and
-     both reject truncated input with typed errors;
-   - every encode plan in the matrix has a flat-closure form (the bench
-     workloads are non-recursive, so staging must not fall back);
-   - the tentpole gate: on the 64KB directory workload, the staged
-     encode+decode round trip is >= 1.15x tier 0 for at least two
-     encodings.
-   [--full] adds 1KB rows (small messages must not regress through
-   staging); the 64KB gate rows run in every mode, smoke included. *)
-
-let stage_failed = ref false
-
-let stage () =
-  print_endline "============================================================";
-  print_endline " stage - tier-1 staged closures vs the tier-0 plan executor";
-  print_endline "============================================================";
-  let check what ok =
-    if not ok then begin
-      stage_failed := true;
-      Printf.printf "  SELF-CHECK FAILED: %s\n" what
-    end
-  in
-  let sizes = if !full then [ 1024; 65536 ] else [ 65536 ] in
-  let min_speedup = 1.15 and need_encodings = 2 in
-  let json = Buffer.create 4096 in
-  Buffer.add_string json
-    (Printf.sprintf
-       "{\n  \"artifact\": \"stage\",\n  \"smoke\": %b,\n\
-       \  \"stage_threshold\": %d,\n  \"rows\": ["
-       !smoke
-       (Opt_config.stage_threshold ()));
-  Printf.printf "\n%-6s %-13s %9s %-6s %10s %10s %8s\n" "enc" "workload"
-    "wire" "side" "tier0 ns" "staged" "speedup";
-  let first = ref true in
-  (* encoding -> (encode, decode, combined speedup) on 64KB dirents *)
-  let gate_rows : (string * (float * float * float)) list ref = ref [] in
-  List.iter
-    (fun (ename, enc, style) ->
-      let pc = Paper_fixtures.bench_presc style in
-      List.iter
-        (fun payload ->
-          let op = Paper_fixtures.op_of_payload payload in
-          let spec = Paper_fixtures.request_spec pc ~op in
-          let mint = spec.Paper_fixtures.ms_mint
-          and named = spec.Paper_fixtures.ms_named in
-          List.iter
-            (fun bytes ->
-              let tag = Printf.sprintf "%s/%s/%dB" ename op bytes in
-              let value = Paper_fixtures.payload payload ~bytes in
-              (* -- encode: tier 0 vs staged ------------------------- *)
-              let plan =
-                Plan_cache.plan ~enc ~mint ~named
-                  spec.Paper_fixtures.ms_roots
-              in
-              let enc0 = Stub_opt.encoder_of_plan ~enc plan in
-              let enc1 =
-                match Stub_opt.staged_encoder_of_plan ~enc plan with
-                | Some e -> e
-                | None ->
-                    check (tag ^ ": encode plan has a flat-closure form")
-                      false;
-                    enc0
-              in
-              let buf0 = Mbuf.create (bytes + 8192)
-              and buf1 = Mbuf.create (bytes + 8192) in
-              enc0 buf0 [| value |];
-              enc1 buf1 [| value |];
-              let wire = Mbuf.contents buf0 in
-              let wlen = Bytes.length wire in
-              check (tag ^ ": staged encode byte-identical to tier 0")
-                (Bytes.equal wire (Mbuf.contents buf1));
-              let time_encode which e =
-                let buf = Mbuf.create (bytes + 8192) in
-                let ns =
-                  measure_ns
-                    (tag ^ "/enc/" ^ which)
-                    (fun () ->
-                      Mbuf.reset buf;
-                      e buf [| value |])
-                in
-                if Float.is_nan ns then 0. else ns
-              in
-              let ns_e0 = time_encode "tier0" enc0 in
-              let ns_e1 = time_encode "staged" enc1 in
-              (* -- decode: one tier, timed on both sides ------------- *)
-              let droots =
-                List.map Stub_opt.to_dplan_droot spec.Paper_fixtures.ms_droots
-              in
-              let dplan = Plan_cache.dplan ~enc ~mint ~named droots in
-              let dec = Stub_opt.decoder_of_dplan ~enc dplan in
-              let naive =
-                Stub_naive.compile_decoder ~enc ~mint ~named
-                  spec.Paper_fixtures.ms_droots
-              in
-              let v0 = (dec (Mbuf.reader_of_bytes wire)).(0) in
-              check (tag ^ ": decode returns the input value")
-                (Value.equal v0 value);
-              check (tag ^ ": decode = Stub_naive decode")
-                (Value.equal (naive (Mbuf.reader_of_bytes wire)).(0) v0);
-              let fails d cut =
-                match d (Mbuf.reader_of_bytes ~len:cut wire) with
-                | (_ : Value.t array) -> false
-                | exception (Mbuf.Short_buffer | Codec.Decode_error _) ->
-                    true
-              in
-              check (tag ^ ": decode rejects truncated input")
-                (fails dec (wlen - 1) && fails dec (wlen / 2));
-              check (tag ^ ": Stub_naive decode rejects truncated input")
-                (fails naive (wlen - 1) && fails naive (wlen / 2));
-              let time_decode which d =
-                let ns =
-                  measure_ns
-                    (tag ^ "/dec/" ^ which)
-                    (fun () ->
-                      ignore (d (Mbuf.reader_of_bytes wire) : Value.t array))
-                in
-                if Float.is_nan ns then 0. else ns
-              in
-              let ns_d0 = time_decode "tier0" dec in
-              let ns_d1 = time_decode "staged" dec in
-              let speedup t0 t1 = if t1 > 0. then t0 /. t1 else 0. in
-              let sp_e = speedup ns_e0 ns_e1
-              and sp_d = speedup ns_d0 ns_d1 in
-              Printf.printf "%-6s %-13s %9d %-6s %10.0f %10.0f %7.2fx\n"
-                ename op wlen "encode" ns_e0 ns_e1 sp_e;
-              Printf.printf "%-6s %-13s %9d %-6s %10.0f %10.0f %7.2fx\n"
-                ename op wlen "decode" ns_d0 ns_d1 sp_d;
-              if op = "send_dirents" && bytes = 65536 then
-                gate_rows :=
-                  !gate_rows
-                  @ [
-                      ( ename,
-                        (sp_e, sp_d, speedup (ns_e0 +. ns_d0) (ns_e1 +. ns_d1))
-                      );
-                    ];
-              Buffer.add_string json
-                (Printf.sprintf
-                   "%s\n    { \"encoding\": %S, \"op\": %S, \"bytes\": %d, \
-                    \"wire_bytes\": %d, \"encode_tier0_ns\": %.0f, \
-                    \"encode_staged_ns\": %.0f, \"encode_speedup\": %.3f, \
-                    \"decode_tier0_ns\": %.0f, \"decode_staged_ns\": %.0f, \
-                    \"decode_speedup\": %.3f }"
-                   (if !first then "" else ",")
-                   ename op bytes wlen ns_e0 ns_e1 sp_e ns_d0 ns_d1 sp_d);
-              first := false)
-            sizes)
-        [ `Ints; `Rects; `Dirents ])
-    [
-      ("xdr", Encoding.xdr, `Rpcgen);
-      ("cdr", Encoding.cdr, `Corba);
-      ("mach3", Encoding.mach3, `Fluke);
-    ];
-  Buffer.add_string json "\n  ]";
-  (* -- the tentpole gate --------------------------------------------- *)
-  let passing =
-    List.filter (fun (_, (_, _, c)) -> c >= min_speedup) !gate_rows
-  in
-  Printf.printf
-    "\n64KB dirents gate (encode+decode round trip >= %.2fx, >= %d \
-     encodings):\n"
-    min_speedup need_encodings;
-  List.iter
-    (fun (ename, (e, d, c)) ->
-      Printf.printf
-        "  %-6s encode %5.2fx  decode %5.2fx  combined %5.2fx  %s\n" ename e
-        d c
-        (if c >= min_speedup then "pass" else "below"))
-    !gate_rows;
-  check
-    (Printf.sprintf
-       "staged encode+decode >= %.2fx tier 0 on 64KB dirents for >= %d \
-        encodings"
-       min_speedup need_encodings)
-    (List.length passing >= need_encodings);
-  Buffer.add_string json
-    (Printf.sprintf
-       ",\n  \"gate\": { \"op\": \"send_dirents\", \"bytes\": 65536, \
-        \"min_speedup\": %.2f, \"required_encodings\": %d, \
-        \"rows\": [%s], \"passing_encodings\": [%s], \"passed\": %b }"
-       min_speedup need_encodings
-       (String.concat ", "
-          (List.map
-             (fun (ename, (e, d, c)) ->
-               Printf.sprintf
-                 "{ \"encoding\": %S, \"encode_speedup\": %.3f, \
-                  \"decode_speedup\": %.3f, \"combined_speedup\": %.3f }"
-                 ename e d c)
-             !gate_rows))
-       (String.concat ", "
-          (List.map (fun (ename, _) -> Printf.sprintf "%S" ename) passing))
-       (List.length passing >= need_encodings));
-  Buffer.add_string json
-    (Printf.sprintf ",\n  \"self_check_failed\": %b\n}\n" !stage_failed);
-  (match Obs_json.parse (Buffer.contents json) with
-  | Ok _ -> ()
-  | Error msg -> check (Printf.sprintf "BENCH_5.json parses: %s" msg) false);
-  let oc = open_out "BENCH_5.json" in
-  Buffer.output_buffer oc json;
-  close_out oc;
-  if !stage_failed then
-    print_endline "\nstage: SELF-CHECK FAILURES above; exiting non-zero"
-  else
-    print_endline
-      "\nall byte-identity, decode-equality, truncation, and speedup-gate \
-       checks passed";
-  print_endline "wrote BENCH_5.json\n"
-
-(* ------------------------------------------------------------------ *)
 (* gateway - fused forward relaying vs decode-then-reencode             *)
 (* ------------------------------------------------------------------ *)
 
@@ -2319,19 +2092,7 @@ let gateway () =
                     (tag ^ ": forward verifier clean: "
                     ^ Plan_verify.error_to_string e)
                     false);
-              (* the tier the production wrapper settles on: staged
-                 when staging is enabled and the plan has a flat form
-                 (the baseline's cached encoder/decoder closures promote
-                 the same way under measurement) *)
-              let fused =
-                match
-                  if Opt_config.stage_enabled () then
-                    Stub_forward.staged_forward_of_plan plan
-                  else None
-                with
-                | Some f -> f
-                | None -> Stub_forward.forward_of_plan plan
-              in
+              let fused = Stub_forward.forward_of_plan plan in
               let run_once f =
                 let w = Mbuf.create (wlen + 8192) in
                 f (Mbuf.reader_of_bytes wire) w;
@@ -2513,9 +2274,8 @@ let gateway () =
    - the encode and decode plans are clean under {!Plan_verify}
      (variable emits dominated by covering worst-case reservations);
    - the plan executor's bytes are identical to the naive
-     walk-the-types engine's, and to the staged flat closure's when the
-     plan has one;
-   - tier-0 decode returns the input value ({!Value.equal}) and
+     walk-the-types engine's;
+   - the plan decoder returns the input value ({!Value.equal}) and
      consumes the whole message — no worst-case slack may leak into
      the stream position.
    There is no speedup gate: these encodings trade throughput for
@@ -2588,7 +2348,7 @@ let selfdesc () =
                       false;
                     false
               in
-              (* -- byte identity across the engine tiers ------------- *)
+              (* -- byte identity across the engines ------------------ *)
               let enc0 = Stub_opt.encoder_of_plan ~enc plan in
               let buf0 = Mbuf.create (bytes + 8192) in
               enc0 buf0 [| value |];
@@ -2602,14 +2362,6 @@ let selfdesc () =
               naive bufn [| value |];
               let identical = Bytes.equal wire (Mbuf.contents bufn) in
               check (tag ^ ": plan bytes identical to naive bytes") identical;
-              (match Stub_opt.staged_encoder_of_plan ~enc plan with
-              | Some staged ->
-                  let bufs = Mbuf.create (bytes + 8192) in
-                  staged bufs [| value |];
-                  check
-                    (tag ^ ": staged bytes identical to plan bytes")
-                    (Bytes.equal wire (Mbuf.contents bufs))
-              | None -> ());
               (* -- decode: value equality, whole-message consumption - *)
               let dec0 = Stub_opt.decoder_of_dplan ~enc dplan in
               let r = Mbuf.reader_of_bytes wire in
@@ -3051,7 +2803,7 @@ let artifacts =
     ("fig3", fig3); ("fig4", fig4); ("fig5", fig5); ("fig6", fig6);
     ("fig7", fig7); ("ablations", ablations); ("planopt", planopt);
     ("sgwire", sgwire); ("decplan", decplan); ("tracematrix", tracematrix);
-    ("serve", serve); ("stage", stage); ("gateway", gateway);
+    ("serve", serve); ("gateway", gateway);
     ("selfdesc", selfdesc); ("tail", tail);
   ]
 
@@ -3099,6 +2851,6 @@ let () =
   List.iter (fun name -> (List.assoc name artifacts) ()) to_run;
   if
     !planopt_failed || !sgwire_failed || !decplan_failed
-    || !tracematrix_failed || !serve_failed || !stage_failed
+    || !tracematrix_failed || !serve_failed
     || !gateway_failed || !selfdesc_failed || !tail_failed
   then exit 1

@@ -24,37 +24,19 @@ let handle_diag f =
       Printf.eprintf "flick: %s\n" msg;
       exit 1
 
-(* ---- observability and staging flags -------------------------------- *)
+(* ---- observability flags -------------------------------------------- *)
 
 (* Cmdliner group commands only accept options after the subcommand
-   name, but the trace/metrics output files and the staged-specializer
-   policy apply to the whole run, so they read naturally in either
-   position:
+   name, but the trace/metrics/flight output files apply to the whole
+   run, so they read naturally in either position:
 
      flick --trace-out=t.json compile ... mail.idl
      flick compile ... mail.idl --trace-out=t.json
-     flick --stage=off stats
 
    We strip them from argv before cmdliner parses it. *)
 let trace_out = ref None
 let metrics_out = ref None
 let flight_out = ref None
-
-let set_stage v =
-  match v with
-  | "on" | "true" | "1" -> Opt_config.set_stage_enabled true
-  | "off" | "false" | "0" -> Opt_config.set_stage_enabled false
-  | v ->
-      Printf.eprintf "flick: --stage expects on or off, got %S\n" v;
-      exit 2
-
-let set_stage_threshold v =
-  match int_of_string_opt v with
-  | Some n when n >= 1 -> Opt_config.set_stage_threshold n
-  | _ ->
-      Printf.eprintf
-        "flick: --stage-threshold expects a positive integer, got %S\n" v;
-      exit 2
 
 let filter_obs_flags argv =
   let prefixed p a =
@@ -72,12 +54,6 @@ let filter_obs_flags argv =
     | "--flight-out" :: v :: rest ->
         flight_out := Some v;
         go acc rest
-    | "--stage" :: v :: rest ->
-        set_stage v;
-        go acc rest
-    | "--stage-threshold" :: v :: rest ->
-        set_stage_threshold v;
-        go acc rest
     | a :: rest when prefixed "--trace-out=" a ->
         trace_out := Some (tail "--trace-out=" a);
         go acc rest
@@ -86,12 +62,6 @@ let filter_obs_flags argv =
         go acc rest
     | a :: rest when prefixed "--flight-out=" a ->
         flight_out := Some (tail "--flight-out=" a);
-        go acc rest
-    | a :: rest when prefixed "--stage=" a ->
-        set_stage (tail "--stage=" a);
-        go acc rest
-    | a :: rest when prefixed "--stage-threshold=" a ->
-        set_stage_threshold (tail "--stage-threshold=" a);
         go acc rest
     | a :: rest -> go (a :: acc) rest
   in
@@ -446,10 +416,7 @@ let stats_cmd =
         ignore
           (Rpc_serve.run_workload ~enc:encoding ~requests_per_conn:32
              ~conns:4 ());
-        Printf.printf "workload encoding: %s\n" encoding.Encoding.name;
-        Printf.printf "staged specialization: %s (promotion threshold %d calls)\n\n"
-          (if Opt_config.stage_enabled () then "on" else "off")
-          (Opt_config.stage_threshold ());
+        Printf.printf "workload encoding: %s\n\n" encoding.Encoding.name;
         print_string (Obs.render_table ()))
   in
   let stats_encoding_arg =
@@ -565,11 +532,7 @@ let main =
           Chrome trace_event JSON of the run's compile stages, optimizer \
           passes and simulated RPCs; $(b,--metrics-out=FILE) writes the \
           metrics registry as JSON lines; $(b,--flight-out=FILE) enables \
-          the request flight recorder and writes its ring as JSON.  \
-          $(b,--stage=on|off) and \
-          $(b,--stage-threshold=N) (any position) control the tier-1 \
-          staged plan specializer: whether hot plans are promoted to \
-          flat closures, and after how many calls.")
+          the request flight recorder and writes its ring as JSON.")
     [
       compile_cmd; dump_aoi_cmd; dump_presc_cmd; dump_plan_cmd;
       list_interfaces_cmd; reuse_cmd; stats_cmd; serve_cmd;

@@ -100,31 +100,6 @@ let trace_one_side b ~label ~nodes ~checks run prog =
 (* Rendering                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One line under each marshal plan header saying which execution tier
-   the stub engine will run it at: whether the staged (tier 1)
-   specializer is enabled, and whether this particular plan has a
-   flat-closure form.  Decode plans have one tier; their header is
-   followed by one line per frame saying how its value is built. *)
-let tier_line stageable =
-  if not (Opt_config.stage_enabled ()) then
-    "tier: 0 interpreted (staging disabled)\n"
-  else if stageable then
-    Printf.sprintf
-      "tier: 0 -> 1 staged flat closure after %d calls\n"
-      (Opt_config.stage_threshold ())
-  else
-    "tier: 0 interpreted (subroutines block staging)\n"
-
-(* Forward plans stage unless a materialize fallback is embedded (its
-   plans may carry recursive subroutines). *)
-let forward_tier_line plan =
-  if not (Opt_config.stage_enabled ()) then
-    "tier: 0 interpreted (staging disabled)\n"
-  else if Option.is_some (Stub_forward.staged_forward_of_plan plan) then
-    Printf.sprintf "tier: 0 -> 1 staged flat closure after %d calls\n"
-      (Opt_config.stage_threshold ())
-  else "tier: 0 interpreted (materialize fallbacks block staging)\n"
-
 (* The copy-elision tally: how many ops of each provenance class the
    relay executes, counting through loop and optional bodies.  The
    per-op provenance is already on every rendered line (pp_op's
@@ -188,7 +163,6 @@ let render ~idl ~pres ~backend ~interface ~op ~mode ?config ?encoding ~file
           Buffer.add_string b
             (Format.asprintf "=== marshal plan: %s (%s) ===@."
                st.Pres_c.os_client_name enc_label);
-          Buffer.add_string b (tier_line (Plan_stage.stageable plan));
           Buffer.add_string b
             (Format.asprintf "%a@." Mplan.pp plan.Plan_compile.p_ops);
           List.iter
@@ -223,7 +197,6 @@ let render ~idl ~pres ~backend ~interface ~op ~mode ?config ?encoding ~file
             (Format.asprintf "=== forward plan: %s (%s -> %s) ===@."
                st.Pres_c.os_client_name enc_label
                dtr.Backend_base.tr_name);
-          Buffer.add_string b (forward_tier_line plan);
           Buffer.add_string b (Format.asprintf "%a@." Fplan.pp_plan plan);
           Buffer.add_string b (elision_summary plan)
       | Trace ->

@@ -20,8 +20,8 @@ type mode =
           request message arriving under the source backend's encoding
           re-emitted under the destination backend's, every op line
           annotated with its copy-elision provenance ([# blit] /
-          [# borrow] / [# convert] / [# fixup] / [# fallback]), with an
-          execution-tier line and a rolled-up elision tally *)
+          [# borrow] / [# convert] / [# fixup] / [# fallback]), with a
+          rolled-up elision tally *)
 
 val render :
   idl:Driver.idl ->

@@ -285,7 +285,7 @@ let skip_pad r ~pad_unit n =
 (* -- value-dependent wire formats ------------------------------------ *)
 
 (* The one Value.t mapping onto Encoding's variable-header emitters and
-   parsers, shared by every engine (plan-driven, staged, rpcgen-style,
+   parsers, shared by every engine (plan-driven, rpcgen-style,
    interpretive) so they all emit and accept exactly the same bytes.  A
    char or an integer field of at most 32 bits stays a native int end
    to end.  Malformed headers raise [Decode_error] (the same exception

@@ -71,9 +71,9 @@ val write_i32_fields :
 val as_int : Value.t -> int
 val as_int64 : Value.t -> int64
 
-(** Length/padding helpers shared by every decode engine (closure-tree,
-    plan-compiled, rpcgen-style), so the wire conventions for counted
-    data live in exactly one place. *)
+(** Length/padding helpers shared by every decode engine
+    (plan-compiled, rpcgen-style, interpretive), so the wire conventions
+    for counted data live in exactly one place. *)
 
 val read_len : Mbuf.reader -> be:bool -> align:int -> int
 (** Aligned 32-bit count read; rejects negative counts with
@@ -110,8 +110,8 @@ val write_var :
 val read_var :
   Encoding.varcodec -> Encoding.atom_kind -> Mbuf.reader -> Value.t
 (** Checked parse of one scalar; rejects non-minimal encodings and
-    values outside the declared field width, so every decoder tier
-    accepts exactly the same inputs. *)
+    values outside the declared field width, so every decoder accepts
+    exactly the same inputs. *)
 
 val write_vlen :
   Encoding.varcodec -> check:bool -> Encoding.lenkind -> Mbuf.t -> int ->

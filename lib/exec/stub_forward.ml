@@ -22,9 +22,6 @@ let copied_bytes = Obs.counter "forward.copied_bytes"
 let fallback_fields = Obs.counter "forward.fallback_fields"
 let bswap_runs = Obs.counter "forward.bswap_runs"
 let bswap_bytes = Obs.counter "forward.bswap_bytes"
-let fwd_promotions = Obs.counter "forward.promotions"
-let fwd_staged_calls = Obs.counter "forward.staged_calls"
-let fwd_interp_calls = Obs.counter "forward.interp_calls"
 
 let account ~len borrowed =
   if borrowed > 0 then Obs.incr borrowed_bytes borrowed;
@@ -305,7 +302,7 @@ and compile_ops ~src ~dst ops =
   Array.of_list (List.map (compile_op ~src ~dst) ops)
 
 (* ------------------------------------------------------------------ *)
-(* Plan-level entry points and the tiered front door                    *)
+(* Plan-level entry points and the cached front door                   *)
 (* ------------------------------------------------------------------ *)
 
 let forward_plan ?config ~src ~dst ~mint ~named ?sg ?sg_threshold droots roots
@@ -327,64 +324,8 @@ let forward_of_plan (p : Fplan.plan) : forward =
       (Array.unsafe_get fns i) r w
     done
 
-let rec has_materialize ops =
-  List.exists
-    (fun (op : Fplan.fop) ->
-      match op with
-      | Fplan.F_materialize _ -> true
-      | Fplan.F_loop { body; _ } | Fplan.F_opt { body } -> has_materialize body
-      | _ -> false)
-    ops
-
-(* Tier 1: fuse the closure list into one left-nested chain — no array
-   dispatch on the hot path.  Declined (like the staged encoder on
-   plans with subroutines) when the plan falls back to materialization:
-   the embedded plans may carry recursive subroutines. *)
-let staged_forward_of_plan (p : Fplan.plan) : forward option =
-  if has_materialize p.Fplan.f_ops then None
-  else begin
-    let fns = compile_ops ~src:p.Fplan.f_src ~dst:p.Fplan.f_dst p.Fplan.f_ops in
-    let chain =
-      Array.fold_left
-        (fun acc f ->
-          match acc with
-          | None -> Some f
-          | Some g -> Some (fun r w -> g r w; f r w))
-        None fns
-    in
-    match chain with None -> Some (fun _ _ -> ()) | Some f -> Some f
-  end
-
 let forward_cache : forward Plan_cache.t =
   Plan_cache.create ~name:"stub_forward" ()
-
-(* Tier promotion, cloned from Stub_opt's tiered encoder: a stable
-   wrapper counts calls through the cache's hotness counter and swaps
-   its target to the staged chain at the stage threshold. *)
-let tiered ~key (tier0 : forward) (staged : forward) : forward =
-  let threshold = Opt_config.stage_threshold () in
-  let calls = Plan_cache.hotness forward_cache key in
-  let promoted = ref (!calls >= threshold) in
-  if !promoted then Obs.incr fwd_promotions 1;
-  let self = ref tier0 in
-  let wrapper r w =
-    if !promoted then begin
-      Obs.incr fwd_staged_calls 1;
-      staged r w
-    end
-    else begin
-      Obs.incr fwd_interp_calls 1;
-      incr calls;
-      tier0 r w;
-      if !calls >= threshold then begin
-        promoted := true;
-        Obs.incr fwd_promotions 1;
-        Plan_cache.promote forward_cache key !self
-      end
-    end
-  in
-  self := wrapper;
-  wrapper
 
 let compile_forward ?config ~(src : Encoding.t) ~(dst : Encoding.t) ~mint
     ~named droots roots : forward =
@@ -394,22 +335,15 @@ let compile_forward ?config ~(src : Encoding.t) ~(dst : Encoding.t) ~mint
   let fp = Plan_cache.fp_create ~enc:src ~mint ~named () in
   (* both sides' structure is in the key: the source fingerprint seeds
      it, the destination encoding, scatter-gather policy, pass
-     selection, tier policy, and the fusion enable flag tag it *)
+     selection, and the fusion enable flag tag it *)
   Plan_cache.fp_tag fp
-    (Printf.sprintf "fwd:dst=%s,sg=%b,%d,%s,%s,%s" dst.Encoding.name
+    (Printf.sprintf "fwd:dst=%s,sg=%b,%d,%s,%s" dst.Encoding.name
        (Mbuf.sg_enabled ())
        (Mbuf.borrow_threshold ())
        (Opt_config.selection_fingerprint config)
-       (Opt_config.stage_fingerprint ())
        (Fplan_compile.fingerprint ()));
   List.iter (Plan_cache.fp_droot fp) droots;
   List.iter (Plan_cache.fp_root fp) roots;
   let key = Plan_cache.fp_contents fp in
   Plan_cache.find_or_add forward_cache key (fun () ->
-      let plan = forward_plan ~config ~src ~dst ~mint ~named droots roots in
-      let tier0 = forward_of_plan plan in
-      if not (Opt_config.stage_enabled ()) then tier0
-      else
-        match staged_forward_of_plan plan with
-        | None -> tier0
-        | Some staged -> tiered ~key tier0 staged)
+      forward_of_plan (forward_plan ~config ~src ~dst ~mint ~named droots roots))

@@ -589,7 +589,7 @@ let compile_value_decoder cfg (enc : Encoding.t) mint named :
     | None -> dec elem sub
   (* the fewest wire bytes one element takes, so a hostile count fails
      before its array is allocated *)
-  and elem_min elem sub = Plan_compile.min_size ~enc ~mint elem sub
+  and elem_min elem sub = Plan_compile.min_size ~enc ~mint ~named elem sub
   and decode_elements d r n ~min_elem as_int_array =
     Codec.need_elems r n ~min_elem;
     if as_int_array then begin

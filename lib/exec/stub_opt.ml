@@ -97,6 +97,58 @@ let const_str_image ~be s nul pad_count =
   Bytes.blit_string s 0 b 4 (String.length s);
   b
 
+(* Arity-specialized sequencing: an op list becomes one flat closure
+   calling its parts directly, instead of a dispatch loop over a
+   closure array (longer sequences split in half, so the dispatch cost
+   stays logarithmic). *)
+let rec seq_fns (fns : ('a -> 'b -> unit) array) : 'a -> 'b -> unit =
+  match fns with
+  | [||] -> fun _ _ -> ()
+  | [| f |] -> f
+  | [| f; g |] ->
+      fun a b ->
+        f a b;
+        g a b
+  | [| f; g; h |] ->
+      fun a b ->
+        f a b;
+        g a b;
+        h a b
+  | [| f; g; h; i |] ->
+      fun a b ->
+        f a b;
+        g a b;
+        h a b;
+        i a b
+  | fns ->
+      let n = Array.length fns in
+      let m = n / 2 in
+      let l = seq_fns (Array.sub fns 0 m)
+      and r = seq_fns (Array.sub fns m (n - m)) in
+      fun a b ->
+        l a b;
+        r a b
+
+(* The [(off, len)] spans of a [size]-byte chunk that no item covers
+   (alignment gaps), which the chunk writer zero-fills. *)
+let chunk_gaps size (items : Mplan.item list) =
+  let covered =
+    List.map
+      (fun (it : Mplan.item) ->
+        match it with
+        | Mplan.It_atom { off; atom; _ } -> (off, off + atom.Mplan.size)
+        | Mplan.It_bytes { off; len; pad; _ } -> (off, off + len + pad)
+        | Mplan.It_const { off; atom; _ } -> (off, off + atom.Mplan.size))
+      items
+    |> List.sort compare
+  in
+  let rec walk pos acc = function
+    | [] -> if pos < size then (pos, size - pos) :: acc else acc
+    | (s, e) :: rest ->
+        let acc = if s > pos then (pos, s - pos) :: acc else acc in
+        walk (max pos e) acc rest
+  in
+  List.rev (walk 0 [] covered)
 
 (* A loop body of the form [Align a?; Chunk items] whose items all read
    from the loop element can be fused into one store sequence per
@@ -109,23 +161,6 @@ let rec rooted_at_var ~var (rv : Mplan.rv) =
   | Mplan.Rfield { base; _ } -> rooted_at_var ~var base
   | Mplan.Rarm _ | Mplan.Ropt _ | Mplan.Rdiscrim _ | Mplan.Rparam _ -> false
 
-let gapless size (items : Mplan.item list) =
-  let covered =
-    List.map
-      (fun (it : Mplan.item) ->
-        match it with
-        | Mplan.It_atom { off; atom; _ } -> (off, off + atom.Mplan.size)
-        | Mplan.It_bytes { off; len; pad; _ } -> (off, off + len + pad)
-        | Mplan.It_const { off; atom; _ } -> (off, off + atom.Mplan.size))
-      items
-    |> List.sort compare
-  in
-  let rec walk pos = function
-    | [] -> pos = size
-    | (s, e) :: rest -> s = pos && walk (max pos e) rest
-  in
-  walk 0 covered
-
 let item_src_ok ~var (it : Mplan.item) =
   match it with
   | Mplan.It_atom { src; _ } | Mplan.It_bytes { src; _ } ->
@@ -135,7 +170,7 @@ let item_src_ok ~var (it : Mplan.item) =
 let fused_loop_body ~var (body : Mplan.op list) =
   let chunk = function
     | Mplan.Chunk { size; items; check = false; align = _ }
-      when gapless size items && List.for_all (item_src_ok ~var) items ->
+      when chunk_gaps size items = [] && List.for_all (item_src_ok ~var) items ->
         Some (size, items)
     | _ -> None
   in
@@ -188,9 +223,7 @@ let rows_shape ~var (srcs : Mplan.rv list) =
   | Value.Rstruct _ as s when List.length paths = List.length srcs && leaves s = paths -> Some s
   | _ -> None
 
-(* One chunk item, compiled to a store at its constant offset.  Shared
-   between the tier-0 chunk writer and the tier-1 staged chunks (which
-   regroup items but keep this form for whatever does not fuse). *)
+(* One chunk item, compiled to a store at its constant offset. *)
 let compile_item ~be (it : Mplan.item) : Mbuf.t -> env -> unit =
   match it with
   | Mplan.It_const { off; atom; value } ->
@@ -219,7 +252,79 @@ let compile_item ~be (it : Mplan.item) : Mbuf.t -> env -> unit =
           else fun buf env -> Mbuf.set_i32_le buf off (Codec.as_int (a env))
       | _, _ -> fun buf env -> Codec.write_at buf ~be off atom (a env))
 
-let compile_ops ~(enc : Encoding.t) ~subs ops : (Mbuf.t -> env -> unit) list =
+(* A chunk's stores.  Every item writes at its own constant offset into
+   space one capacity check reserved, so items regroup freely without
+   changing the bytes:
+   - byte-adjacent constants fold into one precomputed image, written
+     with one blit;
+   - 4-byte integer fields of one aggregate resolve the aggregate once
+     and store through one Codec.write_i32_fields call, which reads an
+     int array's elements without boxing them;
+   - every other item, and a constant or field with no partner, is one
+     store. *)
+let chunk_stores ~be (items : Mplan.item list) : (Mbuf.t -> env -> unit) list =
+  let const_of (it : Mplan.item) =
+    match it with
+    | Mplan.It_const { off; atom; value }
+      when (match (atom.Mplan.kind, atom.Mplan.size) with
+           | Encoding.Kint { bits = 64; _ }, _ | _, (1 | 2 | 4) -> true
+           | _, _ -> false) ->
+        Some (off, atom, value)
+    | _ -> None
+  and field_of (it : Mplan.item) =
+    match it with
+    | Mplan.It_atom
+        { off; atom = { Mplan.kind = Encoding.Kint { bits; _ }; size = 4; _ };
+          src = Mplan.Rfield { base; index; _ } }
+      when bits <= 32 ->
+        Some (base, (off, index))
+    | _ -> None
+  in
+  let images =
+    List.fold_right
+      (fun ((off, (atom : Mplan.atom), _) as c) runs ->
+        match runs with
+        | ((next, _, _) :: _ as run) :: rest when off + atom.Mplan.size = next ->
+            (c :: run) :: rest
+        | _ -> [ c ] :: runs)
+      (List.sort compare (List.filter_map const_of items))
+      []
+    |> List.filter (fun run -> List.length run > 1)
+  and runs =
+    let fields = List.filter_map field_of items in
+    List.sort_uniq compare (List.map fst fields)
+    |> List.map (fun base ->
+           (base, List.sort compare (List.filter_map (fun (b, f) -> if b = base then Some f else None) fields)))
+    |> List.filter (fun (_, fs) -> List.length fs > 1)
+  in
+  let image run =
+    let off0, _, _ = List.hd run in
+    let n = List.fold_left (fun n (_, (atom : Mplan.atom), _) -> n + atom.Mplan.size) 0 run in
+    let m = Mbuf.create n in
+    Mbuf.ensure m n;
+    List.iter (fun (off, atom, value) -> Codec.write_const_at m ~be (off - off0) atom value) run;
+    Mbuf.advance m n;
+    let image = Mbuf.contents m in
+    fun buf _ -> Mbuf.set_bytes buf off0 image 0 n
+  and run (base, fs) =
+    let b = compile_rv base in
+    let write =
+      Codec.write_i32_fields ~be
+        ~offs:(Array.of_list (List.map fst fs))
+        ~idxs:(Array.of_list (List.map snd fs))
+    in
+    fun buf env -> write buf (b env)
+  and single it =
+    match (const_of it, field_of it) with
+    | Some c, _ -> not (List.exists (List.mem c) images)
+    | None, Some (base, _) -> not (List.mem_assoc base runs)
+    | None, None -> true
+  in
+  List.map image images
+  @ List.map run runs
+  @ List.map (compile_item ~be) (List.filter single items)
+
+let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
   let be = enc.Encoding.big_endian in
   let vc = enc.Encoding.var in
   (* emit a precomputed wire image; with [check:false] the bytes ride a
@@ -334,35 +439,23 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : (Mbuf.t -> env -> unit) list =
             put buf ints)
     | _ -> None
   in
-  let rec compile_op (op : Mplan.op) : Mbuf.t -> env -> unit =
+  let rec compile_seq ops = seq_fns (Array.of_list (List.map compile_op ops))
+  and compile_op (op : Mplan.op) : Mbuf.t -> env -> unit =
     match op with
     | Mplan.Align n -> fun buf _ -> Mbuf.align buf n
     | Mplan.Chunk { size; items; check; align = _ } ->
-        let writers = List.map (compile_item ~be) items in
-        (* zero the spans items do not cover (alignment gaps) *)
-        let gaps =
-          let covered =
-            List.map
-              (fun (it : Mplan.item) ->
-                match it with
-                | Mplan.It_atom { off; atom; _ } -> (off, off + atom.Mplan.size)
-                | Mplan.It_bytes { off; len; pad; _ } -> (off, off + len + pad)
-                | Mplan.It_const { off; atom; _ } -> (off, off + atom.Mplan.size))
-              items
-            |> List.sort compare
-          in
-          let rec walk pos acc = function
-            | [] -> if pos < size then (pos, size - pos) :: acc else acc
-            | (s, e) :: rest ->
-                let acc = if s > pos then (pos, s - pos) :: acc else acc in
-                walk (max pos e) acc rest
-          in
-          List.rev (walk 0 [] covered)
+        let zero =
+          List.map
+            (fun (off, len) buf (_ : env) -> Mbuf.fill_zero buf off len)
+            (chunk_gaps size items)
         in
-        fun buf env ->
-          if check then Mbuf.ensure buf size;
-          List.iter (fun (off, len) -> Mbuf.fill_zero buf off len) gaps;
-          List.iter (fun w -> w buf env) writers;
+        let run = seq_fns (Array.of_list (zero @ chunk_stores ~be items)) in
+        if check then fun buf env ->
+          Mbuf.ensure buf size;
+          run buf env;
+          Mbuf.advance buf size
+        else fun buf env ->
+          run buf env;
           Mbuf.advance buf size
     | Mplan.Ensure_count { arr; unit_size; via = _ } ->
         let a = compile_rv arr in
@@ -610,17 +703,9 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : (Mbuf.t -> env -> unit) list =
         in
         let table = Array.make (max n_cases 1) None in
         List.iter
-          (fun (a : Mplan.arm) ->
-            let fns = List.map compile_op a.Mplan.a_body in
-            table.(a.Mplan.a_case) <- Some (fun buf env -> List.iter (fun f -> f buf env) fns))
+          (fun (a : Mplan.arm) -> table.(a.Mplan.a_case) <- Some (compile_seq a.Mplan.a_body))
           arms;
-        let default_fn =
-          match default with
-          | None -> None
-          | Some (_, body) ->
-              let fns = List.map compile_op body in
-              Some (fun buf env -> List.iter (fun f -> f buf env) fns)
-        in
+        let default_fn = Option.map (fun (_, body) -> compile_seq body) default in
         fun buf env ->
           match sel env with
           | Value.Vunion { case; _ } -> (
@@ -644,12 +729,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : (Mbuf.t -> env -> unit) list =
           let v = a env in
           !cell buf { params = [| v |]; vars = env.vars })
   and compile_loop var body =
-    let body_fns = Array.of_list (List.map compile_op body) in
-    let run_body buf env =
-      for k = 0 to Array.length body_fns - 1 do
-        (Array.unsafe_get body_fns k) buf env
-      done
-    in
+    let run_body = compile_seq body in
     let rec loop buf env v =
       match v with
       | Value.Varray elems ->
@@ -708,7 +788,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : (Mbuf.t -> env -> unit) list =
           | _ -> invalid_arg "Stub_opt: atom array over non-array");
           Mbuf.advance buf (n * size)
   in
-  List.map compile_op ops
+  compile_seq ops
 
 let encoder_of_plan ~enc (plan : Plan_compile.plan) : encoder =
   let subs : (string, (Mbuf.t -> env -> unit) ref) Hashtbl.t = Hashtbl.create 4 in
@@ -717,215 +797,14 @@ let encoder_of_plan ~enc (plan : Plan_compile.plan) : encoder =
     plan.Plan_compile.p_subs;
   List.iter
     (fun (name, body) ->
-      let fns = compile_ops ~enc ~subs body in
-      let nvars = max_var body + 1 in
-      let cell = Hashtbl.find subs name in
-      cell :=
-        fun buf env ->
-          let env = { env with vars = Array.make (max nvars 1) Value.Vvoid } in
-          List.iter (fun f -> f buf env) fns)
+      let run = compile_ops ~enc ~subs body in
+      let nvars = max 1 (max_var body + 1) in
+      Hashtbl.find subs name := fun buf env ->
+        run buf { env with vars = Array.make nvars Value.Vvoid })
     plan.Plan_compile.p_subs;
-  let fns = compile_ops ~enc ~subs plan.Plan_compile.p_ops in
-  let fns = Array.of_list fns in
-  let nvars = max_var plan.Plan_compile.p_ops + 1 in
-  fun buf params ->
-    let env = { params; vars = Array.make (max nvars 1) Value.Vvoid } in
-    for k = 0 to Array.length fns - 1 do
-      (Array.unsafe_get fns k) buf env
-    done
-
-(* ------------------------------------------------------------------ *)
-(* Tier 1: staged encoding                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Arity-specialized sequencing: a staged op list becomes one flat
-   closure calling its parts directly, instead of the tier-0 shape of a
-   dispatch loop over a closure array (longer sequences split in half,
-   so the dispatch cost stays logarithmic). *)
-let rec seq_fns (fns : ('a -> 'b -> unit) array) : 'a -> 'b -> unit =
-  match fns with
-  | [||] -> fun _ _ -> ()
-  | [| f |] -> f
-  | [| f; g |] ->
-      fun a b ->
-        f a b;
-        g a b
-  | [| f; g; h |] ->
-      fun a b ->
-        f a b;
-        g a b;
-        h a b
-  | [| f; g; h; i |] ->
-      fun a b ->
-        f a b;
-        g a b;
-        h a b;
-        i a b
-  | fns ->
-      let n = Array.length fns in
-      let m = n / 2 in
-      let l = seq_fns (Array.sub fns 0 m)
-      and r = seq_fns (Array.sub fns m (n - m)) in
-      fun a b ->
-        l a b;
-        r a b
-
-(* The staged specializer: partially evaluate the plan into flat
-   closures.  Chunks regroup through Plan_stage — constants fold into
-   precomputed byte images written with one blit, runs of 32-bit fields
-   of one aggregate resolve their base once and store through
-   offset/index arrays — and loop/switch bodies become single fused
-   closures instead of op-dispatch loops.  Ops with no fused form keep
-   their tier-0 compilation, so every staged plan writes byte-identical
-   messages (pinned by test/test_stage.ml and the stage bench
-   self-checks).  Plans with marshal subroutines do not stage (None):
-   recursion has no flat-closure form, and the caller falls back to
-   tier 0. *)
-let staged_encoder_of_plan ~(enc : Encoding.t) (plan : Plan_compile.plan) :
-    encoder option =
-  if not (Plan_stage.stageable plan) then None
-  else begin
-    let be = enc.Encoding.big_endian in
-    let subs : (string, (Mbuf.t -> env -> unit) ref) Hashtbl.t =
-      Hashtbl.create 1
-    in
-    (* stageable plans have no Call ops, so the empty table is safe *)
-    let delegate op =
-      match compile_ops ~enc ~subs [ op ] with
-      | [ f ] -> f
-      | _ -> assert false
-    in
-    let stage_seg (seg : Plan_stage.seg) : Mbuf.t -> env -> unit =
-      match seg with
-      | Plan_stage.Seg_image { off; image } ->
-          let n = Bytes.length image in
-          fun buf _ -> Mbuf.set_bytes buf off image 0 n
-      | Plan_stage.Seg_run { base; offs; idxs } ->
-          let b = compile_rv base in
-          let write = Codec.write_i32_fields ~be ~offs ~idxs in
-          fun buf env -> write buf (b env)
-      | Plan_stage.Seg_item it -> compile_item ~be it
-    in
-    let rec stage_op (op : Mplan.op) : Mbuf.t -> env -> unit =
-      match op with
-      | Mplan.Chunk { size; items; check; align = _ } -> (
-          let run =
-            seq_fns
-              (Array.of_list
-                 (List.map stage_seg (Plan_stage.chunk_segments ~be items)))
-          in
-          match (check, Plan_stage.chunk_gaps size items) with
-          | false, [] ->
-              fun buf env ->
-                run buf env;
-                Mbuf.advance buf size
-          | true, [] ->
-              fun buf env ->
-                Mbuf.ensure buf size;
-                run buf env;
-                Mbuf.advance buf size
-          | check, gaps ->
-              fun buf env ->
-                if check then Mbuf.ensure buf size;
-                List.iter (fun (off, len) -> Mbuf.fill_zero buf off len) gaps;
-                run buf env;
-                Mbuf.advance buf size)
-      | Mplan.Loop { var; body; _ } when fused_loop_body ~var body <> None ->
-          (* tier 0 already compiles this shape to flat per-element
-             stores; nothing further to fold *)
-          delegate op
-      | Mplan.Loop { arr; var; body; via } -> (
-          let a = compile_rv arr and tier0 = delegate op in
-          let run = seq_fns (Array.of_list (List.map stage_op body)) in
-          let run_elem buf env v =
-            env.vars.(var) <- v;
-            run buf env
-          in
-          let generic buf env v =
-            match v with
-            | Value.Varray elems ->
-                for i = 0 to Array.length elems - 1 do
-                  run_elem buf env (Array.unsafe_get elems i)
-                done
-            | Value.Vopt None -> ()
-            | Value.Vopt (Some v) -> run_elem buf env v
-            | Value.Vint_array elems ->
-                for i = 0 to Array.length elems - 1 do
-                  run_elem buf env (Value.Vint (Array.unsafe_get elems i))
-                done
-            | Value.Vint_rows _ -> tier0 buf env
-            | _ -> invalid_arg "Stub_opt: Loop over non-array"
-          in
-          (* tiny fixed trip counts unroll into straight-line calls *)
-          match Plan_stage.fixed_count via with
-          | Some 2 ->
-              fun buf env -> (
-                match a env with
-                | Value.Varray [| v0; v1 |] ->
-                    run_elem buf env v0;
-                    run_elem buf env v1
-                | v -> generic buf env v)
-          | Some 3 ->
-              fun buf env -> (
-                match a env with
-                | Value.Varray [| v0; v1; v2 |] ->
-                    run_elem buf env v0;
-                    run_elem buf env v1;
-                    run_elem buf env v2
-                | v -> generic buf env v)
-          | Some 4 ->
-              fun buf env -> (
-                match a env with
-                | Value.Varray [| v0; v1; v2; v3 |] ->
-                    run_elem buf env v0;
-                    run_elem buf env v1;
-                    run_elem buf env v2;
-                    run_elem buf env v3
-                | v -> generic buf env v)
-          | _ -> fun buf env -> generic buf env (a env))
-      | Mplan.Switch { u; arms; default; _ } -> (
-          let sel = compile_rv u in
-          let n_cases =
-            List.fold_left
-              (fun acc (a : Mplan.arm) -> max acc a.Mplan.a_case)
-              (-1) arms
-            + 1
-          in
-          let table = Array.make (max n_cases 1) None in
-          List.iter
-            (fun (a : Mplan.arm) ->
-              table.(a.Mplan.a_case) <-
-                Some (seq_fns (Array.of_list (List.map stage_op a.Mplan.a_body))))
-            arms;
-          let default_fn =
-            Option.map
-              (fun (_, body) ->
-                seq_fns (Array.of_list (List.map stage_op body)))
-              default
-          in
-          fun buf env ->
-            match sel env with
-            | Value.Vunion { case; _ } -> (
-                if case >= 0 && case < Array.length table then
-                  match table.(case) with
-                  | Some f -> f buf env
-                  | None -> invalid_arg "Stub_opt: missing union arm"
-                else
-                  match default_fn with
-                  | Some f -> f buf env
-                  | None -> invalid_arg "Stub_opt: union case out of range")
-            | _ -> invalid_arg "Stub_opt: Switch over a non-union")
-      | op -> delegate op
-    in
-    let run =
-      seq_fns (Array.of_list (List.map stage_op plan.Plan_compile.p_ops))
-    in
-    let nvars = max_var plan.Plan_compile.p_ops + 1 in
-    Some
-      (fun buf params ->
-        let env = { params; vars = Array.make (max nvars 1) Value.Vvoid } in
-        run buf env)
-  end
+  let run = compile_ops ~enc ~subs plan.Plan_compile.p_ops in
+  let nvars = max 1 (max_var plan.Plan_compile.p_ops + 1) in
+  fun buf params -> run buf { params; vars = Array.make nvars Value.Vvoid }
 
 (* Per-call latency and message-size histograms, shared shape across
    engines (Stub_naive registers its own set).  The closures test the
@@ -960,17 +839,12 @@ let encode_bytes = Obs.hist "stub_opt.encode_bytes"
 let decode_ns = Obs.hist "stub_opt.decode_ns"
 let decode_bytes = Obs.hist "stub_opt.decode_bytes"
 
-(* Tier bookkeeping: how many stubs were promoted, how calls split
-   across tiers, and how often staging declined a plan — plus per-tier
-   latency histograms (timing-gated like the per-engine ones above), so
-   [flick stats] shows the interpreted-vs-staged latency gap
-   directly. *)
-let stage_promotions = Obs.counter "stage.promotions"
-let stage_staged_calls = Obs.counter "stage.staged_calls"
-let stage_interp_calls = Obs.counter "stage.interp_calls"
-let stage_fallbacks = Obs.counter "stage.fallbacks"
-let stage_encode_interp_ns = Obs.hist "stage.encode_interp_ns"
-let stage_encode_staged_ns = Obs.hist "stage.encode_staged_ns"
+(* Benchmark-only: every encoder call counts under stage.staged_calls,
+   and stage.interp_calls stays registered at 0, because bench/e2e
+   reports stage.staged_share from the two.  A later benchmark change
+   drops both. *)
+let staged_calls = Obs.counter "stage.staged_calls"
+let (_ : Obs.counter) = Obs.counter "stage.interp_calls"
 
 (* Compiled encoders are memoized: the closure chains carry no per-call
    state (each invocation allocates its own env), so one encoder safely
@@ -979,86 +853,29 @@ let stage_encode_staged_ns = Obs.hist "stage.encode_staged_ns"
 let encoder_cache : encoder Plan_cache.t =
   Plan_cache.create ~name:"stub_opt.encoder" ()
 
-(* Tier promotion: the cached closure is a stable wrapper (so the
-   physical-equality hot path of repeat compilations survives every
-   tier change) that counts calls through the cache's per-fingerprint
-   hotness counter and, when the counter reaches the threshold, swaps
-   its target from the tier-0 interpreter to the staged closure and
-   re-installs itself via Plan_cache.promote — counted under
-   promotions, never inflating the hit rate.  The first [threshold]
-   calls run interpreted; every later call runs staged.  Hotness
-   counters survive cache eviction, so a hot plan recompiled after
-   churn starts promoted. *)
-let tiered_encoder ~key (tier0 : encoder) (staged : encoder) : encoder =
-  let threshold = Opt_config.stage_threshold () in
-  let calls = Plan_cache.hotness encoder_cache key in
-  let promoted = ref (!calls >= threshold) in
-  if !promoted then Obs.incr stage_promotions 1;
-  let self = ref tier0 in
-  let wrapper buf params =
-    if !promoted then begin
-      Obs.incr stage_staged_calls 1;
-      if Obs.timing_enabled () then begin
-        let t0 = Obs.now_ns () in
-        staged buf params;
-        Obs.observe stage_encode_staged_ns (Obs.now_ns () -. t0)
-      end
-      else staged buf params
-    end
-    else begin
-      Obs.incr stage_interp_calls 1;
-      incr calls;
-      (if Obs.timing_enabled () then begin
-         let t0 = Obs.now_ns () in
-         tier0 buf params;
-         Obs.observe stage_encode_interp_ns (Obs.now_ns () -. t0)
-       end
-       else tier0 buf params);
-      if !calls >= threshold then begin
-        promoted := true;
-        Obs.incr stage_promotions 1;
-        Plan_cache.promote encoder_cache key !self
-      end
-    end
-  in
-  self := wrapper;
-  wrapper
-
 let compile_encoder ?config ~enc ~mint ~named roots : encoder =
   let config =
     match config with Some c -> c | None -> Opt_config.default ()
   in
   let fp = Plan_cache.fp_create ~enc ~mint ~named () in
-  (* the compiled closures bake in the plan's scatter-gather decisions,
-     the pass pipeline that shaped the plan, and the tier policy, so
-     all three are part of the encoder key too *)
+  (* the compiled closures bake in the plan's scatter-gather decisions
+     and the pass pipeline that shaped the plan, so both are part of
+     the encoder key too *)
   Plan_cache.fp_tag fp
-    (Printf.sprintf "sg=%b,%d,%s,%s" (Mbuf.sg_enabled ())
+    (Printf.sprintf "sg=%b,%d,%s" (Mbuf.sg_enabled ())
        (Mbuf.borrow_threshold ())
-       (Opt_config.selection_fingerprint config)
-       (Opt_config.stage_fingerprint ()));
+       (Opt_config.selection_fingerprint config));
   List.iter (Plan_cache.fp_root fp) roots;
   let key = Plan_cache.fp_contents fp in
-  (* instrumented inside the cache: the cached closure IS the
-     instrumented one, so repeat compilations return the same physical
-     closure (pinned by the cache tests) and the gate check at call
-     time keeps the wrapper free when timing is off *)
+  (* instrumented inside the cache, so repeat compilations return the
+     same physical closure (pinned by the cache tests) and the gate
+     check at call time keeps the wrapper free when timing is off *)
   Plan_cache.find_or_add encoder_cache key (fun () ->
       let plan = Plan_cache.plan ~enc ~mint ~named ~config roots in
-      let tier0 =
-        instrument_encoder encode_ns encode_bytes (encoder_of_plan ~enc plan)
-      in
-      if not (Opt_config.stage_enabled ()) then (fun buf params ->
-        Obs.incr stage_interp_calls 1;
-        tier0 buf params)
-      else
-        match staged_encoder_of_plan ~enc plan with
-        | None ->
-            Obs.incr stage_fallbacks 1;
-            tier0
-        | Some staged ->
-            tiered_encoder ~key tier0
-              (instrument_encoder encode_ns encode_bytes staged))
+      let e = instrument_encoder encode_ns encode_bytes (encoder_of_plan ~enc plan) in
+      fun buf params ->
+        Obs.incr staged_calls 1;
+        e buf params)
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                             *)
@@ -1095,392 +912,6 @@ let read_var_elems vcc (kind : Encoding.atom_kind) =
           Array.unsafe_set out i (Codec.read_var vcc kind r)
         done;
         Value.Varray out
-
-let compile_value_decoder ~(enc : Encoding.t) ~mint
-    ~(named : (string * (Mint.idx * Pres.t)) list) root_idx root_pres :
-    Mbuf.reader -> Value.t =
-  let be = enc.Encoding.big_endian in
-  let vc = enc.Encoding.var in
-  let atom_of kind = Plan_compile.atom_of enc kind in
-  let hdr =
-    if enc.Encoding.typed_headers then fun r ->
-      Mbuf.ralign r 4;
-      Mbuf.skip r 4
-    else fun _ -> ()
-  in
-  (* the var-aware primitives, shared with the plan-driven decoder so
-     this closure-tree baseline accepts exactly the same inputs *)
-  let read_scalar kind : Mbuf.reader -> Value.t =
-    match vc with
-    | Some vcc -> fun r -> Codec.read_var vcc kind r
-    | None ->
-        let atom = atom_of kind in
-        fun r -> Codec.read_stream r ~be atom
-  in
-  let get_arr_len =
-    match vc with
-    | Some vcc -> fun r -> Codec.read_vlen vcc Encoding.Larr r
-    | None -> fun r -> Codec.read_len r ~be ~align:4
-  in
-  let read_opt =
-    match vc with
-    | Some vcc ->
-        fun r ->
-          let at = Mbuf.rpos r in
-          (Codec.read_vlen vcc Encoding.Larr r, at)
-    | None ->
-        fun r ->
-          Mbuf.ralign r 4;
-          let at = Mbuf.rpos r in
-          (Codec.read_len r ~be ~align:4, at)
-  in
-  let read_key =
-    match vc with
-    | Some vcc ->
-        fun r -> Mbuf.read_string r (Codec.read_vlen vcc Encoding.Lstr r)
-    | None ->
-        let nul = enc.Encoding.string_nul in
-        let pad_unit = enc.Encoding.pad_unit in
-        fun r ->
-          let wire_len = Codec.read_len r ~be ~align:4 in
-          let data_len = if nul then wire_len - 1 else wire_len in
-          if data_len < 0 then raise (Codec.Decode_error "bad key length");
-          let key = Mbuf.read_string r data_len in
-          if nul then Mbuf.skip r 1;
-          Codec.skip_pad r ~pad_unit wire_len;
-          key
-  in
-  let subs : (string, (Mbuf.reader -> Value.t) ref) Hashtbl.t = Hashtbl.create 4 in
-  let rec dec idx (pres : Pres.t) : Mbuf.reader -> Value.t =
-    let def = Mint.get mint idx in
-    match (def, pres) with
-    | _, Pres.Ref name -> (
-        match Hashtbl.find_opt subs name with
-        | Some cell -> fun r -> !cell r
-        | None -> (
-            match List.assoc_opt name named with
-            | None -> invalid_arg ("Stub_opt: unknown presentation " ^ name)
-            | Some (sidx, spres) ->
-                let cell = ref (fun _ -> Value.Vvoid) in
-                Hashtbl.add subs name cell;
-                let d = dec sidx spres in
-                cell := d;
-                fun r -> !cell r))
-    | Mint.Void, _ -> fun _ -> Value.Vvoid
-    | (Mint.Bool | Mint.Char8 | Mint.Int _ | Mint.Float _), _ -> (
-        match Encoding.atom_of_mint def with
-        | Some kind ->
-            let get = read_scalar kind in
-            fun r ->
-              hdr r;
-              get r
-        | None -> assert false)
-    | Mint.Array { elem; min_len; max_len }, _ ->
-        dec_array ~elem ~min_len ~max_len pres
-    | Mint.Struct fields, Pres.Struct arms ->
-        let decs =
-          Array.of_list
-            (List.map2 (fun (_, fidx) (_, sub) -> dec fidx sub) fields arms)
-        in
-        fun r ->
-          let n = Array.length decs in
-          let out = Array.make n Value.Vvoid in
-          for i = 0 to n - 1 do
-            out.(i) <- decs.(i) r
-          done;
-          Value.Vstruct out
-    | ( Mint.Union { discrim; cases; default },
-        Pres.Union { arms; default_arm; _ } ) ->
-        dec_union ~discrim ~cases ~default ~arms ~default_arm
-    | (Mint.Struct _ | Mint.Union _), _ ->
-        invalid_arg "Stub_opt: PRES does not match MINT"
-  and dec_array ~elem ~min_len ~max_len (pres : Pres.t) =
-    let pad_unit = enc.Encoding.pad_unit in
-    let skip_pad r n = Codec.skip_pad r ~pad_unit n in
-    match pres with
-    | (Pres.Terminated_string | Pres.Terminated_string_len _)
-      when vc <> None ->
-        let vcc = Option.get vc in
-        fun r ->
-          hdr r;
-          let n = Codec.read_vlen vcc Encoding.Lstr r in
-          Codec.check_bounds ~what:"string" n ~min_len:0 ~max_len;
-          Value.Vstring (Mbuf.read_string r n)
-    | Pres.Terminated_string | Pres.Terminated_string_len _ ->
-        let nul = enc.Encoding.string_nul in
-        fun r ->
-          hdr r;
-          let wire_len = Codec.read_len r ~be ~align:4 in
-          let data_len = if nul then wire_len - 1 else wire_len in
-          if data_len < 0 then raise (Codec.Decode_error "bad string length");
-          Codec.check_bounds ~what:"string" data_len ~min_len:0 ~max_len;
-          let s = Mbuf.read_string r data_len in
-          if nul then Mbuf.skip r 1;
-          skip_pad r wire_len;
-          Value.Vstring s
-    | Pres.Fixed_array sub -> (
-        match Mint.get mint elem with
-        | Mint.Char8 | Mint.Int { bits = 8; _ } ->
-            fun r ->
-              hdr r;
-              let b = Mbuf.read_bytes r min_len in
-              skip_pad r min_len;
-              Value.Vbytes b
-        | _ -> (
-            match Encoding.atom_of_mint (Mint.get mint elem) with
-            | Some kind -> dec_scalar_array ~fixed:(Some min_len) ~max_len kind
-            | None ->
-                let d = dec elem sub in
-                fun r ->
-                  hdr r;
-                  let out = Array.make min_len Value.Vvoid in
-                  for i = 0 to min_len - 1 do
-                    out.(i) <- d r
-                  done;
-                  Value.Varray out))
-    | Pres.Counted_seq { elem = sub; _ } -> (
-        match Mint.get mint elem with
-        | (Mint.Char8 | Mint.Int { bits = 8; _ }) when vc <> None ->
-            let vcc = Option.get vc in
-            fun r ->
-              hdr r;
-              let n = Codec.read_vlen vcc Encoding.Lbin r in
-              Codec.check_bounds ~what:"sequence" n ~min_len ~max_len;
-              Value.Vbytes (Mbuf.read_bytes r n)
-        | Mint.Char8 | Mint.Int { bits = 8; _ } ->
-            fun r ->
-              hdr r;
-              let n = Codec.read_len r ~be ~align:4 in
-              Codec.check_bounds ~what:"sequence" n ~min_len ~max_len;
-              let b = Mbuf.read_bytes r n in
-              skip_pad r n;
-              Value.Vbytes b
-        | _ -> (
-            match Encoding.atom_of_mint (Mint.get mint elem) with
-            | Some kind -> dec_scalar_array ~fixed:None ~max_len kind
-            | None ->
-                let d = dec elem sub in
-                fun r ->
-                  hdr r;
-                  let n = get_arr_len r in
-                  Codec.check_bounds ~what:"sequence" n ~min_len ~max_len;
-                  let out = Array.make n Value.Vvoid in
-                  for i = 0 to n - 1 do
-                    out.(i) <- d r
-                  done;
-                  Value.Varray out))
-    | Pres.Opt_ptr sub ->
-        let d = dec elem sub in
-        fun r ->
-          hdr r;
-          let n, at = read_opt r in
-          (match n with
-          | 0 -> Value.Vopt None
-          | 1 -> Value.Vopt (Some (d r))
-          | n ->
-              raise
-                (Codec.Decode_error
-                   (Printf.sprintf "optional count %d at byte %d" n at)))
-    | Pres.Direct | Pres.Enum_direct | Pres.Struct _ | Pres.Union _
-    | Pres.Void | Pres.Ref _ ->
-        invalid_arg "Stub_opt: array PRES mismatch"
-  and dec_scalar_array ~fixed ~max_len kind =
-    match vc with
-    | Some vcc ->
-        fun r ->
-          hdr r;
-          let n =
-            match fixed with
-            | Some n -> n
-            | None ->
-                let n = Codec.read_vlen vcc Encoding.Larr r in
-                Codec.check_bounds ~what:"array" n ~min_len:0 ~max_len;
-                n
-          in
-          read_var_elems vcc kind r n
-    | None -> dec_fixed_scalar_array ~fixed ~max_len kind
-  and dec_fixed_scalar_array ~fixed ~max_len kind =
-    let atom = atom_of kind in
-    let size = atom.Mplan.size in
-    match (kind, size) with
-    | Encoding.Kint { bits; signed }, 4 when bits <= 32 ->
-        (* chunked read: one bounds check for the whole run *)
-        fun r ->
-          hdr r;
-          let n =
-            match fixed with
-            | Some n -> n
-            | None ->
-                let n = Codec.read_len r ~be ~align:4 in
-                Codec.check_bounds ~what:"array" n ~min_len:0 ~max_len;
-                n
-          in
-          Value.Vint_array (Codec.read_i32s ~be ~signed ~bits r n)
-    | _, _ ->
-        fun r ->
-          hdr r;
-          let n =
-            match fixed with
-            | Some n -> n
-            | None ->
-                let n = Codec.read_len r ~be ~align:4 in
-                Codec.check_bounds ~what:"array" n ~min_len:0 ~max_len;
-                n
-          in
-          Codec.need_elems r n ~min_elem:size;
-          let out = Array.make n Value.Vvoid in
-          for i = 0 to n - 1 do
-            out.(i) <- Codec.read_stream r ~be atom
-          done;
-          (match kind with
-          | Encoding.Kint { bits; _ } when bits <= 32 ->
-              Value.Vint_array (Array.map Codec.as_int out)
-          | _ -> Value.Varray out)
-  and dec_union ~discrim ~cases ~default ~arms ~default_arm =
-    let datom = Encoding.atom_of_mint (Mint.get mint discrim) in
-    let arm_decs =
-      List.map2
-        (fun (i, (c : Mint.case)) (_, sub) ->
-          (c.Mint.c_const, i, dec c.Mint.c_body sub))
-        (List.mapi (fun i c -> (i, c)) cases)
-        arms
-    in
-    let default_dec =
-      match (default, default_arm) with
-      | Some didx, Some (_, sub) -> Some (dec didx sub)
-      | None, None -> None
-      | _, _ -> invalid_arg "Stub_opt: PRES/MINT default mismatch"
-    in
-    (* optimized dispatch: hash lookup rather than the linear compare
-       chains of traditional stubs *)
-    let table : (Mint.const, int * (Mbuf.reader -> Value.t)) Hashtbl.t =
-      Hashtbl.create 16
-    in
-    List.iter (fun (c, i, d) -> Hashtbl.replace table c (i, d)) arm_decs;
-    match datom with
-    | Some kind ->
-        let get_d = read_scalar kind in
-        fun r ->
-          hdr r;
-          let v = get_d r in
-          let const : Mint.const =
-            match v with
-            | Value.Vint n -> Mint.Cint (Int64.of_int n)
-            | Value.Vbool b -> Mint.Cbool b
-            | Value.Vchar c -> Mint.Cchar c
-            | _ -> raise (Codec.Decode_error "bad discriminator")
-          in
-          (match Hashtbl.find_opt table const with
-          | Some (case, d) ->
-              Value.Vunion { case; discrim = const; payload = d r }
-          | None -> (
-              match default_dec with
-              | Some d ->
-                  Value.Vunion { case = -1; discrim = const; payload = d r }
-              | None ->
-                  raise
-                    (Codec.Decode_error
-                       (Format.asprintf "unknown discriminator %a" Mint.pp_const
-                          const))))
-    | None ->
-        (* string-keyed operation union *)
-        fun r ->
-          hdr r;
-          let key = read_key r in
-          let const = Mint.Cstring key in
-          (match Hashtbl.find_opt table const with
-          | Some (case, d) ->
-              Value.Vunion { case; discrim = const; payload = d r }
-          | None ->
-              raise (Codec.Decode_error ("unknown operation " ^ key)))
-  in
-  dec root_idx root_pres
-
-let build_decoder ~enc ~mint ~named droots : decoder =
-  let be = enc.Encoding.big_endian in
-  let vc = enc.Encoding.var in
-  let hdr =
-    if enc.Encoding.typed_headers then fun r ->
-      Mbuf.ralign r 4;
-      Mbuf.skip r 4
-    else fun _ -> ()
-  in
-  let steps =
-    List.map
-      (fun droot ->
-        match droot with
-        | Dconst_int (expect, kind) ->
-            let get =
-              match vc with
-              | Some vcc -> fun r -> Codec.read_var vcc kind r
-              | None ->
-                  let atom = Plan_compile.atom_of enc kind in
-                  fun r -> Codec.read_stream r ~be atom
-            in
-            `Skip
-              (fun r ->
-                hdr r;
-                let v = get r in
-                let got =
-                  match v with
-                  | Value.Vint n -> Int64.of_int n
-                  | Value.Vint64 n -> n
-                  | Value.Vbool b -> if b then 1L else 0L
-                  | Value.Vchar c -> Int64.of_int (Char.code c)
-                  | _ -> raise (Codec.Decode_error "bad constant")
-                in
-                if got <> expect then
-                  raise
-                    (Codec.Decode_error
-                       (Printf.sprintf "expected constant %Ld, found %Ld" expect
-                          got)))
-        | Dconst_str expect ->
-            let nul = enc.Encoding.string_nul in
-            let pad_unit = enc.Encoding.pad_unit in
-            let read_key =
-              match vc with
-              | Some vcc ->
-                  fun r ->
-                    Mbuf.read_string r (Codec.read_vlen vcc Encoding.Lstr r)
-              | None ->
-                  fun r ->
-                    let wire_len = Codec.read_len r ~be ~align:4 in
-                    let data_len = if nul then wire_len - 1 else wire_len in
-                    if data_len < 0 then
-                      raise (Codec.Decode_error "bad key length");
-                    let key = Mbuf.read_string r data_len in
-                    if nul then Mbuf.skip r 1;
-                    let padded =
-                      (wire_len + pad_unit - 1) / pad_unit * pad_unit
-                    in
-                    if padded > wire_len then Mbuf.skip r (padded - wire_len);
-                    key
-            in
-            `Skip
-              (fun r ->
-                hdr r;
-                let key = read_key r in
-                if key <> expect then
-                  raise
-                    (Codec.Decode_error
-                       (Printf.sprintf "expected key %S, found %S" expect key)))
-        | Dvalue (idx, pres) ->
-            `Value (compile_value_decoder ~enc ~mint ~named idx pres))
-      droots
-  in
-  fun r ->
-    let out = ref [] in
-    List.iter
-      (fun step ->
-        match step with
-        | `Skip f -> f r
-        | `Value d -> out := d r :: !out)
-      steps;
-    Array.of_list (List.rev !out)
-
-(* ------------------------------------------------------------------ *)
-(* Plan-driven decoding                                                 *)
-(* ------------------------------------------------------------------ *)
 
 (* The executor for Dplan programs compiles every frame to one
    [Mbuf.reader -> Value.t] closure that decodes straight to the
@@ -1552,7 +983,7 @@ let rec shape_reader leaf (sh : Dplan.shape) : 'a -> Value.t =
         (List.rev
            (List.fold_left (fun acc s -> shape_reader leaf s :: acc) [] shapes))
 
-let dcompiler ~(enc : Encoding.t)
+let dcompiler ~(enc : Encoding.t) ~(frames : (string * Dplan.frame) list)
     ~(subs : (string, (Mbuf.reader -> Value.t) ref) Hashtbl.t) :
     Dplan.frame -> Mbuf.reader -> Value.t =
   let be = enc.Encoding.big_endian in
@@ -1793,7 +1224,7 @@ let dcompiler ~(enc : Encoding.t)
            count is first checked against the bytes that remain *)
         let reserve = Option.value ensure ~default:0 in
         let min_elem =
-          if ensure = None then Dplan.min_wire ~selfdesc frame.Dplan.f_ops
+          if ensure = None then Dplan.min_wire ~selfdesc ~subs:frames frame.Dplan.f_ops
           else 0
         in
         [
@@ -1862,8 +1293,7 @@ let dcompiler ~(enc : Encoding.t)
                                 Mint.pp_const const))))
           | None ->
               (* string-keyed operation union: a miss is always an
-                 unknown operation (the closure decoder behaves the
-                 same) *)
+                 unknown operation *)
               fun r ->
                 let key = read_key r in
                 let const = Mint.Cstring key in
@@ -2005,7 +1435,7 @@ let decoder_of_dplan ~(enc : Encoding.t) (plan : Dplan.plan) : decoder =
   List.iter
     (fun (name, _) -> Hashtbl.replace subs name (ref (fun _ -> Value.Vvoid)))
     plan.Dplan.d_subs;
-  let compile_frame = dcompiler ~enc ~subs in
+  let compile_frame = dcompiler ~enc ~frames:plan.Dplan.d_subs ~subs in
   List.iter
     (fun (name, frame) -> Hashtbl.find subs name := compile_frame frame)
     plan.Dplan.d_subs;

@@ -54,7 +54,9 @@ val compile_encoder :
     The config's pass selection is part of the closure-cache key, so
     differently configured pipelines never share an encoder.  Encoders
     carry no per-call state, so sharing is safe under any call
-    pattern. *)
+    pattern.  The closure is {!encoder_of_plan}'s from the first call
+    on; each call also counts under the [stage.staged_calls] counter,
+    which the end-to-end benchmark still reads. *)
 
 val compile_decoder :
   ?config:Opt_config.t ->
@@ -77,20 +79,12 @@ val compile_decoder :
 val encoder_of_plan :
   enc:Encoding.t -> Plan_compile.plan -> encoder
 (** Lower-level entry: execute an already compiled plan (used by the
-    ablation benchmarks, which tweak plans). *)
-
-val staged_encoder_of_plan :
-  enc:Encoding.t -> Plan_compile.plan -> encoder option
-(** The tier-1 staged specializer: partially evaluate the plan into
-    flat closures — constants folded into precomputed byte images, runs
-    of 32-bit fields of one aggregate stored through offset/index
-    arrays after resolving the base once, loop/switch bodies fused into
-    single closures, tiny fixed loops unrolled.  Byte-identical to
-    {!encoder_of_plan} on every input.  [None] when the plan has
-    marshal subroutines (recursion has no flat-closure form); callers
-    fall back to tier 0.  {!compile_encoder} installs this
-    automatically once a plan's hotness counter passes
-    {!Opt_config.stage_threshold}. *)
+    ablation benchmarks, which tweak plans).  Each op becomes one
+    closure, and each op list one flat call sequence.  A chunk reserves
+    once, zero-fills its gaps, writes byte-adjacent constants as one
+    precomputed image, stores the 4-byte integer fields of one
+    aggregate through one in-window call, stores every other item at
+    its constant offset, and advances once. *)
 
 val decoder_of_dplan :
   enc:Encoding.t -> Dplan.plan -> decoder
@@ -100,15 +94,3 @@ val decoder_of_dplan :
     {!Dplan.frame_build} says; only a slot frame fills a per-call slot
     array first.  A loop checks its count against the bytes that
     remain ({!Dplan.min_wire}) before it allocates. *)
-
-val build_decoder :
-  enc:Encoding.t ->
-  mint:Mint.t ->
-  named:(string * (Mint.idx * Pres.t)) list ->
-  droot list ->
-  decoder
-(** The pre-plan closure-tree decoder, kept as the benchmark baseline:
-    per-datum alignment and bounds checking, exactly the shape
-    traditional stubs compile to.  Decodes byte-for-byte the same
-    positions as the plan-driven decoder (pinned by
-    [test/test_decplan.ml]). *)

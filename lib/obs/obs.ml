@@ -186,7 +186,7 @@ let exemplars h =
    samples within a bucket are assumed uniform over (lo, hi], so a rank
    landing k-th of n in a bucket reads as lo + k/n * (hi - lo) rather
    than the bucket's upper bound.  On tight distributions (every sample
-   in one or two power-of-two buckets — exactly the shape of per-tier
+   in one or two power-of-two buckets — exactly the shape of per-engine
    stub latencies) this recovers sub-bucket resolution without touching
    recording cost.  The result is clamped into the observed [min, max]
    so degenerate shapes come out exact: empty -> 0, a single sample ->

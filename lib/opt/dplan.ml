@@ -389,9 +389,11 @@ let frame_builds p =
 
 (* A lower bound on the bytes one run of [ops] consumes: chunk sizes,
    one count/length/option word per variable-length op (4 bytes, or a
-   1-byte head when self-describing), the cheapest union arm, and
-   nothing for alignment or subroutine calls. *)
-let rec min_wire ~selfdesc ops =
+   1-byte head when self-describing), the cheapest union arm, nothing
+   for alignment, and a call's subroutine body from [subs], looked
+   through once: a call inside that body counts nothing, which cuts
+   recursion and keeps the sum a lower bound. *)
+let rec min_wire ~selfdesc ~subs ops =
   let word = if selfdesc then 1 else 4 in
   let count c ~elem = match c with Dc_fixed n -> n * elem | Dc_len _ -> word in
   List.fold_left
@@ -399,7 +401,11 @@ let rec min_wire ~selfdesc ops =
       acc
       +
       match op with
-      | D_align _ | D_call _ -> 0
+      | D_align _ -> 0
+      | D_call { sub; _ } -> (
+          match List.assoc_opt sub subs with
+          | Some f -> min_wire ~selfdesc ~subs:[] f.f_ops
+          | None -> 0)
       | D_chunk { size; _ } -> size
       | D_get_varhead _ -> 1
       | D_get_string _ | D_const_str _ | D_opt _ -> word
@@ -407,7 +413,7 @@ let rec min_wire ~selfdesc ops =
       | D_get_atom_array { count = c; atom; _ } ->
           count c ~elem:(if selfdesc then 1 else atom.Mplan.size)
       | D_loop { count = c; frame; _ } ->
-          count c ~elem:(min_wire ~selfdesc frame.f_ops)
+          count c ~elem:(min_wire ~selfdesc ~subs frame.f_ops)
       | D_switch { discrim_atom; arms; default; _ } -> (
           (match discrim_atom with
           | Some a when not selfdesc -> a.Mplan.size
@@ -417,5 +423,5 @@ let rec min_wire ~selfdesc ops =
           | [] -> 0
           | fs ->
               List.fold_left min max_int
-                (List.map (fun f -> min_wire ~selfdesc f.f_ops) fs)))
+                (List.map (fun f -> min_wire ~selfdesc ~subs f.f_ops) fs)))
     0 ops

@@ -168,8 +168,10 @@ val frame_builds : plan -> (string * build) list
 (** Every frame of the plan, top first, each under its path (["top"],
     ["top/s0 loop"], ["sub name"], ...). *)
 
-val min_wire : selfdesc:bool -> dop list -> int
+val min_wire : selfdesc:bool -> subs:(string * frame) list -> dop list -> int
 (** A static lower bound on the wire bytes [ops] consume ([selfdesc]:
     msgpack/CBOR, whose counts are 1-byte heads rather than 4-byte
-    words); 0 means no bound.  What a loop checks against the bytes
-    that remain before allocating for its count. *)
+    words); 0 means no bound.  A [D_call] counts its subroutine's body
+    from [subs] once (a call inside that body counts 0).  What a loop
+    checks against the bytes that remain before allocating for its
+    count. *)

@@ -12,7 +12,7 @@
     stubs must.
 
     The compiled plan reads byte-for-byte the same wire positions as
-    the closure-tree decoder; the differential tests in
+    the rpcgen-style decoder ([Stub_naive]); the differential tests in
     [test/test_decplan.ml] pin that equivalence per encoding. *)
 
 type droot =

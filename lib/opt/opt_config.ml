@@ -43,51 +43,10 @@ let to_string t =
     (selection_fingerprint t)
     (if t.verify then "+verify" else "")
 
-(* ------------------------------------------------------------------ *)
-(* Tiered execution (staged specialization)                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Tier policy is process-global, like the Mbuf scatter-gather knobs:
-   it must be identical for every compile in a run because it is baked
-   into cached closures (and fingerprinted into their keys).  The
-   environment variable is the deployment switch; the setters are the
-   CLI/test override and win over the environment:
-     FLICK_STAGE unset -> staging on, threshold 32
-     FLICK_STAGE=0     -> staging off (tier 0 forced)
-     FLICK_STAGE=N     -> staging on, promote after N calls *)
-
-let default_stage_threshold = 32
-let stage_override : (bool * int) option ref = ref None
-
-let stage_env () =
-  match Sys.getenv_opt "FLICK_STAGE" with
-  | None | Some "" -> (true, default_stage_threshold)
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some 0 -> (false, default_stage_threshold)
-      | Some n when n > 0 -> (true, n)
-      | Some _ | None -> (true, default_stage_threshold))
-
-let stage_setting () =
-  match !stage_override with Some s -> s | None -> stage_env ()
-
-let stage_enabled () = fst (stage_setting ())
-let stage_threshold () = snd (stage_setting ())
-
-let set_stage_enabled on =
-  stage_override := Some (on, snd (stage_setting ()))
-
-let set_stage_threshold n =
-  if n < 1 then invalid_arg "Opt_config.set_stage_threshold";
-  stage_override := Some (fst (stage_setting ()), n)
-
-let clear_stage_override () = stage_override := None
-
-(* Cache-key component: closures compiled under one tier policy must
-   never serve another. *)
-let stage_fingerprint () =
-  let on, threshold = stage_setting () in
-  Printf.sprintf "stage=%b,%d" on threshold
+(* Benchmark-only: bench/e2e sizes its warm-ups with this constant.
+   Nothing in the library reads it; a later benchmark change drops
+   it. *)
+let stage_threshold () = 32
 
 let of_string s =
   let verify_suffix = "+verify" in

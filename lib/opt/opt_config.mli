@@ -33,35 +33,10 @@ val selection_fingerprint : t -> string
 (** Canonical serialization of the selection (not the verify flag) for
     cache keys. *)
 
-(** {1 Tiered execution}
-
-    Process-global policy for the staged (tier 1) encode specializer:
-    whether hot marshal plans are promoted to staged flat closures, and
-    after how many calls (decoding has one tier).  Global rather than
-    per-compile because the decision is baked into cached closures; it
-    is serialized into every encoder cache key via
-    {!stage_fingerprint}.
-
-    Resolution order: the programmatic setters win over the
-    [FLICK_STAGE] environment variable ([unset] = on with threshold 32,
-    ["0"] = off, ["N"] = on with threshold [N]), which is re-read at
-    each call so tests and the forced-tier-0 CI run can toggle it. *)
-
-val default_stage_threshold : int
-(** 32 calls. *)
-
-val stage_enabled : unit -> bool
 val stage_threshold : unit -> int
-
-val set_stage_enabled : bool -> unit
-val set_stage_threshold : int -> unit
-(** Raises [Invalid_argument] on thresholds below 1. *)
-
-val clear_stage_override : unit -> unit
-(** Forget the setter overrides; fall back to the environment. *)
-
-val stage_fingerprint : unit -> string
-(** ["stage=<bool>,<threshold>"] for cache keys. *)
+(** 32.  Benchmark-only: the end-to-end benchmark sizes its warm-ups
+    with it, and nothing in the library reads it.  A later benchmark
+    change removes it. *)
 
 val to_string : t -> string
 val of_string : string -> (t, string) result

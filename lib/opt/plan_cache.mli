@@ -30,20 +30,16 @@ type stats = {
   entries : int;
   evictions : int;
   resets : int;
-  promotions : int;
 }
 (** One record for every cache, encode and decode alike: [evictions]
     counts entries dropped by overflow resets since the last
     {!reset_all}; [resets] counts the overflow events themselves, so
-    one mass-eviction reads differently from sustained churn;
-    [promotions] counts {!promote} re-installs, which are not lookups
-    and never move the hit rate.  Every cache is also re-exported
-    through the {!Obs} registry as the ["cache"] probe
-    ([cache.<name>.hits] and friends). *)
+    one mass-eviction reads differently from sustained churn.  Every
+    cache is also re-exported through the {!Obs} registry as the
+    ["cache"] probe ([cache.<name>.hits] and friends). *)
 
 val hit_rate : stats -> float
-(** [hits / (hits + misses)], 0. when the cache was never consulted.
-    Promotions are excluded on both sides of the ratio. *)
+(** [hits / (hits + misses)], 0. when the cache was never consulted. *)
 
 val create : name:string -> ?max_entries:int -> unit -> 'a t
 (** [max_entries] (default 512) bounds the table; on overflow the whole
@@ -54,18 +50,6 @@ val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
 (** Return the cached value for the key, building and inserting it on a
     miss.  An exception from the builder propagates and caches
     nothing. *)
-
-val hotness : 'a t -> string -> int ref
-(** The per-key call counter driving tier promotion.  Created on first
-    use; deliberately stored outside the value table so an overflow
-    reset does not forget how hot a plan was — a hot plan recompiled
-    after churn re-promotes immediately.  The caller owns the
-    increments (typically one per stub invocation). *)
-
-val promote : 'a t -> string -> 'a -> unit
-(** Re-install a value for an already-cached key (tier promotion
-    swapping in a staged closure).  Counted under [promotions] only:
-    not a hit, not a miss, no effect on {!hit_rate}. *)
 
 val cache_stats : 'a t -> stats
 val all_stats : unit -> (string * stats) list

@@ -132,14 +132,21 @@ let max_size ~enc ~mint idx pres =
   in
   go idx pres
 
-(* The lower bound: the fewest bytes a value takes on the wire.  Named
-   types count 0, which also stops recursion. *)
-let min_size ~enc ~mint idx pres =
+(* The lower bound: the fewest bytes a value takes on the wire.  A
+   named type counts its body, looked through once: a name met inside
+   that body counts 0, which cuts recursion and keeps the result a
+   lower bound. *)
+let min_size ~enc ~mint ~named idx pres =
   let selfdesc = enc.Encoding.var <> None in
   let word = if selfdesc then 1 else enc.Encoding.len_prefix.Encoding.size in
-  let rec go idx (pres : Pres.t) =
+  let rec size named idx (pres : Pres.t) =
+    let go = size named in
     match (Mint.get mint idx, pres) with
-    | _, Pres.Ref _ | Mint.Void, _ -> 0
+    | _, Pres.Ref name -> (
+        match List.assoc_opt name named with
+        | Some (sidx, spres) -> size [] sidx spres
+        | None -> 0)
+    | Mint.Void, _ -> 0
     | Mint.Array { elem; min_len; _ }, (Pres.Fixed_array sub | Pres.Counted_seq { elem = sub; _ })
       ->
         (match pres with Pres.Fixed_array _ -> 0 | _ -> word)
@@ -164,7 +171,7 @@ let min_size ~enc ~mint idx pres =
         | Some kind -> (atom_of enc kind).Mplan.size
         | None -> 0)
   in
-  go idx pres
+  size named idx pres
 
 (* ------------------------------------------------------------------ *)
 (* The plan compiler state                                              *)

@@ -90,10 +90,17 @@ val max_size :
     [Some] with an exact fixed layout is the paper's "fixed" class,
     [Some] otherwise is "variable but bounded", [None] is "unbounded". *)
 
-val min_size : enc:Encoding.t -> mint:Mint.t -> Mint.idx -> Pres.t -> int
+val min_size :
+  enc:Encoding.t ->
+  mint:Mint.t ->
+  named:(string * (Mint.idx * Pres.t)) list ->
+  Mint.idx ->
+  Pres.t ->
+  int
 (** Lower bound on the encoded size: scalars at their wire size (1 byte
     when value dependent), a count word (or head) per counted array,
     string or optional, fixed arrays element by element (packed bytes
-    at 1), a union's discriminator plus its cheapest arm, and 0 for
-    alignment, typed headers and named types.  What bounds a
-    count-driven allocation by the bytes received. *)
+    at 1), a union's discriminator plus its cheapest arm, a named
+    type's body from [named] looked through once (a name inside that
+    body counts 0), and 0 for alignment and typed headers.  What
+    bounds a count-driven allocation by the bytes received. *)

@@ -423,10 +423,51 @@ let failure_tests =
         | exception Codec.Decode_error _ -> ());
   ]
 
+(* A freshly compiled encoder stores a 64 KiB message from its first
+   call without boxing: under 5 minor words per KB of wire.  Dirents
+   are the case to watch: each entry's 30 [fields] are stored by one
+   in-window call, not one boxed int each. *)
+let first_call_allocation_test () =
+  List.iter
+    (fun (enc, style) ->
+      List.iter
+        (fun payload ->
+          Plan_cache.reset_all ();
+          let spec =
+            Paper_fixtures.request_spec (Paper_fixtures.bench_presc style)
+              ~op:(Paper_fixtures.op_of_payload payload)
+          in
+          let e =
+            Stub_opt.compile_encoder ~enc ~mint:spec.Paper_fixtures.ms_mint
+              ~named:spec.Paper_fixtures.ms_named spec.Paper_fixtures.ms_roots
+          in
+          let args = [| Paper_fixtures.payload payload ~bytes:65536 |] in
+          let buf = Mbuf.create 200_000 in
+          let w0 = Gc.minor_words () in
+          e buf args;
+          let words = Gc.minor_words () -. w0 in
+          let per_kb = words /. (float_of_int (Mbuf.pos buf) /. 1024.) in
+          if per_kb >= 5. then
+            Alcotest.failf "%s %s: first call allocated %.1f minor words/KB"
+              enc.Encoding.name (Paper_fixtures.op_of_payload payload) per_kb)
+        [ `Ints; `Rects; `Dirents ])
+    [
+      (Encoding.xdr, `Rpcgen);
+      (Encoding.cdr, `Corba);
+      (Encoding.mach3, `Fluke);
+      (Encoding.msgpack, `Fluke);
+      (Encoding.cbor, `Fluke);
+    ]
+
 let suite =
   [
     ("engines:properties", property_tests);
     ("engines:recursive", recursive_tests);
     ("engines:roots", root_tests);
     ("engines:failures", failure_tests);
+    ( "engines:allocation",
+      [
+        Alcotest.test_case "a fresh encoder's first call allocates < 5 words/KB"
+          `Quick first_call_allocation_test;
+      ] );
   ]

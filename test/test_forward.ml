@@ -7,14 +7,13 @@
       destination bytes identical to decode-then-reencode, consumes
       exactly the same number of source bytes, and the plan passes the
       independent forward verifier ({!Plan_verify.check_fplan});
-   2. the staged (tier-1) relay agrees byte-for-byte with tier 0;
-   3. truncated prefixes and a corrupted byte keep the fused relay and
+   2. truncated prefixes and a corrupted byte keep the fused relay and
       the materializing baseline in agreement: both fail
       (Short_buffer / Decode_error) or both produce identical bytes.
 
    Unit tests drive the gateway end-to-end (fused and forced-fallback
    relaying produce byte-identical client replies) and pin pooled-
-   writer balance across a mid-run tier promotion of a relay. *)
+   writer balance across a gateway run. *)
 
 let rng = Random.State.make [| 0xf0bead |]
 let mut_rng = Random.State.make [| 0x0bf00d |]
@@ -94,14 +93,6 @@ let forward_prop (src, dst) (c : Test_engines.case) =
         c.Test_engines.label
   | Ok_relay _ -> ());
   agree "relays" wire;
-  (* staged tier agrees too *)
-  (match Stub_forward.staged_forward_of_plan plan with
-  | None -> ()
-  | Some staged ->
-      let b = relay_outcome base wire and s = relay_outcome staged wire in
-      if not (same_outcome b s) then
-        QCheck.Test.fail_reportf "staged relay differs on %s:@.%s@.%s"
-          c.Test_engines.label (pp_outcome b) (pp_outcome s));
   (* truncation parity *)
   let n = Bytes.length wire in
   if n > 0 then agree "truncations" (Bytes.sub wire 0 (Random.State.int mut_rng n));
@@ -206,22 +197,9 @@ let gateway_roundtrip_test () =
       (Encoding.cdr, Encoding.fluke);
     ]
 
-(* -- pool balance across a mid-run promotion ------------------------- *)
+(* -- pool balance across a gateway run --------------------------------- *)
 
-let counter name =
-  List.fold_left
-    (fun acc s ->
-      match s with Obs.Scounter (n, v) when n = name -> v | _ -> acc)
-    0 (Obs.snapshot ())
-
-let promotion_pool_test () =
-  (* threshold 11 is used nowhere else in the suite, so this relay's
-     hotness counter starts fresh (the threshold is part of the cache
-     key) *)
-  Fun.protect ~finally:Opt_config.clear_stage_override @@ fun () ->
-  Opt_config.set_stage_enabled true;
-  Opt_config.set_stage_threshold 11;
-  let p0 = counter "forward.promotions" in
+let gateway_pool_test () =
   let before = Mbuf.pool_stats () in
   let requests = 30 in
   let replies, expect, gst =
@@ -234,11 +212,8 @@ let promotion_pool_test () =
     (fun seq (status, pl) ->
       if status <> Rpc_serve.Sok then Alcotest.failf "seq %d not Sok" seq;
       if not (Bytes.equal pl expect) then
-        Alcotest.failf "seq %d: bytes changed across the promotion" seq)
+        Alcotest.failf "seq %d: bytes changed across the run" seq)
     replies;
-  (* the request relay crossed the threshold mid-run *)
-  if counter "forward.promotions" <= p0 then
-    Alcotest.fail "no forward promotion happened";
   let after = Mbuf.pool_stats () in
   Alcotest.(check int) "pooled writers outstanding unchanged"
     before.Mbuf.writers_outstanding after.Mbuf.writers_outstanding;
@@ -327,16 +302,11 @@ let rects_relay_test () =
   in
   Alcotest.(check bool) "as integer rows" true
     (match decoded with [| Value.Vint_rows _ as v |] -> Value.equal v rects.(0) | _ -> false);
-  List.iter
-    (fun (what, fwd) ->
-      Alcotest.(check string) what
-        (Test_engines.hex (Bytes.to_string (naive Encoding.cbor)))
-        (match relay_outcome fwd (naive Encoding.msgpack) with
-        | Ok_relay (bytes, 0) -> Test_engines.hex bytes
-        | o -> pp_outcome o))
-    (("relay = Stub_naive's cbor", Stub_forward.forward_of_plan plan)
-    :: Option.fold ~none:[] ~some:(fun f -> [ ("staged relay", f) ])
-         (Stub_forward.staged_forward_of_plan plan))
+  Alcotest.(check string) "relay = Stub_naive's cbor"
+    (Test_engines.hex (Bytes.to_string (naive Encoding.cbor)))
+    (match relay_outcome (Stub_forward.forward_of_plan plan) (naive Encoding.msgpack) with
+    | Ok_relay (bytes, 0) -> Test_engines.hex bytes
+    | o -> pp_outcome o)
 
 let suite =
   [
@@ -348,7 +318,7 @@ let suite =
           Alcotest.test_case "msgpack->cbor rects relay from rows" `Quick rects_relay_test;
           Alcotest.test_case "gateway roundtrip fused vs fallback" `Quick
             gateway_roundtrip_test;
-          Alcotest.test_case "pool balance across relay promotion" `Quick
-            promotion_pool_test;
+          Alcotest.test_case "pool balance across a gateway run" `Quick
+            gateway_pool_test;
         ] );
   ]
