@@ -5,9 +5,12 @@
       benchmarks compare work-per-byte, never different formats);
    2. decode . encode = identity for every engine pair;
    3. storage analysis: when [max_size] is Some n, no encoding of any
-      value exceeds n.
+      value exceeds n;
+   4. the optimized encoder writes the same bytes into a dirty, reused
+      writer behind a frame header as into a fresh one.
 
-   Types, presentations, and values are generated randomly. *)
+   Types, presentations, and values are generated randomly; the chunk
+   tests at the end pin each kind of chunk store on hand-built types. *)
 
 module G = QCheck.Gen
 
@@ -218,6 +221,53 @@ let bound_prop enc (c : case) =
           (String.length bytes) bound c.label
       else true
 
+(* -- encoding into a reused writer ------------------------------------- *)
+
+(* Put [w] in the state a pooled reply writer is in when a stub starts:
+   storage that earlier messages left dirty, then a [head]-byte frame
+   header with the origin after it. *)
+let dirty_writer w ~head =
+  Mbuf.reset w;
+  Mbuf.ensure w 4096;
+  Mbuf.set_string w 0 (String.make 4096 '\xff') 0 4096;
+  Mbuf.advance w 4096;
+  Mbuf.reset w;
+  for _ = 1 to head do
+    Mbuf.put_u8 w 0xa5
+  done;
+  Mbuf.set_origin w
+
+(* The bytes [encode] writes into [w] behind a [head]-byte header. *)
+let encode_behind w ~head encode =
+  dirty_writer w ~head;
+  encode w;
+  let b = Mbuf.contents w in
+  Bytes.sub_string b head (Bytes.length b - head)
+
+(* A chunk stores at constant offsets from the cursor and zero-fills its
+   alignment gaps, and one encoder serves every call: so whatever the
+   writer held and however long the header, the message behind it is
+   naive's bytes from a fresh writer. *)
+let reused_writer_prop enc (c : case) =
+  let e = opt_encoder ~enc ~mint:c.mint ~named:c.named (roots_of c) in
+  let w = Mbuf.create 16 in
+  List.for_all
+    (fun head ->
+      let v = Workload.random rng c.mint ~named:c.named c.idx c.pres in
+      let got = encode_behind w ~head (fun w -> e w [| v |]) in
+      let naive =
+        encode_with
+          (Stub_naive.compile_encoder ~config:Stub_naive.default_config)
+          enc c (roots_of c) v
+      in
+      if got <> naive then
+        QCheck.Test.fail_reportf
+          "behind a %d-byte header in a reused writer, opt/naive bytes \
+           differ on %s:@.%s@.%s"
+          head c.label (hex got) (hex naive);
+      true)
+    [ 0; 3; 5 ]
+
 let qtest name prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:300 ~name arbitrary_case prop)
 
@@ -235,6 +285,8 @@ let property_tests =
         qtest (n ^ ": naive decode inverts encode")
           (roundtrip_prop enc (Stub_naive.compile_decoder ~config:Stub_naive.default_config));
         qtest (n ^ ": storage bound holds") (bound_prop enc);
+        qtest (n ^ ": a reused writer behind a header gets naive's bytes")
+          (reused_writer_prop enc);
       ])
     Encoding.all
 
@@ -459,6 +511,207 @@ let first_call_allocation_test () =
       (Encoding.cbor, `Fluke);
     ]
 
+(* -- the chunk compiler's stores ---------------------------------------- *)
+
+(* A chunk compiles to three kinds of store: one blit of a precomputed
+   image for byte-adjacent constants, one in-window call for the 4-byte
+   integer fields of one aggregate, and one store per other item, with
+   the gaps between them zero-filled.  Each test below first checks its
+   plans hold the kind it is about, so the bytes it compares exercise
+   that store. *)
+
+(* the item lists of a plan's chunks, in loops and switch arms too *)
+let rec chunks_of (ops : Mplan.op list) =
+  List.concat_map
+    (fun (op : Mplan.op) ->
+      match op with
+      | Mplan.Chunk { size; items; _ } -> [ (size, items) ]
+      | Mplan.Loop { body; _ } -> chunks_of body
+      | Mplan.Switch { arms; default; _ } ->
+          List.concat_map (fun a -> chunks_of a.Mplan.a_body) arms
+          @ (match default with Some (_, body) -> chunks_of body | None -> [])
+      | _ -> [])
+    ops
+
+let item_span (it : Mplan.item) =
+  match it with
+  | Mplan.It_atom { off; atom; _ } | Mplan.It_const { off; atom; _ } ->
+      (off, off + atom.Mplan.size)
+  | Mplan.It_bytes { off; len; pad; _ } -> (off, off + len + pad)
+
+let has_image (_, items) =
+  let consts =
+    List.filter_map
+      (fun (it : Mplan.item) ->
+        match it with Mplan.It_const _ -> Some (item_span it) | _ -> None)
+      items
+  in
+  List.exists (fun (_, e) -> List.exists (fun (s, _) -> s = e) consts) consts
+
+(* the aggregates two or more of whose 4-byte integer fields one chunk
+   stores *)
+let run_bases (_, items) =
+  let bases =
+    List.filter_map
+      (fun (it : Mplan.item) ->
+        match it with
+        | Mplan.It_atom
+            { atom = { Mplan.kind = Encoding.Kint _; size = 4; _ };
+              src = Mplan.Rfield { base; _ }; _ } ->
+            Some base
+        | _ -> None)
+      items
+  in
+  List.sort_uniq compare
+    (List.filter
+       (fun b -> List.length (List.filter (( = ) b) bases) > 1)
+       bases)
+
+let has_gap (size, items) =
+  List.fold_left (fun n it -> let s, e = item_span it in n + e - s) 0 items
+  < size
+
+let plan_chunks ~enc ~mint ~named roots =
+  chunks_of (Plan_cache.plan ~enc ~mint ~named roots).Plan_compile.p_ops
+
+(* Encode [v] behind a short header in a dirty writer, and compare with
+   naive's bytes from a fresh one. *)
+let check_behind_header ~what ~enc ~mint ~named roots v =
+  let e = Stub_opt.compile_encoder ~enc ~mint ~named roots in
+  let got = encode_behind (Mbuf.create 16) ~head:1 (fun w -> e w [| v |]) in
+  let buf = Mbuf.create 64 in
+  Stub_naive.compile_encoder ~config:Stub_naive.default_config ~enc ~mint
+    ~named roots buf [| v |];
+  Alcotest.(check string)
+    (Printf.sprintf "%s %s = naive" enc.Encoding.name what)
+    (hex (Bytes.to_string (Mbuf.contents buf)))
+    (hex got)
+
+let const_image_test () =
+  let mint = Mint.create () in
+  let idx = Mint.int32 mint in
+  let roots =
+    [
+      Plan_compile.Rconst_int (7L, Encoding.Kint { bits = 32; signed = false });
+      Plan_compile.Rconst_int (-2L, Encoding.Kint { bits = 16; signed = true });
+      Plan_compile.Rconst_int
+        (0x1_2345_6789L, Encoding.Kint { bits = 64; signed = true });
+      Plan_compile.Rconst_int (200L, Encoding.Kint { bits = 8; signed = false });
+      Plan_compile.Rconst_int (1L, Encoding.Kbool);
+      Plan_compile.Rvalue
+        (Mplan.Rparam { index = 0; name = "p"; deref = false }, idx, Pres.Direct);
+    ]
+  in
+  List.iter
+    (fun enc ->
+      Alcotest.(check bool)
+        (enc.Encoding.name ^ ": some chunk holds adjacent constants")
+        true
+        (List.exists has_image (plan_chunks ~enc ~mint ~named:[] roots));
+      check_behind_header ~what:"constant roots" ~enc ~mint ~named:[] roots
+        (Value.Vint (-5)))
+    Encoding.all
+
+(* struct { char c; long a; short h; unsigned long b; double d;
+            long arr[3]; struct { long x; long y; } inner; long z; } *)
+let field_run_case () =
+  let mint = Mint.create () in
+  let i32 = Mint.int32 mint in
+  let inner = Mint.struct_ mint [ ("x", i32); ("y", i32) ] in
+  let idx =
+    Mint.struct_ mint
+      [
+        ("c", Mint.char8 mint);
+        ("a", i32);
+        ("h", Mint.int_ mint ~bits:16 ~signed:true);
+        ("b", Mint.int_ mint ~bits:32 ~signed:false);
+        ("d", Mint.float_ mint ~bits:64);
+        ("arr", Mint.fixed_array mint ~elem:i32 ~len:3);
+        ("inner", inner);
+        ("z", i32);
+      ]
+  in
+  let pres =
+    Pres.Struct
+      [
+        ("c", Pres.Direct);
+        ("a", Pres.Direct);
+        ("h", Pres.Direct);
+        ("b", Pres.Direct);
+        ("d", Pres.Direct);
+        ("arr", Pres.Fixed_array Pres.Direct);
+        ("inner", Pres.Struct [ ("x", Pres.Direct); ("y", Pres.Direct) ]);
+        ("z", Pres.Direct);
+      ]
+  in
+  { label = "field-runs"; mint; named = []; idx; pres }
+
+(* The fields at the 32-bit extremes; [arr] spelled as the int array
+   Workload and the decoders build, or as an array of boxed ints. *)
+let field_run_value ~boxed =
+  let ints = [| -0x8000_0000; 0x7fff_ffff; -1 |] in
+  Value.Vstruct
+    [|
+      Value.Vchar 'q';
+      Value.Vint (-0x8000_0000);
+      Value.Vint (-32768);
+      Value.Vint 0xffff_ffff;
+      Value.Vfloat (-0.5);
+      (if boxed then Value.Varray (Array.map (fun n -> Value.Vint n) ints)
+       else Value.Vint_array ints);
+      Value.Vstruct [| Value.Vint 0x7fff_ffff; Value.Vint 0x1234_5678 |];
+      Value.Vint 0;
+    |]
+
+let field_run_test () =
+  let c = field_run_case () in
+  let roots = roots_of c in
+  List.iter
+    (fun enc ->
+      if enc.Encoding.var = None then begin
+        let chunks = plan_chunks ~enc ~mint:c.mint ~named:c.named roots in
+        (* the struct itself, [arr] and [inner] *)
+        let bases = List.sort_uniq compare (List.concat_map run_bases chunks) in
+        Alcotest.(check bool)
+          (enc.Encoding.name ^ ": three aggregates store field runs")
+          true
+          (List.length bases >= 3);
+        (* CDR pads [c] and [h] up to the next field's alignment *)
+        if enc == Encoding.cdr then
+          Alcotest.(check bool) "cdr: some chunk has an alignment gap" true
+            (List.exists has_gap chunks)
+      end;
+      List.iter
+        (fun boxed ->
+          check_behind_header
+            ~what:(if boxed then "boxed arr" else "int array arr")
+            ~enc ~mint:c.mint ~named:c.named roots (field_run_value ~boxed))
+        [ false; true ])
+    Encoding.all
+
+(* The paper's requests, whose chunks hold every kind of store (dirent
+   fields, Mach descriptors, rects in the fused loop), into a reused
+   writer behind a header. *)
+let bench_request_test () =
+  List.iter
+    (fun enc ->
+      let style =
+        if enc == Encoding.xdr then `Rpcgen
+        else if enc == Encoding.cdr then `Corba
+        else `Fluke
+      in
+      List.iter
+        (fun payload ->
+          let op = Paper_fixtures.op_of_payload payload in
+          let spec =
+            Paper_fixtures.request_spec (Paper_fixtures.bench_presc style) ~op
+          in
+          check_behind_header ~what:op ~enc ~mint:spec.Paper_fixtures.ms_mint
+            ~named:spec.Paper_fixtures.ms_named spec.Paper_fixtures.ms_roots
+            (Paper_fixtures.payload payload ~bytes:2048))
+        [ `Ints; `Rects; `Dirents ])
+    Encoding.all
+
 let suite =
   [
     ("engines:properties", property_tests);
@@ -469,5 +722,14 @@ let suite =
       [
         Alcotest.test_case "a fresh encoder's first call allocates < 5 words/KB"
           `Quick first_call_allocation_test;
+      ] );
+    ( "engines:chunks",
+      [
+        Alcotest.test_case "adjacent constants store as naive" `Quick
+          const_image_test;
+        Alcotest.test_case "integer field runs store as naive" `Quick
+          field_run_test;
+        Alcotest.test_case "bench requests store as naive behind a header"
+          `Quick bench_request_test;
       ] );
   ]
