@@ -283,7 +283,9 @@ let dump_plan_cmd =
       & info [ "decode" ]
           ~doc:
             "Print the decode (unmarshal) plan for the request instead of the \
-             marshal plan.")
+             marshal plan.  Each loop shows its hoisted reservation \
+             ($(b,ensure*)) and the element minimum its count is checked \
+             against ($(b,min*)).")
   in
   let trace_arg =
     Arg.(
@@ -306,7 +308,8 @@ let dump_plan_cmd =
              the marshal plan.  Every op line carries its copy-elision \
              provenance ($(b,# blit), $(b,# borrow), $(b,# convert), \
              $(b,# fixup), $(b,# fallback)); the footer rolls the classes \
-             up.")
+             up.  Each loop shows its source and destination reservations \
+             and its source element minimum ($(b,min=)).")
   in
   let passes_arg =
     Arg.(

@@ -260,12 +260,15 @@ let rec compile_op ~(src : Encoding.t) ~(dst : Encoding.t) (op : Fplan.fop) :
         if emit_len then write_len ~be:dst_be w n;
         Mbuf.need r (n * unit_size);
         account ~len:(n * unit_size) (Mbuf.transfer ~borrow r w (n * unit_size))
-  | Fplan.F_loop { count; emit_len; src_ensure; dst_ensure; body } ->
+  | Fplan.F_loop { count; emit_len; src_min; src_ensure; dst_ensure; body } ->
       let get_n = counter_of ~be:src_be count in
       let fns = compile_ops ~src ~dst body in
       let k = Array.length fns in
       fun r w ->
         let n = get_n r in
+        (* the decoder's bound first: no reservation on either side that
+           the source bytes cannot back *)
+        if src_min > 0 then Codec.need_elems r n ~min_elem:src_min;
         if emit_len then write_len ~be:dst_be w n;
         (match src_ensure with Some u -> Mbuf.need r (n * u) | None -> ());
         (match dst_ensure with Some u -> Mbuf.ensure w (n * u) | None -> ());

@@ -15,7 +15,9 @@
     / [Mbuf.Short_buffer]).  Relayed output is byte-identical to
     decode-then-reencode; on malformed input both engines fail (the
     exception class may differ when fusion reorders a bounds check, as
-    with the decode rewrites — see peephole.mli).
+    with the decode rewrites — see peephole.mli).  A loop checks its
+    count against the source bytes that remain, at its source minimum
+    per element, before either side reserves or allocates.
 
     Observability ({!Obs} counters): [forward.fused_runs] (executed
     fused runs), [forward.borrowed_bytes] / [forward.copied_bytes]

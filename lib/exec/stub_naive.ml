@@ -588,8 +588,11 @@ let compile_value_decoder cfg (enc : Encoding.t) mint named :
     | Some kind -> read_scalar kind
     | None -> dec elem sub
   (* the fewest wire bytes one element takes, so a hostile count fails
-     before its array is allocated *)
-  and elem_min elem sub = Plan_compile.min_size ~enc ~mint ~named elem sub
+     before its array is allocated; a scalar element has no descriptor *)
+  and elem_min elem sub =
+    match Encoding.atom_of_mint (Mint.get mint elem) with
+    | Some kind when enc.Encoding.typed_headers -> (atom_of kind).Mplan.size
+    | _ -> (Plan_compile.size ~enc ~mint ~named elem sub).Plan_compile.min
   and decode_elements d r n ~min_elem as_int_array =
     Codec.need_elems r n ~min_elem;
     if as_int_array then begin

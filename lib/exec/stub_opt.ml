@@ -983,12 +983,11 @@ let rec shape_reader leaf (sh : Dplan.shape) : 'a -> Value.t =
         (List.rev
            (List.fold_left (fun acc s -> shape_reader leaf s :: acc) [] shapes))
 
-let dcompiler ~(enc : Encoding.t) ~(frames : (string * Dplan.frame) list)
+let dcompiler ~(enc : Encoding.t)
     ~(subs : (string, (Mbuf.reader -> Value.t) ref) Hashtbl.t) :
     Dplan.frame -> Mbuf.reader -> Value.t =
   let be = enc.Encoding.big_endian in
   let vc = enc.Encoding.var in
-  let selfdesc = vc <> None in
   let nul = enc.Encoding.string_nul in
   let pad_unit = enc.Encoding.pad_unit in
   (* a view is handed out only when the payload clears the borrow
@@ -1217,23 +1216,19 @@ let dcompiler ~(enc : Encoding.t) ~(frames : (string * Dplan.frame) list)
         let get_n = read_count count and read = int_rows (Dplan.loop_build frame) in
         let shape = row_shape frame.Dplan.f_shape in
         [ Fill (slot, fun r -> Value.Vint_rows { shape; ints = read r (get_n r) }) ]
-    | Dplan.D_loop { count; ensure; frame; slot } ->
+    | Dplan.D_loop { count; ensure; elem_min; frame; slot } ->
         let get_n = read_count count in
         let body = compile_frame frame in
         (* a hoisted reservation covers the whole run; otherwise the
            count is first checked against the bytes that remain *)
         let reserve = Option.value ensure ~default:0 in
-        let min_elem =
-          if ensure = None then Dplan.min_wire ~selfdesc ~subs:frames frame.Dplan.f_ops
-          else 0
-        in
         [
           Fill
             ( slot,
               fun r ->
                 let n = get_n r in
                 if reserve > 0 then Mbuf.need r (n * reserve)
-                else if min_elem > 0 then Codec.need_elems r n ~min_elem;
+                else if elem_min > 0 then Codec.need_elems r n ~min_elem:elem_min;
                 let out = Array.make n Value.Vvoid in
                 for i = 0 to n - 1 do
                   Array.unsafe_set out i (body r)
@@ -1435,7 +1430,7 @@ let decoder_of_dplan ~(enc : Encoding.t) (plan : Dplan.plan) : decoder =
   List.iter
     (fun (name, _) -> Hashtbl.replace subs name (ref (fun _ -> Value.Vvoid)))
     plan.Dplan.d_subs;
-  let compile_frame = dcompiler ~enc ~frames:plan.Dplan.d_subs ~subs in
+  let compile_frame = dcompiler ~enc ~subs in
   List.iter
     (fun (name, frame) -> Hashtbl.find subs name := compile_frame frame)
     plan.Dplan.d_subs;

@@ -93,4 +93,5 @@ val decoder_of_dplan :
     one closure that decodes straight to its value, built as
     {!Dplan.frame_build} says; only a slot frame fills a per-call slot
     array first.  A loop checks its count against the bytes that
-    remain ({!Dplan.min_wire}) before it allocates. *)
+    remain, at its hoisted reservation or else its stamped element
+    minimum ([elem_min], {!Plan_compile.size}), before it allocates. *)

@@ -54,9 +54,10 @@ type dop =
       var : bool;  (* value-dependent elements: no static advance *)
       slot : int;
     }
-  | D_loop of { count : dcount; ensure : int option; frame : frame; slot : int }
+  | D_loop of { count : dcount; ensure : int option; elem_min : int; frame : frame; slot : int }
       (* [ensure]: every iteration advances exactly that many bytes, so
-         one [need count * ensure] covers the whole run *)
+         one [need count * ensure] covers the whole run; [elem_min]: the
+         fewest bytes an element takes *)
   | D_opt of { frame : frame; slot : int }
   | D_switch of {
       discrim_atom : Mplan.atom option;  (* None: string-keyed *)
@@ -136,11 +137,12 @@ let rec pp_op ppf = function
       Format.fprintf ppf "s%d <- get_atom_array %a %a%s" slot pp_count count
         pp_atom atom
         (if var then " var" else "")
-  | D_loop { count; ensure; frame; slot } ->
-      Format.fprintf ppf "@[<v 2>s%d <- for %a%s {" slot pp_count count
+  | D_loop { count; ensure; elem_min; frame; slot } ->
+      Format.fprintf ppf "@[<v 2>s%d <- for %a%s min*%d {" slot pp_count count
         (match ensure with
         | None -> ""
-        | Some u -> Printf.sprintf " ensure*%d" u);
+        | Some u -> Printf.sprintf " ensure*%d" u)
+        elem_min;
       pp_frame_body ppf frame;
       Format.fprintf ppf "@]@,}"
   | D_opt { frame; slot } ->
@@ -386,42 +388,3 @@ let frame_builds p =
   walk "top" p.d_ops;
   List.iter (fun (name, f) -> sub ("sub " ^ name) f) p.d_subs;
   List.rev !out
-
-(* A lower bound on the bytes one run of [ops] consumes: chunk sizes,
-   one count/length/option word per variable-length op (4 bytes, or a
-   1-byte head when self-describing), the cheapest union arm, nothing
-   for alignment, and a call's subroutine body from [subs], looked
-   through once: a call inside that body counts nothing, which cuts
-   recursion and keeps the sum a lower bound. *)
-let rec min_wire ~selfdesc ~subs ops =
-  let word = if selfdesc then 1 else 4 in
-  let count c ~elem = match c with Dc_fixed n -> n * elem | Dc_len _ -> word in
-  List.fold_left
-    (fun acc op ->
-      acc
-      +
-      match op with
-      | D_align _ -> 0
-      | D_call { sub; _ } -> (
-          match List.assoc_opt sub subs with
-          | Some f -> min_wire ~selfdesc ~subs:[] f.f_ops
-          | None -> 0)
-      | D_chunk { size; _ } -> size
-      | D_get_varhead _ -> 1
-      | D_get_string _ | D_const_str _ | D_opt _ -> word
-      | D_get_byteseq { count = c; _ } -> count c ~elem:1
-      | D_get_atom_array { count = c; atom; _ } ->
-          count c ~elem:(if selfdesc then 1 else atom.Mplan.size)
-      | D_loop { count = c; frame; _ } ->
-          count c ~elem:(min_wire ~selfdesc ~subs frame.f_ops)
-      | D_switch { discrim_atom; arms; default; _ } -> (
-          (match discrim_atom with
-          | Some a when not selfdesc -> a.Mplan.size
-          | Some _ | None -> word)
-          +
-          match List.map (fun a -> a.d_frame) arms @ Option.to_list default with
-          | [] -> 0
-          | fs ->
-              List.fold_left min max_int
-                (List.map (fun f -> min_wire ~selfdesc ~subs f.f_ops) fs)))
-    0 ops

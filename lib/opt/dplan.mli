@@ -77,10 +77,12 @@ type dop =
               array's advance is never static *)
       slot : int;
     }
-  | D_loop of { count : dcount; ensure : int option; frame : frame; slot : int }
+  | D_loop of { count : dcount; ensure : int option; elem_min : int; frame : frame; slot : int }
       (** [ensure = Some u]: every iteration advances exactly [u]
           bytes, so the executor reserves [count * u] once and interior
-          chunks run check-free *)
+          chunks run check-free.  [elem_min]: the fewest bytes one
+          element takes ({!Plan_compile.size}), what the count is
+          checked against before anything is allocated *)
   | D_opt of { frame : frame; slot : int }
       (** optional pointer: wire count 0 or 1 *)
   | D_switch of {
@@ -167,11 +169,3 @@ val build_name : build -> string
 val frame_builds : plan -> (string * build) list
 (** Every frame of the plan, top first, each under its path (["top"],
     ["top/s0 loop"], ["sub name"], ...). *)
-
-val min_wire : selfdesc:bool -> subs:(string * frame) list -> dop list -> int
-(** A static lower bound on the wire bytes [ops] consume ([selfdesc]:
-    msgpack/CBOR, whose counts are 1-byte heads rather than 4-byte
-    words); 0 means no bound.  A [D_call] counts its subroutine's body
-    from [subs] once (a call inside that body counts 0).  What a loop
-    checks against the bytes that remain before allocating for its
-    count. *)

@@ -28,8 +28,7 @@ type st = {
   view_thresh : int;  (* split fixed byte runs >= this out of chunks *)
   mutable ops_rev : Dplan.dop list;
   mutable chunk : chunk_state option;
-  mutable abase : int;  (* position ≡ aoff (mod abase) *)
-  mutable aoff : int;
+  mutable pos : Plan_compile.pos;
   mutable next_slot : int;
   subs : (string, Dplan.frame option) Hashtbl.t;
       (* None while a subroutine is being compiled (recursion) *)
@@ -55,34 +54,29 @@ let emit st op =
   flush st;
   st.ops_rev <- op :: st.ops_rev
 
-let advance_static st n = st.aoff <- (st.aoff + n) mod st.abase
-
-let lose_alignment st u =
-  let u = max u 1 in
-  st.abase <- min st.abase u;
-  if st.abase < 1 then st.abase <- 1;
-  st.aoff <- 0
+let advance_static st n = st.pos <- Plan_compile.advance st.pos n
+let lose_alignment st u = st.pos <- Plan_compile.lose st.pos u
 
 let align_for st a =
-  if a <= 1 then 0
-  else if a <= st.abase then (a - (st.aoff mod a)) mod a
-  else begin
-    emit st (Dplan.D_align a);
-    st.abase <- a;
-    st.aoff <- 0;
-    0
-  end
+  match Plan_compile.static_pad st.pos a with
+  | Some pad -> pad
+  | None ->
+      emit st (Dplan.D_align a);
+      st.pos <- Plan_compile.aligned a;
+      0
 
 (* Simulate an alignment that the executor performs dynamically inside
    an op (e.g. before a switch discriminator): advance the congruence
    without emitting anything. *)
 let sim_align st a =
-  if a > 1 then
-    if a <= st.abase then advance_static st ((a - (st.aoff mod a)) mod a)
-    else begin
-      st.abase <- a;
-      st.aoff <- 0
-    end
+  st.pos <-
+    (match Plan_compile.static_pad st.pos a with
+    | Some pad -> Plan_compile.advance st.pos pad
+    | None -> Plan_compile.aligned a)
+
+(* a loop body, optional or subroutine: only the encoding's layout
+   granularity is known where it starts *)
+let granular st = Plan_compile.aligned (max 1 st.enc.Encoding.granularity)
 
 let chunk st =
   match st.chunk with
@@ -95,10 +89,6 @@ let chunk st =
 (* Append one atom-sized load (or gap, when [make] yields no item) into
    the current chunk, starting one if needed. *)
 let take_atom st (atom : Mplan.atom) (make : int -> Dplan.ditem option) =
-  if atom.Mplan.align > st.abase then begin
-    flush st;
-    ignore (align_for st atom.Mplan.align)
-  end;
   let pad = align_for st atom.Mplan.align in
   let c = chunk st in
   let off = c.c_size + pad in
@@ -166,18 +156,16 @@ let fresh_slot st =
   s
 
 (* Compile [build] into its own frame: fresh slot namespace and op
-   stream, entry congruence [abase]/[aoff].  The caller must have
-   flushed its chunk. *)
-let compile_frame st ~abase ~aoff build =
+   stream, entry congruence [pos].  The caller must have flushed its
+   chunk. *)
+let compile_frame st ~pos build =
   let saved_ops = st.ops_rev
   and saved_chunk = st.chunk
-  and saved_base = st.abase
-  and saved_off = st.aoff
+  and saved_pos = st.pos
   and saved_slot = st.next_slot in
   st.ops_rev <- [];
   st.chunk <- None;
-  st.abase <- abase;
-  st.aoff <- aoff;
+  st.pos <- pos;
   st.next_slot <- 0;
   let shape = build () in
   flush st;
@@ -186,8 +174,7 @@ let compile_frame st ~abase ~aoff build =
   in
   st.ops_rev <- saved_ops;
   st.chunk <- saved_chunk;
-  st.abase <- saved_base;
-  st.aoff <- saved_off;
+  st.pos <- saved_pos;
   st.next_slot <- saved_slot;
   frame
 
@@ -355,8 +342,7 @@ and compile_array st ~elem ~min_len ~max_len (pres : Pres.t) =
       take_header st;
       flush st;
       let frame =
-        compile_frame st ~abase:(max 1 enc.Encoding.granularity) ~aoff:0
-          (fun () -> compile_value st elem sub)
+        compile_frame st ~pos:(granular st) (fun () -> compile_value st elem sub)
       in
       let slot = fresh_slot st in
       emit st (Dplan.D_opt { frame; slot });
@@ -371,11 +357,11 @@ and compile_loop st count elem sub =
   (* element positions are data dependent: only the encoding's layout
      granularity survives into and out of the body *)
   let frame =
-    compile_frame st ~abase:(max 1 st.enc.Encoding.granularity) ~aoff:0
-      (fun () -> compile_value st elem sub)
+    compile_frame st ~pos:(granular st) (fun () -> compile_value st elem sub)
   in
+  let elem_min = (Plan_compile.size ~enc:st.enc ~mint:st.mint ~named:st.named elem sub).min in
   let slot = fresh_slot st in
-  emit st (Dplan.D_loop { count; ensure = None; frame; slot });
+  emit st (Dplan.D_loop { count; ensure = None; elem_min; frame; slot });
   lose_alignment st st.enc.Encoding.granularity;
   Dplan.Sh_slot slot
 
@@ -401,12 +387,12 @@ and compile_union st ~discrim ~cases ~default ~arms ~default_arm =
   | None ->
       (* counted string key: data-dependent advance *)
       lose_alignment st enc.Encoding.pad_unit);
-  let entry_base = st.abase and entry_off = st.aoff in
+  let entry = st.pos in
   let plan_arms =
     List.map2
       (fun (i, (case : Mint.case)) (_member, sub) ->
         let frame =
-          compile_frame st ~abase:entry_base ~aoff:entry_off (fun () ->
+          compile_frame st ~pos:entry (fun () ->
               compile_value st case.Mint.c_body sub)
         in
         { Dplan.d_const = case.Mint.c_const; d_case = i; d_frame = frame })
@@ -417,7 +403,7 @@ and compile_union st ~discrim ~cases ~default ~arms ~default_arm =
     match (default, default_arm) with
     | Some didx, Some (_member, sub) ->
         Some
-          (compile_frame st ~abase:entry_base ~aoff:entry_off (fun () ->
+          (compile_frame st ~pos:entry (fun () ->
                compile_value st didx sub))
     | None, None -> None
     | _, _ -> invalid_arg "Dplan_compile: PRES/MINT default mismatch"
@@ -440,15 +426,11 @@ and compile_sub st name =
       | Some (idx, pres) ->
           Hashtbl.add st.subs name None;
           (* subroutines are called at arbitrary positions *)
-          let frame =
-            compile_frame st ~abase:(max 1 st.enc.Encoding.granularity)
-              ~aoff:0 (fun () -> compile_value st idx pres)
-          in
+          let frame = compile_frame st ~pos:(granular st) (fun () -> compile_value st idx pres) in
           Hashtbl.replace st.subs name (Some frame))
 
 let compile ~enc ~mint ~named ?(start = (8, 0)) ?(chunked = true)
     ?(views = false) ?view_threshold droots : Dplan.plan =
-  let base, off = start in
   let st =
     {
       enc;
@@ -462,8 +444,7 @@ let compile ~enc ~mint ~named ?(start = (8, 0)) ?(chunked = true)
         | None -> Mbuf.borrow_threshold ());
       ops_rev = [];
       chunk = None;
-      abase = base;
-      aoff = off;
+      pos = { Plan_compile.abase = fst start; aoff = snd start };
       next_slot = 0;
       subs = Hashtbl.create 4;
     }

@@ -62,6 +62,7 @@ type fop =
   | F_loop of {
       count : fcount;
       emit_len : bool;
+      src_min : int;
       src_ensure : int option;
       dst_ensure : int option;
       body : fop list;
@@ -168,15 +169,15 @@ let rec pp_op ppf op =
         count
         (if emit_len then " emit_len" else "")
         unit_size tag
-  | F_loop { count; emit_len; src_ensure; dst_ensure; body } ->
+  | F_loop { count; emit_len; src_min; src_ensure; dst_ensure; body } ->
       let pp_ens ppf = function
         | Some u -> Format.fprintf ppf "%d" u
         | None -> Format.fprintf ppf "-"
       in
       Format.fprintf ppf
-        "@[<v 2>loop count=%a%s ensure=%a->%a {" pp_count count
+        "@[<v 2>loop count=%a%s ensure=%a->%a min=%d {" pp_count count
         (if emit_len then " emit_len" else "")
-        pp_ens src_ensure pp_ens dst_ensure;
+        pp_ens src_ensure pp_ens dst_ensure src_min;
       List.iter (fun o -> Format.fprintf ppf "@,%a" pp_op o) body;
       Format.fprintf ppf "@]@,}"
   | F_opt { body } ->

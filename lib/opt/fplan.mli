@@ -107,6 +107,11 @@ type fop =
   | F_loop of {
       count : fcount;
       emit_len : bool;
+      src_min : int;
+          (** the fewest source bytes one element takes (the decode
+              loop's [elem_min]): the count is checked against the
+              source's remaining bytes at this many per element before
+              either side reserves or allocates *)
       src_ensure : int option;
           (** every iteration consumes exactly this many source bytes:
               reserve [count * u] once, interior runs check-free *)

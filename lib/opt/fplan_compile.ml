@@ -325,7 +325,7 @@ and fuse_var ctx sop stoks dtoks acc =
              borrow = blit && ctx.sg;
            }
         :: acc)
-  | Dplan.D_loop { count; ensure; frame; _ }, d ->
+  | Dplan.D_loop { count; ensure; elem_min; frame; _ }, d ->
       let emit_len, d =
         match d with
         | Td_var (Mplan.Put_len { via = Mplan.Via_opt; _ }) :: _ ->
@@ -354,6 +354,7 @@ and fuse_var ctx sop stoks dtoks acc =
            {
              count = fcount_of count;
              emit_len;
+             src_min = elem_min;
              src_ensure = ensure;
              dst_ensure;
              body = fbody;

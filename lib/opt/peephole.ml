@@ -387,15 +387,9 @@ let rec clear_dchecks ops =
       match op with
       | Dplan.D_chunk { size; items; check = _ } ->
           Dplan.D_chunk { size; items; check = false }
-      | Dplan.D_loop { count; ensure; frame; slot } ->
+      | Dplan.D_loop l ->
           Dplan.D_loop
-            {
-              count;
-              ensure;
-              frame =
-                { frame with Dplan.f_ops = clear_dchecks frame.Dplan.f_ops };
-              slot;
-            }
+            { l with frame = { l.frame with Dplan.f_ops = clear_dchecks l.frame.Dplan.f_ops } }
       | op -> op)
     ops
 
@@ -425,8 +419,8 @@ and d_fusable_atom (atom : Mplan.atom) =
 
 and optimize_dop rw st (op : Dplan.dop) : Dplan.dop list =
   match op with
-  | Dplan.D_loop { count; ensure; frame; slot } -> (
-      let frame = optimize_dframe rw st frame in
+  | Dplan.D_loop l -> (
+      let frame = optimize_dframe rw st l.frame in
       match frame with
       | {
        Dplan.f_nslots = 1;
@@ -442,33 +436,23 @@ and optimize_dop rw st (op : Dplan.dop) : Dplan.dop list =
              atom array read (decode twin of the encode loop-blit
              fusion) *)
           st.loops_fused <- st.loops_fused + 1;
-          [ Dplan.D_get_atom_array { count; atom; var = false; slot } ]
+          [ Dplan.D_get_atom_array { count = l.count; atom; var = false; slot = l.slot } ]
+      | _ when l.ensure <> None || (not rw.rw_hoist)
+               || not (d_has_checked_chunk frame.Dplan.f_ops) ->
+          [ Dplan.D_loop { l with frame } ]
       | _ -> (
-      match ensure with
-      | Some _ -> [ Dplan.D_loop { count; ensure; frame; slot } ]
-      | None -> (
-          if
-            (not rw.rw_hoist)
-            || not (d_has_checked_chunk frame.Dplan.f_ops)
-          then [ Dplan.D_loop { count; ensure; frame; slot } ]
-          else
-            match exact_advance frame.Dplan.f_ops with
-            | Some u when u > 0 ->
-                st.ensures_hoisted <- st.ensures_hoisted + 1;
-                [
-                  Dplan.D_loop
-                    {
-                      count;
-                      ensure = Some u;
-                      frame =
-                        {
-                          frame with
-                          Dplan.f_ops = clear_dchecks frame.Dplan.f_ops;
-                        };
-                      slot;
-                    };
-                ]
-            | _ -> [ Dplan.D_loop { count; ensure; frame; slot } ])))
+          match exact_advance frame.Dplan.f_ops with
+          | Some u when u > 0 ->
+              st.ensures_hoisted <- st.ensures_hoisted + 1;
+              [
+                Dplan.D_loop
+                  {
+                    l with
+                    ensure = Some u;
+                    frame = { frame with Dplan.f_ops = clear_dchecks frame.Dplan.f_ops };
+                  };
+              ]
+          | _ -> [ Dplan.D_loop { l with frame } ]))
   | Dplan.D_opt { frame; slot } ->
       [ Dplan.D_opt { frame = optimize_dframe rw st frame; slot } ]
   | Dplan.D_switch { discrim_atom; arms; default; slot } ->

@@ -61,6 +61,23 @@ val compile :
     runs of at least [sg_threshold] (default {!Mbuf.borrow_threshold})
     bytes out of their chunk as {!Mplan.op.Put_blit}. *)
 
+(** What the plan compilers know statically of a position: it is
+    [aoff] modulo [abase], a power of two. *)
+type pos = { abase : int; aoff : int }
+
+val advance : pos -> int -> pos
+(** After [n] more bytes. *)
+
+val lose : pos -> int -> pos
+(** Known only modulo [u] (and no better than before). *)
+
+val aligned : int -> pos
+(** Just after a dynamic alignment to [a]. *)
+
+val static_pad : pos -> int -> int option
+(** The padding before an atom aligned to [a]; [None] when the
+    congruence cannot tell and the stub must align dynamically. *)
+
 val atom_of : Encoding.t -> Encoding.atom_kind -> Mplan.atom
 (** The encoding's layout for one atom, as a plan atom. *)
 
@@ -79,28 +96,24 @@ val len_atom : Encoding.t -> Mplan.atom
 val round_up : int -> int -> int
 (** [round_up n unit] — smallest multiple of [unit] that is [>= n]. *)
 
-val max_size :
-  enc:Encoding.t ->
-  mint:Mint.t ->
-  Mint.idx ->
-  Pres.t ->
-  int option
-(** Upper bound on the encoded size, including worst-case padding;
-    [None] when unbounded.  The storage-class analysis of section 3.1:
-    [Some] with an exact fixed layout is the paper's "fixed" class,
-    [Some] otherwise is "variable but bounded", [None] is "unbounded". *)
+type size = { min : int; max : int option }
 
-val min_size :
+val size :
   enc:Encoding.t ->
   mint:Mint.t ->
   named:(string * (Mint.idx * Pres.t)) list ->
+  ?start:int * int ->
   Mint.idx ->
   Pres.t ->
-  int
-(** Lower bound on the encoded size: scalars at their wire size (1 byte
-    when value dependent), a count word (or head) per counted array,
-    string or optional, fixed arrays element by element (packed bytes
-    at 1), a union's discriminator plus its cheapest arm, a named
-    type's body from [named] looked through once (a name inside that
-    body counts 0), and 0 for alignment and typed headers.  What
-    bounds a count-driven allocation by the bytes received. *)
+  size
+(** The storage analysis of section 3.1, the one static size model.
+    [min] is the fewest bytes the decoders read: typed-header words,
+    one count word (a 1-byte head when value dependent) per string,
+    counted run or optional, scalars at their wire size, a union's
+    discriminator and cheapest arm, a named type's body from [named]
+    looked through once, and no padding.  [max] is the most bytes the
+    encoder writes from alignment congruence [start] (default
+    [(8, 0)]), each atom padded as {!compile} pads it; [None] when a run
+    is unbounded or the value reaches a named type.  {!compile} sizes
+    each loop's {!Mplan.op.Ensure_count} from [max]; the decoders check
+    a count against [min] before they allocate. *)

@@ -6,7 +6,8 @@
    offsets inside their chunk; a chunk whose capacity check was dropped
    is only legal under a reservation that covers it; a hoisted decode
    reservation must equal the frame's exact advance (decode checks
-   *raise*, so an upper bound would reject well-formed messages); loop
+   *raise*, so an upper bound would reject well-formed messages), and a
+   loop's element minimum may not exceed it; loop
    variables are referenced only in scope; decode slots are written
    once and read only after being written; Call/D_call targets resolve.
 
@@ -253,6 +254,19 @@ and d_exact_advance ops =
       | _, _ -> None)
     (Some 0) ops
 
+(* A loop checks its count at [min] bytes per element before it
+   allocates, so a minimum above what an element really takes rejects
+   well-formed messages. *)
+let check_min path ~what min exact =
+  if min < 0 then failv path "negative element minimum %d" min;
+  match exact with
+  | Some v when min > v ->
+      failv path
+        "element minimum of %d bytes exceeds the %d bytes each run of the %s \
+         consumes"
+        min v what
+  | _ -> ()
+
 let check_dcount path (c : Dplan.dcount) =
   match c with
   | Dplan.Dc_fixed n ->
@@ -365,9 +379,10 @@ let rec check_frame path ~subs ~covered (f : Dplan.frame) =
             "atom array stride %d is not a multiple of its alignment %d"
             atom.Mplan.size atom.Mplan.align;
         write path slot
-    | Dplan.D_loop { count; ensure; frame; slot } ->
+    | Dplan.D_loop { count; ensure; elem_min; frame; slot } ->
         check_dcount path count;
         write path slot;
+        check_min path ~what:"frame" elem_min (d_exact_advance frame.Dplan.f_ops);
         (match ensure with
         | None -> check_frame (path ^ ".loop") ~subs ~covered frame
         | Some u ->
@@ -626,8 +641,9 @@ let rec check_fops path ~var ~covered_src ~covered_dst ops =
           check_fcount path count;
           if unit_size <= 0 then
             failv path "counted blit with non-positive unit size %d" unit_size
-      | Fplan.F_loop { count; src_ensure; dst_ensure; body; _ } ->
+      | Fplan.F_loop { count; src_min; src_ensure; dst_ensure; body; _ } ->
           check_fcount path count;
+          check_min path ~what:"body" src_min (f_src_exact ~var body);
           (match src_ensure with
           | None -> ()
           | Some u -> (

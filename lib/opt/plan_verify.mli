@@ -12,7 +12,9 @@
       decode: a [D_loop] with [ensure = Some _]);
     - a hoisted decode reservation equals the frame's {e exact} advance
       — decode bounds checks raise, so an upper bound would reject
-      well-formed messages;
+      well-formed messages — and a loop's stamped element minimum
+      ([D_loop]'s [elem_min], [F_loop]'s [src_min]) never exceeds that
+      advance, for the same reason;
     - loop bodies are well-nested: [Rvar] references are in scope and
       loop variables do not shadow;
     - decode slots are written exactly once, lie inside their frame,

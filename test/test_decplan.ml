@@ -702,6 +702,7 @@ let selfdesc_array_tests =
                     {
                       count = Dplan.Dc_len { min_len = 0; max_len = None; what = "s" };
                       ensure = Some 4;
+                      elem_min = 2;
                       frame =
                         {
                           Dplan.f_nslots = 1;
@@ -1086,20 +1087,25 @@ let hostile_count_test () =
     Value.Vstruct
       [| Value.Vstruct [| Value.Vint 1; Value.Vint 2 |]; Value.Vstruct [| Value.Vint 3; Value.Vint 4 |] |]
   in
+  (* the request for [op] carrying [elem] once, its count made hostile *)
+  let hostile_request enc style op elem =
+    let spec = Paper_fixtures.request_spec (Paper_fixtures.bench_presc style) ~op in
+    let wire_of n =
+      let e =
+        Stub_opt.compile_encoder ~enc ~mint:spec.Paper_fixtures.ms_mint
+          ~named:spec.Paper_fixtures.ms_named spec.Paper_fixtures.ms_roots
+      in
+      let buf = Mbuf.create 256 in
+      e buf [| Value.Varray (Array.make n elem) |];
+      Bytes.to_string (Mbuf.contents buf)
+    in
+    (spec, hostile_wire enc (wire_of 1) (wire_of 2))
+  in
   List.iter
     (fun ((enc, style), (op, elem)) ->
-      let pc = Paper_fixtures.bench_presc style in
-      let spec = Paper_fixtures.request_spec pc ~op in
-      let mint = spec.Paper_fixtures.ms_mint
-      and named = spec.Paper_fixtures.ms_named in
-      let wire_of n =
-        let e = Stub_opt.compile_encoder ~enc ~mint ~named spec.Paper_fixtures.ms_roots in
-        let buf = Mbuf.create 256 in
-        e buf [| Value.Varray (Array.make n elem) |];
-        Bytes.to_string (Mbuf.contents buf)
-      in
-      decoders_fail op enc ~mint ~named spec.Paper_fixtures.ms_droots
-        (hostile_wire enc (wire_of 1) (wire_of 2)))
+      let spec, wire = hostile_request enc style op elem in
+      decoders_fail op enc ~mint:spec.Paper_fixtures.ms_mint
+        ~named:spec.Paper_fixtures.ms_named spec.Paper_fixtures.ms_droots wire)
     (List.concat_map
        (fun e -> [ (e, ("send_dirents", entry)); (e, ("send_rects", rect)) ])
        [
@@ -1109,6 +1115,28 @@ let hostile_count_test () =
          (Encoding.msgpack, `Fluke);
          (Encoding.cbor, `Fluke);
        ]);
+  (* the rects relayed to xdr, as the gateway pairs encodings with
+     presentations: each relay bounds the count by the source bytes
+     before it reserves the destination *)
+  List.iter
+    (fun (enc, style) ->
+      let spec, wire = hostile_request enc style "send_rects" rect in
+      let fwd =
+        Stub_forward.compile_forward ~src:enc ~dst:Encoding.xdr
+          ~mint:spec.Paper_fixtures.ms_mint ~named:spec.Paper_fixtures.ms_named
+          (List.map Stub_opt.to_dplan_droot spec.Paper_fixtures.ms_droots)
+          spec.Paper_fixtures.ms_roots
+      in
+      fails_small
+        (Printf.sprintf "%s->xdr send_rects relay" enc.Encoding.name)
+        wire
+        (fun () -> fwd (Mbuf.reader_of_bytes wire) (Mbuf.create 64)))
+    [
+      (Encoding.xdr, `Rpcgen);
+      (Encoding.cdr, `Corba);
+      (Encoding.mach3, `Fluke);
+      (Encoding.fluke, `Fluke);
+    ];
   (* sequence<node>, node = { long v; node *next; }: the three decoders
      in every encoding, and the relays to xdr from every fixed
      encoding, which materialize through Stub_opt's decoder *)
