@@ -16,8 +16,16 @@
 # reports nonzero, each read in its declared direction.  Printed: one
 # row per seed and metric, then for each metric the median and
 # quartiles of both sides, the median change, the parent interquartile
-# range, how many seeds the working tree reads better, and each side's
-# attempted and failed operation totals.  A run that crashed
+# range, how many seeds the working tree reads better, a verdict, and
+# each side's attempted and failed operation totals.  The verdict
+# applies the bounds BENCHMARK.json gives the end-to-end metrics, in
+# this order: "worse" when the change's median is worse than the
+# base's by more than the bound; "unresolved" when either side's
+# interquartile range exceeds the bound (relative to the base median)
+# and not every change run beats every base run; "better" when the
+# change wins at least 9 of 10 pairs and its median beats the base's
+# by more than the base interquartile range; else "holds".  A metric
+# without a bound (the traced ones) reads "better" or "-".  A run that crashed
 # (no result line) or reports "correct": false or failed > 0 is named
 # by seed and side, its pair is left out of the summary, and the
 # script exits 1.  The extracted tree is removed on exit.  Needs git,
@@ -73,6 +81,7 @@ import json, sys
 path, rev, workload, seconds, trace, spec = sys.argv[1:]
 declared = json.load(open(spec))["per_layer" if trace == "1" else "end_to_end"]
 metrics = [(m["name"], m["better"]) for m in declared]
+bounds = {m["name"]: m["bound"] for m in declared if "bound" in m}
 runs = {}
 bad = []
 totals = {"base": [0, 0], "change": [0, 0]}
@@ -122,7 +131,20 @@ for s in seeds:
         b, c = runs[s]["base"][m], runs[s]["change"][m]
         print(f"{s:>6} {m:<{w}} {num(b):>12} {num(c):>12} {delta(b, c)}")
 print()
-print(f"{'metric':<{w}} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} {'delta':>8} {'base IQR':>10} {'wins':>6}")
+def verdict(m, b, c, bm, cm, iqr, wins, up):
+    gain = (cm - bm) if up else (bm - cm)  # positive when the change is better
+    bound = bounds.get(m)
+    spread = lambda xs: quantile(xs, 0.75) - quantile(xs, 0.25)
+    every = min(c) > max(b) if up else max(c) < min(b)
+    if bound is not None and -gain > bound * abs(bm):
+        return "worse"
+    if bound is not None and max(spread(b), spread(c)) > bound * abs(bm) and not every:
+        return "unresolved"
+    if 10 * wins >= 9 * len(b) and gain > iqr:
+        return "better"
+    return "holds" if bound is not None else "-"
+
+print(f"{'metric':<{w}} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} {'delta':>8} {'base IQR':>10} {'wins':>6}  verdict")
 for m, better in metrics if seeds else []:
     b = [runs[s]["base"][m] for s in seeds]
     c = [runs[s]["change"][m] for s in seeds]
@@ -130,7 +152,8 @@ for m, better in metrics if seeds else []:
     iqr = quantile(b, 0.75) - quantile(b, 0.25)
     wins = sum(1 for x, y in zip(b, c) if (y > x if better == "higher" else y < x))
     fmt = lambda xs: f"{num(quantile(xs, 0.5))} [{num(quantile(xs, 0.25))}, {num(quantile(xs, 0.75))}]"
-    print(f"{m:<{w}} {fmt(b):>30} {fmt(c):>30} {delta(bm, cm)} {num(iqr):>10} {wins:>3}/{len(seeds)}")
+    v = verdict(m, b, c, bm, cm, iqr, wins, better == "higher")
+    print(f"{m:<{w}} {fmt(b):>30} {fmt(c):>30} {delta(bm, cm)} {num(iqr):>10} {wins:>3}/{len(seeds)}  {v}")
 if zero:
     print(f"0 in every run: {', '.join(zero)}")
 print()

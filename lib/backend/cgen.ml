@@ -169,7 +169,7 @@ let rec marshal_op ~enc ~vars (op : Mplan.op) : stmt list =
                num enc.Encoding.pad_unit; bee;
              ]);
       ]
-  | Mplan.Put_string { src; nul; pad = _; len_src = None; borrow = _ } ->
+  | Mplan.Put_string { src; nul; pad = _; len_src = None; borrow = _; max_len = _ } ->
       [
         Sexpr
           (call "flick_put_str"
@@ -178,7 +178,7 @@ let rec marshal_op ~enc ~vars (op : Mplan.op) : stmt list =
                num enc.Encoding.pad_unit; bee;
              ]);
       ]
-  | Mplan.Put_string { src; nul; pad = _; len_src = Some len; borrow = _ } ->
+  | Mplan.Put_string { src; nul; pad = _; len_src = Some len; borrow = _; max_len = _ } ->
       (* the explicit-length presentation: no strlen in the stub *)
       [
         Sexpr
@@ -188,7 +188,7 @@ let rec marshal_op ~enc ~vars (op : Mplan.op) : stmt list =
                num (if nul then 1 else 0); num enc.Encoding.pad_unit; bee;
              ]);
       ]
-  | Mplan.Put_byteseq { arr; via; pad = _; borrow = _ } ->
+  | Mplan.Put_byteseq { arr; via; pad = _; borrow = _; max_len = _ } ->
       [
         Sexpr
           (call "flick_put_bseq"
@@ -209,7 +209,7 @@ let rec marshal_op ~enc ~vars (op : Mplan.op) : stmt list =
                num len; num pad;
              ]);
       ]
-  | Mplan.Put_atom_array { arr; via; atom; with_len } ->
+  | Mplan.Put_atom_array { arr; via; atom; with_len; max_len = _ } ->
       let n = fresh "n" in
       let p = fresh "p" in
       let i = fresh "i" in
@@ -271,7 +271,7 @@ let rec marshal_op ~enc ~vars (op : Mplan.op) : stmt list =
                   [] );
             ]);
       ]
-  | Mplan.Put_len { arr; via } ->
+  | Mplan.Put_len { arr; via; max_len = _ } ->
       [ Sexpr (call "flick_put_u32" [ Eid "_buf"; len_expr ~vars arr via; bee ]) ]
   | Mplan.Loop { arr; via; var; body } ->
       let i = fresh "i" in

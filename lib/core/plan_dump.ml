@@ -129,6 +129,24 @@ let elision_summary (plan : Fplan.plan) =
   Printf.sprintf "elision: %s\n"
     (if parts = [] then "(empty plan)" else String.concat ", " parts)
 
+(* One line per encode loop naming how Stub_opt stores it (by
+   Dplan.store_rows), as a --decode frame line names a rows loop. *)
+let rec loop_lines ops =
+  String.concat ""
+    (List.map
+       (fun (op : Mplan.op) ->
+         match op with
+         | Mplan.Loop { arr; var; body; _ } ->
+             Format.asprintf "loop _e%d in %a: %s\n%s" var Mplan.pp_rv arr
+               (match Dplan.store_rows ~var body with
+               | Some rs -> Dplan.build_name (Dplan.Int_rows rs.Dplan.rs_rows)
+               | None -> "per element")
+               (loop_lines body)
+         | Mplan.Switch { arms; default; _ } ->
+             loop_lines (List.concat_map (fun (a : Mplan.arm) -> a.Mplan.a_body) arms @ Option.fold default ~none:[] ~some:snd)
+         | _ -> "")
+       ops)
+
 let render ~idl ~pres ~backend ~interface ~op ~mode ?config ?encoding ~file
     ~source () =
   let config =
@@ -163,13 +181,14 @@ let render ~idl ~pres ~backend ~interface ~op ~mode ?config ?encoding ~file
           Buffer.add_string b
             (Format.asprintf "=== marshal plan: %s (%s) ===@."
                st.Pres_c.os_client_name enc_label);
+          Buffer.add_string b (loop_lines plan.Plan_compile.p_ops);
           Buffer.add_string b
             (Format.asprintf "%a@." Mplan.pp plan.Plan_compile.p_ops);
           List.iter
             (fun (name, ops) ->
               Buffer.add_string b
-                (Format.asprintf "--- subroutine %s ---@.%a@." name Mplan.pp
-                   ops))
+                (Format.asprintf "--- subroutine %s ---@.%s%a@." name (loop_lines ops)
+                   Mplan.pp ops))
             plan.Plan_compile.p_subs
       | Unmarshal ->
           let plan =

@@ -224,6 +224,122 @@ let write_i32s ~be =
   in
   fun w v -> Mbuf.wwindow w run v
 
+(* -- row kernels ---------------------------------------------------- *)
+
+(* A kernel leaves the first element not spelled as the row, and all
+   after it, to the caller, as it does a tree of more than two levels.
+   Leaf [j] of a boxed row is its field [i], or field [g] of that field,
+   a struct of [m] fields, for [(i, g, m) = leaves.(j)]. *)
+let paths_of shape =
+  let fs = match shape with Value.Rstruct fs -> fs | Value.Rint -> [||] in
+  let leaf i = function
+    | Value.Rint -> [ (i, -1, 0) ]
+    | Value.Rstruct sub ->
+        Array.to_list (Array.mapi (fun g f -> if f = Value.Rint then (i, g, Array.length sub) else (-1, 0, 0)) sub)
+  in
+  let leaves = List.concat (List.mapi leaf (Array.to_list fs)) in
+  if List.exists (fun (i, _, _) -> i < 0) leaves then None else Some (Array.length fs, Array.of_list leaves)
+
+(* leaf [j] of row [r], [Vvoid] where [r] is not spelled as the shape *)
+let[@inline] row_leaf leaves (r : Value.t array) j =
+  let i, g, m = Array.unsafe_get leaves j in
+  match Array.unsafe_get r i with
+  | Value.Vstruct c when g >= 0 && Array.length c = m -> Array.unsafe_get c g
+  | v when g < 0 -> v
+  | _ -> Value.Vvoid
+
+(* a row's constant and gap words *)
+let[@inline] fill_row ~swap fill b at =
+  for f = 0 to Array.length fill - 1 do
+    let off, w = Array.unsafe_get fill f in
+    store ~swap b (at + off) w
+  done
+
+let[@inline] store_rows ~swap ~size offs fill paths v b at =
+  let k = Array.length offs and i = ref 0 in
+  (match (v, paths) with
+  | Value.Vint_rows { ints; _ }, _ when size = 4 * k && fill = [||] ->
+      (* gapless rows are one run of words *)
+      for j = 0 to Array.length ints - 1 do
+        store ~swap b (at + (4 * j)) (Array.unsafe_get ints j)
+      done;
+      i := Array.length ints / k
+  | Value.Vint_rows { ints; _ }, _ ->
+      while !i < Array.length ints / k do
+        fill_row ~swap fill b (at + (!i * size));
+        for j = 0 to k - 1 do
+          store ~swap b (at + (!i * size) + Array.unsafe_get offs j) (Array.unsafe_get ints ((!i * k) + j))
+        done;
+        incr i
+      done
+  | Value.Varray a, Some (nf, leaves) -> (
+      try
+        while !i < Array.length a do
+          let at = at + (!i * size) in
+          (match Array.unsafe_get a !i with
+          | Value.Vstruct r when Array.length r = nf ->
+              for j = 0 to k - 1 do
+                match row_leaf leaves r j with
+                | Value.Vint x -> store ~swap b (at + Array.unsafe_get offs j) x
+                | _ -> raise Exit
+              done
+          | _ -> raise Exit);
+          fill_row ~swap fill b at;
+          incr i
+        done
+      with Exit -> ())
+  | _ -> ());
+  !i
+
+let write_i32_rows ~be ~align ~size ~offs ~fill ~shape =
+  let paths = paths_of shape in
+  let run : Value.t -> bytes -> int -> int -> int =
+    if be <> Sys.big_endian then fun v b at _ -> store_rows ~swap:true ~size offs fill paths v b at
+    else fun v b at _ -> store_rows ~swap:false ~size offs fill paths v b at
+  in
+  fun w (v : Value.t) ->
+    match v with
+    | (Value.Varray [||] | Value.Vint_rows { ints = [||]; _ }) -> 0
+    | Value.Vint_rows { shape = s; _ } when s <> shape -> 0
+    | Value.Varray _ | Value.Vint_rows _ ->
+        if align > 1 then Mbuf.align w align;
+        let rows = Mbuf.wwindow w run v in
+        Mbuf.advance w (rows * size);
+        rows
+    | _ -> 0
+
+let write_var_rows vc ~bits ~signed ~shape =
+  let paths = paths_of shape and put = Encoding.var_put_int_at vc ~bits ~signed
+  and put_ints = Encoding.var_put_ints vc ~bits ~signed in
+  (* rows lsl 31 lor bytes *)
+  let run a b at _ =
+    let i = ref 0 and pos = ref at in
+    (try
+       while !i < Array.length a do
+         (match (Array.unsafe_get a !i, paths) with
+         | Value.Vstruct r, Some (nf, leaves) when Array.length r = nf ->
+             let p = ref !pos in
+             for j = 0 to Array.length leaves - 1 do
+               match row_leaf leaves r j with Value.Vint x -> p := !p + put b !p x | _ -> raise Exit
+             done;
+             pos := !p
+         | _ -> raise Exit);
+         incr i
+       done
+     with Exit -> ());
+    (!i lsl 31) lor (!pos - at)
+  in
+  fun w (v : Value.t) ->
+    match v with
+    | Value.Vint_rows { shape = s; ints } when s = shape ->
+        put_ints w ints;
+        Array.length ints / Value.row_width shape
+    | Value.Varray a ->
+        let got = Mbuf.wwindow w run a in
+        Mbuf.advance w (got land 0x7fff_ffff);
+        got lsr 31
+    | _ -> 0
+
 (* a relay's run whose two layouts differ only in byte order *)
 let swap_i32s r w n =
   Mbuf.window r
@@ -276,6 +392,12 @@ let check_bounds ~what n ~min_len ~max_len =
   match max_len with
   | Some m when n > m ->
       raise (Decode_error (Printf.sprintf "%s exceeds its bound" what))
+  | Some _ | None -> ()
+
+let check_max ~what n max_len =
+  match max_len with
+  | Some m when n > m ->
+      invalid_arg (Printf.sprintf "%s of length %d exceeds its bound %d" what n m)
   | Some _ | None -> ()
 
 let skip_pad r ~pad_unit n =

@@ -56,6 +56,22 @@ val write_i32s : be:bool -> Mbuf.t -> Value.t -> unit
     bits) from the cursor, in the window ({!Mbuf.wwindow}) of the
     preceding [Mbuf.ensure] of 4 bytes each.  The caller advances. *)
 
+val write_i32_rows :
+  be:bool -> align:int -> size:int -> offs:int array -> fill:(int * int) array ->
+  shape:Value.row_shape -> Mbuf.t -> Value.t -> int
+(** The twin of {!read_i32_rows}: stores the leading rows of [v]
+    ([Vint_rows] of [shape], or a [Varray]'s first [Vstruct] trees of
+    [shape] with [Vint] leaves) aligned to [align], in the window of the
+    caller's reservation, as [size]-byte rows: leaf [j] as the word at
+    [offs.(j)], each [(off, word)] of [fill] at [off].  It advances past
+    them and returns their number (0 for any other value). *)
+
+val write_var_rows :
+  Encoding.varcodec -> bits:int -> signed:bool -> shape:Value.row_shape ->
+  Mbuf.t -> Value.t -> int
+(** The head form of {!write_i32_rows}: each leaf as the head
+    {!Encoding.var_put_ints} stores for it. *)
+
 val swap_i32s : Mbuf.reader -> Mbuf.t -> int -> unit
 (** [swap_i32s r w n] stores the next [n] 4-byte words of [r], each
     byte-reversed, from [w]'s cursor, after a [need] and an [ensure] of
@@ -82,6 +98,11 @@ val read_len : Mbuf.reader -> be:bool -> align:int -> int
 val check_bounds :
   what:string -> int -> min_len:int -> max_len:int option -> unit
 (** Enforce a decoded count against the type's declared bounds. *)
+
+val check_max : what:string -> int -> int option -> unit
+(** Raises [Invalid_argument] naming the bound when an encoder is handed
+    [n] elements or characters for a [what] bounded by [max_len]: every
+    engine refuses such a value before it stores anything. *)
 
 val skip_pad : Mbuf.reader -> pad_unit:int -> int -> unit
 (** Skip the trailing padding of an [n]-byte variable-length run up to

@@ -39,12 +39,13 @@ let rec encode ~(enc : Encoding.t) ~mint ~named idx (pres : Pres.t) buf
           hdr ();
           put_scalar kind v
       | None -> assert false)
-  | Mint.Array { elem; min_len; max_len = _ }, _ -> (
+  | Mint.Array { elem; min_len; max_len }, _ -> (
       let pad_unit = enc.Encoding.pad_unit in
       match pres with
       | Pres.Terminated_string | Pres.Terminated_string_len _ -> (
           match v with
           | Value.Vstring s ->
+              Codec.check_max ~what:"string" (String.length s) max_len;
               hdr ();
               let data =
                 String.length s + if enc.Encoding.string_nul then 1 else 0
@@ -69,8 +70,9 @@ let rec encode ~(enc : Encoding.t) ~mint ~named idx (pres : Pres.t) buf
           in
           match (Mint.get mint elem, v) with
           | (Mint.Char8 | Mint.Int { bits = 8; _ }), Value.Vbytes b ->
-              hdr ();
               let len = Bytes.length b in
+              if counted then Codec.check_max ~what:"sequence" len max_len;
+              hdr ();
               if (not counted) && len <> min_len then
                 invalid_arg "Stub_interp: fixed array length mismatch";
               if counted then put_len_k Encoding.Lbin len;
@@ -79,6 +81,7 @@ let rec encode ~(enc : Encoding.t) ~mint ~named idx (pres : Pres.t) buf
                 Mbuf.put_u8 buf 0
               done
           | _, Value.Vint_array a ->
+              if counted then Codec.check_max ~what:"sequence" (Array.length a) max_len;
               hdr ();
               if counted then put_len (Array.length a);
               let kind =
@@ -90,6 +93,7 @@ let rec encode ~(enc : Encoding.t) ~mint ~named idx (pres : Pres.t) buf
           | _, Value.Vint_rows _ ->
               encode ~enc ~mint ~named idx pres buf (Value.boxed v)
           | _, Value.Varray a -> (
+              if counted then Codec.check_max ~what:"sequence" (Array.length a) max_len;
               hdr ();
               if counted then put_len (Array.length a);
               (* one descriptor covers the whole run: atomic elements do

@@ -163,7 +163,6 @@ let compile_value_encoder cfg (enc : Encoding.t) mint named :
     | (Mint.Struct _ | Mint.Union _), _ ->
         invalid_arg "Stub_naive: PRES does not match MINT"
   and enc_array ~elem ~min_len ~max_len (pres : Pres.t) =
-    ignore max_len;
     let pad_unit = enc.Encoding.pad_unit in
     match pres with
     | Pres.Terminated_string | Pres.Terminated_string_len _ ->
@@ -172,6 +171,7 @@ let compile_value_encoder cfg (enc : Encoding.t) mint named :
             | Value.Vstring s -> s
             | _ -> invalid_arg "Stub_naive: expected a string"
           in
+          Codec.check_max ~what:"string" (String.length s) max_len;
           hdr buf;
           let data = String.length s + if enc.Encoding.string_nul then 1 else 0 in
           let padded = (data + pad_unit - 1) / pad_unit * pad_unit in
@@ -233,6 +233,7 @@ let compile_value_encoder cfg (enc : Encoding.t) mint named :
                 | _ -> invalid_arg "Stub_naive: expected bytes"
               in
               let len = Bytes.length b in
+              Codec.check_max ~what:"sequence" len max_len;
               let padded = (len + pad_unit - 1) / pad_unit * pad_unit in
               put_len_k Encoding.Lbin buf len;
               if cfg.per_char_strings then begin
@@ -250,10 +251,14 @@ let compile_value_encoder cfg (enc : Encoding.t) mint named :
         | Mint.Int { bits; _ }
           when bits = 32 && not cfg.per_elem_arrays && enc.Encoding.var = None ->
             let atom = atom_of (Encoding.Kint { bits; signed = true }) in
-            tight_int_loop atom ~with_len:true
+            let loop = tight_int_loop atom ~with_len:true in
+            fun buf v ->
+              Codec.check_max ~what:"sequence" (array_length v) max_len;
+              loop buf v
         | _ ->
             let f = elem_encoder elem sub in
             fun buf v ->
+              Codec.check_max ~what:"sequence" (array_length v) max_len;
               hdr buf;
               put_len buf (array_length v);
               elements f buf v)

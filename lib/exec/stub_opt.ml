@@ -150,78 +150,23 @@ let chunk_gaps size (items : Mplan.item list) =
   in
   List.rev (walk 0 [] covered)
 
-(* A loop body of the form [Align a?; Chunk items] whose items all read
-   from the loop element can be fused into one store sequence per
-   element.  Items must cover the whole chunk (no gaps) for the fused
-   writer to skip zero-filling; chunks with static padding fall back to
-   the generic path. *)
-let rec rooted_at_var ~var (rv : Mplan.rv) =
-  match rv with
-  | Mplan.Rvar v -> v = var
-  | Mplan.Rfield { base; _ } -> rooted_at_var ~var base
-  | Mplan.Rarm _ | Mplan.Ropt _ | Mplan.Rdiscrim _ | Mplan.Rparam _ -> false
+(* A row's struct tree, as [Value.Vint_rows] spells it. *)
+let rec row_shape (sh : Dplan.shape) =
+  match sh with
+  | Dplan.Sh_struct shapes -> Value.Rstruct (Array.of_list (List.map row_shape shapes))
+  | Dplan.Sh_slot _ | Dplan.Sh_void -> Value.Rint
 
-let item_src_ok ~var (it : Mplan.item) =
-  match it with
-  | Mplan.It_atom { src; _ } | Mplan.It_bytes { src; _ } ->
-      rooted_at_var ~var src
-  | Mplan.It_const _ -> true
-
-let fused_loop_body ~var (body : Mplan.op list) =
-  let chunk = function
-    | Mplan.Chunk { size; items; check = false; align = _ }
-      when chunk_gaps size items = [] && List.for_all (item_src_ok ~var) items ->
-        Some (size, items)
-    | _ -> None
-  in
-  match body with
-  | [ op ] -> Option.map (fun (size, items) -> (1, size, items)) (chunk op)
-  | [ Mplan.Align a; op ] ->
-      Option.map (fun (size, items) -> (a, size, items)) (chunk op)
-  | _ -> None
-
-(* navigation from the loop element, with the environment cut away *)
-let rec compile_elem_path ~var (rv : Mplan.rv) : Value.t -> Value.t =
-  match rv with
-  | Mplan.Rvar v when v = var -> fun v' -> v'
-  | Mplan.Rfield { base; index; _ } -> (
-      let b = compile_elem_path ~var base in
-      fun e ->
-        match b e with
-        | Value.Vstruct a -> Array.unsafe_get a index
-        | Value.Varray a -> a.(index)
-        | Value.Vint_array a -> Value.Vint a.(index)
-        | Value.Vbytes s -> Value.Vchar (Bytes.get s index)
-        | _ -> invalid_arg "Stub_opt: Rfield over a non-aggregate")
-  | _ -> invalid_arg "Stub_opt: unsupported fused path"
-
-(* The shape of the rows whose leaves, in reading order, are the loop
-   element's members [srcs], if there is one: a loop body that stores
-   [srcs] in order stores such a row's ints in order.  The guess groups
-   the paths by their first index; the check makes it exact. *)
-let rows_shape ~var (srcs : Mplan.rv list) =
-  let rec path acc (rv : Mplan.rv) =
-    match rv with
-    | Mplan.Rvar v when v = var -> Some acc
-    | Mplan.Rfield { base; index; _ } -> path (index :: acc) base
-    | _ -> None
-  in
-  let rec guess = function
-    | [] | [ [] ] -> Value.Rint
-    | paths ->
-        let under i = List.filter_map (function j :: p when j = i -> Some p | _ -> None) paths in
-        let n = List.fold_left (fun n p -> match p with i :: _ -> max n (i + 1) | [] -> n) 0 paths in
-        Value.Rstruct (Array.init n (fun i -> guess (under i)))
-  in
-  let rec leaves = function
-    | Value.Rint -> [ [] ]
-    | Value.Rstruct fs ->
-        List.concat (List.mapi (fun i f -> List.map (List.cons i) (leaves f)) (Array.to_list fs))
-  in
-  let paths = List.filter_map (path []) srcs in
-  match guess paths with
-  | Value.Rstruct _ as s when List.length paths = List.length srcs && leaves s = paths -> Some s
-  | _ -> None
+(* The one kernel call storing a rows loop's leading elements. *)
+let rows_kernel ~(enc : Encoding.t) (rs : Dplan.row_store) : Mbuf.t -> Value.t -> int =
+  let shape = row_shape rs.Dplan.rs_shape in
+  match (rs.Dplan.rs_rows.Dplan.r_layout, rs.Dplan.rs_rows.Dplan.r_kind, enc.Encoding.var) with
+  | Dplan.Rows_words { align; size; offs }, _, _ ->
+      Codec.write_i32_rows ~be:enc.Encoding.big_endian ~align ~size ~offs:(Array.of_list offs)
+        ~fill:(Array.of_list (List.map (fun (off, w) -> (off, Int64.to_int w)) rs.Dplan.rs_fill))
+        ~shape
+  | Dplan.Rows_heads, Encoding.Kint { bits; signed }, Some vcc ->
+      Codec.write_var_rows vcc ~bits ~signed ~shape
+  | _ -> invalid_arg "Stub_opt: not a rows loop"
 
 (* One chunk item, compiled to a store at its constant offset. *)
 let compile_item ~be (it : Mplan.item) : Mbuf.t -> env -> unit =
@@ -339,106 +284,6 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
       Mbuf.set_string buf 0 img 0 n;
       Mbuf.advance buf n
   in
-  (* the shape inlined C compiles a struct-array loop into: one
-     capacity reservation outside (Ensure_count), then per element an
-     alignment and a run of stores at constant offsets *)
-  let fused_loop var (align, size, items) =
-    let writers =
-      Array.of_list
-        (List.map
-           (fun (it : Mplan.item) ->
-             match it with
-             | Mplan.It_atom { off; atom; src } -> (
-                 let get = compile_elem_path ~var src in
-                 match (atom.Mplan.kind, atom.Mplan.size) with
-                 | Encoding.Kint { bits; _ }, 4 when bits <= 32 ->
-                     if be then fun buf v ->
-                       Mbuf.set_i32_be buf off (Codec.as_int (get v))
-                     else fun buf v ->
-                       Mbuf.set_i32_le buf off (Codec.as_int (get v))
-                 | _, _ ->
-                     fun buf v -> Codec.write_at buf ~be off atom (get v))
-             | Mplan.It_const { off; atom; value } ->
-                 fun buf _ -> Codec.write_const_at buf ~be off atom value
-             | Mplan.It_bytes { off; len; pad; src } -> (
-                 let get = compile_elem_path ~var src in
-                 fun buf v ->
-                   (match get v with
-                   | Value.Vbytes b -> Mbuf.set_bytes buf off b 0 len
-                   | Value.Vstring s -> Mbuf.set_string buf off s 0 len
-                   | Value.Vbytes_view w | Value.Vstring_view w ->
-                       Mbuf.set_bytes buf off w.Value.v_base w.Value.v_off len
-                   | _ -> invalid_arg "Stub_opt: It_bytes over non-bytes");
-                   if pad > 0 then Mbuf.fill_zero buf (off + len) pad))
-           items)
-    in
-    let nw = Array.length writers in
-    let write_elem buf v =
-      if align > 1 then Mbuf.align buf align;
-      Mbuf.ensure buf size;
-      for k = 0 to nw - 1 do
-        (Array.unsafe_get writers k) buf v
-      done;
-      Mbuf.advance buf size
-    in
-    let rec loop buf env (v : Value.t) =
-      match v with
-      | Value.Varray elems ->
-          for i = 0 to Array.length elems - 1 do
-            write_elem buf (Array.unsafe_get elems i)
-          done
-      | Value.Vint_rows _ -> loop buf env (Value.boxed v)
-      | Value.Vopt None -> ()
-      | Value.Vopt (Some v) -> write_elem buf v
-      | _ -> invalid_arg "Stub_opt: Loop over non-array"
-    in
-    loop
-  in
-  (* A body storing one row's integer leaves in reading order, as a
-     gapless chunk of 4-byte words or as one unchecked head each, stores
-     rows of the returned shape with one kernel call, under the
-     reservation the plan makes for the loop. *)
-  let rows_store ~var body =
-    let word k (it : Mplan.item) =
-      match it with
-      | Mplan.It_atom { off; atom = { kind = Encoding.Kint { bits; _ }; size = 4; _ }; src }
-        when bits <= 32 && off = 4 * k ->
-          Some src
-      | _ -> None
-    and head kind _ (op : Mplan.op) =
-      match op with
-      | Mplan.Put_varhead
-          { vh_kind; vh_check = false; vh_src = Mplan.Vh_value src; vh_image = None; _ }
-        when vh_kind = kind ->
-          Some src
-      | _ -> None
-    in
-    (* the row shape [store] writes, when [f] finds every leaf of [l] *)
-    let rows f l store =
-      let srcs = List.filter_map Fun.id (List.mapi f l) in
-      if List.length srcs <> List.length l then None
-      else Option.map (fun shape -> (shape, store)) (rows_shape ~var srcs)
-    in
-    match (fused_loop_body ~var body, vc, body) with
-    | Some (align, size, items), _, _ when size mod align = 0 ->
-        let write = Codec.write_i32s ~be in
-        rows word items (fun buf ints ->
-            let len = 4 * Array.length ints in
-            if len > 0 then begin
-              if align > 1 then Mbuf.align buf align;
-              Mbuf.ensure buf len;
-              write buf (Value.Vint_array ints);
-              Mbuf.advance buf len
-            end)
-    | None, Some vcc, Mplan.Put_varhead { vh_kind = Encoding.Kint { bits; signed } as kind; _ } :: _
-      when bits <= 32 ->
-        let put = Encoding.var_put_ints vcc ~bits ~signed in
-        let worst = Plan_compile.vh_worst_of kind in
-        rows (head kind) body (fun buf ints ->
-            Mbuf.ensure buf (Array.length ints * worst);
-            put buf ints)
-    | _ -> None
-  in
   let rec compile_seq ops = seq_fns (Array.of_list (List.map compile_op ops))
   and compile_op (op : Mplan.op) : Mbuf.t -> env -> unit =
     match op with
@@ -471,7 +316,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
           Mbuf.ensure buf n;
           Mbuf.set_bytes buf 0 image 0 n;
           Mbuf.advance buf n
-    | Mplan.Put_string { src; _ } when vc <> None ->
+    | Mplan.Put_string { src; max_len; _ } when vc <> None ->
         let vcc = Option.get vc in
         let a = compile_rv src in
         (* value-dependent header, then the unpadded payload; the header
@@ -484,11 +329,12 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
             | _ -> invalid_arg "Stub_opt: Put_string over a non-string"
           in
           let n = String.length s in
+          Codec.check_max ~what:"string" n max_len;
           Codec.write_vlen vcc ~check:true Encoding.Lstr buf n;
           Mbuf.ensure buf n;
           Mbuf.set_string buf 0 s 0 n;
           Mbuf.advance buf n
-    | Mplan.Put_string { src; nul; pad; len_src = _; borrow } ->
+    | Mplan.Put_string { src; nul; pad; len_src = _; borrow; max_len } ->
         let a = compile_rv src in
         (* the borrow decision is baked in when the closure is built —
            the encoder fingerprint keys on the SG config, so a cached
@@ -506,6 +352,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
             | _ -> invalid_arg "Stub_opt: Put_string over a non-string"
           in
           let slen = String.length s in
+          Codec.check_max ~what:"string" slen max_len;
           let data = slen + if nul then 1 else 0 in
           let padded = (data + pad - 1) / pad * pad in
           if slen >= thresh then begin
@@ -531,7 +378,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
             Mbuf.fill_zero buf (4 + slen) (padded - slen);
             Mbuf.advance buf (4 + padded)
           end
-    | Mplan.Put_byteseq { arr; _ } when vc <> None ->
+    | Mplan.Put_byteseq { arr; max_len; _ } when vc <> None ->
         let vcc = Option.get vc in
         let a = compile_rv arr in
         fun buf env ->
@@ -542,11 +389,12 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
                 (v.Value.v_base, v.Value.v_off, v.Value.v_len)
             | _ -> invalid_arg "Stub_opt: Put_byteseq over non-bytes"
           in
+          Codec.check_max ~what:"sequence" blen max_len;
           Codec.write_vlen vcc ~check:true Encoding.Lbin buf blen;
           Mbuf.ensure buf blen;
           Mbuf.set_bytes buf 0 b boff blen;
           Mbuf.advance buf blen
-    | Mplan.Put_byteseq { arr; pad; via = _; borrow } ->
+    | Mplan.Put_byteseq { arr; pad; via = _; borrow; max_len } ->
         let a = compile_rv arr in
         let thresh =
           if borrow && Mbuf.sg_enabled () then Mbuf.borrow_threshold ()
@@ -560,6 +408,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
             | Value.Vbytes_view v -> (v.Value.v_base, v.Value.v_off, v.Value.v_len)
             | _ -> invalid_arg "Stub_opt: Put_byteseq over non-bytes"
           in
+          Codec.check_max ~what:"sequence" blen max_len;
           let padded = (blen + pad - 1) / pad * pad in
           if blen >= thresh then begin
             Mbuf.ensure buf 4;
@@ -582,7 +431,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
             Mbuf.fill_zero buf (4 + blen) (padded - blen);
             Mbuf.advance buf (4 + padded)
           end
-    | Mplan.Put_atom_array { arr; atom; with_len; via = _ } when vc <> None ->
+    | Mplan.Put_atom_array { arr; atom; with_len; via = _; max_len } when vc <> None ->
         let vcc = Option.get vc in
         let a = compile_rv arr in
         let kind = atom.Mplan.kind in
@@ -599,6 +448,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
         fun buf env ->
           let v = a env in
           let n = value_len v in
+          Codec.check_max ~what:"sequence" n max_len;
           if with_len then Codec.write_vlen vcc ~check:true Encoding.Larr buf n;
           Mbuf.ensure buf (n * worst);
           (match v with
@@ -609,9 +459,9 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
                   (Array.unsafe_get elems i)
               done
           | _ -> invalid_arg "Stub_opt: atom array over non-array")
-    | Mplan.Put_atom_array { arr; atom; with_len; via = _ } ->
+    | Mplan.Put_atom_array { arr; atom; with_len; via = _; max_len } ->
         (* never borrowed: the copy doubles as the byte-order transform *)
-        compile_atom_array arr atom with_len
+        compile_atom_array arr atom with_len max_len
     | Mplan.Put_blit { src; len; pad } ->
         let a = compile_rv src in
         (* [len] is static, so the whole decision is compile-time *)
@@ -651,18 +501,20 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
             Mbuf.fill_zero buf 0 pad;
             Mbuf.advance buf pad
           end
-    | Mplan.Put_len { arr; via = _ } when vc <> None ->
+    | Mplan.Put_len { arr; via = _; max_len } when vc <> None ->
         let vcc = Option.get vc in
         let a = compile_rv arr in
         fun buf env ->
-          Codec.write_vlen vcc ~check:true Encoding.Larr buf
-            (value_len (a env))
-    | Mplan.Put_len { arr; via = _ } ->
+          let n = value_len (a env) in
+          Codec.check_max ~what:"sequence" n max_len;
+          Codec.write_vlen vcc ~check:true Encoding.Larr buf n
+    | Mplan.Put_len { arr; via = _; max_len } ->
         let a = compile_rv arr in
         fun buf env ->
+          let n = value_len (a env) in
+          Codec.check_max ~what:"sequence" n max_len;
           Mbuf.align buf 4;
           Mbuf.ensure buf 4;
-          let n = value_len (a env) in
           (if be then Mbuf.set_i32_be buf 0 n else Mbuf.set_i32_le buf 0 n);
           Mbuf.advance buf 4
     | Mplan.Put_varhead { vh_kind; vh_check; vh_src; vh_image; vh_worst = _ }
@@ -682,18 +534,15 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
               Codec.write_var vcc ~check:vh_check vh_kind buf (a env))
     | Mplan.Loop { arr; var; body; via = _ } -> (
         let a = compile_rv arr in
-        let loop =
-          match fused_loop_body ~var body with
-          | Some fused -> fused_loop var fused
-          | None -> compile_loop var body
-        in
-        match rows_store ~var body with
-        | None -> fun buf env -> loop buf env (a env)
-        | Some (shape, store) -> (
+        let loop = compile_loop var body in
+        match Dplan.store_rows ~var body with
+        | None -> fun buf env -> loop 0 buf env (a env)
+        | Some rs ->
+            (* an element not spelled as the row, and the rest, take the body *)
+            let store = rows_kernel ~enc rs in
             fun buf env ->
-              match a env with
-              | Value.Vint_rows { shape = s; ints } when s = shape -> store buf ints
-              | v -> loop buf env v))
+              let v = a env in
+              match store buf v with 0 -> loop 0 buf env v | n -> if n < value_len v then loop n buf env v)
     | Mplan.Switch { u; arms; default; _ } -> (
         let sel = compile_rv u in
         let n_cases =
@@ -728,12 +577,13 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
         fun buf env ->
           let v = a env in
           !cell buf { params = [| v |]; vars = env.vars })
+  (* the body per element, from element [from] on *)
   and compile_loop var body =
     let run_body = compile_seq body in
-    let rec loop buf env v =
+    let rec loop from buf env v =
       match v with
       | Value.Varray elems ->
-          for i = 0 to Array.length elems - 1 do
+          for i = from to Array.length elems - 1 do
             env.vars.(var) <- Array.unsafe_get elems i;
             run_body buf env
           done
@@ -742,15 +592,15 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
           env.vars.(var) <- v;
           run_body buf env
       | Value.Vint_array elems ->
-          for i = 0 to Array.length elems - 1 do
+          for i = from to Array.length elems - 1 do
             env.vars.(var) <- Value.Vint (Array.unsafe_get elems i);
             run_body buf env
           done
-      | Value.Vint_rows _ -> loop buf env (Value.boxed v)
+      | Value.Vint_rows _ -> loop from buf env (Value.boxed v)
       | _ -> invalid_arg "Stub_opt: Loop over non-array"
     in
     loop
-  and compile_atom_array arr (atom : Mplan.atom) with_len =
+  and compile_atom_array arr (atom : Mplan.atom) with_len max_len =
     let a = compile_rv arr in
     let size = atom.Mplan.size in
     let write_len buf n =
@@ -768,6 +618,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
         fun buf env ->
           let v = a env in
           let n = value_len v in
+          Codec.check_max ~what:"sequence" n max_len;
           if with_len then write_len buf n;
           Mbuf.ensure buf (n * 4);
           write buf v;
@@ -776,6 +627,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
         fun buf env ->
           let v = a env in
           let n = value_len v in
+          Codec.check_max ~what:"sequence" n max_len;
           if with_len then write_len buf n;
           (* an empty run writes nothing, not even alignment *)
           if n > 0 then Mbuf.align buf atom.Mplan.align;
@@ -966,11 +818,6 @@ let struct_of (fields : ('a -> Value.t) list) : 'a -> Value.t =
   | fields ->
       let fields = Array.of_list fields in
       fun r -> Value.Vstruct (Array.map (fun f -> f r) fields)
-
-let rec row_shape (sh : Dplan.shape) =
-  match sh with
-  | Dplan.Sh_struct shapes -> Value.Rstruct (Array.of_list (List.map row_shape shapes))
-  | Dplan.Sh_slot _ | Dplan.Sh_void -> Value.Rint
 
 (* [leaf] is asked for the shape's slots in reading order. *)
 let rec shape_reader leaf (sh : Dplan.shape) : 'a -> Value.t =

@@ -300,6 +300,26 @@ let build_of ops shapes =
 let frame_build f = build_of f.f_ops [ f.f_shape ]
 let plan_build p = build_of p.d_ops p.d_shapes
 
+(* 4-byte words at offsets [offs], in order, inside [size] bytes *)
+let rec apart size = function
+  | a :: (b :: _ as rest) -> a + 4 <= b && apart size rest
+  | [ a ] -> a + 4 <= size
+  | [] -> true
+
+(* Rows of (kind, offset) leaves of one int kind of at most 32 bits: 4-byte
+   words of a chunk [(align, size)], [align] dividing [size], or heads. *)
+let rows_of leaves chunk =
+  let offs = List.map snd leaves in
+  match (leaves, chunk) with
+  | ((Encoding.Kint { bits; _ } as r_kind), _) :: _, _
+    when bits <= 32 && List.for_all (fun (kind, _) -> kind = r_kind) leaves ->
+      let rows r_layout = Some { r_kind; r_width = List.length leaves; r_layout } in
+      (match chunk with
+      | Some (align, size) when size mod align = 0 && apart size offs -> rows (Rows_words { align; size; offs })
+      | Some _ -> None
+      | None -> rows Rows_heads)
+  | _ -> None
+
 (* A loop whose elements are structs of integer leaves of at most 32
    bits, read in order, decodes into one flat int array: its ops fill
    the leaves in order with one kind, as the 4-byte words of one chunk
@@ -327,25 +347,74 @@ let loop_build f =
     | [ D_align a; D_chunk { size; items; _ } ] -> (List.map word items, Some (a, size))
     | ops -> (List.map head ops, None)
   in
-  let offs = List.map (fun (_, _, off) -> off) leaves in
-  let rec apart size = function
-    | a :: (b :: _ as rest) -> a + 4 <= b && apart size rest
-    | [ a ] -> a + 4 <= size
-    | [] -> true
-  in
-  match (f.f_shape, leaves, chunk) with
-  | Sh_struct _, (_, (Encoding.Kint { bits; _ } as r_kind), _) :: _, _
-    when bits <= 32 && ints f.f_shape && reads = List.init k Fun.id
-         && List.map (fun (s, kind, _) -> (s, kind)) leaves = List.init k (fun j -> (j, r_kind))
-         && Option.fold chunk ~none:true ~some:(fun (a, size) -> size mod a = 0 && apart size offs)
-    ->
-      let r_layout =
-        match chunk with
-        | Some (align, size) -> Rows_words { align; size; offs }
-        | None -> Rows_heads
-      in
-      Int_rows { r_kind; r_width = k; r_layout }
+  match (f.f_shape, rows_of (List.map (fun (_, kind, off) -> (kind, off)) leaves) chunk) with
+  | Sh_struct _, Some rows
+    when ints f.f_shape && reads = List.init k Fun.id && List.map (fun (s, _, _) -> s) leaves = reads ->
+      Int_rows rows
   | _ -> frame_build f
+
+type row_store = { rs_rows : rows; rs_shape : shape; rs_fill : (int * int64) list }
+
+(* The struct tree whose leaves in order, [Sh_slot 0 ..], are at the
+   field-index [paths]: a guess by first index, made exact by a check. *)
+let shape_of_paths paths =
+  let next = ref (-1) in
+  let rec guess = function
+    | [] | [ [] ] ->
+        incr next;
+        Sh_slot !next
+    | paths ->
+        let n = List.fold_left (fun n p -> match p with i :: _ -> max n (i + 1) | [] -> n) 0 paths in
+        Sh_struct
+          (List.init n (fun i -> guess (List.filter_map (function j :: p when j = i -> Some p | _ -> None) paths)))
+  and leaves = function
+    | Sh_slot _ | Sh_void -> [ [] ]
+    | Sh_struct shapes -> List.concat (List.mapi (fun i s -> List.map (List.cons i) (leaves s)) shapes)
+  in
+  match guess paths with Sh_struct _ as s when leaves s = paths -> Some s | _ -> None
+
+(* The encode twin of [loop_build] (see the interface). *)
+let store_rows ~var (body : Mplan.op list) =
+  let rec path acc (rv : Mplan.rv) =
+    match rv with
+    | Mplan.Rvar v when v = var -> Some acc
+    | Mplan.Rfield { base; index; _ } -> path (index :: acc) base
+    | _ -> None
+  in
+  (* each leaf's (path, kind, offset), apart from a chunk's constant
+     words *)
+  let word (it : Mplan.item) =
+    match it with
+    | Mplan.It_atom { off; atom = { Mplan.size = 4; kind; _ }; src } -> Either.Right (path [] src, kind, off)
+    | Mplan.It_const { off; atom = { Mplan.size = 4; _ }; value } when off mod 4 = 0 -> Either.Left (off, value)
+    | _ -> Either.Right (None, Encoding.Kbool, 0)
+  and head (op : Mplan.op) =
+    match op with
+    | Mplan.Put_varhead { vh_kind; vh_check = false; vh_src = Mplan.Vh_value src; vh_image = None; _ } ->
+        (path [] src, vh_kind, 0)
+    | _ -> (None, Encoding.Kbool, 0)
+  in
+  let leaves, consts, chunk =
+    match body with
+    | [ Mplan.Chunk { size; items; check = false; _ } ] | [ Mplan.Align _; Mplan.Chunk { size; items; check = false; _ } ] ->
+        let consts, leaves = List.partition_map word items in
+        (leaves, consts, Some ((match body with [ Mplan.Align a; _ ] -> a | _ -> 1), size))
+    | ops -> (List.map head ops, [], None)
+  in
+  let paths = List.filter_map (fun (p, _, _) -> p) leaves
+  and offs = List.map (fun (_, _, off) -> off) leaves in
+  (* every 4-byte word of a row that holds no leaf *)
+  let fill size =
+    List.filter_map
+      (fun o -> if List.mem o offs then None else Some (o, Option.value (List.assoc_opt o consts) ~default:0L))
+      (List.init (size / 4) (( * ) 4))
+  in
+  match (rows_of (List.map (fun (_, kind, off) -> (kind, off)) leaves) chunk, shape_of_paths paths) with
+  | Some rs_rows, Some rs_shape
+    when List.length paths = List.length leaves
+         && Option.fold chunk ~none:true ~some:(fun (_, size) -> size mod 4 = 0 && List.for_all (fun o -> o mod 4 = 0) offs) ->
+      Some { rs_rows; rs_shape; rs_fill = Option.fold chunk ~none:[] ~some:(fun (_, size) -> fill size) }
+  | _ -> None
 
 let build_name = function
   | Direct_chunk -> "direct chunk"

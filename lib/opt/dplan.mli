@@ -161,6 +161,23 @@ val loop_build : frame -> build
     constant.  Otherwise {!frame_build}.  The one place that decides
     which loops are rows. *)
 
+type row_store = {
+  rs_rows : rows;
+  rs_shape : shape;  (** the row's struct tree, leaf [j] being [Sh_slot j] *)
+  rs_fill : (int * int64) list;
+      (** [Rows_words]: every other 4-byte word of the row, at its
+          offset, with the constant it holds (0 for a gap) *)
+}
+
+val store_rows : var:int -> Mplan.op list -> row_store option
+(** The encode twin of {!loop_build}: a [Loop] over element [var] whose
+    body stores a struct tree's [k >= 1] integer leaves, of one kind of
+    at most 32 bits, in reading order: as 4-byte words at increasing
+    multiples of 4 in one unchecked chunk (after at most one [Align]
+    dividing its size), its other words 4-byte constants or gaps; or as
+    [k] unchecked [Put_varhead]s.  The one place that decides which
+    encode loops are rows. *)
+
 val build_name : build -> string
 (** ["direct chunk"], ["in order"], ["slot frame: <reason>"], or
     ["int rows ×<k> <kind>"] (plus [", stride <size>"] when a row's

@@ -176,12 +176,20 @@ let emit8 ~check b tag v =
   Mbuf.advance b 9
 
 (* the [width]-byte (1, 2 or 4) big-endian payload after the tag at
-   [b.[i]], zero-extended *)
+   [b.[i]], zero-extended; unchecked, for a caller that has checked the
+   head lies in [b] *)
+external get16u : bytes -> int -> int = "%caml_bytes_get16u"
+external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
 let[@inline] payload_at b i width =
   match width with
-  | 1 -> Bytes.get_uint8 b (i + 1)
-  | 2 -> Bytes.get_uint16_be b (i + 1)
-  | _ -> Int32.to_int (Bytes.get_int32_be b (i + 1)) land 0xffff_ffff
+  | 1 -> Char.code (Bytes.unsafe_get b (i + 1))
+  | 2 -> if Sys.big_endian then get16u b (i + 1) else bswap16 (get16u b (i + 1))
+  | _ ->
+      let v = get32u b (i + 1) in
+      Int32.to_int (if Sys.big_endian then v else bswap32 v) land 0xffff_ffff
 
 let payload_in width b i _ = payload_at b i width
 
@@ -207,20 +215,42 @@ let wide_field kind n =
   | Kint { bits; _ } -> verr "integer %Ld out of range for %d-bit field" n bits
   | Kbool | Kfloat _ -> invalid_arg "Encoding: not an integer field"
 
-let[@inline] check_field kind v =
-  (match kind with
-  | Kchar -> if v > 255 then verr "invalid character %d" v
-  | Kint { bits; _ } when bits >= 64 -> () (* the 64-bit stand-ins below *)
-  | Kint { bits; signed } ->
-      let c = if signed then sext (bits / 8) v else v land ((1 lsl bits) - 1) in
-      if c <> v then verr "integer %d out of range for %d-bit field" v bits
-  | Kbool | Kfloat _ -> invalid_arg "Encoding: not an integer field");
+(* The least and greatest values of a char field or an int field:
+   every value for the 64-bit stand-ins below. *)
+let lo_of = function
+  | Kint { bits; _ } when bits >= 64 -> min_int
+  | Kint { bits; signed = true } -> -(1 lsl (bits - 1))
+  | Kbool | Kchar | Kint _ | Kfloat _ -> 0
+
+let hi_of = function
+  | Kchar -> 255
+  | Kint { bits; _ } when bits >= 64 -> max_int
+  | Kint { bits; signed } -> (1 lsl (if signed then bits - 1 else bits)) - 1
+  | Kbool | Kfloat _ -> invalid_arg "Encoding: not an integer field"
+
+let out_of_range kind v =
+  match kind with
+  | Kchar -> verr "invalid character %d" v
+  | Kint { bits; _ } -> verr "integer %d out of range for %d-bit field" v bits
+  | Kbool | Kfloat _ -> invalid_arg "Encoding: not an integer field"
+
+(* [v] read into [kind], whose range is [lo, hi] *)
+let[@inline] fit ~lo ~hi kind v =
+  if v < lo || v > hi then out_of_range kind v;
   v
 
 (* the parsers' stand-in fields for the native part of a 64-bit read,
-   which never reaches [wide_field] and which [check_field] passes *)
+   which never reaches [wide_field] and which every value fits *)
 let k_i64 = Kint { bits = 64; signed = true }
 let k_u64 = Kint { bits = 64; signed = false }
+
+(* A step parses the integer head at [b.[i]] into a field: one dispatch
+   on the tag picks its form, whose branch checks the payload lies
+   before [stop], reads it, checks it is minimal and fits the field, and
+   returns (value lsl 3) lor width; 0 when the head is not whole before
+   [stop], [wide] (4, no head's width) at an 8-byte form. *)
+let wide = 4
+let[@inline] got v width = (v lsl 3) lor width
 
 (* ---------------------------- msgpack ----------------------------- *)
 
@@ -264,58 +294,46 @@ let mp_get_wide ~signed r t =
   Mbuf.skip r 9;
   v
 
-(* An integer head is read in one width/value step over bytes: the tag
-   alone fixes the head's width, and once that many bytes are present
-   the value is read in place.  One head lying whole in the reader's
-   window ([var_get_int]), a run of them ([var_fill_ints]) and the
-   reader path for a head that does not ([get_int]) all drive the same
-   step, so they accept, reject and report exactly alike.  The step's
-   helpers are [@inline]: the run calls them for every element, and a
-   call each was most of their cost. *)
+let mp_nonminimal what = verr "msgpack: non-minimal %s" what
 
-let[@inline] mp_uint b i width floor what =
-  let v = payload_at b i width in
-  if v < floor then verr "msgpack: non-minimal %s" what;
-  v
+(* A negative form in an unsigned field fails at its tag. *)
+let[@inline] mp_sign ~signed =
+  if not signed then verr "msgpack: negative integer for unsigned field"
 
-let[@inline] mp_negint b i width ceil what =
-  let v = sext width (payload_at b i width) in
-  if v > ceil then verr "msgpack: non-minimal %s" what;
-  v
-
-(* Width of the integer head tagged [t]: 1, 2, 3, 5, or 9 for the
-   8-byte forms.  A negative form in an unsigned field fails before
-   its payload is needed. *)
-let[@inline] mp_int_width ~signed t =
-  if t <= 0x7f then 1
+(* a tagged form with a [width]-byte payload, checked minimal once it
+   lies whole before [stop] *)
+let[@inline] mp_uint ~lo ~hi kind b i stop width floor what =
+  if i + 1 + width > stop then 0
   else
-    let w =
-      match t with
-      | 0xcc | 0xd0 -> 2
-      | 0xcd | 0xd1 -> 3
-      | 0xce | 0xd2 -> 5
-      | 0xcf | 0xd3 -> 9
-      | _ ->
-          if t < 0xe0 then verr "msgpack: expected integer, got tag 0x%02x" t;
-          1
-    in
-    if (not signed) && (t >= 0xe0 || (t >= 0xd0 && t <= 0xd3)) then
-      verr "msgpack: negative integer for unsigned field";
-    w
+    let v = payload_at b i width in
+    if v < floor then mp_nonminimal what;
+    got (fit ~lo ~hi kind v) (1 + width)
 
-(* the value of the head at [b.[i]], of width at most 5, all present *)
-let[@inline] mp_int_value b i =
-  let t = Bytes.get_uint8 b i in
-  if t <= 0x7f then t
-  else if t >= 0xe0 then t - 256
+let[@inline] mp_negint ~signed ~lo ~hi kind b i stop width ceil what =
+  mp_sign ~signed;
+  if i + 1 + width > stop then 0
   else
-    match t with
-    | 0xcc -> mp_uint b i 1 0x80 "uint8"
-    | 0xcd -> mp_uint b i 2 0x100 "uint16"
-    | 0xce -> mp_uint b i 4 0x10000 "uint32"
-    | 0xd0 -> mp_negint b i 1 (-33) "int8"
-    | 0xd1 -> mp_negint b i 2 (-129) "int16"
-    | _ -> mp_negint b i 4 (-32769) "int32"
+    let v = sext width (payload_at b i width) in
+    if v > ceil then mp_nonminimal what;
+    got (fit ~lo ~hi kind v) (1 + width)
+
+let[@inline] mp_step ~signed ~lo ~hi kind b i stop =
+  match Bytes.unsafe_get b i with
+  | '\x00' .. '\x7f' as t -> got (fit ~lo ~hi kind (Char.code t)) 1
+  | '\xe0' .. '\xff' as t ->
+      mp_sign ~signed;
+      got (fit ~lo ~hi kind (Char.code t - 256)) 1
+  | '\xcc' -> mp_uint ~lo ~hi kind b i stop 1 0x80 "uint8"
+  | '\xcd' -> mp_uint ~lo ~hi kind b i stop 2 0x100 "uint16"
+  | '\xce' -> mp_uint ~lo ~hi kind b i stop 4 0x10000 "uint32"
+  | '\xd0' -> mp_negint ~signed ~lo ~hi kind b i stop 1 (-33) "int8"
+  | '\xd1' -> mp_negint ~signed ~lo ~hi kind b i stop 2 (-129) "int16"
+  | '\xd2' -> mp_negint ~signed ~lo ~hi kind b i stop 4 (-32769) "int32"
+  | '\xcf' -> wide
+  | '\xd3' ->
+      mp_sign ~signed;
+      wide
+  | t -> verr "msgpack: expected integer, got tag 0x%02x" (Char.code t)
 
 let mp_len r width floor what =
   let n = payload r width in
@@ -410,35 +428,47 @@ let cbor_wide_int ~signed r t =
       Int64.lognot n
   | major -> verr "cbor: expected integer, got major type %d" major
 
-let[@inline] cbor_int_width t =
-  match t land 0x1f with
-  | 24 -> 2
-  | 25 -> 3
-  | 26 -> 5
-  | 27 -> 9
-  | info ->
-      if info > 23 then verr "cbor: malformed head 0x%02x" t;
-      1
+(* the [width]-byte argument after the tag [t] at [b.[i]], checked
+   minimal *)
+let[@inline] cbor_uarg b i width t =
+  let n = payload_at b i width in
+  if n < (match width with 1 -> 24 | 2 -> 0x100 | _ -> 0x10000) then
+    verr "cbor: non-minimal argument in head 0x%02x" t;
+  n
 
-let[@inline] cbor_int_value ~signed b i =
-  let t = Bytes.get_uint8 b i in
-  let info = t land 0x1f in
-  let n =
-    if info <= 23 then info
-    else
-      let width, floor =
-        match info with 24 -> (1, 24) | 25 -> (2, 0x100) | _ -> (4, 0x10000)
-      in
-      let n = payload_at b i width in
-      if n < floor then verr "cbor: non-minimal argument in head 0x%02x" t;
-      n
-  in
-  match t lsr 5 with
-  | 0 -> n
-  | 1 ->
-      if not signed then verr "cbor: negative integer for unsigned field";
-      lnot n
-  | major -> verr "cbor: expected integer, got major type %d" major
+(* The sign of a negative form is checked after its argument. *)
+let[@inline] cbor_neg ~signed n =
+  if not signed then verr "cbor: negative integer for unsigned field";
+  lnot n
+
+(* A head of another major type, or a malformed one: it fails once the
+   same rules as an integer's have read its argument. *)
+let cbor_other b i stop t =
+  match t land 0x1f with
+  | 27 -> wide
+  | info when info > 27 -> verr "cbor: malformed head 0x%02x" t
+  | info ->
+      let width = match info with 24 -> 1 | 25 -> 2 | 26 -> 4 | _ -> 0 in
+      if i + 1 + width > stop then 0
+      else begin
+        if width > 0 then ignore (cbor_uarg b i width t);
+        verr "cbor: expected integer, got major type %d" (t lsr 5)
+      end
+
+let[@inline] cbor_step ~signed ~lo ~hi kind b i stop =
+  match Bytes.unsafe_get b i with
+  | '\x00' .. '\x17' as t -> got (fit ~lo ~hi kind (Char.code t)) 1
+  | '\x18' -> if i + 2 > stop then 0 else got (fit ~lo ~hi kind (cbor_uarg b i 1 0x18)) 2
+  | '\x19' -> if i + 3 > stop then 0 else got (fit ~lo ~hi kind (cbor_uarg b i 2 0x19)) 3
+  | '\x1a' -> if i + 5 > stop then 0 else got (fit ~lo ~hi kind (cbor_uarg b i 4 0x1a)) 5
+  | '\x20' .. '\x37' as t -> got (fit ~lo ~hi kind (cbor_neg ~signed (Char.code t - 0x20))) 1
+  | '\x38' ->
+      if i + 2 > stop then 0 else got (fit ~lo ~hi kind (cbor_neg ~signed (cbor_uarg b i 1 0x38))) 2
+  | '\x39' ->
+      if i + 3 > stop then 0 else got (fit ~lo ~hi kind (cbor_neg ~signed (cbor_uarg b i 2 0x39))) 3
+  | '\x3a' ->
+      if i + 5 > stop then 0 else got (fit ~lo ~hi kind (cbor_neg ~signed (cbor_uarg b i 4 0x3a))) 5
+  | t -> cbor_other b i stop (Char.code t)
 
 let cbor_get_len r kind =
   let want = len_major kind in
@@ -491,12 +521,15 @@ let var_put_int64 vc ~check ~signed b v =
 (* A run of values of a field of at most 32 bits, each reduced to the
    field width as a fixed-size store reduces it, head after head inside
    one writer window. *)
+let[@inline] put_one vc shift signed b i v =
+  let v = v lsl shift in
+  let v = if signed then v asr shift else v lsr shift in
+  put_head b i (int_head vc v) (int_arg vc v)
+
 let[@inline] put_ints vc shift signed a b i =
   let j = ref i in
   for k = 0 to Array.length a - 1 do
-    let v = Array.unsafe_get a k lsl shift in
-    let v = if signed then v asr shift else v lsr shift in
-    j := !j + put_head b !j (int_head vc v) (int_arg vc v)
+    j := !j + put_one vc shift signed b !j (Array.unsafe_get a k)
   done;
   !j - i
 
@@ -508,6 +541,12 @@ let var_put_ints vc ~bits ~signed =
     | Cbor -> fun a b i _ -> put_ints Cbor shift signed a b i
   in
   fun w a -> Mbuf.advance w (Mbuf.wwindow w run a)
+
+let var_put_int_at vc ~bits ~signed =
+  let shift = Sys.int_size - bits in
+  match vc with
+  | Msgpack -> fun b i v -> put_one Msgpack shift signed b i v
+  | Cbor -> fun b i v -> put_one Cbor shift signed b i v
 
 let bool_tag vc x =
   match vc with
@@ -528,82 +567,76 @@ let var_put_len vc ~check b kind n =
   | Msgpack -> emit ~check b (mp_len_head kind n) n
   | Cbor -> emit ~check b (cbor_head_of (len_major kind) n) n
 
-let[@inline] int_width vc ~signed t =
-  match vc with Msgpack -> mp_int_width ~signed t | Cbor -> cbor_int_width t
-
-let[@inline] int_value vc ~signed b i =
-  match vc with Msgpack -> mp_int_value b i | Cbor -> cbor_int_value ~signed b i
-
 let wide_int vc ~signed r t =
   match vc with
   | Msgpack -> mp_get_wide ~signed r t
   | Cbor -> cbor_wide_int ~signed r t
 
-(* One head lying whole in a window, [b.[cur .. stop)], read into
-   [kind]: (value lsl 3) lor width, or 0 when the head is not whole
-   there or is an 8-byte form, which the reader path takes.  As
-   [Mbuf.window] kernels, one per format, closed so that no read
-   allocates. *)
-let[@inline] head_in_window vc kind b cur stop =
-  if cur >= stop then 0
+let[@inline] step vc ~signed ~lo ~hi kind b i stop =
+  if i >= stop then 0
   else
-    let signed = signed_of kind in
-    let w = int_width vc ~signed (Bytes.get_uint8 b cur) in
-    if w = 9 || cur + w > stop then 0
-    else (check_field kind (int_value vc ~signed b cur) lsl 3) lor w
+    match vc with
+    | Msgpack -> mp_step ~signed ~lo ~hi kind b i stop
+    | Cbor -> cbor_step ~signed ~lo ~hi kind b i stop
 
-let mp_head kind b cur stop = head_in_window Msgpack kind b cur stop
-let cbor_head kind b cur stop = head_in_window Cbor kind b cur stop
+(* One head read into [kind], as [Mbuf.window] kernels, one per format,
+   closed so that no read allocates. *)
+let mp_head kind b i stop = step Msgpack ~signed:(signed_of kind) ~lo:(lo_of kind) ~hi:(hi_of kind) kind b i stop
+let cbor_head kind b i stop = step Cbor ~signed:(signed_of kind) ~lo:(lo_of kind) ~hi:(hi_of kind) kind b i stop
 let[@inline] head vc = match vc with Msgpack -> mp_head | Cbor -> cbor_head
 
-(* one integer head read through the reader into [kind], the value a
-   native int checked against the field: the path for a head not lying
-   whole in the window *)
-let get_int vc kind r =
-  let signed = signed_of kind in
-  Mbuf.need r 1;
-  let t = Mbuf.get_u8 r 0 in
-  let w = int_width vc ~signed t in
-  if w = 9 then wide_field kind (wide_int vc ~signed r t)
+(* The step through a reader: in place when the head lies whole in the
+   window, else once the at most 5 bytes it can take are pulled up into
+   one; a head the message cuts short is [Mbuf.Short_buffer]. *)
+let head_at vc kind r =
+  let g = Mbuf.window r (head vc) kind in
+  if g <> 0 then g
   else begin
-    Mbuf.need r w;
-    let got = Mbuf.window r (head vc) kind in
-    Mbuf.skip r w;
-    got asr 3
+    Mbuf.need r (max 1 (min 5 (Mbuf.remaining r)));
+    let g = Mbuf.window r (head vc) kind in
+    if g = 0 then raise Mbuf.Short_buffer;
+    g
   end
+
+let skip_head r g =
+  Mbuf.skip r (g land 7);
+  g asr 3
 
 let var_get_int vc kind r =
-  let got = Mbuf.window r (head vc) kind in
-  if got = 0 then get_int vc kind r
-  else begin
-    Mbuf.skip r (got land 7);
-    got asr 3
-  end
+  let g = head_at vc kind r in
+  if g <> wide then skip_head r g
+  else wide_field kind (wide_int vc ~signed:(signed_of kind) r (Mbuf.get_u8 r 0))
 
 let var_get_int64 vc ~signed r =
-  Mbuf.need r 1;
-  let t = Mbuf.get_u8 r 0 in
-  if int_width vc ~signed t = 9 then wide_int vc ~signed r t
-  else Int64.of_int (get_int vc (if signed then k_i64 else k_u64) r)
+  let g = head_at vc (if signed then k_i64 else k_u64) r in
+  if g = wide then wide_int vc ~signed r (Mbuf.get_u8 r 0) else Int64.of_int (skip_head r g)
 
-(* The same step over a run: heads parse in place while they lie whole
-   in the window, and the first that does not, with everything after
-   it, goes through [var_get_int].  The kernel reports how far it got
-   as (elements lsl 31) lor bytes, scanning at most 2^31 - 1 bytes. *)
+(* The step over a run, in place while heads lie whole in the window;
+   the first that does not (its low two bits 0), and all after it, go
+   through [var_get_int].  The kernel reports how far it got as
+   (elements lsl 31) lor bytes, scanning at most 2^31 - 1 bytes. *)
+let[@inline] fill_run vc ~signed ~lo ~hi kind out b cur stop =
+  let n = Array.length out and stop = if stop - cur > 0x7fff_ffff then cur + 0x7fff_ffff else stop in
+  let k = ref 0 and i = ref cur and more = ref true in
+  while !more && !k < n do
+    let g = step vc ~signed ~lo ~hi kind b !i stop in
+    if g land 3 = 0 then more := false
+    else begin
+      Array.unsafe_set out !k (g asr 3);
+      incr k;
+      i := !i + (g land 7)
+    end
+  done;
+  (!k lsl 31) lor (!i - cur)
+
+(* Built per format, with the field's signedness and range bound once,
+   as the fixed-width loops of Codec are built. *)
 let var_fill_ints vc kind =
-  let fill out b cur stop =
-    let n = Array.length out and stop = min stop (cur + 0x7fff_ffff) in
-    let k = ref 0 and i = ref cur and more = ref true in
-    while !more && !k < n do
-      let got = head_in_window vc kind b !i stop in
-      if got = 0 then more := false
-      else begin
-        Array.unsafe_set out !k (got asr 3);
-        incr k;
-        i := !i + (got land 7)
-      end
-    done;
-    (!k lsl 31) lor (!i - cur)
+  let signed = signed_of kind and lo = lo_of kind and hi = hi_of kind in
+  let fill : int array -> bytes -> int -> int -> int =
+    match vc with
+    | Msgpack -> fun o b c s -> fill_run Msgpack ~signed ~lo ~hi kind o b c s
+    | Cbor -> fun o b c s -> fill_run Cbor ~signed ~lo ~hi kind o b c s
   in
   fun r out ->
     let got = Mbuf.window r fill out in

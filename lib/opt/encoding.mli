@@ -130,6 +130,11 @@ val var_put_ints :
     [Array.length a] calls to {!var_put_int}.  Partially applied to its
     labels it builds its kernel once. *)
 
+val var_put_int_at : varcodec -> bits:int -> signed:bool -> bytes -> int -> int -> int
+(** [var_put_int_at vc ~bits ~signed b i v] stores the head
+    {!var_put_ints} stores for [v] at [b.[i]] of a reserved window and
+    returns its width.  Partially applied it builds its kernel once. *)
+
 val var_put_int64 :
   varcodec -> check:bool -> signed:bool -> Mbuf.t -> int64 -> unit
 (** Emit a 64-bit field's value; [signed:false] reads it as unsigned. *)
@@ -148,8 +153,9 @@ val var_fill_ints : varcodec -> atom_kind -> Mbuf.reader -> int array -> unit
     the reader's window parse in place in one pass, and the first that
     does not (an 8-byte form, or one crossing the window's end) and
     everything after it go through {!var_get_int}.  Values and errors
-    are those of [Array.length out] calls to {!var_get_int}.  Partially
-    applied to [vc] and [kind] it builds its kernel once. *)
+    are those of [Array.length out] calls to {!var_get_int}: both parse
+    a head with one step, one dispatch on its tag.  Partially applied to
+    [vc] and [kind] it builds its kernel once. *)
 
 val var_get_int64 : varcodec -> signed:bool -> Mbuf.reader -> int64
 (** Parse one integer into a 64-bit field. *)

@@ -241,7 +241,7 @@ let rec fuse_seq ctx stoks dtoks acc =
 and fuse_var ctx sop stoks dtoks acc =
   match (sop, dtoks) with
   | ( Dplan.D_get_string { max_len; view = _; _ },
-      Td_var (Mplan.Put_string { nul; pad; len_src; borrow; src = _ }) :: d ) ->
+      Td_var (Mplan.Put_string { nul; pad; len_src; borrow; src = _; max_len = _ }) :: d ) ->
       if len_src <> None then
         raise (Unsupported "string with a separate length parameter");
       fuse_seq ctx stoks d

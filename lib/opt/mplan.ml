@@ -39,11 +39,12 @@ type op =
       pad : int;
       len_src : rv option;
       borrow : bool;
+      max_len : int option;
     }
-  | Put_byteseq of { arr : rv; via : via; pad : int; borrow : bool }
-  | Put_atom_array of { arr : rv; via : via; atom : atom; with_len : bool }
+  | Put_byteseq of { arr : rv; via : via; pad : int; borrow : bool; max_len : int option }
+  | Put_atom_array of { arr : rv; via : via; atom : atom; with_len : bool; max_len : int option }
   | Put_blit of { src : rv; len : int; pad : int }
-  | Put_len of { arr : rv; via : via }
+  | Put_len of { arr : rv; via : via; max_len : int option }
   | Loop of { arr : rv; via : via; var : int; body : op list }
   | Switch of {
       u : rv;
@@ -102,6 +103,8 @@ let pp_kind ppf (k : Encoding.atom_kind) =
   in
   Format.pp_print_string ppf s
 
+let pp_max = function None -> "" | Some m -> Printf.sprintf " max=%d" m
+
 let rec pp_op ppf = function
   | Align n -> Format.fprintf ppf "align %d" n
   | Put_varhead { vh_kind; vh_worst; vh_check; vh_src; vh_image } ->
@@ -123,17 +126,18 @@ let rec pp_op ppf = function
       Format.fprintf ppf "ensure len(%a) * %d" pp_rv arr unit_size
   | Put_const_str { s; nul; pad } ->
       Format.fprintf ppf "put_const_str %S nul=%B pad=%d" s nul pad
-  | Put_string { src; nul; pad; len_src; borrow = _ } ->
-      Format.fprintf ppf "put_string %a nul=%B pad=%d%s" pp_rv src nul pad
+  | Put_string { src; nul; pad; len_src; borrow = _; max_len } ->
+      Format.fprintf ppf "put_string %a nul=%B pad=%d%s%s" pp_rv src nul pad
         (match len_src with None -> "" | Some _ -> " (explicit length)")
-  | Put_byteseq { arr; pad; via = _; borrow = _ } ->
-      Format.fprintf ppf "put_byteseq %a pad=%d" pp_rv arr pad
-  | Put_atom_array { arr; atom; with_len; via = _ } ->
-      Format.fprintf ppf "put_atom_array %a %a%s" pp_rv arr pp_atom atom
-        (if with_len then "" else " (no len)")
+        (pp_max max_len)
+  | Put_byteseq { arr; pad; via = _; borrow = _; max_len } ->
+      Format.fprintf ppf "put_byteseq %a pad=%d%s" pp_rv arr pad (pp_max max_len)
+  | Put_atom_array { arr; atom; with_len; via = _; max_len } ->
+      Format.fprintf ppf "put_atom_array %a %a%s%s" pp_rv arr pp_atom atom
+        (if with_len then "" else " (no len)") (pp_max max_len)
   | Put_blit { src; len; pad } ->
       Format.fprintf ppf "put_blit %a len=%d pad=%d" pp_rv src len pad
-  | Put_len { arr; via = _ } -> Format.fprintf ppf "put_len %a" pp_rv arr
+  | Put_len { arr; via = _; max_len } -> Format.fprintf ppf "put_len %a%s" pp_rv arr (pp_max max_len)
   | Loop { arr; var; body; via = _ } ->
       Format.fprintf ppf "@[<v 2>for _e%d in %a {" var pp_rv arr;
       List.iter (fun o -> Format.fprintf ppf "@,%a" pp_op o) body;

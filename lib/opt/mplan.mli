@@ -90,9 +90,12 @@ type op =
       borrow : bool;
           (** payload may be spliced by reference when scatter-gather is
               on and the runtime length clears the borrow threshold *)
+      max_len : int option;
+          (** the declared bound, which every op writing a bounded
+              length checks before it stores *)
     }
-  | Put_byteseq of { arr : rv; via : via; pad : int; borrow : bool }
-  | Put_atom_array of { arr : rv; via : via; atom : atom; with_len : bool }
+  | Put_byteseq of { arr : rv; via : via; pad : int; borrow : bool; max_len : int option }
+  | Put_atom_array of { arr : rv; via : via; atom : atom; with_len : bool; max_len : int option }
       (** never borrowable: scalar arrays need a per-element byte-order
           transform, so the copy is also the swap *)
   | Put_blit of { src : rv; len : int; pad : int }
@@ -100,7 +103,7 @@ type op =
           out of its chunk so the engine can borrow it by reference
           (zero-copy); falls back to a copy below the runtime
           threshold *)
-  | Put_len of { arr : rv; via : via }
+  | Put_len of { arr : rv; via : via; max_len : int option }
   | Loop of { arr : rv; via : via; var : int; body : op list }
   | Switch of {
       u : rv;

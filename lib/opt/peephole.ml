@@ -213,7 +213,7 @@ and optimize_op rw st (op : Mplan.op) : Mplan.op list =
         when rw.rw_fuse && v = var && size = atom.Mplan.size
              && fusable_atom atom ->
           st.loops_fused <- st.loops_fused + 1;
-          [ Mplan.Put_atom_array { arr; via; atom; with_len = false } ]
+          [ Mplan.Put_atom_array { arr; via; atom; with_len = false; max_len = None } ]
       (* (c) every iteration advances at most [u] bytes: one reservation
          of len * u outside the loop covers every chunk inside *)
       | _, (Mplan.Via_seq _ | Mplan.Via_fixed _)
@@ -306,7 +306,7 @@ and rewrite_pair rw st (op1 : Mplan.op) (op2 : Mplan.op) :
        the array op that follows it) — part of the fusion pass, since
        only fusion creates the [Put_atom_array] that triggers it *)
     | ( Mplan.Ensure_count { arr; via; unit_size },
-        Mplan.Put_atom_array { arr = arr2; via = via2; atom; with_len = false }
+        Mplan.Put_atom_array { arr = arr2; via = via2; atom; with_len = false; _ }
       )
       when rw.rw_fuse && arr = arr2 && via = via2
            && unit_size = atom.Mplan.size ->

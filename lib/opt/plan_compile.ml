@@ -427,7 +427,7 @@ and compile_array st rv ~elem ~min_len ~max_len (pres : Pres.t) =
       st.ops_rev <-
         Mplan.Put_string
           { src = rv; nul = enc.Encoding.string_nul; pad = enc.Encoding.pad_unit;
-            len_src; borrow = st.sg }
+            len_src; borrow = st.sg; max_len }
         :: st.ops_rev;
       after_variable st
   | Pres.Fixed_array sub when fixed && is_byte_elem st.mint elem ->
@@ -456,7 +456,7 @@ and compile_array st rv ~elem ~min_len ~max_len (pres : Pres.t) =
       | Some atom ->
           emit st
             (Mplan.Put_atom_array
-               { arr = rv; via = Mplan.Via_fixed min_len; atom; with_len = false });
+               { arr = rv; via = Mplan.Via_fixed min_len; atom; with_len = false; max_len = None });
           lose_alignment st (min atom.Mplan.size 4)
       | None -> compile_loop st rv (Mplan.Via_fixed min_len) elem sub)
   | Pres.Counted_seq { len_field; buf_field; elem = sub } -> (
@@ -469,25 +469,25 @@ and compile_array st rv ~elem ~min_len ~max_len (pres : Pres.t) =
           st.ops_rev <- Mplan.Align enc.Encoding.len_prefix.Encoding.align :: st.ops_rev;
         st.ops_rev <-
           Mplan.Put_byteseq
-            { arr = rv; via; pad = enc.Encoding.pad_unit; borrow = st.sg }
+            { arr = rv; via; pad = enc.Encoding.pad_unit; borrow = st.sg; max_len }
           :: st.ops_rev;
         after_variable st
       end
       else
         match scalar_atom st.mint enc elem with
         | Some atom ->
-            emit st (Mplan.Put_atom_array { arr = rv; via; atom; with_len = true });
+            emit st (Mplan.Put_atom_array { arr = rv; via; atom; with_len = true; max_len });
             (* the run may be empty, leaving the position just after the
                4-byte count *)
             lose_alignment st (min atom.Mplan.size 4)
         | None ->
-            emit st (Mplan.Put_len { arr = rv; via });
+            emit st (Mplan.Put_len { arr = rv; via; max_len });
             lose_alignment st enc.Encoding.len_prefix.Encoding.size;
             compile_loop st rv via elem sub)
   | Pres.Opt_ptr sub ->
       put_header st;
       let via = Mplan.Via_opt in
-      emit st (Mplan.Put_len { arr = rv; via });
+      emit st (Mplan.Put_len { arr = rv; via; max_len = None });
       lose_alignment st st.enc.Encoding.len_prefix.Encoding.size;
       compile_loop st rv via elem sub
   | Pres.Direct | Pres.Enum_direct | Pres.Struct _ | Pres.Union _ | Pres.Void

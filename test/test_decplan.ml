@@ -195,10 +195,67 @@ let gen_rows_case st =
   in
   ({ Test_engines.label = "seq" ^ Buffer.contents label; mint; named = []; idx; pres }, kind)
 
+(* Row [i] of the boxed rows [v] spelled otherwise: its first leaf as a
+   [Vchar] of the leaf's low byte, and its first struct member of
+   [Vint]s that does not hold that leaf as a [Vint_array].  Returns the
+   respelled value and the value naive is given for it, the leaf a
+   [Vint] of that byte. *)
+let respell (v : Value.t) i =
+  match v with
+  | Value.Varray rows when i < Array.length rows -> (
+      match rows.(i) with
+      | Value.Vstruct fs ->
+          let leaf = ref None in
+          let rec first path (fs : Value.t array) =
+            Array.iteri
+              (fun j f ->
+                match f with
+                | Value.Vint x when !leaf = None -> leaf := Some (List.rev (j :: path), x land 0xff)
+                | Value.Vstruct sub -> first (j :: path) sub
+                | _ -> ())
+              fs
+          in
+          first [] fs;
+          let rec set (fs : Value.t array) path x =
+            let fs = Array.copy fs in
+            (match path with
+            | [ j ] -> fs.(j) <- x
+            | j :: rest -> (
+                match fs.(j) with
+                | Value.Vstruct sub -> fs.(j) <- Value.Vstruct (set sub rest x)
+                | _ -> ())
+            | [] -> ());
+            fs
+          in
+          let with_row row =
+            let rows = Array.copy rows in
+            rows.(i) <- Value.Vstruct row;
+            Value.Varray rows
+          in
+          let path, byte = Option.value !leaf ~default:([], 0) in
+          let mixed = set fs path (Value.Vchar (Char.chr byte)) in
+          Array.iteri
+            (fun j f ->
+              match f with
+              | Value.Vstruct leaves
+                when List.hd (path @ [ -1 ]) <> j
+                     && Array.for_all (function Value.Vint _ -> true | _ -> false) leaves
+                     && not (Array.exists (function Value.Vint_array _ -> true | _ -> false) mixed) ->
+                  mixed.(j) <- Value.Vint_array (Array.map Codec.as_int leaves)
+              | _ -> ())
+            fs;
+          (with_row mixed, with_row (set fs path (Value.Vint byte)))
+      | _ -> (v, v))
+  | _ -> (v, v)
+
 (* Stub_opt decodes a rows-shaped sequence to the value Stub_naive
    decodes, as rows exactly when every leaf is one kind (always, for
    32-bit leaves), and that value, rows or boxed, re-encodes to
-   Stub_naive's bytes through Stub_opt, Stub_naive and Stub_interp. *)
+   Stub_naive's bytes through Stub_opt, Stub_naive and Stub_interp.
+   Stub_opt's cached encoder also stores the generated boxed value, and
+   a respelling of one row that it leaves to the loop body, into a
+   dirty reused writer behind a 0, 3 or 5-byte header: naive's bytes
+   each time. *)
 let rows_prop enc ((c : Test_engines.case), kind) =
   let mint = c.Test_engines.mint and named = [] in
   let v = Workload.random rng mint ~named c.Test_engines.idx c.Test_engines.pres in
@@ -232,6 +289,19 @@ let rows_prop enc ((c : Test_engines.case), kind) =
       ("naive", Stub_naive.compile_encoder ~config:naive_config ~enc ~mint ~named roots);
       ("interp", Stub_interp.compile_encoder ~enc ~mint ~named roots);
     ];
+  let e = Stub_opt.compile_encoder ~enc ~mint ~named roots and w = Mbuf.create 16 in
+  let n = match v with Value.Varray rows -> Array.length rows | _ -> 0 in
+  let mixed, canon = respell v (Random.State.int rng (max 1 n)) in
+  List.iter
+    (fun (what, value, expect) ->
+      List.iter
+        (fun head ->
+          let got = Test_engines.encode_behind w ~head (fun w -> e w [| value |]) in
+          if got <> expect then
+            QCheck.Test.fail_reportf "%s, %s behind %d bytes: %s, naive %s (%a)" c.Test_engines.label
+              what head (Test_engines.hex got) (Test_engines.hex expect) Value.pp value)
+        [ 0; 3; 5 ])
+    [ ("boxed", v, want); ("respelled", mixed, naive_bytes enc c canon) ];
   true
 
 let rows_encodings =
@@ -925,6 +995,81 @@ let window_edge_tests =
 
 (* -- the two spellings of rows ---------------------------------------- *)
 
+(* struct { char c; rect r[3]; }: the rows loop starts one byte into
+   the struct, so its kernel aligns first; boxed and as decoded rows it
+   stores naive's bytes behind a 0, 3 or 5-byte header, in all six
+   encodings. *)
+let unaligned_rows_test () =
+  let c = rect_seq_case ~signed:true in
+  let mint = c.Test_engines.mint in
+  let rect = match Mint.get mint c.Test_engines.idx with Mint.Array { elem; _ } -> elem | _ -> assert false in
+  let rect_p = match c.Test_engines.pres with Pres.Counted_seq { elem; _ } -> elem | _ -> assert false in
+  let idx = Mint.struct_ mint [ ("c", Mint.char8 mint); ("r", Mint.fixed_array mint ~elem:rect ~len:3) ] in
+  let pres = Pres.Struct [ ("c", Pres.Direct); ("r", Pres.Fixed_array rect_p) ] in
+  let s = { c with Test_engines.idx; pres } in
+  let corner x = Value.Vstruct [| Value.Vint x; Value.Vint (-x) |] in
+  let v =
+    Value.Vstruct
+      [| Value.Vchar 'c'; Value.Varray (Array.init 3 (fun i -> Value.Vstruct [| corner i; corner (i + 7) |])) |]
+  in
+  List.iter
+    (fun enc ->
+      let want = naive_bytes enc s v and w = Mbuf.create 16 in
+      let e = Stub_opt.compile_encoder ~enc ~mint ~named:[] (Test_engines.roots_of s) in
+      let rows =
+        match run_decoder (Stub_opt.compile_decoder ~enc ~mint ~named:[] (Test_engines.droots_of s)) (Bytes.of_string want) with
+        | Ok_value x -> x
+        | Failed -> Alcotest.failf "%s: decode failed" enc.Encoding.name
+      in
+      List.iter
+        (fun (what, value) ->
+          List.iter
+            (fun head ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s %s behind %d bytes" enc.Encoding.name what head)
+                (Test_engines.hex want)
+                (Test_engines.hex (Test_engines.encode_behind w ~head (fun w -> e w [| value |]))))
+            [ 0; 3; 5 ])
+        [ ("boxed", v); ("decoded", rows) ])
+    Encoding.all
+
+(* A rows loop's element not spelled as the row (a rect with one
+   corner, a corner with one coordinate, a string coordinate) is left
+   to the loop body wherever it lies, and raises what Stub_naive
+   raises, in all six encodings. *)
+let malformed_row_test () =
+  let c = rect_seq_case ~signed:true in
+  let mint = c.Test_engines.mint and roots = Test_engines.roots_of c in
+  let corner x = Value.Vstruct [| Value.Vint x; Value.Vint (x + 1) |] in
+  let rect x = Value.Vstruct [| corner x; corner (x + 2) |] in
+  List.iter
+    (fun enc ->
+      let opt = Stub_opt.compile_encoder ~enc ~mint ~named:[] roots
+      and naive = Stub_naive.compile_encoder ~config:naive_config ~enc ~mint ~named:[] roots in
+      List.iter
+        (fun (what, row) ->
+          List.iter
+            (fun at ->
+              let v = Value.Varray (Array.init 5 (fun i -> if i = at then row else rect (10 * i))) in
+              let outcome e =
+                match e (Mbuf.create 16) [| v |] with
+                | () -> "stored"
+                | exception Invalid_argument m -> m
+              in
+              let want = outcome naive in
+              if want = "stored" then Alcotest.failf "naive stored %s" what;
+              Alcotest.(check string)
+                (Printf.sprintf "%s: %s at %d" enc.Encoding.name what at)
+                want (outcome opt))
+            [ 0; 2; 4 ])
+        [
+          ("a rect with one corner", Value.Vstruct [| corner 1 |]);
+          ("a corner with one coordinate", Value.Vstruct [| corner 1; Value.Vstruct [| Value.Vint 3 |] |]);
+          ( "a string coordinate",
+            Value.Vstruct [| corner 1; Value.Vstruct [| Value.Vint 3; Value.Vstring "4" |] |] );
+        ])
+    Encoding.all
+
 let value_rows_test () =
   let pair = Value.Rstruct [| Value.Rint; Value.Rint |] in
   let rect = Value.Rstruct [| pair; pair |] in
@@ -1210,7 +1355,11 @@ let suite =
       ] );
     ("decplan:failures", failure_tests);
     ( "decplan:rows",
-      [ Alcotest.test_case "rows are another spelling of the boxed array" `Quick value_rows_test ] );
+      [
+        Alcotest.test_case "rows are another spelling of the boxed array" `Quick value_rows_test;
+        Alcotest.test_case "a malformed row raises what naive raises" `Quick malformed_row_test;
+        Alcotest.test_case "rows after an unaligned field store as naive" `Quick unaligned_rows_test;
+      ] );
     ("decplan:selfdesc-arrays", selfdesc_array_tests);
     ("decplan:views", view_tests);
     ("decplan:cache", cache_tests);

@@ -344,6 +344,32 @@ let dump_tests =
         | exception Diag.Error d ->
             Alcotest.(check bool) "names the bad pass" true
               (contains (Diag.to_string d) "bogus"));
+    test "dump-plan names how every Bench encode loop is stored" (fun () ->
+        (* the rects loop is one rows kernel call in all five encodings,
+           the 32-byte mach3 rect with its descriptor words between the
+           leaves; a dirent is not a row *)
+        List.iter
+          (fun enc ->
+            let out =
+              Plan_dump.render ~idl:Driver.Idl_corba ~pres:Driver.Pres_rpcgen
+                ~backend:Driver.Back_oncrpc ~interface:None ~op:None
+                ~mode:Plan_dump.Marshal ~encoding:enc ~file:"bench.idl"
+                ~source:Paper_fixtures.bench_idl ()
+            in
+            let loops =
+              List.filter
+                (fun l -> String.length l > 5 && String.sub l 0 5 = "loop ")
+                (String.split_on_char '\n' out)
+            in
+            Alcotest.(check (list string))
+              (enc.Encoding.name ^ " loops")
+              [
+                ("loop _e0 in *data: int rows ×4 int32"
+                ^ if enc == Encoding.mach3 then ", stride 32" else "");
+                "loop _e0 in *data: per element";
+              ]
+              loops)
+          Encoding.[ xdr; cdr; mach3; msgpack; cbor ]);
   ]
 
 (* -- the emitted C, byte for byte --------------------------------------- *)

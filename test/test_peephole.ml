@@ -86,7 +86,7 @@ let structural_tests =
             ]
         in
         check_ops "fused"
-          [ Mplan.Put_atom_array { arr = rv0 "xs"; via = seq_via; atom = atom32; with_len = false } ]
+          [ Mplan.Put_atom_array { arr = rv0 "xs"; via = seq_via; atom = atom32; with_len = false; max_len = None } ]
           out;
         Alcotest.(check int) "one fusion recorded" 1 st.Peephole.loops_fused);
     test "fusion drops the now-redundant Ensure_count" (fun () ->
@@ -108,7 +108,7 @@ let structural_tests =
             ]
         in
         check_ops "one op"
-          [ Mplan.Put_atom_array { arr = rv0 "xs"; via = seq_via; atom = atom32; with_len = false } ]
+          [ Mplan.Put_atom_array { arr = rv0 "xs"; via = seq_via; atom = atom32; with_len = false; max_len = None } ]
           out);
     test "optional loops are not fused (Put_atom_array cannot walk \
           optionals)" (fun () ->
@@ -163,7 +163,7 @@ let structural_tests =
           [
             Mplan.Put_string
               { src = Mplan.Rvar 0; nul = false; pad = 4; len_src = None;
-                borrow = false };
+                borrow = false; max_len = None };
             Mplan.Chunk { size = 4; align = 4; items = [ it_atom 0 (Mplan.Rvar 0) ]; check = true };
           ]
         in

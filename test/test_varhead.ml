@@ -640,6 +640,99 @@ let verifier_tests =
           (hex (emit_var Encoding.cbor u32 (vi 24))));
   ]
 
+(* -- a run of heads reads as one head at a time ------------------------ *)
+
+(* A random head of [vc]: any tag one time in three, else one of the
+   integer forms (fixints, the 1, 2, 4 and 8-byte forms, positive and
+   negative), then the payload its tag implies, each byte an edge value
+   or random, so that non-minimal payloads are common. *)
+let random_head vc st =
+  let forms =
+    match vc with
+    | Encoding.Msgpack -> [| 0x00; 0x7f; 0xe0; 0xff; 0xcc; 0xcd; 0xce; 0xcf; 0xd0; 0xd1; 0xd2; 0xd3 |]
+    | Encoding.Cbor -> [| 0x00; 0x17; 0x18; 0x19; 0x1a; 0x1b; 0x20; 0x37; 0x38; 0x39; 0x3a; 0x3b |]
+  in
+  let t =
+    if Random.State.int st 3 = 0 then Random.State.int st 256
+    else forms.(Random.State.int st (Array.length forms))
+  in
+  let width =
+    match vc with
+    | Encoding.Msgpack -> (
+        match t with
+        | 0xcc | 0xd0 -> 1
+        | 0xcd | 0xd1 -> 2
+        | 0xce | 0xd2 -> 4
+        | 0xcf | 0xd3 -> 8
+        | _ -> Random.State.int st 3)
+    | Encoding.Cbor -> ( match t land 0x1f with 24 -> 1 | 25 -> 2 | 26 -> 4 | 27 -> 8 | _ -> 0)
+  in
+  let byte _ =
+    let edges = [| 0x00; 0x00; 0x01; 0x7f; 0x80; 0xff |] in
+    Char.chr
+      (if Random.State.bool st then edges.(Random.State.int st 6) else Random.State.int st 256)
+  in
+  String.make 1 (Char.chr t) ^ String.init width byte
+
+type run_outcome = Values of int list * int | Var_error of string | Short
+
+let pp_run fmt = function
+  | Values (vs, pos) ->
+      Format.fprintf fmt "values [%s] to byte %d" (String.concat "; " (List.map string_of_int vs)) pos
+  | Var_error m -> Format.fprintf fmt "Var_error %S" m
+  | Short -> Format.pp_print_string fmt "Short_buffer"
+
+let outcome r f =
+  match f r with
+  | vs -> Values (vs, Mbuf.rpos r)
+  | exception Encoding.Var_error m -> Var_error m
+  | exception Mbuf.Short_buffer -> Short
+
+(* [n] heads read into each 8, 16 and 32-bit signed and unsigned field
+   through one var_fill_ints run and through n var_get_int calls agree:
+   the same values to the same byte, or the same failure, on every cut
+   of the message, contiguous and cut into segments. *)
+let run_prop vc seed =
+  let st = Random.State.make [| seed |] in
+  let heads = List.init (1 + Random.State.int st 8) (fun _ -> random_head vc st) in
+  let wire = Bytes.of_string (String.concat "" heads) and n = List.length heads in
+  let len = Bytes.length wire in
+  let cuts = List.init (1 + Random.State.int st 4) (fun _ -> 1 + Random.State.int st (max 1 (len - 1))) in
+  List.iter
+    (fun (bits, signed) ->
+      let kind = Encoding.Kint { bits; signed } in
+      let fill = Encoding.var_fill_ints vc kind in
+      for cut = 0 to len do
+        List.iter
+          (fun (how, reader) ->
+            let run =
+              outcome (reader ()) (fun r ->
+                  let out = Array.make n 0 in
+                  fill r out;
+                  Array.to_list out)
+            and one = outcome (reader ()) (fun r -> List.init n (fun _ -> Encoding.var_get_int vc kind r)) in
+            if run <> one then
+              QCheck.Test.fail_reportf "%s%d, %s, %d of %d bytes (%s): run %a, one at a time %a"
+                (if signed then "i" else "u") bits how cut len (hex wire) pp_run run pp_run one)
+          [
+            ("contiguous", fun () -> Mbuf.reader_of_bytes ~len:cut wire);
+            ("every byte a segment", fun () -> Test_decplan.segmented ~len:cut wire (List.init len Fun.id));
+            ("segmented", fun () -> Test_decplan.segmented ~len:cut wire cuts);
+          ]
+      done)
+    [ (8, true); (8, false); (16, true); (16, false); (32, true); (32, false) ];
+  true
+
+let run_tests =
+  List.map
+    (fun (name, vc) ->
+      QCheck_alcotest.to_alcotest
+        (QCheck.Test.make ~count:500
+           ~name:(name ^ ": a run of heads reads as one head at a time")
+           (QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.nat)
+           (run_prop vc)))
+    [ ("msgpack", Encoding.Msgpack); ("cbor", Encoding.Cbor) ]
+
 let suite =
   [
     ( "varhead:boundaries",
@@ -649,4 +742,5 @@ let suite =
     ("varhead:widths", width_tests @ [ wide_length_test ]);
     ("varhead:hostile", hostile_count_tests);
     ("varhead:verifier", verifier_tests);
+    ("varhead:runs", run_tests);
   ]
