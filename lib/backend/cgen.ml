@@ -18,7 +18,7 @@ let rec expr_of_rv ~vars (rv : Mplan.rv) : expr =
   | Mplan.Rparam { name; deref; _ } ->
       if deref then Eunop (Deref, Eid name) else Eid name
   | Mplan.Rvar i -> vars i
-  | Mplan.Rfield { base; member; index } ->
+  | Mplan.Rfield { base; member; index; _ } ->
       let b = expr_of_rv ~vars base in
       if String.length member > 0 && member.[0] = '[' then Eindex (b, num index)
       else Efield (b, member)

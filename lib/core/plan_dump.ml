@@ -147,6 +147,21 @@ let rec loop_lines ops =
          | _ -> "")
        ops)
 
+(* One line per relay loop, under its verifier path: Fplan.loop_mode *)
+let rec relay_loop_lines (p : Fplan.plan) path ops =
+  String.concat ""
+    (List.mapi
+       (fun i (op : Fplan.fop) ->
+         let at = Printf.sprintf "%s[%d]" path i in
+         match op with
+         | Fplan.F_loop { body; _ } ->
+             Printf.sprintf "loop %s: %s\n%s" at
+               (Fplan.loop_mode_name (Fplan.loop_mode ~src:p.Fplan.f_src ~dst:p.Fplan.f_dst body))
+               (relay_loop_lines p (at ^ ".loop") body)
+         | Fplan.F_opt { body } -> relay_loop_lines p (at ^ ".opt") body
+         | _ -> "")
+       ops)
+
 let render ~idl ~pres ~backend ~interface ~op ~mode ?config ?encoding ~file
     ~source () =
   let config =
@@ -216,6 +231,7 @@ let render ~idl ~pres ~backend ~interface ~op ~mode ?config ?encoding ~file
             (Format.asprintf "=== forward plan: %s (%s -> %s) ===@."
                st.Pres_c.os_client_name enc_label
                dtr.Backend_base.tr_name);
+          Buffer.add_string b (relay_loop_lines plan "fwd" plan.Fplan.f_ops);
           Buffer.add_string b (Format.asprintf "%a@." Fplan.pp_plan plan);
           Buffer.add_string b (elision_summary plan)
       | Trace ->

@@ -352,15 +352,21 @@ let swap_i32s r w n =
         ())
     w
 
-(* member [idxs.(k)] of the aggregate at chunk offset [offs.(k)] *)
-let[@inline] store_fields ~swap offs idxs v b at =
+let[@inline] check_fixed n len =
+  if n <> len then
+    invalid_arg (Printf.sprintf "fixed array of %d elements where its type has %d" n len)
+
+(* member [idxs.(k)] of the aggregate (a fixed array of [len >= 0]) at offset [offs.(k)] *)
+let[@inline] store_fields ~swap ~len offs idxs v b at =
   let n = Array.length offs in
   match v with
   | Value.Vint_array a ->
+      if len >= 0 then check_fixed (Array.length a) len;
       for k = 0 to n - 1 do
         store ~swap b (at + Array.unsafe_get offs k) a.(idxs.(k))
       done
   | Value.Vstruct a | Value.Varray a ->
+      if len >= 0 then check_fixed (Array.length a) len;
       for k = 0 to n - 1 do
         store ~swap b (at + Array.unsafe_get offs k) (int_elem a.(idxs.(k)))
       done
@@ -370,11 +376,11 @@ let[@inline] store_fields ~swap offs idxs v b at =
       done
   | _ -> invalid_arg "Codec.write_i32_fields: not an aggregate"
 
-let write_i32_fields ~be ~offs ~idxs =
+let write_i32_fields ~be ~len ~offs ~idxs =
   let run : Value.t -> bytes -> int -> int -> unit =
     if be <> Sys.big_endian then fun v b at _ ->
-      store_fields ~swap:true offs idxs v b at
-    else fun v b at _ -> store_fields ~swap:false offs idxs v b at
+      store_fields ~swap:true ~len offs idxs v b at
+    else fun v b at _ -> store_fields ~swap:false ~len offs idxs v b at
   in
   fun w v -> Mbuf.wwindow w run v
 

@@ -78,11 +78,11 @@ val swap_i32s : Mbuf.reader -> Mbuf.t -> int -> unit
     [4 * n]; neither cursor moves.  A relay's pure byte-order swap. *)
 
 val write_i32_fields :
-  be:bool -> offs:int array -> idxs:int array -> Mbuf.t -> Value.t -> unit
+  be:bool -> len:int -> offs:int array -> idxs:int array -> Mbuf.t -> Value.t -> unit
 (** The field-run form of {!write_i32s}: member [idxs.(k)] of the
     aggregate [v] (a [Vstruct], [Varray], [Vint_array] or [Vbytes]) is
     stored at offset [offs.(k)] from the cursor, inside a chunk the
-    caller reserved and advances over. *)
+    caller reserved and advances over; [len >= 0]: {!check_fixed}. *)
 
 val as_int : Value.t -> int
 val as_int64 : Value.t -> int64
@@ -103,6 +103,10 @@ val check_max : what:string -> int -> int option -> unit
 (** Raises [Invalid_argument] naming the bound when an encoder is handed
     [n] elements or characters for a [what] bounded by [max_len]: every
     engine refuses such a value before it stores anything. *)
+
+val check_fixed : int -> int -> unit
+(** [check_fixed n len] raises [Invalid_argument] naming both lengths when
+    a fixed array of [len] elements is handed [n], before any store. *)
 
 val skip_pad : Mbuf.reader -> pad_unit:int -> int -> unit
 (** Skip the trailing padding of an [n]-byte variable-length run up to

@@ -87,6 +87,158 @@ let compile_move ~src_be ~dst_be (m : Fplan.fmove) :
       fun _ w -> Codec.write_const_at w ~be:dst_be dst_off atom value
   | Fplan.Fm_zero { dst_off; len } -> fun _ w -> Mbuf.fill_zero w dst_off len
 
+(* -- element loops in two passes -------------------------------------- *)
+
+(* A scanned loop body's op (Fplan.loop_mode), as the walk reads it.
+   [Span]: align the source to [sa], the destination to [da]; copy the
+   [l - nul_in] data bytes (within [lo .. hi]) of a length [l] read from
+   a source word ([word]) or [len], and [more] fixed bytes; skip [nul_in]
+   and the pad of [l] to [pad_in] on the source; on the destination, a
+   length word of data + [nul_out] leads when [emit], and zeros to the
+   pad of data + [nul_out] to [pad_out], plus [tail], follow.  [Fixed]: a
+   run of (source offset or -1 to zero-fill, destination offset, length). *)
+type step =
+  | Span of { sa : int; da : int; word : bool; len : int; lo : int; hi : int; more : int;
+              nul_in : int; nul_out : int; pad_in : int; pad_out : int; tail : int; emit : bool }
+  | Fixed of { src : int; dst : int; moves : int array }
+
+let step_of (op : Fplan.fop) =
+  let span ?(sa = 1) ?(da = 1) ?(word = false) ?(len = 0) ?(lo = 0) ?(hi = None) ?(nul_in = false)
+      ?(nul_out = false) ?(pad_in = 1) ?(pad_out = 1) ?(tail = 0) ?(emit = false) () =
+    Span { sa; da; word; len; lo; hi = Option.value hi ~default:max_int; more = 0;
+           nul_in = Bool.to_int nul_in; nul_out = Bool.to_int nul_out; pad_in; pad_out; tail; emit }
+  in
+  match op with
+  | Fplan.F_src_align sa -> span ~sa ()
+  | Fplan.F_dst_align da -> span ~da ()
+  | Fplan.F_string { max_len = hi; src_nul; dst_nul; src_pad; dst_pad; _ } ->
+      span ~sa:4 ~word:true ~hi ~nul_in:src_nul ~nul_out:dst_nul ~pad_in:src_pad ~pad_out:dst_pad
+        ~emit:true ()
+  | Fplan.F_byteseq { count = Fplan.Fc_wire { min_len; max_len = hi; _ }; emit_len; src_pad; dst_pad; _ } ->
+      span ~sa:4 ~word:true ~lo:min_len ~hi ~pad_in:src_pad ~pad_out:dst_pad ~emit:emit_len ()
+  | Fplan.F_blit { len; src_pad; dst_tail; _ } -> span ~len ~pad_in:src_pad ~tail:dst_tail ()
+  | Fplan.F_atom_array { count = Fplan.Fc_fixed n; src_atom; dst_atom; dst_packed; _ } ->
+      let align a = if n > 0 then a.Mplan.align else 1 in
+      span ~sa:(if Fplan.word_atom src_atom then 4 else align src_atom)
+        ~da:(if Fplan.word_atom dst_atom || dst_packed then 1 else align dst_atom)
+        ~len:(n * src_atom.Mplan.size) ()
+  | Fplan.F_run { src_size; dst_size; moves; _ } ->
+      let triple = function
+        | Fplan.Fm_copy { src_off; dst_off; len } -> [ src_off; dst_off; len ]
+        | Fplan.Fm_zero { dst_off; len } -> [ -1; dst_off; len ]
+        | _ -> invalid_arg "Stub_forward: a scanned run only copies and zero-fills"
+      in
+      Fixed { src = src_size; dst = dst_size; moves = Array.of_list (List.concat_map triple moves) }
+  | _ -> invalid_arg "Stub_forward: an op the scan cannot move"
+
+(* The body's steps, an alignment folded into the span after it and a
+   run of one full copy into a span with no NUL, pad or tail before it
+   (a dirent's scalar array and the run after it are one copy). *)
+let rec fold_steps = function
+  | Span a :: Span b :: rest when (not a.word) && a.len + a.more + a.tail = 0 && not a.emit ->
+      fold_steps (Span { b with sa = max a.sa b.sa; da = max a.da b.da } :: rest)
+  | Span a :: Fixed { src; dst; moves = [| 0; 0; len |] } :: rest
+    when src = len && dst = len && a.nul_in + a.nul_out + a.tail = 0 && a.pad_in = 1 && a.pad_out = 1 ->
+      fold_steps (Span { a with more = a.more + len } :: rest)
+  | s :: rest -> s :: fold_steps rest
+  | [] -> []
+
+(* a scan's destination size, whether the run is still verbatim, and its data bytes *)
+type walk = { mutable dsize : int; mutable clean : bool; mutable payload : int }
+
+(* a pad's few zeros are stored inline, without a call *)
+let zero w at len =
+  if len > 8 then Mbuf.fill_zero w at len else for i = at to at + len - 1 do Mbuf.set_u8 w i 0 done
+
+let[@inline] up n u = (n + u - 1) land - u (* [round_up] to a power of two *)
+
+(* One walk over [n] elements from [b.(p0)], the source window ending at
+   [stop], [base + i] being the reader position of [b.(i)] and [o] the
+   writer's position past its origin.  It stores at the writer's cursor
+   only when [write].  Returns the source bytes the run takes, or -1
+   when an element would be refused or runs past [stop]. *)
+let walk steps ~src_be ~dst_be ~verbatim ~write n b p0 stop base w o st =
+  let p = ref p0 and d = ref 0 and clean = ref verbatim and payload = ref 0 in
+  try
+    for _ = 1 to n do
+      for i = 0 to Array.length steps - 1 do
+        match Array.unsafe_get steps i with
+        | Span s ->
+            let q = up (base + !p) s.sa - base in
+            if q <> !p then clean := false;
+            if s.word && q + 4 > stop then raise_notrace Exit;
+            let l = if not s.word then s.len
+              else Int32.to_int (if src_be then Bytes.get_int32_be b q else Bytes.get_int32_le b q) in
+            let q = if s.word then q + 4 else q and data = l - s.nul_in in
+            if data < s.lo || data > s.hi then raise_notrace Exit;
+            let k = data + s.more in
+            let next = q + k + s.nul_in + up l s.pad_in - l in
+            if next > stop then raise_notrace Exit;
+            if !clean then
+              for j = q + k to next - 1 do
+                if Bytes.unsafe_get b j <> '\000' then clean := false
+              done;
+            let dd = up (o + !d) s.da - o in
+            let dl = data + s.nul_out and at = if s.emit then dd + 4 else dd in
+            let zeros = up dl s.pad_out - data + s.tail in
+            if write then begin
+              if dd > !d then zero w !d (dd - !d);
+              if s.emit then if dst_be then Mbuf.set_i32_be w dd dl else Mbuf.set_i32_le w dd dl;
+              if k > 0 then Mbuf.set_bytes w at b q k;
+              if zeros > 0 then zero w (at + k) zeros
+            end;
+            payload := !payload + data;
+            d := at + k + zeros;
+            p := next
+        | Fixed f ->
+            if !p + f.src > stop then raise_notrace Exit;
+            if write then
+              for j = 0 to (Array.length f.moves / 3) - 1 do
+                let so = f.moves.(3 * j) and at = !d + f.moves.((3 * j) + 1) in
+                if so < 0 then zero w at f.moves.((3 * j) + 2)
+                else Mbuf.set_bytes w at b (!p + so) f.moves.((3 * j) + 2)
+              done;
+            p := !p + f.src;
+            d := !d + f.dst
+      done
+    done;
+    st.dsize <- !d; st.clean <- !clean; st.payload <- !payload;
+    !p - p0
+  with Exit -> -1
+
+(* A loop's move once its count is read and checked: per element, or a
+   scan, then one transfer (verbatim) or one reservation and one pass of
+   length words, blits and zero fills (in window). *)
+let relay_loop ~src_be ~dst_be (mode : Fplan.loop_mode) body per_element =
+  let runs = List.length (List.filter (function Fplan.F_run _ -> true | _ -> false) body) in
+  let moved n len borrowed =
+    account ~len borrowed;
+    if runs > 0 then Obs.incr fused_runs (n * runs)
+  in
+  match mode with
+  | Fplan.Per_element -> per_element
+  | Fplan.Verbatim (Some u) ->
+      fun r w n ->
+        if n * u <= Mbuf.remaining r then moved n (n * u) (Mbuf.transfer ~borrow:true r w (n * u))
+        else per_element r w n
+  | Fplan.Verbatim None | Fplan.In_window ->
+      let steps = Array.of_list (fold_steps (List.map step_of body)) in
+      let verbatim = mode <> Fplan.In_window in
+      fun r w n ->
+        let st = { dsize = 0; clean = false; payload = 0 } in
+        let base = Mbuf.rpos r and o = Mbuf.pos w - Mbuf.origin w in
+        let pass write b p stop = walk steps ~src_be ~dst_be ~verbatim ~write n b p stop (base - p) w o st in
+        let len = Mbuf.window r pass false in
+        if len < 0 then per_element r w n
+        else if st.clean then moved n len (Mbuf.transfer ~borrow:true r w len)
+        else begin
+          Mbuf.ensure w st.dsize;
+          ignore (Mbuf.window r pass true);
+          Mbuf.skip r len;
+          Mbuf.advance w st.dsize;
+          moved n st.payload 0
+        end
+
 let rec compile_op ~(src : Encoding.t) ~(dst : Encoding.t) (op : Fplan.fop) :
     Mbuf.reader -> Mbuf.t -> unit =
   let src_be = src.Encoding.big_endian and dst_be = dst.Encoding.big_endian in
@@ -152,16 +304,7 @@ let rec compile_op ~(src : Encoding.t) ~(dst : Encoding.t) (op : Fplan.fop) :
       { count; emit_len; src_atom; dst_atom; dst_packed; blit; borrow } -> (
       let get_n = counter_of ~be:src_be count in
       let ssize = src_atom.Mplan.size and dsize = dst_atom.Mplan.size in
-      let s_fast =
-        match (src_atom.Mplan.kind, ssize) with
-        | Encoding.Kint { bits; _ }, 4 -> bits <= 32
-        | _, _ -> false
-      in
-      let d_fast =
-        match (dst_atom.Mplan.kind, dsize) with
-        | Encoding.Kint { bits; _ }, 4 -> bits <= 32
-        | _, _ -> false
-      in
+      let s_fast = Fplan.word_atom src_atom and d_fast = Fplan.word_atom dst_atom in
       (* destination-side preamble, exactly as the plan encoder's
          Put_atom_array (or, for [dst_packed], a chunk item run, which
          has no dynamic alignment at all) *)
@@ -253,17 +396,18 @@ let rec compile_op ~(src : Encoding.t) ~(dst : Encoding.t) (op : Fplan.fop) :
                 done;
                 Mbuf.advance w (n * dsize)
               end)
-  | Fplan.F_counted_blit { count; emit_len; unit_size; borrow } ->
-      let get_n = counter_of ~be:src_be count in
-      fun r w ->
-        let n = get_n r in
-        if emit_len then write_len ~be:dst_be w n;
-        Mbuf.need r (n * unit_size);
-        account ~len:(n * unit_size) (Mbuf.transfer ~borrow r w (n * unit_size))
   | Fplan.F_loop { count; emit_len; src_min; src_ensure; dst_ensure; body } ->
       let get_n = counter_of ~be:src_be count in
       let fns = compile_ops ~src ~dst body in
       let k = Array.length fns in
+      let per_element r w n =
+        for _ = 1 to n do
+          for i = 0 to k - 1 do
+            (Array.unsafe_get fns i) r w
+          done
+        done
+      in
+      let move = relay_loop ~src_be ~dst_be (Fplan.loop_mode ~src ~dst body) body per_element in
       fun r w ->
         let n = get_n r in
         (* the decoder's bound first: no reservation on either side that
@@ -272,11 +416,7 @@ let rec compile_op ~(src : Encoding.t) ~(dst : Encoding.t) (op : Fplan.fop) :
         if emit_len then write_len ~be:dst_be w n;
         (match src_ensure with Some u -> Mbuf.need r (n * u) | None -> ());
         (match dst_ensure with Some u -> Mbuf.ensure w (n * u) | None -> ());
-        for _ = 1 to n do
-          for i = 0 to k - 1 do
-            (Array.unsafe_get fns i) r w
-          done
-        done
+        if n > 0 then move r w n
   | Fplan.F_opt { body } ->
       let fns = compile_ops ~src ~dst body in
       let k = Array.length fns in

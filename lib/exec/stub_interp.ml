@@ -68,13 +68,12 @@ let rec encode ~(enc : Encoding.t) ~mint ~named idx (pres : Pres.t) buf
           let counted =
             match pres with Pres.Counted_seq _ -> true | _ -> false
           in
+          if not counted then Codec.check_fixed (Value.length v) min_len;
           match (Mint.get mint elem, v) with
           | (Mint.Char8 | Mint.Int { bits = 8; _ }), Value.Vbytes b ->
               let len = Bytes.length b in
               if counted then Codec.check_max ~what:"sequence" len max_len;
               hdr ();
-              if (not counted) && len <> min_len then
-                invalid_arg "Stub_interp: fixed array length mismatch";
               if counted then put_len_k Encoding.Lbin len;
               Bytes.iter (fun c -> Mbuf.put_u8 buf (Char.code c)) b;
               for _ = 1 to round_up len pad_unit - len do

@@ -9,17 +9,6 @@ let encode_bytes = Obs.hist "stub_naive.encode_bytes"
 let decode_ns = Obs.hist "stub_naive.decode_ns"
 let decode_bytes = Obs.hist "stub_naive.decode_bytes"
 
-let array_length (v : Value.t) =
-  match v with
-  | Value.Vstring s -> String.length s
-  | Value.Vbytes b -> Bytes.length b
-  | Value.Vint_array a -> Array.length a
-  | Value.Varray a -> Array.length a
-  | Value.Vint_rows { shape; ints } -> Array.length ints / max 1 (Value.row_width shape)
-  | Value.Vopt None -> 0
-  | Value.Vopt (Some _) -> 1
-  | _ -> invalid_arg "Stub_naive.array_length"
-
 (* ------------------------------------------------------------------ *)
 (* Encoding: one closure and one checked append per datum               *)
 (* ------------------------------------------------------------------ *)
@@ -192,14 +181,13 @@ let compile_value_encoder cfg (enc : Encoding.t) mint named :
         match Mint.get mint elem with
         | Mint.Char8 | Mint.Int { bits = 8; _ } ->
             fun buf v ->
-              hdr buf;
               let b = match v with
                 | Value.Vbytes b -> b
                 | _ -> invalid_arg "Stub_naive: expected bytes"
               in
               let len = Bytes.length b in
-              if len <> min_len then
-                invalid_arg "Stub_naive: fixed array length mismatch";
+              Codec.check_fixed len min_len;
+              hdr buf;
               let padded = (len + pad_unit - 1) / pad_unit * pad_unit in
               if cfg.per_char_strings then begin
                 for i = 0 to len - 1 do
@@ -216,11 +204,14 @@ let compile_value_encoder cfg (enc : Encoding.t) mint named :
         | Mint.Int { bits; _ }
           when bits = 32 && not cfg.per_elem_arrays && enc.Encoding.var = None ->
             (* ablation: the single-reservation tight loop of section 3.1 *)
-            let atom = atom_of (Encoding.Kint { bits; signed = true }) in
-            tight_int_loop atom ~with_len:false
+            let loop = tight_int_loop (atom_of (Encoding.Kint { bits; signed = true })) ~with_len:false in
+            fun buf v ->
+              Codec.check_fixed (Value.length v) min_len;
+              loop buf v
         | _ ->
             let f = elem_encoder elem sub in
             fun buf v ->
+              Codec.check_fixed (Value.length v) min_len;
               hdr buf;
               elements f buf v)
     | Pres.Counted_seq { elem = sub; _ } -> (
@@ -253,14 +244,14 @@ let compile_value_encoder cfg (enc : Encoding.t) mint named :
             let atom = atom_of (Encoding.Kint { bits; signed = true }) in
             let loop = tight_int_loop atom ~with_len:true in
             fun buf v ->
-              Codec.check_max ~what:"sequence" (array_length v) max_len;
+              Codec.check_max ~what:"sequence" (Value.length v) max_len;
               loop buf v
         | _ ->
             let f = elem_encoder elem sub in
             fun buf v ->
-              Codec.check_max ~what:"sequence" (array_length v) max_len;
+              Codec.check_max ~what:"sequence" (Value.length v) max_len;
               hdr buf;
-              put_len buf (array_length v);
+              put_len buf (Value.length v);
               elements f buf v)
     | Pres.Direct | Pres.Enum_direct | Pres.Struct _ | Pres.Union _
     | Pres.Void | Pres.Ref _ ->

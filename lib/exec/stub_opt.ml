@@ -8,30 +8,22 @@ type droot =
 
 type env = { params : Value.t array; vars : Value.t array }
 
-let value_len (v : Value.t) =
-  match v with
-  | Value.Vstring s -> String.length s
-  | Value.Vbytes b -> Bytes.length b
-  | Value.Vstring_view v | Value.Vbytes_view v -> v.Value.v_len
-  | Value.Vint_array a -> Array.length a
-  | Value.Vint_rows { shape; ints } -> Array.length ints / max 1 (Value.row_width shape)
-  | Value.Varray a -> Array.length a
-  | Value.Vopt None -> 0
-  | Value.Vopt (Some _) -> 1
-  | Value.Vvoid | Value.Vbool _ | Value.Vchar _ | Value.Vint _
-  | Value.Vint64 _ | Value.Vfloat _ | Value.Vstruct _ | Value.Vunion _ ->
-      invalid_arg "Stub_opt.value_len"
-
 (* ------------------------------------------------------------------ *)
 (* rv evaluation, precompiled to closure chains                         *)
 (* ------------------------------------------------------------------ *)
+
+(* a fixed array of [m] elements, refused unless it holds [m] *)
+let sized fixed (a : env -> Value.t) =
+  match fixed with None -> a | Some m -> fun e -> let v = a e in Codec.check_fixed (Value.length v) m; v
+
+let fixed_of (via : Mplan.via) = match via with Mplan.Via_fixed m -> Some m | _ -> None
 
 let rec compile_rv (rv : Mplan.rv) : env -> Value.t =
   match rv with
   | Mplan.Rparam { index; _ } -> fun e -> e.params.(index)
   | Mplan.Rvar i -> fun e -> e.vars.(i)
-  | Mplan.Rfield { base; index; _ } -> (
-      let b = compile_rv base in
+  | Mplan.Rfield { base; index; fixed; _ } -> (
+      let b = sized fixed (compile_rv base) in
       fun e ->
         match b e with
         | Value.Vstruct a -> a.(index)
@@ -178,14 +170,12 @@ let compile_item ~be (it : Mplan.item) : Mbuf.t -> env -> unit =
       fun buf env ->
         (match a env with
         | Value.Vbytes b ->
-            if Bytes.length b <> len then
-              invalid_arg "Stub_opt: fixed byte array length mismatch"
-            else Mbuf.set_bytes buf off b 0 len
+            Codec.check_fixed (Bytes.length b) len;
+            Mbuf.set_bytes buf off b 0 len
         | Value.Vstring s -> Mbuf.set_string buf off s 0 len
         | Value.Vbytes_view w | Value.Vstring_view w ->
-            if w.Value.v_len <> len then
-              invalid_arg "Stub_opt: fixed byte array length mismatch"
-            else Mbuf.set_bytes buf off w.Value.v_base w.Value.v_off len
+            Codec.check_fixed w.Value.v_len len;
+            Mbuf.set_bytes buf off w.Value.v_base w.Value.v_off len
         | _ -> invalid_arg "Stub_opt: It_bytes over non-bytes");
         if pad > 0 then Mbuf.fill_zero buf (off + len) pad)
   | Mplan.It_atom { off; atom; src } -> (
@@ -220,9 +210,9 @@ let chunk_stores ~be (items : Mplan.item list) : (Mbuf.t -> env -> unit) list =
     match it with
     | Mplan.It_atom
         { off; atom = { Mplan.kind = Encoding.Kint { bits; _ }; size = 4; _ };
-          src = Mplan.Rfield { base; index; _ } }
+          src = Mplan.Rfield { base; index; fixed; _ } }
       when bits <= 32 ->
-        Some (base, (off, index))
+        Some ((base, fixed), (off, index))
     | _ -> None
   in
   let images =
@@ -251,10 +241,10 @@ let chunk_stores ~be (items : Mplan.item list) : (Mbuf.t -> env -> unit) list =
     Mbuf.advance m n;
     let image = Mbuf.contents m in
     fun buf _ -> Mbuf.set_bytes buf off0 image 0 n
-  and run (base, fs) =
+  and run ((base, fixed), fs) =
     let b = compile_rv base in
     let write =
-      Codec.write_i32_fields ~be
+      Codec.write_i32_fields ~be ~len:(Option.value fixed ~default:(-1))
         ~offs:(Array.of_list (List.map fst fs))
         ~idxs:(Array.of_list (List.map snd fs))
     in
@@ -304,7 +294,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
           Mbuf.advance buf size
     | Mplan.Ensure_count { arr; unit_size; via = _ } ->
         let a = compile_rv arr in
-        fun buf env -> Mbuf.ensure buf (value_len (a env) * unit_size)
+        fun buf env -> Mbuf.ensure buf (Value.length (a env) * unit_size)
     | Mplan.Put_const_str { s; nul = _; pad = _ } when vc <> None ->
         let vcc = Option.get vc in
         put_image ~check:true
@@ -431,9 +421,9 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
             Mbuf.fill_zero buf (4 + blen) (padded - blen);
             Mbuf.advance buf (4 + padded)
           end
-    | Mplan.Put_atom_array { arr; atom; with_len; via = _; max_len } when vc <> None ->
+    | Mplan.Put_atom_array { arr; atom; with_len; via; max_len } when vc <> None ->
         let vcc = Option.get vc in
-        let a = compile_rv arr in
+        let a = sized (fixed_of via) (compile_rv arr) in
         let kind = atom.Mplan.kind in
         (* one worst-case reservation for the whole run, then unchecked
            minimal-width emits per element; a Vint_array's ints go to
@@ -447,7 +437,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
         in
         fun buf env ->
           let v = a env in
-          let n = value_len v in
+          let n = Value.length v in
           Codec.check_max ~what:"sequence" n max_len;
           if with_len then Codec.write_vlen vcc ~check:true Encoding.Larr buf n;
           Mbuf.ensure buf (n * worst);
@@ -459,9 +449,9 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
                   (Array.unsafe_get elems i)
               done
           | _ -> invalid_arg "Stub_opt: atom array over non-array")
-    | Mplan.Put_atom_array { arr; atom; with_len; via = _; max_len } ->
+    | Mplan.Put_atom_array { arr; atom; with_len; via; max_len } ->
         (* never borrowed: the copy doubles as the byte-order transform *)
-        compile_atom_array arr atom with_len max_len
+        compile_atom_array (sized (fixed_of via) (compile_rv arr)) atom with_len max_len
     | Mplan.Put_blit { src; len; pad } ->
         let a = compile_rv src in
         (* [len] is static, so the whole decision is compile-time *)
@@ -469,18 +459,16 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
         fun buf env ->
           (match a env with
           | Value.Vbytes b ->
-              if Bytes.length b <> len then
-                invalid_arg "Stub_opt: fixed byte array length mismatch"
-              else if borrow then Mbuf.put_borrow_bytes buf b 0 len
+              Codec.check_fixed (Bytes.length b) len;
+              if borrow then Mbuf.put_borrow_bytes buf b 0 len
               else begin
                 Mbuf.ensure buf len;
                 Mbuf.set_bytes buf 0 b 0 len;
                 Mbuf.advance buf len
               end
           | Value.Vbytes_view v ->
-              if v.Value.v_len <> len then
-                invalid_arg "Stub_opt: fixed byte array length mismatch"
-              else if borrow then
+              Codec.check_fixed v.Value.v_len len;
+              if borrow then
                 Mbuf.put_borrow_bytes buf v.Value.v_base v.Value.v_off len
               else begin
                 Mbuf.ensure buf len;
@@ -505,13 +493,13 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
         let vcc = Option.get vc in
         let a = compile_rv arr in
         fun buf env ->
-          let n = value_len (a env) in
+          let n = Value.length (a env) in
           Codec.check_max ~what:"sequence" n max_len;
           Codec.write_vlen vcc ~check:true Encoding.Larr buf n
     | Mplan.Put_len { arr; via = _; max_len } ->
         let a = compile_rv arr in
         fun buf env ->
-          let n = value_len (a env) in
+          let n = Value.length (a env) in
           Codec.check_max ~what:"sequence" n max_len;
           Mbuf.align buf 4;
           Mbuf.ensure buf 4;
@@ -532,8 +520,8 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
             let a = compile_rv rv in
             fun buf env ->
               Codec.write_var vcc ~check:vh_check vh_kind buf (a env))
-    | Mplan.Loop { arr; var; body; via = _ } -> (
-        let a = compile_rv arr in
+    | Mplan.Loop { arr; var; body; via } -> (
+        let a = sized (fixed_of via) (compile_rv arr) in
         let loop = compile_loop var body in
         match Dplan.store_rows ~var body with
         | None -> fun buf env -> loop 0 buf env (a env)
@@ -542,7 +530,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
             let store = rows_kernel ~enc rs in
             fun buf env ->
               let v = a env in
-              match store buf v with 0 -> loop 0 buf env v | n -> if n < value_len v then loop n buf env v)
+              match store buf v with 0 -> loop 0 buf env v | n -> if n < Value.length v then loop n buf env v)
     | Mplan.Switch { u; arms; default; _ } -> (
         let sel = compile_rv u in
         let n_cases =
@@ -600,8 +588,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
       | _ -> invalid_arg "Stub_opt: Loop over non-array"
     in
     loop
-  and compile_atom_array arr (atom : Mplan.atom) with_len max_len =
-    let a = compile_rv arr in
+  and compile_atom_array a (atom : Mplan.atom) with_len max_len =
     let size = atom.Mplan.size in
     let write_len buf n =
       Mbuf.align buf 4;
@@ -617,7 +604,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
         let write = Codec.write_i32s ~be in
         fun buf env ->
           let v = a env in
-          let n = value_len v in
+          let n = Value.length v in
           Codec.check_max ~what:"sequence" n max_len;
           if with_len then write_len buf n;
           Mbuf.ensure buf (n * 4);
@@ -626,7 +613,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
     | _, _ ->
         fun buf env ->
           let v = a env in
-          let n = value_len v in
+          let n = Value.length v in
           Codec.check_max ~what:"sequence" n max_len;
           if with_len then write_len buf n;
           (* an empty run writes nothing, not even alignment *)

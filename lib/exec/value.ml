@@ -186,6 +186,16 @@ let rec pp ppf = function
       Format.fprintf ppf "@[<hov 2>union[%d=%a](%a)@]" case Mint.pp_const
         discrim pp payload
 
+let length = function
+  | Vstring s -> String.length s
+  | Vbytes b -> Bytes.length b
+  | Vstring_view v | Vbytes_view v -> v.v_len
+  | Vint_array a -> Array.length a
+  | Vint_rows { shape; ints } -> Array.length ints / max 1 (row_width shape)
+  | Varray a -> Array.length a
+  | Vopt None -> 0 | Vopt (Some _) -> 1
+  | Vvoid | Vbool _ | Vchar _ | Vint _ | Vint64 _ | Vfloat _ | Vstruct _ | Vunion _ -> invalid_arg "Value.length"
+
 let rec byte_size = function
   | Vvoid -> 0
   | Vbool _ | Vchar _ -> 1

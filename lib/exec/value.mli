@@ -97,6 +97,10 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 (** Rows print as their {!boxed} spelling. *)
 
+val length : t -> int
+(** The elements of an array-like value (a string's bytes, an optional's
+    0 or 1); [Invalid_argument] for a scalar, struct or union. *)
+
 val byte_size : t -> int
 (** Approximate payload size in bytes (used to label benchmark series by
     message size). *)

@@ -53,12 +53,6 @@ type fop =
       blit : bool;
       borrow : bool;
     }
-  | F_counted_blit of {
-      count : fcount;
-      emit_len : bool;
-      unit_size : int;
-      borrow : bool;
-    }
   | F_loop of {
       count : fcount;
       emit_len : bool;
@@ -80,6 +74,45 @@ type plan = {
   f_dst : Encoding.t;
 }
 
+(* -- how the relay moves a loop's elements ---------------------------- *)
+
+type loop_mode = Verbatim of int option | In_window | Per_element
+
+let word_atom (a : Mplan.atom) =
+  match a.Mplan.kind with Encoding.Kint { bits; _ } -> a.Mplan.size = 4 && bits <= 32 | _ -> false
+
+let pow2 n = n > 0 && n land (n - 1) = 0
+
+(* an op that only moves, pads (to powers of two) or zero-fills bytes; and
+   one whose destination bytes are its source bytes, given zero NUL and pad *)
+let moves_bytes = function
+  | F_src_align a | F_dst_align a -> pow2 a
+  | F_string { src_pad; dst_pad; _ } | F_byteseq { count = Fc_wire _; src_pad; dst_pad; _ } ->
+      pow2 src_pad && pow2 dst_pad
+  | F_blit { src_pad; _ } -> pow2 src_pad
+  | F_atom_array { count = Fc_fixed _; emit_len; blit; _ } -> blit && not emit_len
+  | F_run { moves; _ } -> List.for_all (function Fm_copy _ | Fm_zero _ -> true | _ -> false) moves
+  | _ -> false
+
+let verbatim_op ~same_order = function
+  | F_src_align _ -> true
+  | F_string { src_nul; dst_nul; src_pad; dst_pad; _ } -> same_order && src_nul = dst_nul && src_pad = dst_pad
+  | F_byteseq { emit_len; src_pad; dst_pad; _ } -> same_order && emit_len && src_pad = dst_pad
+  | F_blit { len; src_pad; dst_tail; _ } -> ((len + src_pad - 1) / src_pad * src_pad) - len = dst_tail
+  | F_atom_array { dst_atom; dst_packed; _ } -> dst_packed || word_atom dst_atom || dst_atom.Mplan.align <= 1
+  | F_run { src_size; dst_size; moves; _ } ->
+      src_size = dst_size && moves = [ Fm_copy { src_off = 0; dst_off = 0; len = src_size } ]
+  | _ -> false
+
+let loop_mode ~(src : Encoding.t) ~(dst : Encoding.t) body =
+  let same_order = src.Encoding.big_endian = dst.Encoding.big_endian in
+  let size u = function F_run { src_size; _ } -> Option.map (( + ) src_size) u | _ -> None in
+  if body = [] || not (List.for_all moves_bytes body) then Per_element
+  else if List.for_all (verbatim_op ~same_order) body then Verbatim (List.fold_left size (Some 0) body)
+  else In_window
+
+let loop_mode_name = function Verbatim _ -> "verbatim" | In_window -> "in window" | Per_element -> "per element"
+
 (* -- provenance ------------------------------------------------------ *)
 
 let provenance = function
@@ -98,7 +131,6 @@ let provenance = function
   | F_byteseq { borrow; _ } -> if borrow then "borrow" else "blit"
   | F_atom_array { blit; borrow; _ } ->
       if not blit then "convert" else if borrow then "borrow" else "blit"
-  | F_counted_blit { borrow; _ } -> if borrow then "borrow" else "blit"
   | F_loop _ -> "loop"
   | F_opt _ -> "opt"
   | F_materialize _ -> "fallback"
@@ -164,11 +196,6 @@ let rec pp_op ppf op =
         Mplan.pp_atom src_atom Mplan.pp_atom dst_atom
         (if blit then "(blit)" else "(convert)")
         tag
-  | F_counted_blit { count; emit_len; unit_size; borrow = _ } ->
-      Format.fprintf ppf "counted_blit count=%a%s unit=%d  # %s" pp_count
-        count
-        (if emit_len then " emit_len" else "")
-        unit_size tag
   | F_loop { count; emit_len; src_min; src_ensure; dst_ensure; body } ->
       let pp_ens ppf = function
         | Some u -> Format.fprintf ppf "%d" u
@@ -224,9 +251,7 @@ let count_ops ops = List.fold_left (fun a o -> a + op_nodes o) 0 ops
 let rec op_checks = function
   | F_run { src_check; dst_check; _ } ->
       (if src_check then 1 else 0) + if dst_check then 1 else 0
-  | F_blit _ | F_string _ | F_const_str _ | F_byteseq _ | F_atom_array _
-  | F_counted_blit _ ->
-      2
+  | F_blit _ | F_string _ | F_const_str _ | F_byteseq _ | F_atom_array _ -> 2
   | F_loop { src_ensure; dst_ensure; body; _ } ->
       (if src_ensure <> None then 1 else 0)
       + (if dst_ensure <> None then 1 else 0)

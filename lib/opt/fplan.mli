@@ -22,9 +22,9 @@
     - {b fallback}: a genuinely reshaped root keeps the decode +
       re-encode pair as an embedded {!constructor-F_materialize}.
 
-    Executed by [Stub_forward] (lib/exec); verified by
-    {!Plan_verify.check_fplan}; optimized by the [forward-*] passes in
-    {!Pass}. *)
+    Executed by [Stub_forward] (lib/exec), which moves each loop as
+    {!loop_mode} says; verified by {!Plan_verify.check_fplan}; optimized
+    by the [forward-run-coalesce] pass in {!Pass}. *)
 
 (** Element count of a variable-length forward op. *)
 type fcount =
@@ -97,13 +97,6 @@ type fop =
       blit : bool;  (** element bytes identical → bulk transfer *)
       borrow : bool;
     }
-  | F_counted_blit of {
-      count : fcount;
-      emit_len : bool;
-      unit_size : int;
-      borrow : bool;
-    }  (** a collapsed loop whose body was one same-bytes run: transfer
-          [count * unit_size] bytes in one move *)
   | F_loop of {
       count : fcount;
       emit_len : bool;
@@ -127,6 +120,35 @@ type fop =
     }  (** fallback: decode this root to values, re-encode them *)
 
 type plan = { f_ops : fop list; f_src : Encoding.t; f_dst : Encoding.t }
+
+(** How the relay moves an {!constructor-F_loop}'s elements. *)
+type loop_mode =
+  | Verbatim of int option
+      (** each element's source bytes are its destination bytes: scan the
+          run, then one transfer, borrowed above the threshold; no scan
+          for [Some u], a body of fixed runs of [u] bytes in all *)
+  | In_window
+      (** scan the run, reserve the destination once, then one in-window
+          pass of length words, blits and zero fills *)
+  | Per_element  (** the body, once per element *)
+
+val word_atom : Mplan.atom -> bool
+(** A 4-byte integer of at most 32 bits, moved with no alignment of its own. *)
+
+val loop_mode : src:Encoding.t -> dst:Encoding.t -> fop list -> loop_mode
+(** The one place that decides how a loop over this body relays.  It is
+    scanned when every op only moves bytes (an alignment, a string, a
+    byte sequence, a blit, a blitted scalar array of fixed count, a run
+    of copies and zero fills), and {!Verbatim} when both sides also agree
+    on length-word byte order, NUL and pad, the destination has no
+    alignment of its own and every run is one full copy.  A verbatim
+    scan that finds a source alignment skip or a non-zero NUL or pad
+    byte moves the run in window; a scan that meets a length it would
+    refuse or the end of the reader's window runs the body per element
+    from the same position. *)
+
+val loop_mode_name : loop_mode -> string
+(** ["verbatim"], ["in window"] or ["per element"]. *)
 
 val provenance : fop -> string
 (** The op's copy-elision class, one of ["blit"], ["borrow"],

@@ -8,7 +8,7 @@ type atom = { kind : Encoding.atom_kind; size : int; align : int }
 
 type rv =
   | Rparam of { index : int; name : string; deref : bool }
-  | Rfield of { base : rv; index : int; member : string }
+  | Rfield of { base : rv; index : int; member : string; fixed : int option }
   | Rvar of int
   | Rarm of { base : rv; case : int; member : string; union_field : string }
   | Ropt of rv

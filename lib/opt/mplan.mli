@@ -42,7 +42,10 @@ type atom = { kind : Encoding.atom_kind; size : int; align : int }
     navigation over runtime values). *)
 type rv =
   | Rparam of { index : int; name : string; deref : bool }
-  | Rfield of { base : rv; index : int; member : string }
+  | Rfield of { base : rv; index : int; member : string; fixed : int option }
+      (** member [index]; [fixed = Some n] when [base] is a fixed array
+          of [n] elements unrolled into a chunk, which the engine checks
+          before it stores the array *)
   | Rvar of int  (** a loop's element variable *)
   | Rarm of { base : rv; case : int; member : string; union_field : string }
   | Ropt of rv  (** payload of a non-null optional pointer *)

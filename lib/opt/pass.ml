@@ -175,9 +175,7 @@ let decode_passes =
     };
   ]
 
-(* The forward side: fused decode+encode programs for gateway relaying.
-   Coalescing must precede collapsing — the single-copy loop bodies the
-   collapse matches are what move coalescing creates. *)
+(* The forward side: fused decode+encode programs for gateway relaying. *)
 let forward_side =
   {
     s_name = "forward";
@@ -193,12 +191,6 @@ let forward_passes =
       p_transform =
         (fun ?stats (p : Fplan.plan) ->
           { p with Fplan.f_ops = Peephole.forward_coalesce ?stats p.Fplan.f_ops });
-    };
-    {
-      p_name = "forward-loop-collapse";
-      p_transform =
-        (fun ?stats (p : Fplan.plan) ->
-          { p with Fplan.f_ops = Peephole.forward_collapse ?stats p.Fplan.f_ops });
     };
   ]
 

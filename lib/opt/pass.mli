@@ -56,9 +56,7 @@ val decode_passes : Dplan.plan pass list
 (** ["chunk-merge"]; ["loop-ensure-hoist"]. *)
 
 val forward_passes : Fplan.plan pass list
-(** ["forward-run-coalesce"]; ["forward-loop-collapse"] — the order is
-    load-bearing: collapsing matches the single-copy loop bodies
-    coalescing creates. *)
+(** ["forward-run-coalesce"]. *)
 
 val encode_pass_names : string list
 val decode_pass_names : string list

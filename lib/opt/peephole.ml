@@ -626,42 +626,3 @@ let rec fwd_coalesce_ops st ops =
 let forward_coalesce ?stats ops =
   let st = match stats with Some st -> st | None -> fresh_stats () in
   fwd_coalesce_ops st ops
-
-(* A loop whose body is one whole-stride copy under exact reservations
-   on both sides is a counted memcpy: count * unit bytes in one
-   transfer, borrowable by reference above the threshold. *)
-let rec fwd_collapse_ops st ops =
-  List.map
-    (fun (op : Fplan.fop) ->
-      match op with
-      | Fplan.F_opt o -> Fplan.F_opt { body = fwd_collapse_ops st o.body }
-      | Fplan.F_loop l -> (
-          let body = fwd_collapse_ops st l.body in
-          match (l.src_ensure, l.dst_ensure, body) with
-          | ( Some u,
-              Some u',
-              [
-                Fplan.F_run
-                  {
-                    src_size;
-                    dst_size;
-                    moves = [ Fplan.Fm_copy { src_off = 0; dst_off = 0; len } ];
-                    _;
-                  };
-              ] )
-            when u = u' && src_size = u && dst_size = u && len = u ->
-              st.loops_fused <- st.loops_fused + 1;
-              Fplan.F_counted_blit
-                {
-                  count = l.count;
-                  emit_len = l.emit_len;
-                  unit_size = u;
-                  borrow = true;
-                }
-          | _ -> Fplan.F_loop { l with body })
-      | op -> op)
-    ops
-
-let forward_collapse ?stats ops =
-  let st = match stats with Some st -> st | None -> fresh_stats () in
-  fwd_collapse_ops st ops

@@ -109,8 +109,8 @@ val optimize_dplan_with :
 (** {1 Forward-plan rewrites}
 
     The same engine over {!Fplan} programs, registered as the
-    [forward-*] passes.  Both transforms are byte-preserving on the
-    destination and accept exactly the messages the input plan accepts,
+    [forward-run-coalesce] pass.  The transform is byte-preserving on the
+    destination and accepts exactly the messages the input plan accepts,
     with the same check-motion caveat as the decode rewrites: a merged
     bounds check may surface as [Short_buffer] where the original plan
     failed a later, smaller check. *)
@@ -120,11 +120,3 @@ val forward_coalesce : ?stats:stats -> Fplan.fop list -> Fplan.fop list
     the first's sizes; one check per side covers both — counted under
     [chunks_merged]) and then merge contiguous [Fm_copy] / [Fm_zero]
     moves inside each run, recursing into loop and optional bodies. *)
-
-val forward_collapse : ?stats:stats -> Fplan.fop list -> Fplan.fop list
-(** Collapse a loop whose body is a single whole-stride copy run under
-    exact reservations on both sides into one
-    {!Fplan.fop.F_counted_blit} — [count * unit] bytes move in a single
-    transfer, borrowable above the threshold (counted under
-    [loops_fused]).  Runs after {!forward_coalesce}, which creates the
-    single-copy bodies it matches. *)

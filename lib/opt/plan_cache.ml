@@ -268,7 +268,7 @@ let rec fp_rv fp (rv : Mplan.rv) =
       Buffer.add_string fp.buf (if deref then "rP*" else "rP");
       fp_int fp index;
       fp_str fp name
-  | Mplan.Rfield { base; index; member } ->
+  | Mplan.Rfield { base; index; member; fixed = _ } ->
       Buffer.add_string fp.buf "rF";
       fp_int fp index;
       fp_str fp member;

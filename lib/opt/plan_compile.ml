@@ -395,7 +395,7 @@ let rec compile_value st (rv : Mplan.rv) idx (pres : Pres.t) =
       List.iter2
         (fun (i, (_, fidx)) (member, sub) ->
           compile_value st
-            (Mplan.Rfield { base = rv; index = i; member })
+            (Mplan.Rfield { base = rv; index = i; member; fixed = None })
             fidx sub)
         (List.mapi (fun i f -> (i, f)) fields)
         arms
@@ -447,7 +447,7 @@ and compile_array st rv ~elem ~min_len ~max_len (pres : Pres.t) =
                     {
                       off;
                       atom;
-                      src = Mplan.Rfield { base = rv; index = i; member = Printf.sprintf "[%d]" i };
+                      src = Mplan.Rfield { base = rv; index = i; member = Printf.sprintf "[%d]" i; fixed = Some min_len };
                     });
               unroll (i + 1)
             end

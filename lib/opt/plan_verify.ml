@@ -637,10 +637,6 @@ let rec check_fops path ~var ~covered_src ~covered_dst ops =
             failv path
               "atom array stride %d is not a multiple of its alignment %d"
               src_atom.Mplan.size src_atom.Mplan.align
-      | Fplan.F_counted_blit { count; unit_size; _ } ->
-          check_fcount path count;
-          if unit_size <= 0 then
-            failv path "counted blit with non-positive unit size %d" unit_size
       | Fplan.F_loop { count; src_min; src_ensure; dst_ensure; body; _ } ->
           check_fcount path count;
           check_min path ~what:"body" src_min (f_src_exact ~var body);

@@ -199,6 +199,7 @@ let ensure t n =
 
 let advance t n = t.pos <- t.pos + n
 let set_origin t = t.origin <- t.pos
+let origin t = t.origin
 
 let align t a =
   let rem = (t.pos - t.origin) land (a - 1) in
@@ -250,12 +251,15 @@ let set_f64_le t off v =
   let bits = Int64.bits_of_float v in
   unsafe_set64 t.buf (apos t off) (if native_big then bswap64 bits else bits)
 
-let set_bytes t off src srcoff len =
-  Bytes.blit src srcoff t.buf (apos t off) len;
+let count_copy t len =
   t.st_copied <- t.st_copied + len;
   t.st_copies <- t.st_copies + 1;
   g_copied := !g_copied + len;
   incr g_copies
+
+let set_bytes t off src srcoff len =
+  Bytes.blit src srcoff t.buf (apos t off) len;
+  count_copy t len
 
 let fill_zero t off len = Bytes.fill t.buf (apos t off) len '\000'
 
@@ -266,10 +270,7 @@ let wwindow t k x =
 
 let set_string t off src srcoff len =
   Bytes.blit_string src srcoff t.buf (apos t off) len;
-  t.st_copied <- t.st_copied + len;
-  t.st_copies <- t.st_copies + 1;
-  g_copied := !g_copied + len;
-  incr g_copies
+  count_copy t len
 
 (* Store at a message-absolute position, wherever that byte now lives:
    the active region, or the sealed own segment holding it (walked back

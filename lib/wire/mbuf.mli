@@ -129,6 +129,9 @@ val align : t -> int -> unit
 val set_origin : t -> unit
 (** Make the cursor the origin {!align} measures from. *)
 
+val origin : t -> int
+(** The position {!align} measures from. *)
+
 val patch_i32_be : t -> int -> int -> unit
 (** [patch_i32_be t at v] stores [v] big-endian at message-absolute
     position [at], 4 bytes inside one writer-owned segment (else

@@ -1282,6 +1282,26 @@ let hostile_count_test () =
       (Encoding.mach3, `Fluke);
       (Encoding.fluke, `Fluke);
     ];
+  (* the dirents relays the gateway runs, whose element loops scan the
+     source run: the count is bounded before the scan *)
+  List.iter
+    (fun (src, style, dst) ->
+      let spec, wire = hostile_request src style "send_dirents" entry in
+      let fwd =
+        Stub_forward.compile_forward ~src ~dst ~mint:spec.Paper_fixtures.ms_mint
+          ~named:spec.Paper_fixtures.ms_named
+          (List.map Stub_opt.to_dplan_droot spec.Paper_fixtures.ms_droots)
+          spec.Paper_fixtures.ms_roots
+      in
+      fails_small
+        (Printf.sprintf "%s->%s send_dirents relay" src.Encoding.name dst.Encoding.name)
+        wire
+        (fun () -> fwd (Mbuf.reader_of_bytes wire) (Mbuf.create 64)))
+    [
+      (Encoding.xdr, `Rpcgen, Encoding.xdr);
+      (Encoding.cdr, `Corba, Encoding.xdr);
+      (Encoding.xdr, `Rpcgen, Encoding.cdr);
+    ];
   (* sequence<node>, node = { long v; node *next; }: the three decoders
      in every encoding, and the relays to xdr from every fixed
      encoding, which materialize through Stub_opt's decoder *)

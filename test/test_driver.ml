@@ -325,6 +325,31 @@ let dump_tests =
           (contains out "# convert");
         Alcotest.(check bool) "no materialize fallback" true
           (not (contains out "# fallback")));
+    test "dump-plan --forward names how every relay loop moves" (fun () ->
+        (* verbatim where each element's source bytes are its
+           destination bytes, in window where NUL, pad or alignment
+           differ, per element where an op converts *)
+        List.iter
+          (fun (op, (src, sname), (dst, dname), mode) ->
+            let out =
+              Plan_dump.render ~idl:Driver.Idl_corba ~pres:Driver.Pres_rpcgen ~backend:src
+                ~interface:None ~op:(Some op) ~mode:(Plan_dump.Forward dst) ~file:"bench.idl"
+                ~source:Paper_fixtures.bench_idl ()
+            in
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s %s -> %s" op sname dname)
+              [ "loop fwd[0]: " ^ mode ]
+              (List.filter
+                 (fun l -> String.length l > 8 && String.sub l 0 8 = "loop fwd")
+                 (String.split_on_char '\n' out)))
+          (let oncrpc = (Driver.Back_oncrpc, "oncrpc") and iiop = (Driver.Back_iiop, "iiop") in
+           [
+             ("send_dirents", oncrpc, oncrpc, "verbatim");
+             ("send_dirents", iiop, oncrpc, "in window");
+             ("send_dirents", oncrpc, iiop, "in window");
+             ("send_dirents", iiop, (Driver.Back_fluke, "fluke"), "per element");
+             ("send_rects", oncrpc, oncrpc, "verbatim");
+           ]));
     test "dump-plan with an unknown --op is a diagnostic, not a crash"
       (fun () ->
         match render ~op:(Some "nosuch") Plan_dump.Marshal with

@@ -521,6 +521,40 @@ let bounded_string_test () =
       done)
     Encoding.all
 
+(* A Bench dirent whose [long fields[30]] holds 29 or 31 ints: every
+   engine raises Invalid_argument naming both lengths, in every
+   encoding, before it stores the array (Stub_opt's unrolled fields
+   used to store 29 words and fail on the 30th, or drop the 31st). *)
+let fixed_length_test () =
+  List.iter
+    (fun enc ->
+      let style = match enc.Encoding.name with "cdr" -> `Corba | "xdr" -> `Rpcgen | _ -> `Fluke in
+      let spec = Paper_fixtures.request_spec (Paper_fixtures.bench_presc style) ~op:"send_dirents" in
+      let mint = spec.Paper_fixtures.ms_mint and named = spec.Paper_fixtures.ms_named in
+      List.iter
+        (fun n ->
+          let entry =
+            Value.Vstruct
+              [| Value.Vstring "name";
+                 Value.Vstruct [| Value.Vint_array (Array.make n 7); Value.Vbytes (Bytes.make 16 'x') |] |]
+          in
+          List.iter
+            (fun (what, compile) ->
+              let e = compile ~enc ~mint ~named spec.Paper_fixtures.ms_roots in
+              match e (Mbuf.create 16) [| Value.Varray [| entry |] |] with
+              | () -> Alcotest.failf "%s %s: stored %d fields" enc.Encoding.name what n
+              | exception Invalid_argument msg ->
+                  let says x = List.mem (string_of_int x) (String.split_on_char ' ' msg) in
+                  if not (says n && says 30) then
+                    Alcotest.failf "%s %s: %S does not name %d and 30" enc.Encoding.name what msg n)
+            [
+              ("Stub_opt", opt_encoder);
+              ("Stub_naive", Stub_naive.compile_encoder ~config:Stub_naive.default_config);
+              ("Stub_interp", Stub_interp.compile_encoder);
+            ])
+        [ 29; 31 ])
+    Encoding.all
+
 let failure_tests =
   [
     Alcotest.test_case "truncated buffers raise Short_buffer" `Quick (fun () ->
@@ -592,6 +626,7 @@ let failure_tests =
         | exception Codec.Decode_error _ -> ());
     Alcotest.test_case "an over-long bounded string is refused before any store" `Quick
       bounded_string_test;
+    Alcotest.test_case "a fixed array of the wrong length is refused" `Quick fixed_length_test;
   ]
 
 (* A freshly compiled encoder stores a 64 KiB message from its first

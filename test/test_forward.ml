@@ -24,15 +24,37 @@ let mut_rng = Random.State.make [| 0x0bf00d |]
    and the number of source bytes consumed, or a typed failure. *)
 type outcome = Ok_relay of string * int | Failed
 
+(* [head] header bytes lead the writer, its origin after them: the
+   relay's bytes are the rest *)
+let relay_into ?(head = 0) (fwd : Stub_forward.forward) r w : outcome =
+  Mbuf.ensure w head;
+  Mbuf.fill_zero w 0 head;
+  Mbuf.advance w head;
+  Mbuf.set_origin w;
+  match fwd r w with
+  | () ->
+      let out = Bytes.to_string (Mbuf.contents w) in
+      Ok_relay (String.sub out head (String.length out - head), Mbuf.remaining r)
+  | exception (Mbuf.Short_buffer | Codec.Decode_error _) -> Failed
+
 let relay_outcome (fwd : Stub_forward.forward) (wire : bytes) : outcome =
-  let r = Mbuf.reader_of_bytes wire in
   let w = Mbuf.acquire () in
   Fun.protect
     ~finally:(fun () -> Mbuf.release w)
-    (fun () ->
-      match fwd r w with
-      | () -> Ok_relay (Bytes.to_string (Mbuf.contents w), Mbuf.remaining r)
-      | exception (Mbuf.Short_buffer | Codec.Decode_error _) -> Failed)
+    (fun () -> relay_into fwd (Mbuf.reader_of_bytes wire) w)
+
+let relay_outcome_r (fwd : Stub_forward.forward) r : outcome =
+  let w = Mbuf.acquire () in
+  Fun.protect ~finally:(fun () -> Mbuf.release w) (fun () -> relay_into fwd r w)
+
+(* The scatter-gather settings for [f], restored after it. *)
+let with_sg ~on ~threshold f =
+  let on0 = Mbuf.sg_enabled () and t0 = Mbuf.borrow_threshold () in
+  Mbuf.set_sg_enabled on;
+  Mbuf.set_borrow_threshold threshold;
+  Fun.protect f ~finally:(fun () ->
+      Mbuf.set_sg_enabled on0;
+      Mbuf.set_borrow_threshold t0)
 
 let same_outcome a b =
   match (a, b) with
@@ -87,14 +109,35 @@ let forward_prop (src, dst) (c : Test_engines.case) =
         what c.Test_engines.label (pp_outcome b) (pp_outcome f)
   in
   (* the well-formed message must relay, identically *)
-  (match relay_outcome base wire with
-  | Failed ->
-      QCheck.Test.fail_reportf "baseline failed well-formed input on %s"
-        c.Test_engines.label
-  | Ok_relay _ -> ());
+  let expect = relay_outcome base wire in
+  if expect = Failed then
+    QCheck.Test.fail_reportf "baseline failed well-formed input on %s"
+      c.Test_engines.label;
   agree "relays" wire;
-  (* truncation parity *)
+  (* and so from a source cut into segments, into a dirty reused writer
+     behind a header, and with scatter-gather off or borrowing every
+     byte it can *)
+  let again what got =
+    if not (same_outcome expect got) then
+      QCheck.Test.fail_reportf "%s on %s:@.baseline %s@.fused    %s" what
+        c.Test_engines.label (pp_outcome expect) (pp_outcome got)
+  in
   let n = Bytes.length wire in
+  let cuts = List.init (Random.State.int mut_rng 8) (fun _ -> 1 + Random.State.int mut_rng (max 1 n)) in
+  again "segmented source" (relay_outcome_r fused (Test_decplan.segmented wire cuts));
+  let head = List.nth [ 0; 3; 5 ] (Random.State.int mut_rng 3) in
+  let w = Mbuf.acquire () in
+  Mbuf.ensure w 256;
+  Mbuf.fill_zero w 0 256;
+  Bytes.iteri (fun i c -> if i < 256 then Mbuf.set_u8 w i (Char.code c lxor 0xa5)) wire;
+  Mbuf.advance w 256;
+  Mbuf.reset w;
+  again (Printf.sprintf "reused writer behind %d bytes" head)
+    (Fun.protect ~finally:(fun () -> Mbuf.release w) (fun () ->
+         relay_into ~head fused (Mbuf.reader_of_bytes wire) w));
+  with_sg ~on:false ~threshold:512 (fun () -> again "scatter-gather off" (relay_outcome fused wire));
+  with_sg ~on:true ~threshold:1 (fun () -> again "borrow threshold 1" (relay_outcome fused wire));
+  (* truncation parity *)
   if n > 0 then agree "truncations" (Bytes.sub wire 0 (Random.State.int mut_rng n));
   (* corruption parity: flip one bit somewhere *)
   if n > 0 then begin
@@ -308,24 +351,103 @@ let rects_relay_test () =
     | Ok_relay (bytes, 0) -> Test_engines.hex bytes
     | o -> pp_outcome o)
 
-(* A rect reserves exactly its 16 bytes on both sides of an xdr -> xdr
-   relay, so the element loop collapses to one counted blit that
-   borrows the payload. *)
+(* A rect's 16 bytes are the same under xdr on both sides, so the
+   element loop relays verbatim: a 64 KiB rects relay is one transfer,
+   borrowed, and copies no payload byte. *)
 let rects_counted_blit_test () =
-  let ms = Paper_fixtures.request_spec (Paper_fixtures.bench_presc `Rpcgen) ~op:"send_rects" in
-  let plan =
-    Stub_forward.forward_plan ~src:Encoding.xdr ~dst:Encoding.xdr
-      ~mint:ms.Paper_fixtures.ms_mint ~named:ms.Paper_fixtures.ms_named
-      (List.map Stub_opt.to_dplan_droot ms.Paper_fixtures.ms_droots)
-      ms.Paper_fixtures.ms_roots
+  let out =
+    Plan_dump.render ~idl:Driver.Idl_corba ~pres:Driver.Pres_rpcgen ~backend:Driver.Back_oncrpc
+      ~interface:None ~op:(Some "send_rects") ~mode:(Plan_dump.Forward Driver.Back_oncrpc)
+      ~file:"bench.idl" ~source:Paper_fixtures.bench_idl ()
   in
-  (* after the procedure number's fixup run *)
-  Alcotest.(check (list string))
-    "one counted blit"
-    [ "counted_blit count=wire(sequence 0..inf) emit_len unit=16  # borrow" ]
-    (List.filter_map
-       (function Fplan.F_run _ -> None | op -> Some (Format.asprintf "%a" Fplan.pp_op op))
-       plan.Fplan.f_ops)
+  Alcotest.(check (list string)) "the loop's mode" [ "loop fwd[0]: verbatim" ]
+    (List.filter (fun l -> String.length l > 8 && String.sub l 0 8 = "loop fwd") (String.split_on_char '\n' out));
+  let ms = Paper_fixtures.request_spec (Paper_fixtures.bench_presc `Rpcgen) ~op:"send_rects" in
+  let mint = ms.Paper_fixtures.ms_mint and named = ms.Paper_fixtures.ms_named in
+  let wire = Mbuf.create 256 in
+  Stub_opt.compile_encoder ~enc:Encoding.xdr ~mint ~named ms.Paper_fixtures.ms_roots wire
+    [| Paper_fixtures.payload `Rects ~bytes:65536 |];
+  let wire = Mbuf.contents wire in
+  let fwd =
+    Stub_forward.compile_forward ~src:Encoding.xdr ~dst:Encoding.xdr ~mint ~named
+      (List.map Stub_opt.to_dplan_droot ms.Paper_fixtures.ms_droots) ms.Paper_fixtures.ms_roots
+  in
+  let w = Mbuf.create 64 in
+  fwd (Mbuf.reader_of_bytes wire) w;
+  let st = Mbuf.stats w in
+  Alcotest.(check string) "relayed bytes" (Bytes.to_string wire) (Bytes.to_string (Mbuf.contents w));
+  Alcotest.(check (pair int int)) "one borrow, no payload byte copied" (1, 0)
+    (st.Mbuf.borrows, st.Mbuf.bytes_copied)
+
+(* The three dirents relays the gateway runs, and a cdr -> cdr loop
+   whose body ends in a run the scan cannot fold into the string before
+   it (a char after the string's NUL).  A source with every
+   name's NUL and pad byte non-zero relays as decode-then-reencode does,
+   which writes zeros there (a verbatim loop moves such a run in
+   window); cut at every byte, the relay fails exactly when the baseline
+   fails. *)
+let scanned_relays_test () =
+  let names = Array.init 12 (fun i -> Printf.sprintf "entry%02d%s" i (String.make (i mod 5) 'x')) in
+  let dirent i =
+    Value.Vstruct
+      [| Value.Vstring names.(i);
+         Value.Vstruct [| Value.Vint_array (Array.make 30 i); Value.Vbytes (Bytes.make 16 'x') |] |]
+  and tailed i = Value.Vstruct [| Value.Vstring names.(i); Value.Vchar 'c' |] in
+  let tailed_spec =
+    Paper_fixtures.request_spec
+      (Presgen_corba.generate
+         (Corba_parser.parse ~file:"g.idl"
+            "struct g { string name; char c; }; typedef sequence<g> gs;\n\
+             interface T { void f(in gs x); };")
+         [ "T" ])
+      ~op:"f"
+  in
+  List.iter
+    (fun (src, dst, ms, elem) ->
+      let mint = ms.Paper_fixtures.ms_mint and named = ms.Paper_fixtures.ms_named in
+      let w = Mbuf.create 256 in
+      Stub_opt.compile_encoder ~enc:src ~mint ~named ms.Paper_fixtures.ms_roots w
+        [| Value.Varray (Array.init 12 elem) |];
+      let wire = Mbuf.contents w in
+      (* each name's NUL and pad: the bytes after it up to a multiple of 4 *)
+      let dirty = Bytes.copy wire in
+      Array.iter
+        (fun name ->
+          let s = Bytes.to_string wire and k = String.length name in
+          let rec find i = if String.sub s i k = name then i + k else find (i + 1) in
+          let e = find 0 in
+          for j = e to ((e + 3) land lnot 3) - 1 do
+            Bytes.set dirty j '\x5a'
+          done)
+        names;
+      let label = src.Encoding.name ^ "->" ^ dst.Encoding.name in
+      let base =
+        let dec = Stub_opt.compile_decoder ~enc:src ~mint ~named ms.Paper_fixtures.ms_droots in
+        let re = Stub_opt.compile_encoder ~enc:dst ~mint ~named ms.Paper_fixtures.ms_roots in
+        fun r w -> re w (dec r)
+      in
+      let fused =
+        Stub_forward.compile_forward ~src ~dst ~mint ~named
+          (List.map Stub_opt.to_dplan_droot ms.Paper_fixtures.ms_droots) ms.Paper_fixtures.ms_roots
+      in
+      Alcotest.(check bool) (label ^ ": the pads were zero") false (Bytes.equal wire dirty);
+      List.iter
+        (fun image ->
+          Alcotest.(check string) (label ^ " relay") (pp_outcome (relay_outcome base image))
+            (pp_outcome (relay_outcome fused image)))
+        [ wire; dirty ];
+      for cut = 0 to Bytes.length dirty - 1 do
+        let image = Bytes.sub dirty 0 cut in
+        if not (same_outcome (relay_outcome base image) (relay_outcome fused image)) then
+          Alcotest.failf "%s cut at %d: baseline %s, fused %s" label cut
+            (pp_outcome (relay_outcome base image)) (pp_outcome (relay_outcome fused image))
+      done)
+    (List.map
+       (fun (src, dst) ->
+         let style = match src.Encoding.name with "cdr" -> `Corba | _ -> `Rpcgen in
+         (src, dst, Paper_fixtures.request_spec (Paper_fixtures.bench_presc style) ~op:"send_dirents", dirent))
+       Encoding.[ (xdr, xdr); (cdr, xdr); (xdr, cdr) ]
+    @ [ (Encoding.cdr, Encoding.cdr, tailed_spec, tailed) ])
 
 let suite =
   [
@@ -341,5 +463,6 @@ let suite =
             gateway_pool_test;
           Alcotest.test_case "xdr->xdr rects relay is one counted blit" `Quick
             rects_counted_blit_test;
+          Alcotest.test_case "scanned relays: non-zero pads, every cut" `Quick scanned_relays_test;
         ] );
   ]
