@@ -15,17 +15,19 @@
 # end-to-end ones, or with --trace every per-layer one that either side
 # reports nonzero, each read in its declared direction.  Printed: one
 # row per seed and metric, then for each metric the median and
-# quartiles of both sides, the median change, the parent interquartile
-# range, how many seeds the working tree reads better, a verdict, and
-# each side's attempted and failed operation totals.  The verdict
-# applies the bounds BENCHMARK.json gives the end-to-end metrics, in
-# this order: "worse" when the change's median is worse than the
-# base's by more than the bound; "unresolved" when either side's
-# interquartile range exceeds the bound (relative to the base median)
-# and not every change run beats every base run; "better" when the
-# change wins at least 9 of 10 pairs and its median beats the base's
-# by more than the base interquartile range; else "holds".  A metric
-# without a bound (the traced ones) reads "better" or "-".  A run that crashed
+# quartiles of both sides, the median change, the median and quartiles
+# of the per-seed ratios (change / base), how many seeds the working
+# tree reads better, a verdict, and each side's attempted and failed
+# operation totals.  The verdict judges the ratios, so that what
+# varies from seed to seed on both sides cancels, and applies the
+# bounds BENCHMARK.json gives the end-to-end metrics, in this order:
+# "worse" when the median ratio is worse than the bound; "unresolved"
+# when the ratios' interquartile range straddles the bound; "better"
+# when at least 10 pairs ran, the change wins at least 9 in 10 of them
+# and the median ratio's gain exceeds the ratios' interquartile range;
+# else "holds".  A
+# metric without a bound (the traced ones) reads "better" or "-".
+# A run that crashed
 # (no result line) or reports "correct": false or failed > 0 is named
 # by seed and side, its pair is left out of the summary, and the
 # script exits 1.  The extracted tree is removed on exit.  Needs git,
@@ -131,29 +133,40 @@ for s in seeds:
         b, c = runs[s]["base"][m], runs[s]["change"][m]
         print(f"{s:>6} {m:<{w}} {num(b):>12} {num(c):>12} {delta(b, c)}")
 print()
-def verdict(m, b, c, bm, cm, iqr, wins, up):
-    gain = (cm - bm) if up else (bm - cm)  # positive when the change is better
+# the per-seed ratios change / base (1 when both are 0; a pair whose
+# base alone is 0 has none)
+def ratios(b, c):
+    return [y / x if x else 1.0 for x, y in zip(b, c) if x or not y]
+
+def verdict(m, b, c, wins, up):
+    r = ratios(b, c)
+    if not r:
+        return "-"
+    q1, med, q3 = (quantile(r, q) for q in (0.25, 0.5, 0.75))
+    gain = (med - 1) if up else (1 - med)  # positive when the change is better
     bound = bounds.get(m)
-    spread = lambda xs: quantile(xs, 0.75) - quantile(xs, 0.25)
-    every = min(c) > max(b) if up else max(c) < min(b)
-    if bound is not None and -gain > bound * abs(bm):
+    line = None if bound is None else (1 - bound if up else 1 + bound)
+    if bound is not None and -gain > bound:
         return "worse"
-    if bound is not None and max(spread(b), spread(c)) > bound * abs(bm) and not every:
+    if line is not None and q1 < line < q3:
         return "unresolved"
-    if 10 * wins >= 9 * len(b) and gain > iqr:
+    if len(b) >= 10 and 10 * wins >= 9 * len(b) and gain > q3 - q1:
         return "better"
     return "holds" if bound is not None else "-"
 
-print(f"{'metric':<{w}} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} {'delta':>8} {'base IQR':>10} {'wins':>6}  verdict")
+def ratio(x):
+    return f"{x:.3f}"
+
+def fmt(xs, f=num):
+    return f"{f(quantile(xs, 0.5))} [{f(quantile(xs, 0.25))}, {f(quantile(xs, 0.75))}]" if xs else "-"
+print(f"{'metric':<{w}} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} {'delta':>8} {'ratio median [q1, q3]':>26} {'wins':>6}  verdict")
 for m, better in metrics if seeds else []:
     b = [runs[s]["base"][m] for s in seeds]
     c = [runs[s]["change"][m] for s in seeds]
     bm, cm = quantile(b, 0.5), quantile(c, 0.5)
-    iqr = quantile(b, 0.75) - quantile(b, 0.25)
     wins = sum(1 for x, y in zip(b, c) if (y > x if better == "higher" else y < x))
-    fmt = lambda xs: f"{num(quantile(xs, 0.5))} [{num(quantile(xs, 0.25))}, {num(quantile(xs, 0.75))}]"
-    v = verdict(m, b, c, bm, cm, iqr, wins, better == "higher")
-    print(f"{m:<{w}} {fmt(b):>30} {fmt(c):>30} {delta(bm, cm)} {num(iqr):>10} {wins:>3}/{len(seeds)}  {v}")
+    v = verdict(m, b, c, wins, better == "higher")
+    print(f"{m:<{w}} {fmt(b):>30} {fmt(c):>30} {delta(bm, cm)} {fmt(ratios(b, c), ratio):>26} {wins:>3}/{len(seeds)}  {v}")
 if zero:
     print(f"0 in every run: {', '.join(zero)}")
 print()

@@ -108,6 +108,14 @@ val check_fixed : int -> int -> unit
 (** [check_fixed n len] raises [Invalid_argument] naming both lengths when
     a fixed array of [len] elements is handed [n], before any store. *)
 
+val check_union : Mint.const array -> default:bool -> case:int -> Mint.const -> unit
+(** [check_union consts ~default ~case discrim] raises [Invalid_argument]
+    before a union's discriminator is stored, unless the value names
+    case [case] of the union whose case constants are [consts] with
+    [discrim = consts.(case)], or ([case = -1], when [default]) its
+    default arm with a [discrim] that is no case's constant.  Every
+    engine calls it, so all three refuse alike. *)
+
 val skip_pad : Mbuf.reader -> pad_unit:int -> int -> unit
 (** Skip the trailing padding of an [n]-byte variable-length run up to
     the encoding's pad unit. *)

@@ -117,6 +117,9 @@ let rec encode ~(enc : Encoding.t) ~mint ~named idx (pres : Pres.t) buf
       Pres.Union { arms; default_arm; _ } ) -> (
       match v with
       | Value.Vunion u -> (
+          Codec.check_union
+            (Array.of_list (List.map (fun (c : Mint.case) -> c.Mint.c_const) cases))
+            ~default:(default <> None) ~case:u.case u.discrim;
           hdr ();
           (match Encoding.atom_of_mint (Mint.get mint discrim) with
           | Some kind -> put_scalar kind (Codec.const_to_value u.discrim)

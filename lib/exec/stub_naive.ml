@@ -120,9 +120,11 @@ let compile_value_encoder cfg (enc : Encoding.t) mint named :
           | None, None -> None
           | _, _ -> invalid_arg "Stub_naive: PRES/MINT default mismatch"
         in
+        let consts = Array.of_list (List.map (fun (c : Mint.case) -> c.Mint.c_const) cases) in
         fun buf v ->
           (match v with
           | Value.Vunion u ->
+              Codec.check_union consts ~default:(default_fn <> None) ~case:u.case u.discrim;
               hdr buf;
               (match datom with
               | Some kind ->

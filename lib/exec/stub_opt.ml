@@ -172,8 +172,7 @@ let compile_item ~be (it : Mplan.item) : Mbuf.t -> env -> unit =
         | Value.Vbytes b ->
             Codec.check_fixed (Bytes.length b) len;
             Mbuf.set_bytes buf off b 0 len
-        | Value.Vstring s -> Mbuf.set_string buf off s 0 len
-        | Value.Vbytes_view w | Value.Vstring_view w ->
+        | Value.Vbytes_view w ->
             Codec.check_fixed w.Value.v_len len;
             Mbuf.set_bytes buf off w.Value.v_base w.Value.v_off len
         | _ -> invalid_arg "Stub_opt: It_bytes over non-bytes");
@@ -475,14 +474,6 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
                 Mbuf.set_bytes buf 0 v.Value.v_base v.Value.v_off len;
                 Mbuf.advance buf len
               end
-          | Value.Vstring s ->
-              if borrow && String.length s >= len then
-                Mbuf.put_borrow_string buf s 0 len
-              else begin
-                Mbuf.ensure buf len;
-                Mbuf.set_string buf 0 s 0 len;
-                Mbuf.advance buf len
-              end
           | _ -> invalid_arg "Stub_opt: Put_blit over non-bytes");
           if pad > 0 then begin
             Mbuf.ensure buf pad;
@@ -538,22 +529,20 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
             arms
           + 1
         in
-        let table = Array.make (max n_cases 1) None in
+        let table = Array.make (max n_cases 1) None and consts = Array.make n_cases (Mint.Cint 0L) in
         List.iter
-          (fun (a : Mplan.arm) -> table.(a.Mplan.a_case) <- Some (compile_seq a.Mplan.a_body))
+          (fun (a : Mplan.arm) ->
+            table.(a.Mplan.a_case) <- Some (compile_seq a.Mplan.a_body);
+            consts.(a.Mplan.a_case) <- a.Mplan.a_const)
           arms;
         let default_fn = Option.map (fun (_, body) -> compile_seq body) default in
         fun buf env ->
           match sel env with
-          | Value.Vunion { case; _ } -> (
-              if case >= 0 && case < Array.length table then
-                match table.(case) with
-                | Some f -> f buf env
-                | None -> invalid_arg "Stub_opt: missing union arm"
-              else
-                match default_fn with
-                | Some f -> f buf env
-                | None -> invalid_arg "Stub_opt: union case out of range")
+          | Value.Vunion { case; discrim; _ } -> (
+              Codec.check_union consts ~default:(default_fn <> None) ~case discrim;
+              match if case >= 0 then table.(case) else default_fn with
+              | Some f -> f buf env
+              | None -> invalid_arg "Stub_opt: missing union arm")
           | _ -> invalid_arg "Stub_opt: Switch over a non-union")
     | Mplan.Call (name, rv) -> (
         let a = compile_rv rv in

@@ -143,11 +143,12 @@ let var_float_tag vc ~bits =
   | Msgpack -> if bits = 32 then 0xca else 0xcb
   | Cbor -> if bits = 32 then 0xfa else 0xfb
 
-(* A head is a tag byte and a big-endian payload of 0, 1, 2 or 4 bytes,
-   which the format rules below choose as [hd width tag].  [put_head] is
-   the one writer of heads: it stores head [h] with payload [v] at
-   [b.[i]] and returns the head's width, for one value ([emit]) and for
-   a run ([var_put_ints]) alike. *)
+(* A head is a tag byte and a big-endian payload of 0, 1, 2 or 4 bytes.
+   A length's or a bool's head is chosen by the format rules below as
+   [hd width tag]; [put_head] stores head [h] with payload [v] at
+   [b.[i]] and returns the head's width.  An integer's head has one
+   writer per format ([mp_put_int], [cbor_put_int]), for one value and
+   for a run alike. *)
 let[@inline] hd width tag = (width lsl 8) lor tag
 
 let[@inline] put_head b i h v =
@@ -175,21 +176,37 @@ let emit8 ~check b tag v =
   Mbuf.set_i64_be b 1 v;
   Mbuf.advance b 9
 
-(* the [width]-byte (1, 2 or 4) big-endian payload after the tag at
-   [b.[i]], zero-extended; unchecked, for a caller that has checked the
-   head lies in [b] *)
+(* Unchecked big-endian loads and stores, for a caller that has checked
+   (or reserved) the bytes lie in [b]. *)
 external get16u : bytes -> int -> int = "%caml_bytes_get16u"
 external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external set16u : bytes -> int -> int -> unit = "%caml_bytes_set16u"
+external set32u : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"
 external bswap16 : int -> int = "%bswap16"
 external bswap32 : int32 -> int32 = "%bswap_int32"
 
+let[@inline] u8_at b i = Char.code (Bytes.unsafe_get b i)
+let[@inline] u16_at b i = if Sys.big_endian then get16u b i else bswap16 (get16u b i)
+
+(* sign-extended; [land 0xffff_ffff] zero-extends *)
+let[@inline] i32_at b i =
+  let v = get32u b i in
+  Int32.to_int (if Sys.big_endian then v else bswap32 v)
+
+let[@inline] set8 b i v = Bytes.unsafe_set b i (Char.unsafe_chr (v land 0xff))
+let[@inline] set16 b i v = set16u b i (if Sys.big_endian then v else bswap16 v)
+
+let[@inline] set32 b i v =
+  let w = Int32.of_int v in
+  set32u b i (if Sys.big_endian then w else bswap32 w)
+
+(* the [width]-byte (1, 2 or 4) big-endian payload after the tag at
+   [b.[i]], zero-extended *)
 let[@inline] payload_at b i width =
   match width with
-  | 1 -> Char.code (Bytes.unsafe_get b (i + 1))
-  | 2 -> if Sys.big_endian then get16u b (i + 1) else bswap16 (get16u b (i + 1))
-  | _ ->
-      let v = get32u b (i + 1) in
-      Int32.to_int (if Sys.big_endian then v else bswap32 v) land 0xffff_ffff
+  | 1 -> u8_at b (i + 1)
+  | 2 -> u16_at b (i + 1)
+  | _ -> i32_at b (i + 1) land 0xffff_ffff
 
 let payload_in width b i _ = payload_at b i width
 
@@ -254,18 +271,21 @@ let[@inline] got v width = (v lsl 3) lor width
 
 (* ---------------------------- msgpack ----------------------------- *)
 
-(* The integer head of [v] in [-2^31, 2^32): a fixint, else the
-   narrowest tagged form; its payload is [v] itself. *)
-let[@inline] mp_int_head v =
+(* The one writer of integer heads: stores the head of [v] in
+   [-2^31, 2^32) at [b.[i]] (a fixint, else the narrowest tagged form,
+   whose payload is [v] itself) and returns its width.  Each branch
+   writes its form's tag and payload and returns the form's constant,
+   so a run's next position never waits on a store. *)
+let[@inline] mp_put_int b i v =
   if v >= 0 then
-    if v <= 0x7f then hd 0 v
-    else if v <= 0xff then hd 1 0xcc
-    else if v <= 0xffff then hd 2 0xcd
-    else hd 4 0xce
-  else if v >= -32 then hd 0 (v land 0xff)
-  else if v >= -128 then hd 1 0xd0
-  else if v >= -32768 then hd 2 0xd1
-  else hd 4 0xd2
+    if v <= 0x7f then (set8 b i v; 1)
+    else if v <= 0xff then (set8 b i 0xcc; set8 b (i + 1) v; 2)
+    else if v <= 0xffff then (set8 b i 0xcd; set16 b (i + 1) v; 3)
+    else (set8 b i 0xce; set32 b (i + 1) v; 5)
+  else if v >= -32 then (set8 b i v; 1)
+  else if v >= -128 then (set8 b i 0xd0; set8 b (i + 1) v; 2)
+  else if v >= -32768 then (set8 b i 0xd1; set16 b (i + 1) v; 3)
+  else (set8 b i 0xd2; set32 b (i + 1) v; 5)
 
 let mp_len_head kind n =
   match kind with
@@ -384,6 +404,16 @@ let[@inline] cbor_head_of major n =
   else if n <= 0xffff then hd 2 (mt lor 25)
   else hd 4 (mt lor 26)
 
+(* The one writer of integer heads, as [mp_put_int]: a negative [v] is
+   major type 1 with argument [-1 - v]. *)
+let[@inline] cbor_put_int b i v =
+  let neg = v asr (Sys.int_size - 1) in
+  let mt = neg land 0x20 and n = v lxor neg in
+  if n <= 23 then (set8 b i (mt lor n); 1)
+  else if n <= 0xff then (set8 b i (mt lor 24); set8 b (i + 1) n; 2)
+  else if n <= 0xffff then (set8 b i (mt lor 25); set16 b (i + 1) n; 3)
+  else (set8 b i (mt lor 26); set32 b (i + 1) n; 5)
+
 let len_major = function Lbin -> 2 | Lstr -> 3 | Larr -> 4
 
 (* A head's argument of at most 4 bytes, read in place (the tag byte is
@@ -488,17 +518,18 @@ let cbor_get_len r kind =
 
 (* ------------------------- shared plumbing ------------------------ *)
 
-(* An integer's argument, and the one integer-head rule per format: in
-   CBOR a negative [v] is major type 1 with argument [-1 - v]. *)
-let[@inline] int_arg vc v =
-  match vc with Msgpack -> v | Cbor -> v lxor (v asr (Sys.int_size - 1))
+let[@inline] put_int vc b i v =
+  match vc with Msgpack -> mp_put_int b i v | Cbor -> cbor_put_int b i v
 
-let[@inline] int_head vc v =
+let mp_int_in v b i _ = mp_put_int b i v
+let cbor_int_in v b i _ = cbor_put_int b i v
+
+(* [check:true] reserves the worst integer head, 5 bytes *)
+let var_put_int vc ~check b v =
+  if check then Mbuf.ensure b 5;
   match vc with
-  | Msgpack -> mp_int_head v
-  | Cbor -> cbor_head_of (v lsr (Sys.int_size - 1)) (int_arg Cbor v)
-
-let var_put_int vc ~check b v = emit ~check b (int_head vc v) (int_arg vc v)
+  | Msgpack -> Mbuf.advance b (Mbuf.wwindow b mp_int_in v)
+  | Cbor -> Mbuf.advance b (Mbuf.wwindow b cbor_int_in v)
 
 (* a 64-bit field's value: an integer head while it has one, else the
    8-byte form *)
@@ -523,8 +554,7 @@ let var_put_int64 vc ~check ~signed b v =
    one writer window. *)
 let[@inline] put_one vc shift signed b i v =
   let v = v lsl shift in
-  let v = if signed then v asr shift else v lsr shift in
-  put_head b i (int_head vc v) (int_arg vc v)
+  put_int vc b i (if signed then v asr shift else v lsr shift)
 
 let[@inline] put_ints vc shift signed a b i =
   let j = ref i in
@@ -536,17 +566,21 @@ let[@inline] put_ints vc shift signed a b i =
 let var_put_ints vc ~bits ~signed =
   let shift = Sys.int_size - bits in
   let run : int array -> bytes -> int -> int -> int =
-    match vc with
-    | Msgpack -> fun a b i _ -> put_ints Msgpack shift signed a b i
-    | Cbor -> fun a b i _ -> put_ints Cbor shift signed a b i
+    match (vc, signed) with
+    | Msgpack, true -> fun a b i _ -> put_ints Msgpack shift true a b i
+    | Msgpack, false -> fun a b i _ -> put_ints Msgpack shift false a b i
+    | Cbor, true -> fun a b i _ -> put_ints Cbor shift true a b i
+    | Cbor, false -> fun a b i _ -> put_ints Cbor shift false a b i
   in
   fun w a -> Mbuf.advance w (Mbuf.wwindow w run a)
 
 let var_put_int_at vc ~bits ~signed =
   let shift = Sys.int_size - bits in
-  match vc with
-  | Msgpack -> fun b i v -> put_one Msgpack shift signed b i v
-  | Cbor -> fun b i v -> put_one Cbor shift signed b i v
+  match (vc, signed) with
+  | Msgpack, true -> fun b i v -> put_one Msgpack shift true b i v
+  | Msgpack, false -> fun b i v -> put_one Msgpack shift false b i v
+  | Cbor, true -> fun b i v -> put_one Cbor shift true b i v
+  | Cbor, false -> fun b i v -> put_one Cbor shift false b i v
 
 let bool_tag vc x =
   match vc with
@@ -611,38 +645,127 @@ let var_get_int64 vc ~signed r =
   let g = head_at vc (if signed then k_i64 else k_u64) r in
   if g = wide then wide_int vc ~signed r (Mbuf.get_u8 r 0) else Int64.of_int (skip_head r g)
 
-(* The step over a run, in place while heads lie whole in the window;
-   the first that does not (its low two bits 0), and all after it, go
-   through [var_get_int].  The kernel reports how far it got as
-   (elements lsl 31) lor bytes, scanning at most 2^31 - 1 bytes. *)
-let[@inline] fill_run vc ~signed ~lo ~hi kind out b cur stop =
-  let n = Array.length out and stop = if stop - cur > 0x7fff_ffff then cur + 0x7fff_ffff else stop in
-  let k = ref 0 and i = ref cur and more = ref true in
-  while !more && !k < n do
-    let g = step vc ~signed ~lo ~hi kind b !i stop in
-    if g land 3 = 0 then more := false
-    else begin
-      Array.unsafe_set out !k (g asr 3);
-      incr k;
-      i := !i + (g land 7)
+(* A run reads heads in place into [out.(k ..)], each starting at least
+   5 bytes before [stop], so every form's payload lies in the window
+   unchecked.  The branch that recognizes a head's tag checks what
+   [mp_step]/[cbor_step] check for that form, stores the value and
+   advances by the form's constant width, so no head's position waits
+   on the payload before it.  A head no branch accepts (non-minimal, out
+   of the field's range, a negative form in an unsigned field, an
+   8-byte form, another tag, or in the window's last 4 bytes) stops the
+   run for [var_get_int] to read or refuse.  The loop makes no call, so
+   its variables stay in registers; it returns (next element lsl 31)
+   lor bytes read, scanning at most 2^31 - 1 bytes. *)
+let[@inline] mp_run ~signed ~lo ~hi out k b cur stop =
+  let n = Array.length out and k = ref k and i = ref cur in
+  let lim = ref ((if stop - cur > 0x7fff_ffff then cur + 0x7fff_ffff else stop) - 5) in
+  while !k < n && !i <= !lim do
+    let p = !i in
+    let t = u8_at b p in
+    if t <= 0x7f && t <= hi then (Array.unsafe_set out !k t; incr k; i := p + 1)
+    else if t = 0xce then begin
+      let v = i32_at b (p + 1) land 0xffff_ffff in
+      if v >= 0x10000 && v <= hi then (Array.unsafe_set out !k v; incr k; i := p + 5)
+      else lim := -1
     end
+    else if t = 0xcd then begin
+      let v = u16_at b (p + 1) in
+      if v >= 0x100 && v <= hi then (Array.unsafe_set out !k v; incr k; i := p + 3)
+      else lim := -1
+    end
+    else if t = 0xcc then begin
+      let v = u8_at b (p + 1) in
+      if v >= 0x80 && v <= hi then (Array.unsafe_set out !k v; incr k; i := p + 2)
+      else lim := -1
+    end
+    else if not signed then lim := -1
+    else if t >= 0xe0 && t - 256 >= lo then (Array.unsafe_set out !k (t - 256); incr k; i := p + 1)
+    else if t = 0xd2 then begin
+      let v = i32_at b (p + 1) in
+      if v <= -32769 && v >= lo then (Array.unsafe_set out !k v; incr k; i := p + 5)
+      else lim := -1
+    end
+    else if t = 0xd1 then begin
+      let v = sext 2 (u16_at b (p + 1)) in
+      if v <= -129 && v >= lo then (Array.unsafe_set out !k v; incr k; i := p + 3)
+      else lim := -1
+    end
+    else if t = 0xd0 then begin
+      let v = sext 1 (u8_at b (p + 1)) in
+      if v <= -33 && v >= lo then (Array.unsafe_set out !k v; incr k; i := p + 2)
+      else lim := -1
+    end
+    else lim := -1
   done;
   (!k lsl 31) lor (!i - cur)
 
-(* Built per format, with the field's signedness and range bound once,
-   as the fixed-width loops of Codec are built. *)
+let[@inline] cbor_run ~signed ~lo ~hi out k b cur stop =
+  let n = Array.length out and k = ref k and i = ref cur in
+  let lim = ref ((if stop - cur > 0x7fff_ffff then cur + 0x7fff_ffff else stop) - 5) in
+  while !k < n && !i <= !lim do
+    let p = !i in
+    let t = u8_at b p in
+    if t <= 0x17 && t <= hi then (Array.unsafe_set out !k t; incr k; i := p + 1)
+    else if t = 0x1a then begin
+      let v = i32_at b (p + 1) land 0xffff_ffff in
+      if v >= 0x10000 && v <= hi then (Array.unsafe_set out !k v; incr k; i := p + 5)
+      else lim := -1
+    end
+    else if t = 0x19 then begin
+      let v = u16_at b (p + 1) in
+      if v >= 0x100 && v <= hi then (Array.unsafe_set out !k v; incr k; i := p + 3)
+      else lim := -1
+    end
+    else if t = 0x18 then begin
+      let v = u8_at b (p + 1) in
+      if v >= 24 && v <= hi then (Array.unsafe_set out !k v; incr k; i := p + 2)
+      else lim := -1
+    end
+    else if not signed then lim := -1
+    else if t >= 0x20 && t <= 0x37 && 0x1f - t >= lo then
+      (Array.unsafe_set out !k (0x1f - t); incr k; i := p + 1)
+    else if t = 0x3a then begin
+      let a = i32_at b (p + 1) land 0xffff_ffff in
+      if a >= 0x10000 && lnot a >= lo then (Array.unsafe_set out !k (lnot a); incr k; i := p + 5)
+      else lim := -1
+    end
+    else if t = 0x39 then begin
+      let a = u16_at b (p + 1) in
+      if a >= 0x100 && lnot a >= lo then (Array.unsafe_set out !k (lnot a); incr k; i := p + 3)
+      else lim := -1
+    end
+    else if t = 0x38 then begin
+      let a = u8_at b (p + 1) in
+      if a >= 24 && lnot a >= lo then (Array.unsafe_set out !k (lnot a); incr k; i := p + 2)
+      else lim := -1
+    end
+    else lim := -1
+  done;
+  (!k lsl 31) lor (!i - cur)
+
+(* Built per format and signedness, with the field's range bound once,
+   as the fixed-width loops of Codec are built.  Runs alternate with
+   single heads read by [var_get_int], so values, errors and
+   [Mbuf.Short_buffer] are exactly the one-head path's. *)
 let var_fill_ints vc kind =
-  let signed = signed_of kind and lo = lo_of kind and hi = hi_of kind in
-  let fill : int array -> bytes -> int -> int -> int =
-    match vc with
-    | Msgpack -> fun o b c s -> fill_run Msgpack ~signed ~lo ~hi kind o b c s
-    | Cbor -> fun o b c s -> fill_run Cbor ~signed ~lo ~hi kind o b c s
+  let lo = lo_of kind and hi = hi_of kind in
+  let run : int array -> int -> bytes -> int -> int -> int =
+    match (vc, signed_of kind) with
+    | Msgpack, true -> fun o k b c s -> mp_run ~signed:true ~lo ~hi o k b c s
+    | Msgpack, false -> fun o k b c s -> mp_run ~signed:false ~lo ~hi o k b c s
+    | Cbor, true -> fun o k b c s -> cbor_run ~signed:true ~lo ~hi o k b c s
+    | Cbor, false -> fun o k b c s -> cbor_run ~signed:false ~lo ~hi o k b c s
   in
   fun r out ->
-    let got = Mbuf.window r fill out in
-    Mbuf.skip r (got land 0x7fff_ffff);
-    for j = got lsr 31 to Array.length out - 1 do
-      Array.unsafe_set out j (var_get_int vc kind r)
+    let n = Array.length out and k = ref 0 in
+    while !k < n do
+      let got = Mbuf.window2 r run out !k in
+      Mbuf.skip r (got land 0x7fff_ffff);
+      k := got lsr 31;
+      if !k < n then begin
+        Array.unsafe_set out !k (var_get_int vc kind r);
+        incr k
+      end
     done
 
 let var_get_bool vc r =

@@ -106,7 +106,8 @@ val canon_int : bits:int -> signed:bool -> int64 -> int64
     (RFC 8949 preferred serialization for CBOR), so every engine
     accepts exactly the same inputs.  An emitter with [check:false]
     requires the caller to have reserved the atom's worst case; with
-    [check:true] it reserves exactly the bytes it writes.  A char or an
+    [check:true] it reserves the bytes it writes ({!var_put_int}: the
+    worst integer head, 5 bytes).  A char or an
     integer field of at most 32 bits travels as a native [int]; only
     the 8-byte forms touch [int64]. *)
 
@@ -149,12 +150,13 @@ val var_get_int : varcodec -> atom_kind -> Mbuf.reader -> int
 
 val var_fill_ints : varcodec -> atom_kind -> Mbuf.reader -> int array -> unit
 (** [var_fill_ints vc kind r out] fills [out] with consecutive integers
-    read into [kind] as {!var_get_int} reads one: heads lying whole in
-    the reader's window parse in place in one pass, and the first that
-    does not (an 8-byte form, or one crossing the window's end) and
-    everything after it go through {!var_get_int}.  Values and errors
-    are those of [Array.length out] calls to {!var_get_int}: both parse
-    a head with one step, one dispatch on its tag.  Partially applied to
+    read into [kind] as {!var_get_int} reads one.  Runs of heads parse
+    in place from the reader's window, each form's branch advancing by
+    its constant width; a head a run declines (an 8-byte form, a
+    non-minimal or out-of-range value, another tag, or one in the
+    window's last 4 bytes) goes through {!var_get_int}, and the run
+    resumes after it.  Values and errors are those of
+    [Array.length out] calls to {!var_get_int}.  Partially applied to
     [vc] and [kind] it builds its kernel once. *)
 
 val var_get_int64 : varcodec -> signed:bool -> Mbuf.reader -> int64

@@ -303,6 +303,10 @@ val window : reader -> ('a -> bytes -> int -> int -> 'b) -> 'a -> 'b
     a closure.  [k] must not keep [b], and the caller advances the
     cursor with {!skip} afterwards. *)
 
+val window2 : reader -> ('a -> 'b -> bytes -> int -> int -> 'c) -> 'a -> 'b -> 'c
+(** [window2 r k x y] is [k x y b cur stop]: {!window} with two
+    per-call arguments. *)
+
 (** Checked sequential reads (advance the cursor); the bulk reads
     gather across segment boundaries. *)
 

@@ -252,10 +252,10 @@ let respell (v : Value.t) i =
    decodes, as rows exactly when every leaf is one kind (always, for
    32-bit leaves), and that value, rows or boxed, re-encodes to
    Stub_naive's bytes through Stub_opt, Stub_naive and Stub_interp.
-   Stub_opt's cached encoder also stores the generated boxed value, and
-   a respelling of one row that it leaves to the loop body, into a
-   dirty reused writer behind a 0, 3 or 5-byte header: naive's bytes
-   each time. *)
+   Stub_opt's cached encoder also stores the generated boxed value, the
+   decoded value (rows, when they are), and a respelling of one row
+   that it leaves to the loop body, into a dirty reused writer behind a
+   0, 3 or 5-byte header: naive's bytes each time. *)
 let rows_prop enc ((c : Test_engines.case), kind) =
   let mint = c.Test_engines.mint and named = [] in
   let v = Workload.random rng mint ~named c.Test_engines.idx c.Test_engines.pres in
@@ -301,7 +301,7 @@ let rows_prop enc ((c : Test_engines.case), kind) =
             QCheck.Test.fail_reportf "%s, %s behind %d bytes: %s, naive %s (%a)" c.Test_engines.label
               what head (Test_engines.hex got) (Test_engines.hex expect) Value.pp value)
         [ 0; 3; 5 ])
-    [ ("boxed", v, want); ("respelled", mixed, naive_bytes enc c canon) ];
+    [ ("boxed", v, want); ("decoded", got, want); ("respelled", mixed, naive_bytes enc c canon) ];
   true
 
 let rows_encodings =

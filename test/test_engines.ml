@@ -555,6 +555,119 @@ let fixed_length_test () =
         [ 29; 31 ])
     Encoding.all
 
+(* A Bench dirent whose [char tag[16]] is a string of 10, 16 or 20
+   characters rather than bytes: every engine raises Invalid_argument,
+   in every encoding (Stub_opt used to store the first 16 characters,
+   or fail in the stdlib's blit). *)
+let fixed_bytes_string_test () =
+  List.iter
+    (fun enc ->
+      let style = match enc.Encoding.name with "cdr" -> `Corba | "xdr" -> `Rpcgen | _ -> `Fluke in
+      let spec = Paper_fixtures.request_spec (Paper_fixtures.bench_presc style) ~op:"send_dirents" in
+      let mint = spec.Paper_fixtures.ms_mint and named = spec.Paper_fixtures.ms_named in
+      List.iter
+        (fun n ->
+          let entry =
+            Value.Vstruct
+              [| Value.Vstring "name";
+                 Value.Vstruct [| Value.Vint_array (Array.make 30 7); Value.Vstring (String.make n 't') |] |]
+          in
+          List.iter
+            (fun (what, compile) ->
+              let e = compile ~enc ~mint ~named spec.Paper_fixtures.ms_roots in
+              match e (Mbuf.create 16) [| Value.Varray [| entry |] |] with
+              | () -> Alcotest.failf "%s %s: stored a %d-character string as tag" enc.Encoding.name what n
+              | exception Invalid_argument _ -> ())
+            [
+              ("Stub_opt", opt_encoder);
+              ("Stub_naive", Stub_naive.compile_encoder ~config:Stub_naive.default_config);
+              ("Stub_interp", Stub_interp.compile_encoder);
+            ])
+        [ 10; 16; 20 ])
+    Encoding.all
+
+(* union switch (long d) { case 0: long a0; case 3: long a1; case 6:
+   long a2; [default: long dflt;] }: a value naming no arm (case 3, -2,
+   or -1 with no default arm), a named case whose discriminator is not
+   its constant, or a default arm whose discriminator is a case's
+   constant, is refused before any store by every engine, in every
+   encoding, with one message; a well-formed value encodes alike. *)
+let malformed_union_test () =
+  let union ~default =
+    let mint = Mint.create () in
+    let i32 = Mint.int32 mint in
+    let idx =
+      Mint.union mint ~discrim:i32
+        ~cases:(List.init 3 (fun i -> { Mint.c_const = Mint.Cint (Int64.of_int (3 * i)); c_body = i32 }))
+        ~default:(if default then Some i32 else None)
+    in
+    let pres =
+      Pres.Union
+        {
+          discrim_field = "_d";
+          union_field = "_u";
+          arms = List.init 3 (fun i -> (Printf.sprintf "a%d" i, Pres.Direct));
+          default_arm = (if default then Some ("dflt", Pres.Direct) else None);
+        }
+    in
+    { label = "union"; mint; named = []; idx; pres }
+  in
+  let engines =
+    [
+      ("Stub_opt", opt_encoder);
+      ("Stub_naive", Stub_naive.compile_encoder ~config:Stub_naive.default_config);
+      ("Stub_interp", Stub_interp.compile_encoder);
+    ]
+  in
+  let v case d = Value.Vunion { case; discrim = Mint.Cint d; payload = Value.Vint 5 } in
+  List.iter
+    (fun enc ->
+      List.iter
+        (fun default ->
+          let c = union ~default in
+          let run value =
+            List.map
+              (fun (what, compile) ->
+                let e = compile ~enc ~mint:c.mint ~named:c.named (roots_of c) in
+                let buf = Mbuf.create 16 in
+                match e buf [| value |] with
+                | () -> (what, Ok (Bytes.to_string (Mbuf.contents buf)))
+                | exception Invalid_argument msg ->
+                    if Mbuf.pos buf <> 0 then
+                      Alcotest.failf "%s %s: stored %d bytes before refusing" enc.Encoding.name what
+                        (Mbuf.pos buf);
+                    (what, Error msg))
+              engines
+          in
+          let name = Printf.sprintf "%s, %s default" enc.Encoding.name (if default then "with" else "no") in
+          List.iter
+            (fun (why, value) ->
+              match run value with
+              | (_, Error msg) :: rest ->
+                  List.iter
+                    (fun (what, o) ->
+                      match o with
+                      | Error m when m = msg -> ()
+                      | Error m -> Alcotest.failf "%s, %s: %s says %S, Stub_opt %S" name why what m msg
+                      | Ok _ -> Alcotest.failf "%s, %s: %s encoded it" name why what)
+                    rest
+              | _ -> Alcotest.failf "%s, %s: Stub_opt encoded it" name why)
+            ([ ("case 3 of 3", v 3 9L); ("case -2", v (-2) 9L); ("case 1 with discriminator 12345", v 1 12345L) ]
+            @ (if default then [ ("the default arm with case 2's constant", v (-1) 6L) ]
+               else [ ("case -1 with no default arm", v (-1) 9L) ]));
+          List.iter
+            (fun (why, value) ->
+              match run value with
+              | (_, Ok want) :: rest ->
+                  List.iter
+                    (fun (what, o) ->
+                      if o <> Ok want then Alcotest.failf "%s, %s: %s differs from Stub_opt" name why what)
+                    rest
+              | _ -> Alcotest.failf "%s, %s: Stub_opt refused it" name why)
+            ([ ("case 1", v 1 3L) ] @ if default then [ ("the default arm", v (-1) 7L) ] else []))
+        [ false; true ])
+    Encoding.all
+
 let failure_tests =
   [
     Alcotest.test_case "truncated buffers raise Short_buffer" `Quick (fun () ->
@@ -627,6 +740,9 @@ let failure_tests =
     Alcotest.test_case "an over-long bounded string is refused before any store" `Quick
       bounded_string_test;
     Alcotest.test_case "a fixed array of the wrong length is refused" `Quick fixed_length_test;
+    Alcotest.test_case "a string where a fixed byte array is expected is refused" `Quick
+      fixed_bytes_string_test;
+    Alcotest.test_case "a malformed union is refused alike" `Quick malformed_union_test;
   ]
 
 (* A freshly compiled encoder stores a 64 KiB message from its first

@@ -723,15 +723,158 @@ let run_prop vc seed =
     [ (8, true); (8, false); (16, true); (16, false); (32, true); (32, false) ];
   true
 
+(* The integer forms of [vc]: the values each holds, its tag and its
+   payload width (a fixint's value is its tag's low bits). *)
+let int_forms = function
+  | Encoding.Msgpack ->
+      [ (0, 127, 0x00, 0); (128, 255, 0xcc, 1); (256, 65535, 0xcd, 2); (65536, 0xffff_ffff, 0xce, 4);
+        (-32, -1, 0xe0, 0); (-128, -33, 0xd0, 1); (-32768, -129, 0xd1, 2);
+        (-0x8000_0000, -32769, 0xd2, 4) ]
+  | Encoding.Cbor ->
+      [ (0, 23, 0x00, 0); (24, 255, 0x18, 1); (256, 65535, 0x19, 2); (65536, 0xffff_ffff, 0x1a, 4);
+        (-24, -1, 0x20, 0); (-256, -25, 0x38, 1); (-65536, -257, 0x39, 2);
+        (-0x1_0000_0000, -65537, 0x3a, 4) ]
+
+(* A valid head for the field [bits, signed]: a form whose values meet
+   the field's, and a value of both, an edge of the form half the time;
+   written byte by byte from the form, not by the emitter. *)
+let valid_head vc ~bits ~signed st =
+  let lo = if signed then -(1 lsl (bits - 1)) else 0
+  and hi = (1 lsl (if signed then bits - 1 else bits)) - 1 in
+  let forms =
+    List.filter_map
+      (fun (a, b, tag, width) ->
+        let a = max a lo and b = min b hi in
+        if a <= b then Some (a, b, tag, width) else None)
+      (int_forms vc)
+  in
+  let a, b, tag, width = List.nth forms (Random.State.int st (List.length forms)) in
+  let v =
+    match Random.State.int st 4 with
+    | 0 -> a
+    | 1 -> b
+    | _ -> a + Random.State.full_int st (b - a + 1)
+  in
+  let arg = match vc with Encoding.Cbor when v < 0 -> -1 - v | _ -> v in
+  if width = 0 then String.make 1 (Char.chr ((tag + (arg land 0x1f)) land 0xff))
+  else
+    String.make 1 (Char.chr tag)
+    ^ String.init width (fun j -> Char.chr ((arg lsr (8 * (width - 1 - j))) land 0xff))
+
+(* 50 to 300 heads, valid heads of every form for the field but at
+   most one [random_head] (often malformed, non-minimal, out of the
+   field's range or an 8-byte form) at a random index, read into each
+   8, 16 and 32-bit signed and unsigned field through one var_fill_ints
+   run and one var_get_int at a time: the same values to the same byte,
+   or the same failure, whole and cut short, contiguous and cut into
+   segments, so that heads straddle a cut and sit in a window's last 4
+   bytes. *)
+let long_run_prop vc seed =
+  let st = Random.State.make [| seed |] in
+  List.iter
+    (fun (bits, signed) ->
+      let kind = Encoding.Kint { bits; signed } in
+      let n = 50 + Random.State.int st 251 in
+      let bad = if Random.State.bool st then Random.State.int st n else -1 in
+      let heads =
+        List.init n (fun i -> if i = bad then random_head vc st else valid_head vc ~bits ~signed st)
+      in
+      let wire = Bytes.of_string (String.concat "" heads) in
+      let len = Bytes.length wire in
+      let every k = List.init (len / k) (fun i -> (i + 1) * k) in
+      let cuts = List.init (1 + Random.State.int st 12) (fun _ -> 1 + Random.State.int st (len - 1)) in
+      let fill = Encoding.var_fill_ints vc kind in
+      List.iter
+        (fun cut ->
+          List.iter
+            (fun (how, reader) ->
+              let run =
+                outcome (reader ()) (fun r ->
+                    let out = Array.make n 0 in
+                    fill r out;
+                    Array.to_list out)
+              and one = outcome (reader ()) (fun r -> List.init n (fun _ -> Encoding.var_get_int vc kind r)) in
+              if run <> one then
+                QCheck.Test.fail_reportf "%s%d, %d heads (bad at %d), %s, %d of %d bytes (%s): run %a, one at a time %a"
+                  (if signed then "i" else "u") bits n bad how cut len (hex wire) pp_run run pp_run one)
+            [
+              ("contiguous", fun () -> Mbuf.reader_of_bytes ~len:cut wire);
+              ("segmented", fun () -> Test_decplan.segmented ~len:cut wire cuts);
+              ("segments of 7 bytes", fun () -> Test_decplan.segmented ~len:cut wire (every 7));
+              ("segments of 3 bytes", fun () -> Test_decplan.segmented ~len:cut wire (every 3));
+            ])
+        [ len; Random.State.int st len; len - 1 - Random.State.int st (min len 6) ])
+    [ (8, true); (8, false); (16, true); (16, false); (32, true); (32, false) ];
+  true
+
+(* The values at which a head changes form, one either side, and
+   random ones, many outside a narrow field. *)
+let put_values st =
+  let edges =
+    List.concat_map
+      (fun x -> [ x - 1; x; x + 1 ])
+      [ 0; 23; 24; 127; 128; 255; 256; 65535; 65536; 0x7fff_ffff; 0xffff_ffff; -1; -24; -25; -32;
+        -33; -128; -129; -256; -257; -32768; -32769; -65536; -65537; -0x8000_0000 ]
+  in
+  let random _ =
+    match Random.State.int st 3 with
+    | 0 -> Random.State.int st 300 - 150
+    | 1 -> Random.State.int st 0x20000 - 0x10000
+    | _ -> Random.State.full_int st (1 lsl 34) - (1 lsl 33)
+  in
+  Array.of_list (edges @ List.init 100 random)
+
+(* var_put_ints writes a field's run as the concatenation of one
+   var_put_int image per value reduced to the field, and var_put_int_at
+   stores each image at any offset of a window. *)
+let put_run_prop vc seed =
+  let st = Random.State.make [| seed |] in
+  List.iter
+    (fun (bits, signed) ->
+      let a = put_values st in
+      let reduce x =
+        let s = Sys.int_size - bits in
+        if signed then (x lsl s) asr s else (x lsl s) lsr s
+      in
+      let one = Mbuf.create 16 in
+      Array.iter (fun x -> Encoding.var_put_int vc ~check:true one (reduce x)) a;
+      let want = Bytes.to_string (Mbuf.contents one) in
+      let w = Mbuf.create 16 in
+      Mbuf.ensure w (5 * Array.length a);
+      Encoding.var_put_ints vc ~bits ~signed w a;
+      let got = Bytes.to_string (Mbuf.contents w) in
+      if got <> want then
+        QCheck.Test.fail_reportf "%s%d: run %s, one at a time %s" (if signed then "i" else "u") bits
+          (hex (Bytes.of_string got)) (hex (Bytes.of_string want));
+      let put_at = Encoding.var_put_int_at vc ~bits ~signed and b = Bytes.make 16 '\xff' in
+      Array.iter
+        (fun x ->
+          let image = Mbuf.create 8 in
+          Encoding.var_put_int vc ~check:true image (reduce x);
+          let image = Bytes.to_string (Mbuf.contents image) and at = Random.State.int st 8 in
+          let width = put_at b at x in
+          if Bytes.sub_string b at width <> image then
+            QCheck.Test.fail_reportf "%s%d: %d stored at %d as %s, its image %s" (if signed then "i" else "u")
+              bits x at (hex (Bytes.sub b at width)) (hex (Bytes.of_string image)))
+        a)
+    [ (8, true); (8, false); (16, true); (16, false); (32, true); (32, false) ];
+  true
+
 let run_tests =
-  List.map
-    (fun (name, vc) ->
-      QCheck_alcotest.to_alcotest
-        (QCheck.Test.make ~count:500
-           ~name:(name ^ ": a run of heads reads as one head at a time")
-           (QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.nat)
-           (run_prop vc)))
-    [ ("msgpack", Encoding.Msgpack); ("cbor", Encoding.Cbor) ]
+  List.concat_map
+    (fun (count, what, prop) ->
+      List.map
+        (fun (name, vc) ->
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count ~name:(name ^ ": " ^ what)
+               (QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.nat)
+               (prop vc)))
+        [ ("msgpack", Encoding.Msgpack); ("cbor", Encoding.Cbor) ])
+    [
+      (500, "a run of heads reads as one head at a time", run_prop);
+      (100, "a long run of heads reads as one head at a time", long_run_prop);
+      (100, "a run of values writes as one head at a time", put_run_prop);
+    ]
 
 let suite =
   [
