@@ -724,7 +724,8 @@ let run_prop vc seed =
   true
 
 (* The integer forms of [vc]: the values each holds, its tag and its
-   payload width (a fixint's value is its tag's low bits). *)
+   payload width (a fixint's tag is its tag here or'd with its
+   argument). *)
 let int_forms = function
   | Encoding.Msgpack ->
       [ (0, 127, 0x00, 0); (128, 255, 0xcc, 1); (256, 65535, 0xcd, 2); (65536, 0xffff_ffff, 0xce, 4);
@@ -737,7 +738,8 @@ let int_forms = function
 
 (* A valid head for the field [bits, signed]: a form whose values meet
    the field's, and a value of both, an edge of the form half the time;
-   written byte by byte from the form, not by the emitter. *)
+   written byte by byte from the form, not by the emitter, and checked
+   to read back as that value. *)
 let valid_head vc ~bits ~signed st =
   let lo = if signed then -(1 lsl (bits - 1)) else 0
   and hi = (1 lsl (if signed then bits - 1 else bits)) - 1 in
@@ -756,10 +758,18 @@ let valid_head vc ~bits ~signed st =
     | _ -> a + Random.State.full_int st (b - a + 1)
   in
   let arg = match vc with Encoding.Cbor when v < 0 -> -1 - v | _ -> v in
-  if width = 0 then String.make 1 (Char.chr ((tag + (arg land 0x1f)) land 0xff))
-  else
-    String.make 1 (Char.chr tag)
-    ^ String.init width (fun j -> Char.chr ((arg lsr (8 * (width - 1 - j))) land 0xff))
+  let head =
+    if width = 0 then String.make 1 (Char.chr ((tag lor arg) land 0xff))
+    else
+      String.make 1 (Char.chr tag)
+      ^ String.init width (fun j -> Char.chr ((arg lsr (8 * (width - 1 - j))) land 0xff))
+  in
+  let kind = Encoding.Kint { bits; signed } in
+  (match Encoding.var_get_int vc kind (Mbuf.reader_of_bytes (Bytes.of_string head)) with
+  | got when got = v -> ()
+  | got -> QCheck.Test.fail_reportf "head %s reads as %d, not %d" (hex (Bytes.of_string head)) got v
+  | exception Encoding.Var_error m -> QCheck.Test.fail_reportf "head %s of %d refused: %s" (hex (Bytes.of_string head)) v m);
+  head
 
 (* 50 to 300 heads, valid heads of every form for the field but at
    most one [random_head] (often malformed, non-minimal, out of the
