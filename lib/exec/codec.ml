@@ -356,11 +356,6 @@ let[@inline] check_fixed n len =
   if n <> len then
     invalid_arg (Printf.sprintf "fixed array of %d elements where its type has %d" n len)
 
-let same_const (a : Mint.const) (b : Mint.const) =
-  match (a, b) with
-  | Mint.Cint x, Mint.Cint y -> Int64.equal x y
-  | _ -> Mint.equal_const a b
-
 let check_union consts ~default ~case discrim =
   let n = Array.length consts in
   if case < -1 || case >= n || (case < 0 && not default) then
@@ -368,14 +363,14 @@ let check_union consts ~default ~case discrim =
       (Printf.sprintf "union case %d names no arm of a union with %d cases%s" case n
          (if default then " and a default arm" else ""))
   else if case >= 0 then begin
-    if not (same_const discrim consts.(case)) then
+    if not (Mint.equal_const discrim consts.(case)) then
       invalid_arg
         (Format.asprintf "union case %d with discriminator %a where its constant is %a" case
            Mint.pp_const discrim Mint.pp_const consts.(case))
   end
   else
     for k = 0 to n - 1 do
-      if same_const discrim consts.(k) then
+      if Mint.equal_const discrim consts.(k) then
         invalid_arg
           (Format.asprintf "union default arm with discriminator %a, the constant of case %d"
              Mint.pp_const discrim k)
