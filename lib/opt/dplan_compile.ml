@@ -180,8 +180,9 @@ let compile_frame st ~pos build =
 
 (* Value-dependent scalars (msgpack, CBOR) — the decode mirror of
    Plan_compile.put_var_scalar/put_var_const.  Floats keep a static
-   wire image (tag byte + big-endian IEEE payload) and stay chunkable;
-   everything else parses through a self-checking [D_get_varhead]. *)
+   wire image (tag byte + big-endian IEEE payload) and stay chunkable,
+   as does an expected constant; everything else parses through a
+   self-checking [D_get_varhead]. *)
 
 let take_var_scalar st (vcc : Encoding.varcodec) kind =
   match kind with
@@ -214,18 +215,22 @@ let take_var_scalar st (vcc : Encoding.varcodec) kind =
       lose_alignment st 1;
       slot
 
-let take_var_const st (vcc : Encoding.varcodec) kind value ~what =
-  emit st
-    (Dplan.D_get_varhead
-       {
-         vh_kind = kind;
-         vh_worst = Plan_compile.vh_worst_of kind;
-         vh_slot = None;
-         vh_expect = Some value;
-         vh_image = Some (Encoding.var_const_image vcc kind value);
-         vh_what = what;
-       });
-  lose_alignment st 1
+(* An expected constant is its canonical image, compared byte by byte
+   in the open chunk: the var readers reject non-minimal forms, so this
+   accepts exactly the messages a constant-expecting head would. *)
+let take_var_const st (vcc : Encoding.varcodec) kind value =
+  let img = Encoding.var_const_image vcc kind value in
+  let c = chunk st in
+  String.iteri
+    (fun i b ->
+      c.c_items <-
+        Dplan.Dit_const
+          { off = c.c_size + i; atom = Plan_compile.u8_atom; value = Int64.of_int (Char.code b) }
+        :: c.c_items)
+    img;
+  c.c_size <- c.c_size + String.length img;
+  advance_static st (String.length img);
+  if not st.chunked then flush st
 
 let is_byte_elem mint elem =
   match Mint.get mint elem with
@@ -233,6 +238,52 @@ let is_byte_elem mint elem =
   | Mint.Void | Mint.Bool | Mint.Int _ | Mint.Float _ | Mint.Array _
   | Mint.Struct _ | Mint.Union _ ->
       false
+
+(* How many bytes one run of [ops] consumes, when that is the same on
+   every run.  Plan_verify re-derives it on its own. *)
+let rec exact_advance ops =
+  List.fold_left
+    (fun acc op ->
+      match (acc, exact_advance_op op) with
+      | Some a, Some b -> Some (a + b)
+      | _, _ -> None)
+    (Some 0) ops
+
+and exact_advance_op (op : Dplan.dop) =
+  match op with
+  | Dplan.D_align a -> if a <= 1 then Some 0 else None
+  | Dplan.D_chunk { size; _ } -> Some size
+  | Dplan.D_loop { count = Dplan.Dc_fixed n; frame; _ } ->
+      Option.map (fun u -> n * u) (exact_advance frame.Dplan.f_ops)
+  | Dplan.D_get_atom_array { count = Dplan.Dc_fixed n; atom; var = false; _ }
+    when atom.Mplan.align <= 1 ->
+      Some (n * atom.Mplan.size)
+  | Dplan.D_get_string _ | Dplan.D_const_str _ | Dplan.D_get_byteseq _
+  | Dplan.D_get_atom_array _ | Dplan.D_loop _ | Dplan.D_opt _
+  | Dplan.D_switch _ | Dplan.D_call _ | Dplan.D_get_varhead _ ->
+      None
+
+(* The chunks and fixed loops an exact advance admits: is any chunk
+   still checked, and the same ops with none checked. *)
+let rec has_checked_chunk ops =
+  List.exists
+    (fun (op : Dplan.dop) ->
+      match op with
+      | Dplan.D_chunk { check; _ } -> check
+      | Dplan.D_loop { frame; _ } -> has_checked_chunk frame.Dplan.f_ops
+      | _ -> false)
+    ops
+
+let rec unchecked ops =
+  List.map
+    (fun (op : Dplan.dop) ->
+      match op with
+      | Dplan.D_chunk c -> Dplan.D_chunk { c with check = false }
+      | Dplan.D_loop l ->
+          Dplan.D_loop
+            { l with frame = { l.frame with Dplan.f_ops = unchecked l.frame.Dplan.f_ops } }
+      | op -> op)
+    ops
 
 (* ------------------------------------------------------------------ *)
 (* Main recursion                                                      *)
@@ -359,9 +410,19 @@ and compile_loop st count elem sub =
   let frame =
     compile_frame st ~pos:(granular st) (fun () -> compile_value st elem sub)
   in
+  (* A body that checks a chunk and takes the same [u] bytes every time
+     is reserved once for the whole loop and runs unchecked.  Only an
+     exact advance will do: [need] raises, so a bound above it would
+     refuse well-formed messages. *)
+  let ensure, frame =
+    match exact_advance frame.Dplan.f_ops with
+    | Some u when u > 0 && has_checked_chunk frame.Dplan.f_ops ->
+        (Some u, { frame with Dplan.f_ops = unchecked frame.Dplan.f_ops })
+    | _ -> (None, frame)
+  in
   let elem_min = (Plan_compile.size ~enc:st.enc ~mint:st.mint ~named:st.named elem sub).min in
   let slot = fresh_slot st in
-  emit st (Dplan.D_loop { count; ensure = None; elem_min; frame; slot });
+  emit st (Dplan.D_loop { count; ensure; elem_min; frame; slot });
   lose_alignment st st.enc.Encoding.granularity;
   Dplan.Sh_slot slot
 
@@ -455,7 +516,7 @@ let compile ~enc ~mint ~named ?(start = (8, 0)) ?(chunked = true)
       match droot with
       | Dconst_int (value, kind) -> (
           match enc.Encoding.var with
-          | Some vcc -> take_var_const st vcc kind value ~what:"constant"
+          | Some vcc -> take_var_const st vcc kind value
           | None ->
               take_header st;
               let atom = atom_of st kind in

@@ -449,6 +449,65 @@ let plan_param_indexes (p : Plan_compile.plan) =
   List.iter (fun (_, body) -> List.iter op body) p.Plan_compile.p_subs;
   !acc
 
+(* ------------------------------------------------------------------ *)
+(* Run coalescing                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Adjacent runs merge into one, as adjacent chunks do: no op separates
+   them, so both sides' static offsets stay valid once the second run's
+   shift by the first's sizes, and one check per side covers both.  The
+   destination bytes are the same, and so is the set of messages
+   accepted; a merged check may only fail earlier, as [Short_buffer],
+   where the two runs failed a later, smaller one. *)
+
+let shift_fmove ~dsrc ~ddst (m : Fplan.fmove) =
+  match m with
+  | Fplan.Fm_copy c ->
+      Fplan.Fm_copy { c with src_off = c.src_off + dsrc; dst_off = c.dst_off + ddst }
+  | Fplan.Fm_convert c ->
+      Fplan.Fm_convert { c with src_off = c.src_off + dsrc; dst_off = c.dst_off + ddst }
+  | Fplan.Fm_check c -> Fplan.Fm_check { c with src_off = c.src_off + dsrc }
+  | Fplan.Fm_const c -> Fplan.Fm_const { c with dst_off = c.dst_off + ddst }
+  | Fplan.Fm_zero z -> Fplan.Fm_zero { z with dst_off = z.dst_off + ddst }
+
+(* Contiguous copies (and contiguous zero fills) become one move: a run
+   of word-by-word copies is one memcpy span. *)
+let rec coalesce_moves = function
+  | Fplan.Fm_copy a :: Fplan.Fm_copy b :: rest
+    when b.src_off = a.src_off + a.len && b.dst_off = a.dst_off + a.len ->
+      coalesce_moves (Fplan.Fm_copy { a with len = a.len + b.len } :: rest)
+  | Fplan.Fm_zero a :: Fplan.Fm_zero b :: rest when b.dst_off = a.dst_off + a.len ->
+      coalesce_moves (Fplan.Fm_zero { a with len = a.len + b.len } :: rest)
+  | m :: rest -> m :: coalesce_moves rest
+  | [] -> []
+
+let rec merge_runs = function
+  | Fplan.F_run r1 :: Fplan.F_run r2 :: rest ->
+      let moves2 = List.map (shift_fmove ~dsrc:r1.src_size ~ddst:r1.dst_size) r2.moves in
+      merge_runs
+        (Fplan.F_run
+           {
+             src_size = r1.src_size + r2.src_size;
+             dst_size = r1.dst_size + r2.dst_size;
+             src_check = r1.src_check || r2.src_check;
+             dst_check = r1.dst_check || r2.dst_check;
+             moves = coalesce_moves (r1.moves @ moves2);
+           }
+        :: rest)
+  | op :: rest -> op :: merge_runs rest
+  | [] -> []
+
+let rec coalesce ops =
+  merge_runs
+    (List.map
+       (fun (op : Fplan.fop) ->
+         match op with
+         | Fplan.F_run r -> Fplan.F_run { r with moves = coalesce_moves r.moves }
+         | Fplan.F_loop l -> Fplan.F_loop { l with body = coalesce l.body }
+         | Fplan.F_opt o -> Fplan.F_opt { body = coalesce o.body }
+         | op -> op)
+       ops)
+
 (* Alignment congruence at a root boundary: the body starts max-aligned;
    after any complete root the position is a multiple of the encoding's
    granularity (every layout advances by a multiple of it), and nothing
@@ -515,5 +574,5 @@ let fuse ?config ~(src : Encoding.t) ~(dst : Encoding.t) ~mint ~named
              (fun i (droot, root) -> fuse_root i droot root)
              (List.combine droots roots))
       in
-      { Fplan.f_ops = ops; f_src = src; f_dst = dst }
+      { Fplan.f_ops = coalesce ops; f_src = src; f_dst = dst }
     with Cross_root -> full_fallback ()

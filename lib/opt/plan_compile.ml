@@ -194,6 +194,45 @@ let size ~enc ~mint ~named ?(start = (8, 0)) idx pres =
   in
   go named idx pres
 
+(* The same bound read off compiled ops: how far one run of them can
+   advance the buffer, [None] when a length is dynamic.  A loop's
+   reservation must cover it (Plan_verify checks that). *)
+let rec bounded_advance (op : Mplan.op) : int option =
+  match op with
+  | Mplan.Align a -> if a > 0 && a land (a - 1) = 0 then Some (a - 1) else None
+  | Mplan.Chunk { size; _ } -> Some size
+  | Mplan.Ensure_count _ -> Some 0
+  | Mplan.Put_const_str { s; nul; pad } ->
+      Some (4 + String.length s + (if nul then 1 else 0) + pad)
+  | Mplan.Put_blit { len; pad; _ } -> Some (len + pad)
+  | Mplan.Put_len _ -> Some 7 (* align 4 (≤ 3 bytes) + the 4-byte count;
+                                 var encodings' worst length head is 5 *)
+  | Mplan.Put_varhead { vh_worst; _ } -> Some vh_worst
+  | Mplan.Loop { via = Mplan.Via_fixed n; body; _ } ->
+      Option.map (fun u -> n * u) (bounded_advance_ops body)
+  | Mplan.Switch { arms; default; _ } ->
+      let bodies =
+        List.map (fun (a : Mplan.arm) -> a.Mplan.a_body) arms
+        @ match default with None -> [] | Some (_, b) -> [ b ]
+      in
+      List.fold_left
+        (fun acc body ->
+          match (acc, bounded_advance_ops body) with
+          | Some m, Some u -> Some (max m u)
+          | _, _ -> None)
+        (Some 0) bodies
+  | Mplan.Put_string _ | Mplan.Put_byteseq _ | Mplan.Put_atom_array _
+  | Mplan.Loop _ | Mplan.Call _ ->
+      None
+
+and bounded_advance_ops ops =
+  List.fold_left
+    (fun acc op ->
+      match (acc, bounded_advance op) with
+      | Some a, Some b -> Some (a + b)
+      | _, _ -> None)
+    (Some 0) ops
+
 (* ------------------------------------------------------------------ *)
 (* The plan compiler state                                              *)
 (* ------------------------------------------------------------------ *)
@@ -315,8 +354,10 @@ let emit_const_str st s =
 
 (* Value-dependent scalars (msgpack, CBOR).  Floats keep a static wire
    image — a one-byte tag then a big-endian IEEE payload — so they stay
-   chunkable; everything else becomes a [Put_varhead] that reserves its
-   worst case and advances by the actual minimal width. *)
+   chunkable, and so does a constant (a union discriminator, a constant
+   root), whose minimal form is known here; everything else becomes a
+   [Put_varhead] that reserves its worst case and advances by the
+   actual minimal width. *)
 
 let u8_atom : Mplan.atom =
   { Mplan.kind = Encoding.Kint { bits = 8; signed = false }; size = 1; align = 1 }
@@ -346,17 +387,20 @@ let put_var_scalar st (vcc : Encoding.varcodec) kind src =
            });
       lose_alignment st 1
 
+(* The constant's wire image goes into the open chunk, one byte store
+   each, so the chunk runs on through it. *)
 let put_var_const st (vcc : Encoding.varcodec) kind value =
-  emit st
-    (Mplan.Put_varhead
-       {
-         vh_kind = kind;
-         vh_worst = vh_worst_of kind;
-         vh_check = not st.covered;
-         vh_src = Mplan.Vh_const value;
-         vh_image = Some (Encoding.var_const_image vcc kind value);
-       });
-  lose_alignment st 1
+  let img = Encoding.var_const_image vcc kind value in
+  let c = chunk st in
+  String.iteri
+    (fun i b ->
+      c.c_items <-
+        Mplan.It_const { off = c.c_size + i; atom = u8_atom; value = Int64.of_int (Char.code b) }
+        :: c.c_items)
+    img;
+  c.c_size <- c.c_size + String.length img;
+  advance_static st (String.length img);
+  if not st.chunked then flush st
 
 (* ------------------------------------------------------------------ *)
 (* Main recursion                                                       *)

@@ -117,3 +117,9 @@ val size :
     is unbounded or the value reaches a named type.  {!compile} sizes
     each loop's {!Mplan.op.Ensure_count} from [max]; the decoders check
     a count against [min] before they allocate. *)
+
+val bounded_advance_ops : Mplan.op list -> int option
+(** The worst-case bound read off compiled ops: how far one run of the
+    sequence can advance the buffer ([None] when a length is dynamic,
+    e.g. a string or a counted loop).  {!Plan_verify} rejects a loop
+    reservation smaller than its body's bound. *)

@@ -178,7 +178,7 @@ let rec check_ops path ~subs ~covered ~vars ops =
           match prev with
           | Some (Mplan.Ensure_count { arr = e_arr; unit_size; _ })
             when e_arr = arr ->
-              (match Peephole.bounded_advance_ops body with
+              (match Plan_compile.bounded_advance_ops body with
               | Some u when u > unit_size ->
                   failv path
                     "loop reservation of %d bytes/element under-covers a \
