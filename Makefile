@@ -11,20 +11,20 @@ test:
 	dune runtest
 
 # The whole suite again with the structural plan verifier running
-# after every optimizer pass (Opt_config.default reads the variable).
-# The verify flag is not part of plan-cache keys, so this exercises
-# exactly the same pipelines and cache behavior as the default run.
+# once on each plan the compilers produce (Plan_cache verifies each
+# plan it compiles, Fplan_compile.fuse each fused relay plan).  The
+# variable is not part of any cache key, so this compiles exactly the
+# plans, and shows the same cache behavior, as the default run.
 test-verify:
 	FLICK_VERIFY_PLANS=1 dune runtest --force
 
-# The fast artifacts: the plan-optimizer/cache report (BENCH_1.json),
+# The fast artifacts: the compiled-plan/cache report (BENCH_1.json),
 # the scatter-gather wire report (BENCH_2.json), the decode-plan
-# report (BENCH_3.json), the full-matrix pass-trace report (merged
-# into BENCH_1.json), the concurrent-server sweep (BENCH_4.json), and
+# report (BENCH_3.json), the concurrent-server sweep (BENCH_4.json), and
 # the forward-relay report (BENCH_6.json) with its fused-vs-materialize
-# throughput and zero-copy gates; the pipeline/
-# verifier/engine-equality/pin/scaling/backpressure/byte-identity
-# self-checks make the run exit non-zero on any regression.  The
+# throughput and zero-copy gates; the verifier/engine-equality/
+# scaling/backpressure/byte-identity self-checks make the run exit
+# non-zero on any regression.  The
 # gateway artifact runs twice: first with fusion forced off
 # (--no-forward), proving the materialize fallback still relays every
 # cell byte-identically, then fused, which is the BENCH_6.json that
@@ -46,7 +46,7 @@ bench-smoke:
 	dune build bench/main.exe bench/check_bench.exe
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && cd "$$tmp" && \
 	  $(CURDIR)/_build/default/bench/main.exe gateway --smoke --no-forward && \
-	  $(CURDIR)/_build/default/bench/main.exe planopt sgwire decplan tracematrix serve gateway selfdesc tail --smoke && \
+	  $(CURDIR)/_build/default/bench/main.exe planopt sgwire decplan serve gateway selfdesc tail --smoke && \
 	  $(CURDIR)/_build/default/bench/check_bench.exe
 
 # Every artifact at default sizes (see EXPERIMENTS.md; --full for

@@ -6,8 +6,8 @@
    - it parses as one JSON object;
    - it names its "artifact";
    - "self_check_failed" is present and false;
-   - every other "*_failed" member (e.g. "tracematrix_failed", merged
-     in by artifacts that share a file) is false;
+   - every other "*_failed" member (one an artifact that shares a file
+     would merge in) is false;
    - the server-loop artifact ("serve", BENCH_4.json) additionally
      carries a structurally sound sweep: at least 4 points with
      strictly increasing connection counts, positive throughput

@@ -692,16 +692,14 @@ let ablations () =
     ns_lin ns_sw (pct ns_lin ns_sw)
 
 (* ------------------------------------------------------------------ *)
-(* planopt - the peephole pass and the compiled-plan cache              *)
+(* planopt - compiled marshal plans and the compiled-plan cache         *)
 (* ------------------------------------------------------------------ *)
 
 (* Reports, and records in BENCH_1.json:
-   - plan node counts before/after the optimizer pipeline, per workload,
-     encoding, and compilation mode (the per-datum mode is where the
-     passes recover the chunking the compiler was told to skip), plus a
-     per-pass trace of the showcase workload;
-   - encode throughput for the directory workload under three pipeline
-     configurations (none / full pipeline / production chunked+cached);
+   - plan node and capacity-check counts per workload, encoding, and
+     compilation mode (chunked, as the stubs run, against per-datum,
+     the A1/A4 ablation's one check per atom);
+   - encode throughput for the directory workload under both modes;
    - cache hit rates and eviction pressure on a repeated
      stub-compilation workload.
    Every plan this artifact executes is checked by the structural plan
@@ -712,7 +710,7 @@ let planopt_failed = ref false
 
 let planopt () =
   print_endline "============================================================";
-  print_endline " planopt - optimizer pass pipeline and compiled-plan cache";
+  print_endline " planopt - compiled marshal plans and compiled-plan cache";
   print_endline "============================================================";
   let check what ok =
     if not ok then begin
@@ -727,11 +725,9 @@ let planopt () =
         Printf.printf "  verifier: %s\n" (Plan_verify.error_to_string e);
         false
   in
-  let plan_nodes (p : Plan_compile.plan) =
-    Mplan.count_ops p.Plan_compile.p_ops
-    + List.fold_left
-        (fun acc (_, ops) -> acc + Mplan.count_ops ops)
-        0 p.Plan_compile.p_subs
+  let plan_total count (p : Plan_compile.plan) =
+    count p.Plan_compile.p_ops
+    + List.fold_left (fun acc (_, ops) -> acc + count ops) 0 p.Plan_compile.p_subs
   in
   let json = Buffer.create 1024 in
   Buffer.add_string json
@@ -739,14 +735,11 @@ let planopt () =
        !smoke);
 
   (* -- plan node counts -------------------------------------------- *)
-  Printf.printf "\n%-6s %-13s %-10s %8s %8s %9s\n" "enc" "operation" "mode"
-    "before" "after" "rewrites";
+  Printf.printf "\n%-6s %-13s %-10s %8s %8s\n" "enc" "operation" "mode" "nodes"
+    "checks";
   Buffer.add_string json ",\n  \"node_counts\": [";
   let first = ref true in
-  let dirents_reduced = ref false in
-  (* per-pass trace of the showcase workload (xdr directory entries,
-     per-datum mode: the passes re-chunk what the compiler skipped) *)
-  let showcase_trace : Pass.trace list ref = ref [] in
+  let dirents_nodes = Hashtbl.create 4 in
   List.iter
     (fun (ename, enc, style) ->
       let pc = Paper_fixtures.bench_presc style in
@@ -755,87 +748,48 @@ let planopt () =
           let spec = Paper_fixtures.request_spec pc ~op in
           List.iter
             (fun (mode, chunked) ->
-              let raw =
+              let plan =
                 Plan_compile.compile ~enc ~mint:spec.Paper_fixtures.ms_mint
                   ~named:spec.Paper_fixtures.ms_named ~chunked
                   spec.Paper_fixtures.ms_roots
               in
-              let st = Peephole.fresh_stats () in
-              let showcase =
-                ename = "xdr" && op = "send_dirents" && mode = "per-datum"
-              in
-              let opt =
-                Pass.run_encode ~config:Opt_config.all ~stats:st
-                  ~on_trace:(fun tr ->
-                    if showcase then showcase_trace := !showcase_trace @ [ tr ])
-                  raw
-              in
               check
-                (Printf.sprintf "%s/%s/%s: verifier clean after pipeline"
-                   ename op mode)
-                (verified opt);
-              let before = plan_nodes raw and after = plan_nodes opt in
-              if op = "send_dirents" && after < before then
-                dirents_reduced := true;
-              Printf.printf "%-6s %-13s %-10s %8d %8d %9d\n" ename op mode
-                before after (Peephole.rewrites st);
+                (Printf.sprintf "%s/%s/%s: verifier clean" ename op mode)
+                (verified plan);
+              let nodes = plan_total Mplan.count_ops plan
+              and checks = plan_total Mplan.count_checks plan in
+              if op = "send_dirents" then Hashtbl.replace dirents_nodes (ename, chunked) nodes;
+              Printf.printf "%-6s %-13s %-10s %8d %8d\n" ename op mode nodes checks;
               Buffer.add_string json
                 (Printf.sprintf
                    "%s\n    { \"encoding\": %S, \"op\": %S, \"mode\": %S, \
-                    \"nodes_before\": %d, \"nodes_after\": %d, \
-                    \"chunks_merged\": %d, \"loops_fused\": %d, \
-                    \"ensures_hoisted\": %d, \"aligns_removed\": %d, \
-                    \"dead_removed\": %d }"
+                    \"nodes\": %d, \"checks\": %d }"
                    (if !first then "" else ",")
-                   ename op mode before after st.Peephole.chunks_merged
-                   st.Peephole.loops_fused st.Peephole.ensures_hoisted
-                   st.Peephole.aligns_removed st.Peephole.dead_removed);
+                   ename op mode nodes checks);
               first := false)
             [ ("chunked", true); ("per-datum", false) ])
         [ "send_ints"; "send_rects"; "send_dirents" ])
     [ ("xdr", Encoding.xdr, `Rpcgen); ("cdr", Encoding.cdr, `Corba) ];
   Buffer.add_string json "\n  ]";
-  if not !dirents_reduced then
-    print_endline "WARNING: no node reduction on the directory workload";
-
-  Printf.printf
-    "\npass trace, directory entries (XDR, per-datum compilation):\n";
-  List.iter
-    (fun (tr : Pass.trace) ->
-      Printf.printf "  %-18s nodes %4d -> %4d   checks %4d -> %4d   %7.1fus\n"
-        tr.Pass.tr_pass tr.Pass.tr_nodes_before tr.Pass.tr_nodes_after
-        tr.Pass.tr_checks_before tr.Pass.tr_checks_after
-        (tr.Pass.tr_wall_ns /. 1e3))
-    !showcase_trace;
-  check "showcase trace covers every encode pass"
-    (List.map (fun (tr : Pass.trace) -> tr.Pass.tr_pass) !showcase_trace
-    = Pass.encode_pass_names);
-  Buffer.add_string json
-    (Printf.sprintf ",\n  \"passes\": [%s]"
-       (String.concat ", "
-          (List.map
-             (fun (tr : Pass.trace) ->
-               Printf.sprintf
-                 "{ \"pass\": %S, \"nodes_before\": %d, \"nodes_after\": %d, \
-                  \"checks_before\": %d, \"checks_after\": %d }"
-                 tr.Pass.tr_pass tr.Pass.tr_nodes_before tr.Pass.tr_nodes_after
-                 tr.Pass.tr_checks_before tr.Pass.tr_checks_after)
-             !showcase_trace)));
+  if
+    not
+      (List.for_all
+         (fun e -> Hashtbl.find dirents_nodes (e, true) < Hashtbl.find dirents_nodes (e, false))
+         [ "xdr"; "cdr" ])
+  then print_endline "WARNING: the chunked directory plan is no smaller than per-datum";
 
   (* -- encode throughput on the directory workload ------------------ *)
-  (* Three pipeline configurations through the one production entry
-     point (Plan_cache.plan): the config is part of the cache key, so
-     these coexist as separate cached plans rather than hand-tweaked
-     variants. *)
+  (* Both modes through the one production entry point
+     (Plan_cache.plan): [chunked] is part of the cache key, so they
+     coexist as separate cached plans. *)
   let bytes = if !smoke then 4096 else 65536 in
   let enc = Encoding.xdr in
   let pc = Paper_fixtures.bench_presc `Rpcgen in
   let spec = Paper_fixtures.request_spec pc ~op:"send_dirents" in
   let value = Paper_fixtures.payload `Dirents ~bytes in
-  let compile ~chunked config =
+  let compile ~chunked =
     Plan_cache.plan ~enc ~mint:spec.Paper_fixtures.ms_mint
-      ~named:spec.Paper_fixtures.ms_named ~chunked ~config
-      spec.Paper_fixtures.ms_roots
+      ~named:spec.Paper_fixtures.ms_named ~chunked spec.Paper_fixtures.ms_roots
   in
   let rate name plan =
     check
@@ -853,23 +807,18 @@ let planopt () =
     let v = mbps wire ns in
     if Float.is_nan v then 0. else v
   in
-  let mb_raw = rate "per-datum" (compile ~chunked:false Opt_config.none) in
-  let mb_peep =
-    rate "per-datum+pipeline" (compile ~chunked:false Opt_config.all)
-  in
-  let mb_chunked = rate "chunked" (compile ~chunked:true Opt_config.all) in
+  let mb_raw = rate "per-datum" (compile ~chunked:false) in
+  let mb_chunked = rate "chunked" (compile ~chunked:true) in
   Printf.printf
     "\nencode throughput, directory entries (%dB, XDR):\n\
-    \  per-datum, passes off   %8.1f MB/s\n\
-    \  per-datum + pipeline    %8.1f MB/s\n\
+    \  per-datum               %8.1f MB/s\n\
     \  chunked (production)    %8.1f MB/s\n"
-    bytes mb_raw mb_peep mb_chunked;
+    bytes mb_raw mb_chunked;
   Buffer.add_string json
     (Printf.sprintf
        ",\n  \"throughput_mbps\": { \"workload\": \"dirents-xdr\", \
-        \"bytes\": %d, \"per_datum_raw\": %.1f, \"per_datum_peephole\": \
-        %.1f, \"chunked_cached\": %.1f }"
-       bytes mb_raw mb_peep mb_chunked);
+        \"bytes\": %d, \"per_datum_raw\": %.1f, \"chunked_cached\": %.1f }"
+       bytes mb_raw mb_chunked);
 
   (* -- cache hit rate on a repeated compilation workload ------------ *)
   Plan_cache.reset_all ();
@@ -1220,11 +1169,8 @@ let decplan () =
           let spec = Paper_fixtures.request_spec pc ~op in
           let droots = List.map to_droot spec.Paper_fixtures.ms_droots in
           let compile chunked =
-            let p =
-              Dplan_compile.compile ~enc ~mint:spec.Paper_fixtures.ms_mint
-                ~named:spec.Paper_fixtures.ms_named ~chunked droots
-            in
-            if chunked then Pass.run_decode ~config:Opt_config.all p else p
+            Dplan_compile.compile ~enc ~mint:spec.Paper_fixtures.ms_mint
+              ~named:spec.Paper_fixtures.ms_named ~chunked droots
           in
           let pd = compile false and ch = compile true in
           let dverified p =
@@ -1239,7 +1185,7 @@ let decplan () =
             (Printf.sprintf "%s/%s: verifier clean (per-datum)" ename op)
             (dverified pd);
           check
-            (Printf.sprintf "%s/%s: verifier clean (chunked+passes)" ename op)
+            (Printf.sprintf "%s/%s: verifier clean (chunked)" ename op)
             (dverified ch);
           let ops_pd = plan_totals pd Dplan.count_ops
           and checks_pd = plan_totals pd Dplan.count_checks
@@ -1565,258 +1511,6 @@ let decplan () =
     print_endline
       "\nall differential, truncation, zero-copy, and cache self-checks passed";
   print_endline "wrote BENCH_3.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* tracematrix - per-pass traces over the full compile matrix           *)
-(* ------------------------------------------------------------------ *)
-
-(* Runs the optimizer with per-pass tracing over every (encoding x
-   operation x compilation mode) cell of the paper's Bench matrix, both
-   sides, with the structural verifier after every pass, and merges the
-   result into BENCH_1.json under a "trace_matrix" key (next to the
-   planopt report; standalone if that file is absent).  Self-checks:
-   - the final (nodes, checks) of every cell matches the pinned table
-     below, so a plan-size regression anywhere in the matrix fails CI;
-   - no pass ever increases the node count;
-   - the verifier is clean after every pass of every cell.
-   Compile-only, so [--smoke] is a no-op here. *)
-
-let tracematrix_failed = ref false
-
-(* Pinned (nodes, checks) after the full pipeline, per
-   (encoding, operation, mode, side).  Regenerate by running
-   `bench/main.exe tracematrix` and copying the rows it prints for any
-   MISMATCH/MISSING cell — but first understand why the plans changed. *)
-let tracematrix_expected =
-  [
-    (("xdr", "send_ints", "chunked", "encode"), (3, 2));
-    (("xdr", "send_ints", "chunked", "decode"), (3, 3));
-    (("xdr", "send_ints", "per-datum", "encode"), (3, 2));
-    (("xdr", "send_ints", "per-datum", "decode"), (3, 3));
-    (("xdr", "send_rects", "chunked", "encode"), (10, 3));
-    (("xdr", "send_rects", "chunked", "decode"), (8, 3));
-    (("xdr", "send_rects", "per-datum", "encode"), (10, 3));
-    (("xdr", "send_rects", "per-datum", "decode"), (8, 3));
-    (("xdr", "send_dirents", "chunked", "encode"), (37, 4));
-    (("xdr", "send_dirents", "chunked", "decode"), (7, 6));
-    (("xdr", "send_dirents", "per-datum", "encode"), (37, 4));
-    (("xdr", "send_dirents", "per-datum", "decode"), (7, 6));
-    (("cdr", "send_ints", "chunked", "encode"), (2, 2));
-    (("cdr", "send_ints", "chunked", "decode"), (2, 4));
-    (("cdr", "send_ints", "per-datum", "encode"), (2, 2));
-    (("cdr", "send_ints", "per-datum", "decode"), (2, 4));
-    (("cdr", "send_rects", "chunked", "encode"), (10, 3));
-    (("cdr", "send_rects", "chunked", "decode"), (8, 4));
-    (("cdr", "send_rects", "per-datum", "encode"), (10, 3));
-    (("cdr", "send_rects", "per-datum", "decode"), (8, 4));
-    (("cdr", "send_dirents", "chunked", "encode"), (38, 4));
-    (("cdr", "send_dirents", "chunked", "decode"), (7, 7));
-    (("cdr", "send_dirents", "per-datum", "encode"), (38, 4));
-    (("cdr", "send_dirents", "per-datum", "decode"), (7, 7));
-    (("mach3", "send_ints", "chunked", "encode"), (5, 2));
-    (("mach3", "send_ints", "chunked", "decode"), (3, 3));
-    (("mach3", "send_ints", "per-datum", "encode"), (5, 2));
-    (("mach3", "send_ints", "per-datum", "decode"), (3, 3));
-    (("mach3", "send_rects", "chunked", "encode"), (17, 3));
-    (("mach3", "send_rects", "chunked", "decode"), (9, 3));
-    (("mach3", "send_rects", "per-datum", "encode"), (17, 3));
-    (("mach3", "send_rects", "per-datum", "decode"), (9, 3));
-    (("mach3", "send_dirents", "chunked", "encode"), (44, 5));
-    (("mach3", "send_dirents", "chunked", "decode"), (10, 8));
-    (("mach3", "send_dirents", "per-datum", "encode"), (44, 5));
-    (("mach3", "send_dirents", "per-datum", "decode"), (10, 8));
-  ]
-
-let tracematrix () =
-  print_endline "============================================================";
-  print_endline " tracematrix - per-pass traces over the full compile matrix";
-  print_endline "============================================================";
-  let check what ok =
-    if not ok then begin
-      tracematrix_failed := true;
-      Printf.printf "  SELF-CHECK FAILED: %s\n" what
-    end
-  in
-  let json = Buffer.create 4096 in
-  Buffer.add_string json "{ \"cells\": [";
-  let first_cell = ref true in
-  Printf.printf "\n%-6s %-13s %-10s %-6s %8s %8s %7s %6s\n" "enc" "operation"
-    "mode" "side" "nodes" "checks" "passes" "rounds";
-  let do_side ~ename ~op ~mode ~(side : _ Pass.side) ~run raw =
-    let traces : Pass.trace list ref = ref [] in
-    let config =
-      { (Opt_config.all) with Opt_config.verify = true }
-    in
-    let opt = run ~config ~on_trace:(fun tr -> traces := tr :: !traces) raw in
-    let traces = List.rev !traces in
-    let cell = Printf.sprintf "%s/%s/%s/%s" ename op mode side.Pass.s_name in
-    List.iter
-      (fun (tr : Pass.trace) ->
-        check
-          (Printf.sprintf "%s: pass %s grew the plan (%d -> %d)" cell
-             tr.Pass.tr_pass tr.Pass.tr_nodes_before tr.Pass.tr_nodes_after)
-          (tr.Pass.tr_nodes_after <= tr.Pass.tr_nodes_before);
-        check
-          (Printf.sprintf "%s: pass %s ran unverified" cell tr.Pass.tr_pass)
-          tr.Pass.tr_verified)
-      traces;
-    check
-      (Printf.sprintf "%s: verifier clean on the final plan" cell)
-      (match side.Pass.s_verify opt with
-      | Ok () -> true
-      | Error e ->
-          Printf.printf "  verifier: %s\n" (Plan_verify.error_to_string e);
-          false);
-    let nodes = side.Pass.s_nodes opt and checks = side.Pass.s_checks opt in
-    let rounds =
-      List.fold_left (fun m (tr : Pass.trace) -> max m tr.Pass.tr_round) 1
-        traces
-    in
-    Printf.printf "%-6s %-13s %-10s %-6s %8d %8d %7d %6d\n" ename op mode
-      side.Pass.s_name nodes checks (List.length traces) rounds;
-    let key = (ename, op, mode, side.Pass.s_name) in
-    (match List.assoc_opt key tracematrix_expected with
-    | Some (en, ec) when en = nodes && ec = checks -> ()
-    | Some (en, ec) ->
-        check
-          (Printf.sprintf
-             "%s: pinned (%d nodes, %d checks), got (%d, %d) — \
-              regenerate:  ((%S, %S, %S, %S), (%d, %d));"
-             cell en ec nodes checks ename op mode side.Pass.s_name nodes
-             checks)
-          false
-    | None ->
-        check
-          (Printf.sprintf
-             "%s: no pinned expectation — add:  ((%S, %S, %S, %S), (%d, %d));"
-             cell ename op mode side.Pass.s_name nodes checks)
-          false);
-    Buffer.add_string json
-      (Printf.sprintf
-         "%s\n    { \"encoding\": %S, \"op\": %S, \"mode\": %S, \"side\": \
-          %S, \"nodes\": %d, \"checks\": %d, \"rounds\": %d, \"passes\": [%s] }"
-         (if !first_cell then "" else ",")
-         ename op mode side.Pass.s_name nodes checks rounds
-         (String.concat ", "
-            (List.map
-               (fun (tr : Pass.trace) ->
-                 Printf.sprintf
-                   "{ \"pass\": %S, \"round\": %d, \"nodes_before\": %d, \
-                    \"nodes_after\": %d, \"checks_before\": %d, \
-                    \"checks_after\": %d }"
-                   tr.Pass.tr_pass tr.Pass.tr_round tr.Pass.tr_nodes_before
-                   tr.Pass.tr_nodes_after tr.Pass.tr_checks_before
-                   tr.Pass.tr_checks_after)
-               traces)));
-    first_cell := false
-  in
-  List.iter
-    (fun (ename, enc, style) ->
-      let pc = Paper_fixtures.bench_presc style in
-      List.iter
-        (fun op ->
-          let spec = Paper_fixtures.request_spec pc ~op in
-          List.iter
-            (fun (mode, chunked) ->
-              let raw =
-                Plan_compile.compile ~enc ~mint:spec.Paper_fixtures.ms_mint
-                  ~named:spec.Paper_fixtures.ms_named ~chunked
-                  spec.Paper_fixtures.ms_roots
-              in
-              do_side ~ename ~op ~mode ~side:Pass.encode_side
-                ~run:(fun ~config ~on_trace p ->
-                  Pass.run_encode ~config ~on_trace p)
-                raw;
-              let draw =
-                Dplan_compile.compile ~enc ~mint:spec.Paper_fixtures.ms_mint
-                  ~named:spec.Paper_fixtures.ms_named ~chunked
-                  (List.map
-                     (function
-                       | Stub_opt.Dconst_int (v, k) ->
-                           Dplan_compile.Dconst_int (v, k)
-                       | Stub_opt.Dconst_str s -> Dplan_compile.Dconst_str s
-                       | Stub_opt.Dvalue (i, p) -> Dplan_compile.Dvalue (i, p))
-                     spec.Paper_fixtures.ms_droots)
-              in
-              do_side ~ename ~op ~mode ~side:Pass.decode_side
-                ~run:(fun ~config ~on_trace p ->
-                  Pass.run_decode ~config ~on_trace p)
-                draw)
-            [ ("chunked", true); ("per-datum", false) ])
-        [ "send_ints"; "send_rects"; "send_dirents" ])
-    [
-      ("xdr", Encoding.xdr, `Rpcgen);
-      ("cdr", Encoding.cdr, `Corba);
-      ("mach3", Encoding.mach3, `Fluke);
-    ];
-  Buffer.add_string json "\n  ] }";
-  let tm_json = Buffer.contents json in
-  (* merge into the planopt report when one is present: BENCH_1.json is
-     the optimizer's artifact file, and consumers want one object *)
-  let marker = ",\n  \"trace_matrix\"" in
-  let read_all path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  let find_sub s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i =
-      if i + m > n then None
-      else if String.sub s i m = sub then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let rstrip s =
-    let n = ref (String.length s) in
-    while
-      !n > 0
-      && (match s.[!n - 1] with ' ' | '\n' | '\t' | '\r' -> true | _ -> false)
-    do
-      decr n
-    done;
-    String.sub s 0 !n
-  in
-  let base =
-    if Sys.file_exists "BENCH_1.json" then begin
-      let s = read_all "BENCH_1.json" in
-      match find_sub s marker with
-      | Some i -> Some (String.sub s 0 i) (* re-run: replace our key *)
-      | None ->
-          let s = rstrip s in
-          let n = String.length s in
-          if n > 0 && s.[n - 1] = '}' then
-            Some (rstrip (String.sub s 0 (n - 1)))
-          else None
-    end
-    else None
-  in
-  let merged =
-    match base with
-    | Some b ->
-        Printf.sprintf "%s%s: %s,\n  \"tracematrix_failed\": %b\n}\n" b marker
-          tm_json !tracematrix_failed
-    | None ->
-        Printf.sprintf
-          "{\n  \"artifact\": \"tracematrix\",\n  \"trace_matrix\": %s,\n\
-          \  \"self_check_failed\": %b\n}\n"
-          tm_json !tracematrix_failed
-  in
-  (match Obs_json.parse merged with
-  | Ok _ -> ()
-  | Error msg -> check (Printf.sprintf "merged BENCH_1.json parses: %s" msg) false);
-  let oc = open_out "BENCH_1.json" in
-  output_string oc merged;
-  close_out oc;
-  if !tracematrix_failed then
-    print_endline "\ntracematrix: SELF-CHECK FAILURES above; exiting non-zero"
-  else
-    print_endline
-      "\nall matrix pins, node-monotonicity, and verifier checks passed";
-  Printf.printf "%s trace_matrix into BENCH_1.json\n\n"
-    (match base with Some _ -> "merged" | None -> "wrote")
 
 (* ------------------------------------------------------------------ *)
 
@@ -2802,7 +2496,7 @@ let artifacts =
     ("table1", table1); ("table2", table2); ("table3", table3);
     ("fig3", fig3); ("fig4", fig4); ("fig5", fig5); ("fig6", fig6);
     ("fig7", fig7); ("ablations", ablations); ("planopt", planopt);
-    ("sgwire", sgwire); ("decplan", decplan); ("tracematrix", tracematrix);
+    ("sgwire", sgwire); ("decplan", decplan);
     ("serve", serve); ("gateway", gateway);
     ("selfdesc", selfdesc); ("tail", tail);
   ]
@@ -2850,7 +2544,6 @@ let () =
     (if !full then "paper-scale" else "default");
   List.iter (fun name -> (List.assoc name artifacts) ()) to_run;
   if
-    !planopt_failed || !sgwire_failed || !decplan_failed
-    || !tracematrix_failed || !serve_failed
+    !planopt_failed || !sgwire_failed || !decplan_failed || !serve_failed
     || !gateway_failed || !selfdesc_failed || !tail_failed
   then exit 1

@@ -240,18 +240,9 @@ let dump_presc_cmd =
     Term.(const run $ idl_arg $ pres_arg $ interface_arg $ source_arg)
 
 let dump_plan_cmd =
-  let run idl pres backend interface op decode trace forward passes encoding
-      file =
+  let run idl pres backend interface op decode forward encoding file =
     handle_diag (fun () ->
         let source = read_file file in
-        let config =
-          match passes with
-          | None -> None
-          | Some spec -> (
-              match Opt_config.of_string spec with
-              | Ok c -> Some c
-              | Error msg -> Diag.error "dump-plan: --passes: %s" msg)
-        in
         let mode =
           match forward with
           | Some name -> (
@@ -262,14 +253,11 @@ let dump_plan_cmd =
                     "dump-plan: --forward: unknown backend %S (one of %s)"
                     name
                     (String.concat ", " Driver.backend_names))
-          | None ->
-              if trace then Plan_dump.Trace
-              else if decode then Plan_dump.Unmarshal
-              else Plan_dump.Marshal
+          | None -> if decode then Plan_dump.Unmarshal else Plan_dump.Marshal
         in
         print_string
-          (Plan_dump.render ~idl ~pres ~backend ~interface ~op ~mode ?config
-             ?encoding ~file ~source ()))
+          (Plan_dump.render ~idl ~pres ~backend ~interface ~op ~mode ?encoding
+             ~file ~source ()))
   in
   let op_arg =
     Arg.(
@@ -287,16 +275,6 @@ let dump_plan_cmd =
              ($(b,ensure*)) and the element minimum its count is checked \
              against ($(b,min*)).")
   in
-  let trace_arg =
-    Arg.(
-      value & flag
-      & info [ "trace-passes" ]
-          ~doc:
-            "Trace the optimizer pipeline instead of printing plans: one line \
-             per pass with node and bounds-check counts before/after and wall \
-             time, for both the encode and decode plan of each stub.  The \
-             structural plan verifier runs after every pass.")
-  in
   let forward_arg =
     Arg.(
       value
@@ -310,16 +288,6 @@ let dump_plan_cmd =
              $(b,# fixup), $(b,# fallback)); the footer rolls the classes \
              up.  Each loop shows its source and destination reservations \
              and its source element minimum ($(b,min=)).")
-  in
-  let passes_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "passes" ] ~docv:"SPEC"
-          ~doc:
-            "Optimizer pass selection: $(b,all), $(b,none), or a \
-             comma-separated list of pass names; append $(b,+verify) to run \
-             the plan verifier after each pass.")
   in
   let dump_encoding_arg =
     Arg.(
@@ -336,12 +304,10 @@ let dump_plan_cmd =
        ~doc:
          "Print the optimized marshal plans (chunks, blits, loops) for each \
           stub; with $(b,--decode), the symmetric unmarshal plans; with \
-          $(b,--trace-passes), the per-pass optimizer trace; with \
           $(b,--forward), the fused gateway relay plan.")
     Term.(
       const run $ idl_arg $ pres_arg $ backend_arg $ interface_arg $ op_arg
-      $ decode_arg $ trace_arg $ forward_arg $ passes_arg $ dump_encoding_arg
-      $ source_arg)
+      $ decode_arg $ forward_arg $ dump_encoding_arg $ source_arg)
 
 let list_interfaces_cmd =
   let run idl file =
@@ -532,8 +498,8 @@ let main =
        ~doc:
          "A flexible, optimizing IDL compiler (OCaml reproduction of Eide et \
           al., PLDI 1997).  $(b,--trace-out=FILE) (any position) writes a \
-          Chrome trace_event JSON of the run's compile stages, optimizer \
-          passes and simulated RPCs; $(b,--metrics-out=FILE) writes the \
+          Chrome trace_event JSON of the run's compile stages, plan \
+          compiles and simulated RPCs; $(b,--metrics-out=FILE) writes the \
           metrics registry as JSON lines; $(b,--flight-out=FILE) enables \
           the request flight recorder and writes its ring as JSON.")
     [

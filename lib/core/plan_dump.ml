@@ -1,7 +1,7 @@
 (* Rendering for [flick dump-plan].
 
    The CLI is a thin shell around this module so the driver tests can
-   cover the interesting paths — decode plans, pass traces, unknown
+   cover the interesting paths — decode plans, relay plans, unknown
    operations — without running the binary.  Every failure surfaces as
    Diag.Error so the CLI's one handler formats it and exits non-zero;
    in particular an Invalid_argument escaping a plan compiler is turned
@@ -10,7 +10,6 @@
 type mode =
   | Marshal  (** the client-side encode plan (default) *)
   | Unmarshal  (** the server-side decode plan ([--decode]) *)
-  | Trace  (** per-pass optimizer trace for both sides ([--trace-passes]) *)
   | Forward of Driver.backend
       (** the fused relay plan into this destination backend's encoding
           ([--forward]) *)
@@ -62,39 +61,6 @@ let select_stubs (pc : Pres_c.t) op =
                   (fun (st : Pres_c.op_stub) -> st.Pres_c.os_op.Aoi.op_name)
                   pc.Pres_c.pc_stubs))
       | stubs -> stubs)
-
-(* ------------------------------------------------------------------ *)
-(* Pass traces                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Round 1 renders exactly as the single-round manager did; extra
-   fixpoint rounds are flagged so a trace that needed them says so. *)
-let trace_line b (tr : Pass.trace) =
-  Buffer.add_string b
-    (Printf.sprintf
-       "  %-18s nodes %4d -> %4d   checks %4d -> %4d   %7.1fus%s%s\n"
-       tr.Pass.tr_pass tr.Pass.tr_nodes_before tr.Pass.tr_nodes_after
-       tr.Pass.tr_checks_before tr.Pass.tr_checks_after
-       (tr.Pass.tr_wall_ns /. 1e3)
-       (if tr.Pass.tr_verified then "   verified" else "")
-       (if tr.Pass.tr_round > 1 then
-          Printf.sprintf "   round %d" tr.Pass.tr_round
-        else ""))
-
-let trace_one_side b ~label ~nodes ~checks run prog =
-  Buffer.add_string b
-    (Printf.sprintf "%s: %d nodes, %d checks from the compiler\n" label
-       (nodes prog) (checks prog));
-  let traced = ref false in
-  let result =
-    run
-      ~on_trace:(fun tr ->
-        traced := true;
-        trace_line b tr)
-      prog
-  in
-  if not !traced then Buffer.add_string b "  (no passes selected)\n";
-  result
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)
@@ -162,14 +128,8 @@ let rec relay_loop_lines (p : Fplan.plan) path ops =
          | _ -> "")
        ops)
 
-let render ~idl ~pres ~backend ~interface ~op ~mode ?config ?encoding ~file
-    ~source () =
-  let config =
-    match config with Some c -> c | None -> Opt_config.default ()
-  in
-  (match Pass.validate config with
-  | Ok () -> ()
-  | Error msg -> Diag.error "dump-plan: %s" msg);
+let render ~idl ~pres ~backend ~interface ~op ~mode ?encoding ~file ~source
+    () =
   let pc = Driver.present idl pres ~file ~source ~interface in
   let tr = Driver.transport_of backend in
   (* [--encoding] swaps the wire format under the backend's message
@@ -191,7 +151,7 @@ let render ~idl ~pres ~backend ~interface ~op ~mode ?config ?encoding ~file
       | Marshal ->
           let plan =
             guarded "marshal plan" (fun () ->
-                Plan_cache.plan ~enc ~mint ~named ~config (roots_of st))
+                Plan_cache.plan ~enc ~mint ~named (roots_of st))
           in
           Buffer.add_string b
             (Format.asprintf "=== marshal plan: %s (%s) ===@."
@@ -208,7 +168,7 @@ let render ~idl ~pres ~backend ~interface ~op ~mode ?config ?encoding ~file
       | Unmarshal ->
           let plan =
             guarded "unmarshal plan" (fun () ->
-                Plan_cache.dplan ~enc ~mint ~named ~config (droots_of st))
+                Plan_cache.dplan ~enc ~mint ~named (droots_of st))
           in
           Buffer.add_string b
             (Format.asprintf "=== unmarshal plan: %s (%s) ===@."
@@ -224,7 +184,7 @@ let render ~idl ~pres ~backend ~interface ~op ~mode ?config ?encoding ~file
           let dst = dtr.Backend_base.tr_enc in
           let plan =
             guarded "forward plan" (fun () ->
-                Stub_forward.forward_plan ~config ~src:enc ~dst ~mint ~named
+                Stub_forward.forward_plan ~src:enc ~dst ~mint ~named
                   (droots_of st) (roots_of st))
           in
           Buffer.add_string b
@@ -233,44 +193,6 @@ let render ~idl ~pres ~backend ~interface ~op ~mode ?config ?encoding ~file
                dtr.Backend_base.tr_name);
           Buffer.add_string b (relay_loop_lines plan "fwd" plan.Fplan.f_ops);
           Buffer.add_string b (Format.asprintf "%a@." Fplan.pp_plan plan);
-          Buffer.add_string b (elision_summary plan)
-      | Trace ->
-          (* compile outside the cache so the passes actually run, and
-             verify after each one: a trace that lies about plan health
-             is worse than none *)
-          let config = { config with Opt_config.verify = true } in
-          Buffer.add_string b
-            (Printf.sprintf "=== pass trace: %s (%s) ===\n"
-               st.Pres_c.os_client_name enc_label);
-          (* both compilation modes: the production chunked plan is
-             born mostly optimal, so the per-datum trace is where the
-             passes visibly earn their keep *)
-          List.iter
-            (fun (chunked, mode_label) ->
-              let raw =
-                guarded "marshal plan" (fun () ->
-                    Plan_compile.compile ~enc ~mint ~named ~chunked
-                      (roots_of st))
-              in
-              ignore
-                (trace_one_side b
-                   ~label:(Printf.sprintf "encode (%s)" mode_label)
-                   ~nodes:(fun p -> Pass.encode_side.Pass.s_nodes p)
-                   ~checks:(fun p -> Pass.encode_side.Pass.s_checks p)
-                   (fun ~on_trace p -> Pass.run_encode ~config ~on_trace p)
-                   raw);
-              let draw =
-                guarded "unmarshal plan" (fun () ->
-                    Dplan_compile.compile ~enc ~mint ~named ~chunked
-                      (droots_of st))
-              in
-              ignore
-                (trace_one_side b
-                   ~label:(Printf.sprintf "decode (%s)" mode_label)
-                   ~nodes:(fun p -> Pass.decode_side.Pass.s_nodes p)
-                   ~checks:(fun p -> Pass.decode_side.Pass.s_checks p)
-                   (fun ~on_trace p -> Pass.run_decode ~config ~on_trace p)
-                   draw))
-            [ (true, "chunked"); (false, "per-datum") ])
+          Buffer.add_string b (elision_summary plan))
     (select_stubs pc op);
   Buffer.contents b

@@ -1,7 +1,7 @@
 (** Rendering for [flick dump-plan].
 
     Factored out of the CLI so [test/test_driver.ml] can cover the
-    decode and pass-trace paths directly.  All failures — unknown
+    decode and relay paths directly.  All failures — unknown
     [--op], unsupported IDL/presentation combinations, and even
     [Invalid_argument] escaping a plan compiler — are reported by
     raising {!Diag.Error}, which the CLI formats and turns into a
@@ -10,11 +10,6 @@
 type mode =
   | Marshal  (** the client-side encode plan (default) *)
   | Unmarshal  (** the server-side decode plan ([--decode]) *)
-  | Trace
-      (** per-pass optimizer trace for the encode and decode plans of
-          each stub, in both chunked and per-datum compilation modes
-          ([--trace-passes]): node and bounds-check counts before/after
-          every pass plus wall time, with the verifier forced on *)
   | Forward of Driver.backend
       (** the fused gateway relay plan ([--forward BACKEND]): the
           request message arriving under the source backend's encoding
@@ -30,17 +25,14 @@ val render :
   interface:string option ->
   op:string option ->
   mode:mode ->
-  ?config:Opt_config.t ->
   ?encoding:Encoding.t ->
   file:string ->
   source:string ->
   unit ->
   string
-(** Render the plans (or traces) for every selected stub.  [op] limits
-    output to one operation and raises {!Diag.Error} when no stub has
-    that name, listing the operations that exist.  [config] (default
-    {!Opt_config.default}) selects the {!Pass} pipeline; an unknown
-    pass name in an [Only] selection is a diagnostic too.  [encoding]
+(** Render the plans for every selected stub.  [op] limits output to
+    one operation and raises {!Diag.Error} when no stub has that name,
+    listing the operations that exist.  [encoding]
     overrides the backend transport's wire format — the way to inspect
     the value-dependent msgpack/cbor plans, which no transport selects
     on its own; the plan headers then carry both names. *)

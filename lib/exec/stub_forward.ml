@@ -448,16 +448,7 @@ and compile_ops ~src ~dst ops =
 (* Plan-level entry points and the cached front door                   *)
 (* ------------------------------------------------------------------ *)
 
-let forward_plan ?config ~src ~dst ~mint ~named ?sg ?sg_threshold droots roots
-    =
-  let config =
-    match config with Some c -> c | None -> Opt_config.default ()
-  in
-  let plan =
-    Fplan_compile.fuse ~config ~src ~dst ~mint ~named ?sg ?sg_threshold droots
-      roots
-  in
-  Pass.run_forward ~config plan
+let forward_plan = Fplan_compile.fuse
 
 let forward_of_plan (p : Fplan.plan) : forward =
   let fns = compile_ops ~src:p.Fplan.f_src ~dst:p.Fplan.f_dst p.Fplan.f_ops in
@@ -470,23 +461,19 @@ let forward_of_plan (p : Fplan.plan) : forward =
 let forward_cache : forward Plan_cache.t =
   Plan_cache.create ~name:"stub_forward" ()
 
-let compile_forward ?config ~(src : Encoding.t) ~(dst : Encoding.t) ~mint
-    ~named droots roots : forward =
-  let config =
-    match config with Some c -> c | None -> Opt_config.default ()
-  in
+let compile_forward ~(src : Encoding.t) ~(dst : Encoding.t) ~mint ~named
+    droots roots : forward =
   let fp = Plan_cache.fp_create ~enc:src ~mint ~named () in
   (* both sides' structure is in the key: the source fingerprint seeds
-     it, the destination encoding, scatter-gather policy, pass
-     selection, and the fusion enable flag tag it *)
+     it, the destination encoding, scatter-gather policy and the fusion
+     enable flag tag it *)
   Plan_cache.fp_tag fp
-    (Printf.sprintf "fwd:dst=%s,sg=%b,%d,%s,%s" dst.Encoding.name
+    (Printf.sprintf "fwd:dst=%s,sg=%b,%d,%s" dst.Encoding.name
        (Mbuf.sg_enabled ())
        (Mbuf.borrow_threshold ())
-       (Opt_config.selection_fingerprint config)
        (Fplan_compile.fingerprint ()));
   List.iter (Plan_cache.fp_droot fp) droots;
   List.iter (Plan_cache.fp_root fp) roots;
   let key = Plan_cache.fp_contents fp in
   Plan_cache.find_or_add forward_cache key (fun () ->
-      forward_of_plan (forward_plan ~config ~src ~dst ~mint ~named droots roots))
+      forward_of_plan (forward_plan ~src ~dst ~mint ~named droots roots))

@@ -14,8 +14,8 @@
     length/padding conventions, and typed errors ({!Codec.Decode_error}
     / [Mbuf.Short_buffer]).  Relayed output is byte-identical to
     decode-then-reencode; on malformed input both engines fail (the
-    exception class may differ when fusion reorders a bounds check, as
-    with the decode rewrites — see peephole.mli).  A loop checks its
+    exception class may differ when fusion merges two runs' bounds
+    checks into one).  A loop checks its
     count against the source bytes that remain, at its source minimum
     per element, before either side reserves or allocates.
 
@@ -32,7 +32,6 @@ type forward = Mbuf.reader -> Mbuf.t -> unit
     (gateways discard the in-progress reply frame). *)
 
 val forward_plan :
-  ?config:Opt_config.t ->
   src:Encoding.t ->
   dst:Encoding.t ->
   mint:Mint.t ->
@@ -42,9 +41,7 @@ val forward_plan :
   Dplan_compile.droot list ->
   Plan_compile.root list ->
   Fplan.plan
-(** {!Fplan_compile.fuse} followed by the forward pass pipeline
-    ({!Pass.run_forward}): move coalescing, then loop collapse to
-    counted blits.  This is what [flick dump-plan --forward] prints and
+(** {!Fplan_compile.fuse}: what [flick dump-plan --forward] prints and
     what the differential tests execute. *)
 
 val forward_of_plan : Fplan.plan -> forward
@@ -52,7 +49,6 @@ val forward_of_plan : Fplan.plan -> forward
     order. *)
 
 val compile_forward :
-  ?config:Opt_config.t ->
   src:Encoding.t ->
   dst:Encoding.t ->
   mint:Mint.t ->
@@ -60,8 +56,8 @@ val compile_forward :
   Dplan_compile.droot list ->
   Plan_compile.root list ->
   forward
-(** The front door: fuse, optimize, and cache {!forward_of_plan}'s
-    relay.  Closures are cached under a key covering {e both}
-    fingerprints (source message structure + destination encoding
-    name), the scatter-gather policy, the pass selection, and the
-    fusion enable flag — flipping any of them compiles fresh. *)
+(** The front door: fuse and cache {!forward_of_plan}'s relay.
+    Closures are cached under a key covering {e both} fingerprints
+    (source message structure + destination encoding name), the
+    scatter-gather policy, and the fusion enable flag — flipping any of
+    them compiles fresh. *)

@@ -496,18 +496,16 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
           Mbuf.ensure buf 4;
           (if be then Mbuf.set_i32_be buf 0 n else Mbuf.set_i32_le buf 0 n);
           Mbuf.advance buf 4
-    | Mplan.Put_varhead { vh_kind; vh_check; vh_src; vh_image; vh_worst = _ }
-      -> (
+    | Mplan.Put_varhead { vh_kind; vh_check; vh_src; vh_worst = _ } -> (
         let vcc =
           match vc with
           | Some v -> v
           | None -> invalid_arg "Stub_opt: Put_varhead under a fixed encoding"
         in
-        match (vh_image, vh_src) with
-        | Some img, _ -> put_image ~check:vh_check img
-        | None, Mplan.Vh_const v ->
+        match vh_src with
+        | Mplan.Vh_const v ->
             put_image ~check:vh_check (Encoding.var_const_image vcc vh_kind v)
-        | None, Mplan.Vh_value rv ->
+        | Mplan.Vh_value rv ->
             let a = compile_rv rv in
             fun buf env ->
               Codec.write_var vcc ~check:vh_check vh_kind buf (a env))
@@ -588,8 +586,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
     match (atom.Mplan.kind, size) with
     | Encoding.Kint { bits; _ }, 4 when bits <= 32 ->
         (* the memcpy-analog fast path: one reservation, one in-window
-           loop, over an int array or a boxed array of ints (e.g. loops
-           the peephole pass fused into Put_atom_array) *)
+           loop, over an int array or a boxed array of ints *)
         let write = Codec.write_i32s ~be in
         fun buf env ->
           let v = a env in
@@ -681,25 +678,19 @@ let (_ : Obs.counter) = Obs.counter "stage.interp_calls"
 let encoder_cache : encoder Plan_cache.t =
   Plan_cache.create ~name:"stub_opt.encoder" ()
 
-let compile_encoder ?config ~enc ~mint ~named roots : encoder =
-  let config =
-    match config with Some c -> c | None -> Opt_config.default ()
-  in
+let compile_encoder ~enc ~mint ~named roots : encoder =
   let fp = Plan_cache.fp_create ~enc ~mint ~named () in
-  (* the compiled closures bake in the plan's scatter-gather decisions
-     and the pass pipeline that shaped the plan, so both are part of
-     the encoder key too *)
+  (* the compiled closures bake in the plan's scatter-gather decisions,
+     so they are part of the encoder key too *)
   Plan_cache.fp_tag fp
-    (Printf.sprintf "sg=%b,%d,%s" (Mbuf.sg_enabled ())
-       (Mbuf.borrow_threshold ())
-       (Opt_config.selection_fingerprint config));
+    (Printf.sprintf "sg=%b,%d" (Mbuf.sg_enabled ()) (Mbuf.borrow_threshold ()));
   List.iter (Plan_cache.fp_root fp) roots;
   let key = Plan_cache.fp_contents fp in
   (* instrumented inside the cache, so repeat compilations return the
      same physical closure (pinned by the cache tests) and the gate
      check at call time keeps the wrapper free when timing is off *)
   Plan_cache.find_or_add encoder_cache key (fun () ->
-      let plan = Plan_cache.plan ~enc ~mint ~named ~config roots in
+      let plan = Plan_cache.plan ~enc ~mint ~named roots in
       let e = instrument_encoder encode_ns encode_bytes (encoder_of_plan ~enc plan) in
       fun buf params ->
         Obs.incr staged_calls 1;
@@ -1276,15 +1267,14 @@ let decoder_of_dplan ~(enc : Encoding.t) (plan : Dplan.plan) : decoder =
 let decoder_cache : decoder Plan_cache.t =
   Plan_cache.create ~name:"stub_opt.decoder" ()
 
-let droot_key ~enc ~mint ~named ~views ~config droots =
+let droot_key ~enc ~mint ~named ~views droots =
   let fp = Plan_cache.fp_create ~enc ~mint ~named () in
-  (* the compiled closures bake in the plan's view decisions and its
-     pass pipeline, so the view/SG/pipeline configuration is part of
-     the decoder key, mirroring the encoder's sg tag *)
+  (* the compiled closures bake in the plan's view decisions, so the
+     view/SG configuration is part of the decoder key, mirroring the
+     encoder's sg tag *)
   Plan_cache.fp_tag fp
-    (Printf.sprintf "views=%b,sg=%b,%d,%s" views (Mbuf.sg_enabled ())
-       (Mbuf.borrow_threshold ())
-       (Opt_config.selection_fingerprint config));
+    (Printf.sprintf "views=%b,sg=%b,%d" views (Mbuf.sg_enabled ())
+       (Mbuf.borrow_threshold ()));
   List.iter
     (fun droot ->
       match droot with
@@ -1307,17 +1297,12 @@ let to_dplan_droot (droot : droot) : Dplan_compile.droot =
   | Dconst_str s -> Dplan_compile.Dconst_str s
   | Dvalue (idx, pres) -> Dplan_compile.Dvalue (idx, pres)
 
-let compile_decoder ?config ~enc ~mint ~named ?(views = false) droots :
-    decoder =
-  let config =
-    match config with Some c -> c | None -> Opt_config.default ()
-  in
-  let key = droot_key ~enc ~mint ~named ~views ~config droots in
+let compile_decoder ~enc ~mint ~named ?(views = false) droots : decoder =
+  let key = droot_key ~enc ~mint ~named ~views droots in
   (* as for encoders: instrumented inside the cache so repeat
      compilations share one physical closure *)
   Plan_cache.find_or_add decoder_cache key (fun () ->
       let dplan =
-        Plan_cache.dplan ~enc ~mint ~named ~views ~config
-          (List.map to_dplan_droot droots)
+        Plan_cache.dplan ~enc ~mint ~named ~views (List.map to_dplan_droot droots)
       in
       instrument_decoder decode_ns decode_bytes (decoder_of_dplan ~enc dplan))

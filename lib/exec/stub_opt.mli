@@ -42,32 +42,26 @@ val to_dplan_droot : droot -> Dplan_compile.droot
     fused relays off the same roots the decoder compiles from). *)
 
 val compile_encoder :
-  ?config:Opt_config.t ->
   enc:Encoding.t ->
   mint:Mint.t ->
   named:(string * (Mint.idx * Pres.t)) list ->
   Plan_compile.root list ->
   encoder
-(** Compile (through the shared {!Plan_cache}, with the {!Pass}
-    pipeline [config] selects — default {!Opt_config.default}) and
-    memoize: structurally identical requests reuse one encoder closure.
-    The config's pass selection is part of the closure-cache key, so
-    differently configured pipelines never share an encoder.  Encoders
+(** Compile (through the shared {!Plan_cache}) and memoize:
+    structurally identical requests reuse one encoder closure.  Encoders
     carry no per-call state, so sharing is safe under any call
     pattern.  The closure is {!encoder_of_plan}'s from the first call
     on; each call also counts under the [stage.staged_calls] counter,
     which the end-to-end benchmark still reads. *)
 
 val compile_decoder :
-  ?config:Opt_config.t ->
   enc:Encoding.t ->
   mint:Mint.t ->
   named:(string * (Mint.idx * Pres.t)) list ->
   ?views:bool ->
   droot list ->
   decoder
-(** Compile through the shared {!Plan_cache.dplan} (with the {!Pass}
-    decode pipeline [config] selects) and memoize: structurally
+(** Compile through the shared {!Plan_cache.dplan} and memoize: structurally
     identical messages reuse one decoder closure.  A cached decoder
     raises the same typed errors as a fresh one and keeps no state
     across messages.  [views:true] (default false) enables zero-copy

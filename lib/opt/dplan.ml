@@ -39,7 +39,6 @@ type dop =
       vh_worst : int;
       vh_slot : int option;  (* None for constant expectations *)
       vh_expect : int64 option;  (* constant to verify (discriminator) *)
-      vh_image : string option;  (* canonical bytes, for narrowing *)
       vh_what : string;
     }
       (* parse a value-dependent scalar header (self-describing
@@ -390,7 +389,7 @@ let store_rows ~var (body : Mplan.op list) =
     | _ -> Either.Right (None, Encoding.Kbool, 0)
   and head (op : Mplan.op) =
     match op with
-    | Mplan.Put_varhead { vh_kind; vh_check = false; vh_src = Mplan.Vh_value src; vh_image = None; _ } ->
+    | Mplan.Put_varhead { vh_kind; vh_check = false; vh_src = Mplan.Vh_value src; _ } ->
         (path [] src, vh_kind, 0)
     | _ -> (None, Encoding.Kbool, 0)
   in

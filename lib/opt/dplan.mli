@@ -58,9 +58,6 @@ type dop =
       vh_expect : int64 option;
           (** constant the wire value must equal (discriminators,
               constant roots); mismatch raises [Codec.Decode_error] *)
-      vh_image : string option;
-          (** canonical wire bytes of the expected constant — the
-              narrowing pass folds this into a byte-compare chunk *)
       vh_what : string;
     }
       (** parse a value-dependent scalar header of a self-describing

@@ -209,7 +209,6 @@ let take_var_scalar st (vcc : Encoding.varcodec) kind =
              vh_worst = Plan_compile.vh_worst_of kind;
              vh_slot = Some slot;
              vh_expect = None;
-             vh_image = None;
              vh_what = "scalar";
            });
       lose_alignment st 1;
@@ -411,12 +410,13 @@ and compile_loop st count elem sub =
     compile_frame st ~pos:(granular st) (fun () -> compile_value st elem sub)
   in
   (* A body that checks a chunk and takes the same [u] bytes every time
-     is reserved once for the whole loop and runs unchecked.  Only an
-     exact advance will do: [need] raises, so a bound above it would
-     refuse well-formed messages. *)
+     is reserved once for the whole loop and runs unchecked (except in
+     the per-datum ablation, which checks every load).  Only an exact
+     advance will do: [need] raises, so a bound above it would refuse
+     well-formed messages. *)
   let ensure, frame =
     match exact_advance frame.Dplan.f_ops with
-    | Some u when u > 0 && has_checked_chunk frame.Dplan.f_ops ->
+    | Some u when u > 0 && st.chunked && has_checked_chunk frame.Dplan.f_ops ->
         (Some u, { frame with Dplan.f_ops = unchecked frame.Dplan.f_ops })
     | _ -> (None, frame)
   in

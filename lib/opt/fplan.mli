@@ -22,9 +22,9 @@
     - {b fallback}: a genuinely reshaped root keeps the decode +
       re-encode pair as an embedded {!constructor-F_materialize}.
 
-    Executed by [Stub_forward] (lib/exec), which moves each loop as
-    {!loop_mode} says; verified by {!Plan_verify.check_fplan}; optimized
-    by the [forward-run-coalesce] pass in {!Pass}. *)
+    Built by [Fplan_compile.fuse], which also merges adjacent runs;
+    executed by [Stub_forward] (lib/exec), which moves each loop as
+    {!loop_mode} says; verified by {!Plan_verify.check_fplan}. *)
 
 (** Element count of a variable-length forward op. *)
 type fcount =

@@ -515,18 +515,18 @@ let rec coalesce ops =
 let start_for (enc : Encoding.t) i =
   if i = 0 then (8, 0) else (max enc.Encoding.granularity 1, 0)
 
-let fuse ?config ~(src : Encoding.t) ~(dst : Encoding.t) ~mint ~named
+let fused ~(src : Encoding.t) ~(dst : Encoding.t) ~mint ~named
     ?(sg = Mbuf.sg_enabled ()) ?(sg_threshold = Mbuf.borrow_threshold ())
     (droots : Dplan_compile.droot list) (roots : Plan_compile.root list) :
     Fplan.plan =
   if List.length droots <> List.length roots then
     invalid_arg "Fplan_compile.fuse: root list arity mismatch";
   let dplan_for ~start droots =
-    Plan_cache.dplan ~enc:src ~mint ~named ~start ?config ~views:sg
+    Plan_cache.dplan ~enc:src ~mint ~named ~start ~views:sg
       ~view_threshold:sg_threshold droots
   in
   let mplan_for ~start roots =
-    Plan_cache.plan ~enc:dst ~mint ~named ~start ?config ~sg ~sg_threshold
+    Plan_cache.plan ~enc:dst ~mint ~named ~start ~sg ~sg_threshold
       roots
   in
   let full_fallback () =
@@ -576,3 +576,9 @@ let fuse ?config ~(src : Encoding.t) ~(dst : Encoding.t) ~mint ~named
       in
       { Fplan.f_ops = coalesce ops; f_src = src; f_dst = dst }
     with Cross_root -> full_fallback ()
+
+(* verified, under FLICK_VERIFY_PLANS, as Plan_cache verifies the plans
+   it fuses *)
+let fuse ~src ~dst ~mint ~named ?sg ?sg_threshold droots roots =
+  Plan_verify.checked ~side:"forward" Plan_verify.check_fplan
+    (fused ~src ~dst ~mint ~named ?sg ?sg_threshold droots roots)

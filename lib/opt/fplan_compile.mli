@@ -36,9 +36,10 @@
     the identity on it: full-width integers and single-byte chars with
     matching sizes and byte order.  Bools, wide chars, floats, and
     sub-width integers convert through {!Codec} read/write, reproducing
-    the baseline's normalization exactly.  {!Plan_verify.check_fplan}
-    re-checks the output's bounds obligations; the [forward-*] passes
-    in {!Pass} then coalesce runs and collapse blit-only loops. *)
+    the baseline's normalization exactly.  Adjacent runs then merge,
+    as adjacent chunks do, and contiguous copies and zero fills inside a
+    run become one move each.  {!Plan_verify.check_fplan} re-checks the
+    output's bounds obligations under [FLICK_VERIFY_PLANS]. *)
 
 exception Unsupported of string
 (** An op pair that cannot fuse; caught internally, surfaces only as an
@@ -55,7 +56,6 @@ val fingerprint : unit -> string
 (** Cache-key component covering the enable flag. *)
 
 val fuse :
-  ?config:Opt_config.t ->
   src:Encoding.t ->
   dst:Encoding.t ->
   mint:Mint.t ->

@@ -29,7 +29,6 @@ type op =
       vh_worst : int;
       vh_check : bool;
       vh_src : vh_src;
-      vh_image : string option;
     }
   | Ensure_count of { arr : rv; via : via; unit_size : int }
   | Put_const_str of { s : string; nul : bool; pad : int }
@@ -107,16 +106,13 @@ let pp_max = function None -> "" | Some m -> Printf.sprintf " max=%d" m
 
 let rec pp_op ppf = function
   | Align n -> Format.fprintf ppf "align %d" n
-  | Put_varhead { vh_kind; vh_worst; vh_check; vh_src; vh_image } ->
-      Format.fprintf ppf "put_varhead %a worst=%d%s <- %s%s" pp_kind vh_kind
+  | Put_varhead { vh_kind; vh_worst; vh_check; vh_src } ->
+      Format.fprintf ppf "put_varhead %a worst=%d%s <- %s" pp_kind vh_kind
         vh_worst
         (if vh_check then "" else " nocheck")
         (match vh_src with
         | Vh_const v -> Printf.sprintf "const %Ld" v
         | Vh_value rv -> Format.asprintf "%a" pp_rv rv)
-        (match vh_image with
-        | None -> ""
-        | Some s -> Printf.sprintf " image=%d bytes" (String.length s))
   | Chunk { size; align; items; check } ->
       Format.fprintf ppf "@[<v 2>chunk size=%d align=%d%s {" size align
         (if check then "" else " nocheck");

@@ -75,9 +75,6 @@ type op =
       vh_check : bool;
           (** false only under a covering worst-case reservation *)
       vh_src : vh_src;
-      vh_image : string option;
-          (** canonical wire bytes when [vh_src] is a constant — the
-              narrowing pass folds this into a fixed chunk *)
     }
       (** value-dependent scalar emit for a self-describing encoding:
           reserve [vh_worst], write the minimal-width form *)

@@ -340,7 +340,7 @@ let fp_contents fp = Buffer.contents fp.buf
 let plans : Plan_compile.plan t = create ~name:"plan" ()
 
 let plan_key ~enc ~mint ~named ?start ?(unroll_limit = 64) ?(chunked = true)
-    ~config ~sg ~sg_threshold roots =
+    ~sg ~sg_threshold roots =
   let fp = fp_create ~enc ~mint ~named () in
   (match start with
   | None -> Buffer.add_char fp.buf '-'
@@ -349,9 +349,6 @@ let plan_key ~enc ~mint ~named ?start ?(unroll_limit = 64) ?(chunked = true)
       fp_int fp off);
   fp_int fp unroll_limit;
   fp_int fp (if chunked then 1 else 0);
-  (* the pass selection changes the plan (verify does not, and is
-     deliberately left out of the key) *)
-  fp_str fp (Opt_config.selection_fingerprint config);
   (* scatter-gather options change the plan's structure (Put_blit
      splitting, borrow marks), so they are part of the key *)
   fp_int fp (if sg then 1 else 0);
@@ -359,28 +356,23 @@ let plan_key ~enc ~mint ~named ?start ?(unroll_limit = 64) ?(chunked = true)
   List.iter (fp_root fp) roots;
   fp_contents fp
 
-let plan ~enc ~mint ~named ?start ?unroll_limit ?chunked ?config ?sg
-    ?sg_threshold roots =
+let plan ~enc ~mint ~named ?start ?unroll_limit ?chunked ?sg ?sg_threshold
+    roots =
   (* resolve the Mbuf-global defaults now so the key and the compile see
      the same values even if the globals change between calls *)
-  let config =
-    match config with Some c -> c | None -> Opt_config.default ()
-  in
   let sg = match sg with Some b -> b | None -> Mbuf.sg_enabled () in
   let sg_threshold =
     match sg_threshold with Some n -> n | None -> Mbuf.borrow_threshold ()
   in
   let key =
-    plan_key ~enc ~mint ~named ?start ?unroll_limit ?chunked ~config ~sg
-      ~sg_threshold roots
+    plan_key ~enc ~mint ~named ?start ?unroll_limit ?chunked ~sg ~sg_threshold
+      roots
   in
   find_or_add plans key (fun () ->
       Obs_trace.with_span ~cat:"opt" "plan-compile" (fun () ->
-          let p =
-            Plan_compile.compile ~enc ~mint ~named ?start ?unroll_limit
-              ?chunked ~sg ~sg_threshold roots
-          in
-          Pass.run_encode ~config p))
+          Plan_verify.checked ~side:"encode" Plan_verify.check_plan
+            (Plan_compile.compile ~enc ~mint ~named ?start ?unroll_limit
+               ?chunked ~sg ~sg_threshold roots)))
 
 (* ------------------------------------------------------------------ *)
 (* The shared compiled-decode-plan cache                                *)
@@ -401,7 +393,7 @@ let fp_droot fp (droot : Dplan_compile.droot) =
       Buffer.add_string fp.buf " Dv";
       fp_type fp idx pres
 
-let dplan_key ~enc ~mint ~named ?start ?(chunked = true) ~config ~views
+let dplan_key ~enc ~mint ~named ?start ?(chunked = true) ~views
     ~view_threshold droots =
   let fp = fp_create ~enc ~mint ~named () in
   (match start with
@@ -410,8 +402,6 @@ let dplan_key ~enc ~mint ~named ?start ?(chunked = true) ~config ~views
       fp_int fp base;
       fp_int fp off);
   fp_int fp (if chunked then 1 else 0);
-  (* as for [plan_key]: the selection is keyed, the verify flag is not *)
-  fp_str fp (Opt_config.selection_fingerprint config);
   (* view options change the plan's structure (byte-run splitting, view
      marks), so they are part of the key *)
   fp_int fp (if views then 1 else 0);
@@ -419,13 +409,9 @@ let dplan_key ~enc ~mint ~named ?start ?(chunked = true) ~config ~views
   List.iter (fp_droot fp) droots;
   fp_contents fp
 
-let dplan ~enc ~mint ~named ?start ?chunked ?config ?views ?view_threshold
-    droots =
+let dplan ~enc ~mint ~named ?start ?chunked ?views ?view_threshold droots =
   (* as for [plan]: resolve the Mbuf-global defaults now so the key and
      the compile agree even if the globals change between calls *)
-  let config =
-    match config with Some c -> c | None -> Opt_config.default ()
-  in
   let views = match views with Some b -> b | None -> false in
   let view_threshold =
     match view_threshold with
@@ -433,13 +419,10 @@ let dplan ~enc ~mint ~named ?start ?chunked ?config ?views ?view_threshold
     | None -> Mbuf.borrow_threshold ()
   in
   let key =
-    dplan_key ~enc ~mint ~named ?start ?chunked ~config ~views
-      ~view_threshold droots
+    dplan_key ~enc ~mint ~named ?start ?chunked ~views ~view_threshold droots
   in
   find_or_add dplans key (fun () ->
       Obs_trace.with_span ~cat:"opt" "dplan-compile" (fun () ->
-          let p =
-            Dplan_compile.compile ~enc ~mint ~named ?start ?chunked ~views
-              ~view_threshold droots
-          in
-          Pass.run_decode ~config p))
+          Plan_verify.checked ~side:"decode" Plan_verify.check_dplan
+            (Dplan_compile.compile ~enc ~mint ~named ?start ?chunked ~views
+               ~view_threshold droots)))

@@ -9,11 +9,10 @@
     {!Mint.set} safe: a changed graph fingerprints differently.
 
     {!plan} is the front door used by the stub engine and the C back
-    ends: compile once, run the {!Pass} pipeline the {!Opt_config}
-    selects, and reuse the result for every structurally identical
-    request.  The pass {e selection} is part of every key, so
-    differently configured pipelines cache separately; the verify flag
-    is not, since verification never changes a plan.  The generic cache
+    ends: compile once (verifying the plan under [FLICK_VERIFY_PLANS],
+    see {!Plan_verify.checked}) and reuse the result for every
+    structurally identical request.  The verify setting is not part of
+    any key, since verification never changes a plan.  The generic cache
     type below also backs the engine's encoder/decoder closure caches,
     all visible through one stats registry (surfaced by
     [bench/main.exe planopt] and [decplan]). *)
@@ -97,15 +96,11 @@ val plan :
   ?start:int * int ->
   ?unroll_limit:int ->
   ?chunked:bool ->
-  ?config:Opt_config.t ->
   ?sg:bool ->
   ?sg_threshold:int ->
   Plan_compile.root list ->
   Plan_compile.plan
-(** Cached, pass-optimized {!Plan_compile.compile} (same defaults).
-    [config] (default {!Opt_config.default}) selects the {!Pass}
-    pipeline; its selection fingerprints into the key, so
-    [Opt_config.none] caches separately from the full pipeline.  The
+(** Cached {!Plan_compile.compile} (same defaults).  The
     scatter-gather options (defaulting to the {!Mbuf} globals) are part
     of the cache key, since they change plan structure. *)
 
@@ -115,12 +110,10 @@ val dplan :
   named:(string * (Mint.idx * Pres.t)) list ->
   ?start:int * int ->
   ?chunked:bool ->
-  ?config:Opt_config.t ->
   ?views:bool ->
   ?view_threshold:int ->
   Dplan_compile.droot list ->
   Dplan.plan
-(** Cached, pass-optimized {!Dplan_compile.compile} (same defaults).
-    The view options are part of the cache key — a view-enabled plan
-    splits large byte runs differently — as are [chunked] and the
-    [config] pass selection. *)
+(** Cached {!Dplan_compile.compile} (same defaults).  The view options
+    are part of the cache key — a view-enabled plan splits large byte
+    runs differently — as is [chunked]. *)

@@ -53,8 +53,9 @@ type size = { min : int; max : int option }
 (* One walk gives both ends.  [max] moves the congruence as the
    compiler below does (an alignment it cannot decide reserves [a - 1]):
    it must cover every byte of a body that [compile_loop] compiles
-   unchecked, and it equals the peephole's static bound where that
-   exists.  [min] counts no padding and no element of a counted run (a
+   unchecked, and it equals [bounded_advance_ops] of that body where
+   that exists (a constant msgpack/CBOR discriminator aside: the
+   compiler writes its image, this counts its kind's worst case).  [min] counts no padding and no element of a counted run (a
    decoder accepts a count of 0), and a name met inside a named body as
    0. *)
 let size ~enc ~mint ~named ?(start = (8, 0)) idx pres =
@@ -383,7 +384,6 @@ let put_var_scalar st (vcc : Encoding.varcodec) kind src =
              vh_worst = vh_worst_of kind;
              vh_check = not st.covered;
              vh_src = Mplan.Vh_value src;
-             vh_image = None;
            });
       lose_alignment st 1
 

@@ -1,8 +1,7 @@
 (* Structural verifier for marshal (Mplan) and unmarshal (Dplan)
    programs.
 
-   The plan compilers and the peephole passes maintain invariants that
-   no OCaml type enforces: chunk items sit at monotone, non-overlapping
+   The plan compilers maintain invariants that no OCaml type enforces: chunk items sit at monotone, non-overlapping
    offsets inside their chunk; a chunk whose capacity check was dropped
    is only legal under a reservation that covers it; a hoisted decode
    reservation must equal the frame's exact advance (decode checks
@@ -12,11 +11,11 @@
    once and read only after being written; Call/D_call targets resolve.
 
    The verifier re-derives each invariant independently of the
-   optimizer (e.g. it has its own exact-advance computation), so a bug
-   in a rewrite cannot hide behind the same bug in its checker.  It is
-   pure and raises nothing: the result is [Ok ()] or [Error e] with a
-   path into the plan.  The pass manager runs it after every pass when
-   FLICK_VERIFY_PLANS=1 (or Opt_config.verify) is set. *)
+   compilers (e.g. it has its own exact-advance computation), so a bug
+   in a compiler cannot hide behind the same bug in its checker.  The
+   checks are pure and raise nothing: the result is [Ok ()] or [Error e]
+   with a path into the plan.  [checked] runs one on each compiled plan
+   when FLICK_VERIFY_PLANS=1 is set. *)
 
 type error = { ev_path : string; ev_msg : string }
 
@@ -92,9 +91,9 @@ let check_chunk_items path ~vars ~size items =
   ()
 
 (* [covered] is true inside a loop whose bytes are pre-reserved — by an
-   [Ensure_count] immediately before the [Loop] (the compiler and the
-   hoisting pass both emit exactly that shape) — and propagates into
-   nested loops and switch arms, mirroring [Peephole.clear_checks].
+   [Ensure_count] immediately before the [Loop] (the shape the compiler
+   emits) — and propagates into nested loops and switch arms, as the
+   compiler's covered state does.
    The central store-safety invariant: a chunk that skips its own
    capacity check ([check = false]) must be covered (size-0 chunks are
    exempt: they write nothing). *)
@@ -113,8 +112,7 @@ let rec check_ops path ~subs ~covered ~vars ops =
             "chunk skips its capacity check outside any covering \
              reservation (dropped ensure)";
         check_chunk_items path ~vars ~size items
-    | Mplan.Put_varhead { vh_kind = _; vh_worst; vh_check; vh_src; vh_image }
-      ->
+    | Mplan.Put_varhead { vh_kind = _; vh_worst; vh_check; vh_src } ->
         if vh_worst < 1 || vh_worst > 9 then
           failv path "variable header worst-case %d out of range" vh_worst;
         if (not vh_check) && not covered then
@@ -122,24 +120,8 @@ let rec check_ops path ~subs ~covered ~vars ops =
             "variable header skips its worst-case reservation outside any \
              covering reservation (dropped ensure)";
         (match vh_src with
-        | Mplan.Vh_value rv -> (
-            check_rv path vars rv;
-            match vh_image with
-            | Some _ ->
-                failv path
-                  "variable header carries a constant image but a runtime \
-                   source"
-            | None -> ())
-        | Mplan.Vh_const _ -> ());
-        (match vh_image with
-        | Some img ->
-            let n = String.length img in
-            if n < 1 || n > vh_worst then
-              failv path
-                "variable header image of %d bytes exceeds its worst-case \
-                 reservation of %d"
-                n vh_worst
-        | None -> ())
+        | Mplan.Vh_value rv -> check_rv path vars rv
+        | Mplan.Vh_const _ -> ())
     | Mplan.Ensure_count { arr; via = _; unit_size } ->
         if unit_size <= 0 then
           failv path "reservation with non-positive unit size %d" unit_size;
@@ -332,10 +314,10 @@ let rec check_frame path ~subs ~covered (f : Dplan.frame) =
             0 items
         in
         ()
-    | Dplan.D_get_varhead { vh_worst; vh_slot; vh_expect; vh_image; _ } -> (
+    | Dplan.D_get_varhead { vh_worst; vh_slot; vh_expect; _ } -> (
         if vh_worst < 1 || vh_worst > 9 then
           failv path "variable header worst-case %d out of range" vh_worst;
-        (match (vh_slot, vh_expect) with
+        match (vh_slot, vh_expect) with
         | Some slot, None -> write path slot
         | None, Some _ -> ()
         | Some _, Some _ ->
@@ -343,20 +325,7 @@ let rec check_frame path ~subs ~covered (f : Dplan.frame) =
               "variable header both writes a slot and expects a constant"
         | None, None ->
             failv path
-              "variable header neither writes a slot nor expects a constant");
-        match vh_image with
-        | Some img ->
-            if vh_expect = None then
-              failv path
-                "variable header carries a constant image but no expected \
-                 value";
-            let n = String.length img in
-            if n < 1 || n > vh_worst then
-              failv path
-                "variable header image of %d bytes exceeds its worst-case \
-                 reservation of %d"
-                n vh_worst
-        | None -> ())
+              "variable header neither writes a slot nor expects a constant")
     | Dplan.D_get_string { max_len; slot; _ } ->
         (match max_len with
         | Some m when m < 0 -> failv path "negative maximum length %d" m
@@ -457,8 +426,7 @@ let check_dplan (plan : Dplan.plan) =
 (* Forward plans                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Forward-plan obligations, re-derived independently of Fplan_compile
-   and the forward-* rewrites:
+(* Forward-plan obligations, re-derived independently of Fplan_compile:
 
    - inside a run, every source-touching move lies at monotone,
      non-overlapping offsets within [0, src_size), and likewise every
@@ -695,3 +663,28 @@ let check_fplan (plan : Fplan.plan) =
       ~covered_src:false ~covered_dst:false plan.Fplan.f_ops;
     Ok ()
   with Fail e -> Error e
+
+(* ------------------------------------------------------------------ *)
+(* The verification setting                                             *)
+(* ------------------------------------------------------------------ *)
+
+exception Rejected of { side : string; error : error }
+
+let () =
+  Printexc.register_printer (function
+    | Rejected { side; error } ->
+        Some (Printf.sprintf "Plan_verify.Rejected(%s plan: %s)" side (error_to_string error))
+    | _ -> None)
+
+(* Read at each call: tests toggle the variable. *)
+let enabled () =
+  match Sys.getenv_opt "FLICK_VERIFY_PLANS" with
+  | Some ("1" | "true" | "yes" | "on") -> true
+  | Some _ | None -> false
+
+let checked ~side check plan =
+  (if enabled () then
+     match check plan with
+     | Ok () -> ()
+     | Error error -> raise (Rejected { side; error }));
+  plan

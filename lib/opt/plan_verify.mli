@@ -1,8 +1,8 @@
 (** Structural verifier for marshal and unmarshal plans.
 
-    Checks the invariants the plan compilers establish and every
-    {!Peephole} rewrite must preserve, re-derived independently of the
-    optimizer so a rewrite bug cannot hide behind its own checker:
+    Checks the invariants the plan compilers establish, re-derived
+    independently of them so a compiler bug cannot hide behind its own
+    checker:
 
     - chunk items sit at monotone, non-overlapping static offsets whose
       extents (atom sizes, blit lengths + padding) fit the chunk;
@@ -23,11 +23,11 @@
     - scalar sanity: power-of-two alignments, non-negative lengths,
       padding, and length bounds.
 
-    The verifier is pure and total: it returns [Error] with a path into
-    the plan instead of raising.  {!Pass.run} invokes it after every
-    pass when the {!Opt_config} says to (e.g. under
-    [FLICK_VERIFY_PLANS=1]); test/test_passes.ml fuzzes it against
-    random plans and pins that seeded corruptions are caught. *)
+    The checks are pure and total: they return [Error] with a path into
+    the plan instead of raising.  {!checked} runs one on each plan the
+    compilers produce under [FLICK_VERIFY_PLANS=1];
+    test/test_verify.ml runs it on random compiled plans and pins that
+    seeded corruptions are caught. *)
 
 type error = { ev_path : string; ev_msg : string }
 
@@ -46,3 +46,14 @@ val check_fplan : Fplan.plan -> (unit, error) result
     bounds the body's emission from above; embedded
     {!Fplan.fop.F_materialize} fallbacks re-check their decode and
     encode plans recursively. *)
+
+exception Rejected of { side : string; error : error }
+(** A compiled plan broke an invariant; [side] is ["encode"],
+    ["decode"] or ["forward"]. *)
+
+val checked : side:string -> ('p -> (unit, error) result) -> 'p -> 'p
+(** [checked ~side check plan] is [plan].  When the [FLICK_VERIFY_PLANS]
+    environment variable is "1", "true", "yes" or "on" (read at each
+    call), it first runs [check] on the plan and raises {!Rejected} if
+    the plan breaks an invariant.  {!Plan_cache} applies it to each plan
+    it compiles and [Fplan_compile.fuse] to each fused plan. *)

@@ -714,8 +714,6 @@ let s3_idl =
   "struct s1 { double f; }; struct s3 { short a[2]; short b[2]; s1 c; };\n\
    typedef sequence<s3> s3_seq; interface T { void f(in s3_seq x); };"
 
-let verify_config = { (Opt_config.default ()) with Opt_config.verify = true }
-
 let selfdesc_array_tests =
   let ms =
     lazy
@@ -737,15 +735,21 @@ let selfdesc_array_tests =
         `Quick (fun () ->
           let ms = Lazy.force ms in
           let mint = ms.Paper_fixtures.ms_mint and named = ms.Paper_fixtures.ms_named in
-          let w = Mbuf.create 64 in
-          (Stub_opt.compile_encoder ~config:verify_config ~enc ~mint ~named
-             ms.Paper_fixtures.ms_roots)
-            w [| v |];
-          let wire = Mbuf.contents w in
-          let opt =
-            Stub_opt.compile_decoder ~config:verify_config ~enc ~mint ~named
-              ms.Paper_fixtures.ms_droots
+          let clean = function
+            | Ok () -> true
+            | Error e -> Alcotest.failf "plan rejected: %s" (Plan_verify.error_to_string e)
           in
+          Alcotest.(check bool) "the encode plan verifies" true
+            (clean (Plan_verify.check_plan (Plan_cache.plan ~enc ~mint ~named ms.Paper_fixtures.ms_roots)));
+          Alcotest.(check bool) "the decode plan verifies" true
+            (clean
+               (Plan_verify.check_dplan
+                  (Plan_cache.dplan ~enc ~mint ~named
+                     (List.map Stub_opt.to_dplan_droot ms.Paper_fixtures.ms_droots))));
+          let w = Mbuf.create 64 in
+          (Stub_opt.compile_encoder ~enc ~mint ~named ms.Paper_fixtures.ms_roots) w [| v |];
+          let wire = Mbuf.contents w in
+          let opt = Stub_opt.compile_decoder ~enc ~mint ~named ms.Paper_fixtures.ms_droots in
           let naive =
             Stub_naive.compile_decoder ~config:naive_config ~enc ~mint ~named
               ms.Paper_fixtures.ms_droots

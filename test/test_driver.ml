@@ -190,16 +190,10 @@ let occurrences hay needle =
   in
   if nn = 0 then 0 else go 0 0
 
-(* Rendered under the injected fake clock, every wall time in a pass
-   trace is a deterministic step count (two readings bracket each
-   transform: exactly 1000ns = 1.0us per pass), so the golden below
-   pins timing columns byte-for-byte — no real nanosecond ever lands in
-   a golden. *)
-let render ~op ?config mode =
-  Obs.with_clock (Obs.fake_clock ()) (fun () ->
-      Plan_dump.render ~idl:Driver.Idl_corba ~pres:Driver.Pres_rpcgen
-        ~backend:Driver.Back_oncrpc ~interface:None ~op ~mode ?config
-        ~file:"bench.idl" ~source:Paper_fixtures.bench_idl ())
+let render ~op mode =
+  Plan_dump.render ~idl:Driver.Idl_corba ~pres:Driver.Pres_rpcgen
+    ~backend:Driver.Back_oncrpc ~interface:None ~op ~mode ~file:"bench.idl"
+    ~source:Paper_fixtures.bench_idl ()
 
 let read_golden name =
   let path = Filename.concat "goldens" name in
@@ -264,36 +258,6 @@ let dump_tests =
               ]
               frames)
           Encoding.[ xdr; cdr; mach3; msgpack; cbor ]);
-    test "dump-plan --trace-passes matches golden (send_dirents, oncrpc)"
-      (fun () ->
-        let out =
-          render ~op:(Some "send_dirents") ~config:Opt_config.all
-            Plan_dump.Trace
-        in
-        (* the output is deterministic under the fake clock, so
-           dumping it *is* the new golden *)
-        regen_golden "dump_trace_dirents_oncrpc.golden" out;
-        Alcotest.(check string) "dump_trace_dirents_oncrpc.golden"
-          (String.trim (read_golden "dump_trace_dirents_oncrpc.golden"))
-          (String.trim out));
-    test "dump-plan --trace-passes marks every pass verified" (fun () ->
-        (* Trace mode forces the verifier on, whatever the config says *)
-        let out =
-          render ~op:(Some "send_rects") ~config:Opt_config.all
-            Plan_dump.Trace
-        in
-        let n_passes =
-          List.length Pass.encode_pass_names
-          + List.length Pass.decode_pass_names
-        in
-        (* each side is traced twice: chunked and per-datum *)
-        Alcotest.(check int) "one verified mark per pass and mode"
-          (2 * n_passes)
-          (occurrences out "verified");
-        Alcotest.(check bool) "encode side traced" true
-          (contains out "encode (chunked):");
-        Alcotest.(check bool) "decode side traced" true
-          (contains out "decode (per-datum):"));
     test "dump-plan --forward annotates ops with copy-elision provenance"
       (fun () ->
         (* oncrpc -> oncrpc: the dirents relay is pure copy propagation,
@@ -360,15 +324,6 @@ let dump_tests =
               (contains msg "nosuch");
             Alcotest.(check bool) "lists the operations that exist" true
               (contains msg "send_ints"));
-    test "dump-plan with an unknown pass name is a diagnostic" (fun () ->
-        match
-          render ~op:None ~config:(Opt_config.only [ "bogus" ])
-            Plan_dump.Marshal
-        with
-        | _ -> Alcotest.fail "expected a diagnostic"
-        | exception Diag.Error d ->
-            Alcotest.(check bool) "names the bad pass" true
-              (contains (Diag.to_string d) "bogus"));
     test "dump-plan names how every Bench encode loop is stored" (fun () ->
         (* the rects loop is one rows kernel call in all five encodings,
            the 32-byte mach3 rect with its descriptor words between the

@@ -281,7 +281,6 @@ let bool_array_reservation_test () =
   let mint = ms.Paper_fixtures.ms_mint and named = ms.Paper_fixtures.ms_named in
   let roots = ms.Paper_fixtures.ms_roots in
   let droots = List.map Stub_opt.to_dplan_droot ms.Paper_fixtures.ms_droots in
-  let config = { (Opt_config.default ()) with Opt_config.verify = true } in
   let elem c bs =
     Value.Vstruct
       [| Value.Vstruct [| Value.Vchar c |]; Value.Varray (Array.map (fun b -> Value.Vbool b) bs) |]
@@ -304,7 +303,7 @@ let bool_array_reservation_test () =
       List.iter
         (fun dst ->
           let plan =
-            Stub_forward.forward_plan ~config ~src ~dst ~mint ~named droots roots
+            Stub_forward.forward_plan ~src ~dst ~mint ~named droots roots
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s->%s plan verifies" src.Encoding.name dst.Encoding.name)

@@ -595,7 +595,6 @@ let verifier_tests =
                     vh_worst = 5;
                     vh_check = false;
                     vh_src = Mplan.Vh_const 7L;
-                    vh_image = Some "\x07";
                   };
               ];
             p_subs = [];
@@ -622,7 +621,6 @@ let verifier_tests =
                     vh_worst = 5;
                     vh_check = true;
                     vh_src = Mplan.Vh_const 7L;
-                    vh_image = Some "\x07";
                   };
               ];
             p_subs = [];
