@@ -44,6 +44,8 @@ let rec encode ~(enc : Encoding.t) ~mint ~named idx (pres : Pres.t) buf
       match pres with
       | Pres.Terminated_string | Pres.Terminated_string_len _ -> (
           match v with
+          | Value.Vstring_view w ->
+              encode ~enc ~mint ~named idx pres buf (Value.Vstring (Value.string_of_view w))
           | Value.Vstring s ->
               Codec.check_max ~what:"string" (String.length s) max_len;
               hdr ();
@@ -70,6 +72,8 @@ let rec encode ~(enc : Encoding.t) ~mint ~named idx (pres : Pres.t) buf
           in
           if not counted then Codec.check_fixed (Value.length v) min_len;
           match (Mint.get mint elem, v) with
+          | (Mint.Char8 | Mint.Int { bits = 8; _ }), Value.Vbytes_view w ->
+              encode ~enc ~mint ~named idx pres buf (Value.Vbytes (Value.bytes_of_view w))
           | (Mint.Char8 | Mint.Int { bits = 8; _ }), Value.Vbytes b ->
               let len = Bytes.length b in
               if counted then Codec.check_max ~what:"sequence" len max_len;

@@ -160,6 +160,7 @@ let compile_value_encoder cfg (enc : Encoding.t) mint named :
         fun buf v ->
           let s = match v with
             | Value.Vstring s -> s
+            | Value.Vstring_view w -> Value.string_of_view w
             | _ -> invalid_arg "Stub_naive: expected a string"
           in
           Codec.check_max ~what:"string" (String.length s) max_len;
@@ -185,6 +186,7 @@ let compile_value_encoder cfg (enc : Encoding.t) mint named :
             fun buf v ->
               let b = match v with
                 | Value.Vbytes b -> b
+                | Value.Vbytes_view w -> Value.bytes_of_view w
                 | _ -> invalid_arg "Stub_naive: expected bytes"
               in
               let len = Bytes.length b in
@@ -223,6 +225,7 @@ let compile_value_encoder cfg (enc : Encoding.t) mint named :
               hdr buf;
               let b = match v with
                 | Value.Vbytes b -> b
+                | Value.Vbytes_view w -> Value.bytes_of_view w
                 | _ -> invalid_arg "Stub_naive: expected bytes"
               in
               let len = Bytes.length b in

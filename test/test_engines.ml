@@ -991,12 +991,98 @@ let bench_request_test () =
         [ `Ints; `Rects; `Dirents ])
     Encoding.all
 
+(* -- decoded views re-encode in every engine --------------------------- *)
+
+(* A value Stub_opt decodes with zero-copy views on (every string and
+   byte run at or above the threshold comes back as a
+   [Vstring_view]/[Vbytes_view]) must re-encode in all three engines to
+   the bytes of its materialized spelling.  Threshold 1 makes every
+   non-empty run a view. *)
+let with_views_at_1 f =
+  let on = Mbuf.sg_enabled () and th = Mbuf.borrow_threshold () in
+  Mbuf.set_sg_enabled true;
+  Mbuf.set_borrow_threshold 1;
+  Fun.protect f ~finally:(fun () ->
+      Mbuf.set_sg_enabled on;
+      Mbuf.set_borrow_threshold th)
+
+let engines =
+  [
+    ("opt", opt_encoder);
+    ("naive", Stub_naive.compile_encoder ~config:Stub_naive.default_config);
+    ("interp", Stub_interp.compile_encoder);
+  ]
+
+(* [viewed] against its materialized spelling, through each engine *)
+let reencode_views ~label ~enc ~mint ~named roots viewed =
+  let owned = Array.map Value.materialize viewed in
+  List.iter
+    (fun (engine, compile) ->
+      let run vals =
+        let buf = Mbuf.create 64 in
+        match compile ~enc ~mint ~named roots buf vals with
+        | () -> Ok (Bytes.to_string (Mbuf.contents buf))
+        | exception e -> Error (Printexc.to_string e)
+      in
+      match (run viewed, run owned) with
+      | Ok a, Ok b when a = b -> ()
+      | Ok a, Ok b ->
+          QCheck.Test.fail_reportf "%s: %s writes views differently on %s:@.%s@.%s" enc.Encoding.name
+            engine label (hex a) (hex b)
+      | Error e, _ -> QCheck.Test.fail_reportf "%s: %s refuses views on %s: %s" enc.Encoding.name engine label e
+      | Ok _, Error e ->
+          QCheck.Test.fail_reportf "%s: %s refuses the materialized value on %s: %s" enc.Encoding.name
+            engine label e)
+    engines
+
+let views_prop enc (c : case) =
+  let v = Workload.random rng c.mint ~named:c.named c.idx c.pres in
+  let wire = encode_with opt_encoder enc c (roots_of c) v in
+  let viewed =
+    with_views_at_1 (fun () ->
+        Stub_opt.compile_decoder ~enc ~mint:c.mint ~named:c.named ~views:true (droots_of c)
+          (Mbuf.reader_of_bytes (Bytes.of_string wire)))
+  in
+  reencode_views ~label:c.label ~enc ~mint:c.mint ~named:c.named (roots_of c) viewed;
+  true
+
+let views_tests =
+  List.map
+    (fun enc ->
+      qtest (enc.Encoding.name ^ ": decoded views re-encode in every engine") (views_prop enc))
+    Encoding.all
+  @ [
+      Alcotest.test_case "Bench payloads decoded with views re-encode in every engine" `Quick
+        (fun () ->
+          let pc = Paper_fixtures.bench_presc `Rpcgen in
+          List.iter
+            (fun enc ->
+              List.iter
+                (fun kind ->
+                  let ms = Paper_fixtures.request_spec pc ~op:(Paper_fixtures.op_of_payload kind) in
+                  let mint = ms.Paper_fixtures.ms_mint and named = ms.Paper_fixtures.ms_named in
+                  let buf = Mbuf.create 64 in
+                  Stub_opt.compile_encoder ~enc ~mint ~named ms.Paper_fixtures.ms_roots buf
+                    [| Paper_fixtures.payload kind ~bytes:2048 |];
+                  let viewed =
+                    with_views_at_1 (fun () ->
+                        Stub_opt.compile_decoder ~enc ~mint ~named ~views:true
+                          ms.Paper_fixtures.ms_droots
+                          (Mbuf.reader_of_bytes (Mbuf.contents buf)))
+                  in
+                  reencode_views ~label:ms.Paper_fixtures.ms_name ~enc ~mint ~named
+                    ms.Paper_fixtures.ms_roots viewed)
+                [ `Ints; `Rects; `Dirents ])
+            Encoding.all);
+    ]
+
 let suite =
   [
     ("engines:properties", property_tests);
     ("engines:recursive", recursive_tests);
     ("engines:roots", root_tests);
     ("engines:failures", failure_tests);
+    ("engines:views", views_tests);
     ( "engines:allocation",
       [
         Alcotest.test_case "a fresh encoder's first call allocates < 5 words/KB"
