@@ -42,6 +42,20 @@ let buf_expr ~vars (arr : Mplan.rv) (via : Mplan.via) : expr =
   | Mplan.Via_string | Mplan.Via_fixed _ -> a
   | Mplan.Via_opt -> a
 
+(* A length over its declared bound fails before anything is stored:
+   a loop's reservation trusts the bound, so the stores after an
+   over-long string would run past it. *)
+let marshal_bound n_expr max_len =
+  match max_len with
+  | Some b ->
+      [
+        Sif
+          ( Ebinop (Gt, n_expr, num b),
+            [ Sexpr (call "flick_fail" [ Estr "length exceeds bound" ]) ],
+            [] );
+      ]
+  | None -> []
+
 (* ------------------------------------------------------------------ *)
 (* Atom store/load helpers                                              *)
 (* ------------------------------------------------------------------ *)
@@ -169,8 +183,9 @@ let rec marshal_op ~enc ~vars (op : Mplan.op) : stmt list =
                num enc.Encoding.pad_unit; bee;
              ]);
       ]
-  | Mplan.Put_string { src; nul; pad = _; len_src = None; borrow = _; max_len = _ } ->
-      [
+  | Mplan.Put_string { src; nul; pad = _; len_src = None; borrow = _; max_len } ->
+      marshal_bound (call "strlen" [ expr_of_rv ~vars src ]) max_len
+      @ [
         Sexpr
           (call "flick_put_str"
              [
@@ -178,9 +193,10 @@ let rec marshal_op ~enc ~vars (op : Mplan.op) : stmt list =
                num enc.Encoding.pad_unit; bee;
              ]);
       ]
-  | Mplan.Put_string { src; nul; pad = _; len_src = Some len; borrow = _; max_len = _ } ->
+  | Mplan.Put_string { src; nul; pad = _; len_src = Some len; borrow = _; max_len } ->
       (* the explicit-length presentation: no strlen in the stub *)
-      [
+      marshal_bound (expr_of_rv ~vars len) max_len
+      @ [
         Sexpr
           (call "flick_put_str_n"
              [
@@ -188,8 +204,9 @@ let rec marshal_op ~enc ~vars (op : Mplan.op) : stmt list =
                num (if nul then 1 else 0); num enc.Encoding.pad_unit; bee;
              ]);
       ]
-  | Mplan.Put_byteseq { arr; via; pad = _; borrow = _; max_len = _ } ->
-      [
+  | Mplan.Put_byteseq { arr; via; pad = _; borrow = _; max_len } ->
+      marshal_bound (len_expr ~vars arr via) max_len
+      @ [
         Sexpr
           (call "flick_put_bseq"
              [
@@ -209,7 +226,7 @@ let rec marshal_op ~enc ~vars (op : Mplan.op) : stmt list =
                num len; num pad;
              ]);
       ]
-  | Mplan.Put_atom_array { arr; via; atom; with_len; max_len = _ } ->
+  | Mplan.Put_atom_array { arr; via; atom; with_len; max_len } ->
       let n = fresh "n" in
       let p = fresh "p" in
       let i = fresh "i" in
@@ -249,6 +266,7 @@ let rec marshal_op ~enc ~vars (op : Mplan.op) : stmt list =
       [
         Sblock
           ([ Sdecl (n, uint32_t, Some (len_expr ~vars arr via)) ]
+          @ marshal_bound (Eid n) max_len
           @ (if with_len then
                [ Sexpr (call "flick_put_u32" [ Eid "_buf"; Eid n; bee ]) ]
              else [])
@@ -271,8 +289,9 @@ let rec marshal_op ~enc ~vars (op : Mplan.op) : stmt list =
                   [] );
             ]);
       ]
-  | Mplan.Put_len { arr; via; max_len = _ } ->
-      [ Sexpr (call "flick_put_u32" [ Eid "_buf"; len_expr ~vars arr via; bee ]) ]
+  | Mplan.Put_len { arr; via; max_len } ->
+      marshal_bound (len_expr ~vars arr via) max_len
+      @ [ Sexpr (call "flick_put_u32" [ Eid "_buf"; len_expr ~vars arr via; bee ]) ]
   | Mplan.Loop { arr; via; var; body } ->
       let i = fresh "i" in
       let elem =
