@@ -496,19 +496,14 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
           Mbuf.ensure buf 4;
           (if be then Mbuf.set_i32_be buf 0 n else Mbuf.set_i32_le buf 0 n);
           Mbuf.advance buf 4
-    | Mplan.Put_varhead { vh_kind; vh_check; vh_src; vh_worst = _ } -> (
+    | Mplan.Put_varhead { vh_kind; vh_check; vh_src; vh_worst = _ } ->
         let vcc =
           match vc with
           | Some v -> v
           | None -> invalid_arg "Stub_opt: Put_varhead under a fixed encoding"
         in
-        match vh_src with
-        | Mplan.Vh_const v ->
-            put_image ~check:vh_check (Encoding.var_const_image vcc vh_kind v)
-        | Mplan.Vh_value rv ->
-            let a = compile_rv rv in
-            fun buf env ->
-              Codec.write_var vcc ~check:vh_check vh_kind buf (a env))
+        let a = compile_rv vh_src in
+        fun buf env -> Codec.write_var vcc ~check:vh_check vh_kind buf (a env)
     | Mplan.Loop { arr; var; body; via } -> (
         let a = sized (fixed_of via) (compile_rv arr) in
         let loop = compile_loop var body in
@@ -1113,29 +1108,21 @@ let dcompiler ~(enc : Encoding.t)
                     raise (Codec.Decode_error ("unknown operation " ^ key)))
         in
         [ Fill (slot, read) ]
-    | Dplan.D_get_varhead { vh_kind; vh_slot; vh_expect; _ } -> (
+    | Dplan.D_get_varhead { vh_kind; vh_slot = slot; _ } -> (
         let vcc =
           match vc with
           | Some v -> v
           | None ->
               invalid_arg "Stub_opt: D_get_varhead under a fixed encoding"
         in
-        match (vh_slot, vh_expect) with
-        | Some slot, None -> (
-            match vh_kind with
-            | Encoding.Kint { bits; _ } when bits <= 32 ->
-                [
-                  Fill
-                    ( slot,
-                      fun r -> Value.Vint (Encoding.var_get_int vcc vh_kind r) );
-                ]
-            | _ -> [ Fill (slot, fun r -> Codec.read_var vcc vh_kind r) ])
-        | None, Some expect ->
+        match vh_kind with
+        | Encoding.Kint { bits; _ } when bits <= 32 ->
             [
-              Effect
-                (fun r -> expect_const ~expect (Codec.read_var vcc vh_kind r));
+              Fill
+                ( slot,
+                  fun r -> Value.Vint (Encoding.var_get_int vcc vh_kind r) );
             ]
-        | _, _ -> invalid_arg "Stub_opt: D_get_varhead needs slot xor expect")
+        | _ -> [ Fill (slot, fun r -> Codec.read_var vcc vh_kind r) ])
     | Dplan.D_call { sub; slot } ->
         let cell =
           match Hashtbl.find_opt subs sub with

@@ -37,8 +37,7 @@ type dop =
   | D_get_varhead of {
       vh_kind : Encoding.atom_kind;
       vh_worst : int;
-      vh_slot : int option;  (* None for constant expectations *)
-      vh_expect : int64 option;  (* constant to verify (discriminator) *)
+      vh_slot : int;
       vh_what : string;
     }
       (* parse a value-dependent scalar header (self-describing
@@ -108,14 +107,8 @@ let pp_count ppf = function
 
 let rec pp_op ppf = function
   | D_align n -> Format.fprintf ppf "align %d" n
-  | D_get_varhead { vh_kind; vh_worst; vh_slot; vh_expect; vh_what; _ } ->
-      Format.fprintf ppf "%s <- get_varhead %a worst=%d (%s)"
-        (match vh_slot with
-        | Some s -> Printf.sprintf "s%d" s
-        | None -> (
-            match vh_expect with
-            | Some v -> Printf.sprintf "expect %Ld" v
-            | None -> "_"))
+  | D_get_varhead { vh_kind; vh_worst; vh_slot; vh_what } ->
+      Format.fprintf ppf "s%d <- get_varhead %a worst=%d (%s)" vh_slot
         Mplan.pp_kind vh_kind vh_worst vh_what
   | D_chunk { size; items; check } ->
       Format.fprintf ppf "@[<v 2>chunk size=%d%s {" size
@@ -262,7 +255,7 @@ let op_fills = function
           | Dit_atom { slot; _ } | Dit_bytes { slot; _ } -> Some slot
           | Dit_const _ -> None)
         items
-  | D_get_varhead { vh_slot; _ } -> Option.to_list vh_slot
+  | D_get_varhead { vh_slot; _ } -> [ vh_slot ]
   | D_align _ | D_const_str _ -> []
   | D_get_string { slot; _ }
   | D_get_byteseq { slot; _ }
@@ -337,7 +330,7 @@ let loop_build f =
     | Dit_atom { off; atom = { Mplan.size = 4; kind; _ }; slot } -> (slot, kind, off)
     | Dit_atom _ | Dit_bytes _ | Dit_const _ -> (-1, Encoding.Kbool, 0)
   and head = function
-    | D_get_varhead { vh_kind; vh_slot = Some s; vh_expect = None; _ } -> (s, vh_kind, 0)
+    | D_get_varhead { vh_kind; vh_slot = s; _ } -> (s, vh_kind, 0)
     | _ -> (-1, Encoding.Kbool, 0)
   in
   let leaves, chunk =
@@ -389,7 +382,7 @@ let store_rows ~var (body : Mplan.op list) =
     | _ -> Either.Right (None, Encoding.Kbool, 0)
   and head (op : Mplan.op) =
     match op with
-    | Mplan.Put_varhead { vh_kind; vh_check = false; vh_src = Mplan.Vh_value src; _ } ->
+    | Mplan.Put_varhead { vh_kind; vh_check = false; vh_src = src; _ } ->
         (path [] src, vh_kind, 0)
     | _ -> (None, Encoding.Kbool, 0)
   in

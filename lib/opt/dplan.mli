@@ -54,15 +54,14 @@ type dop =
   | D_get_varhead of {
       vh_kind : Encoding.atom_kind;
       vh_worst : int;
-      vh_slot : int option;  (** [None] for constant expectations *)
-      vh_expect : int64 option;
-          (** constant the wire value must equal (discriminators,
-              constant roots); mismatch raises [Codec.Decode_error] *)
+      vh_slot : int;
       vh_what : string;
     }
       (** parse a value-dependent scalar header of a self-describing
           encoding; always self-checking (its advance is data
-          dependent, so it can never ride a hoisted reservation) *)
+          dependent, so it can never ride a hoisted reservation).  An
+          expected constant is no head but its image's bytes, compared
+          in a chunk *)
   | D_get_string of { max_len : int option; slot : int; view : bool }
   | D_const_str of string
   | D_get_byteseq of { count : dcount; slot : int; view : bool }

@@ -207,8 +207,7 @@ let take_var_scalar st (vcc : Encoding.varcodec) kind =
            {
              vh_kind = kind;
              vh_worst = Plan_compile.vh_worst_of kind;
-             vh_slot = Some slot;
-             vh_expect = None;
+             vh_slot = slot;
              vh_what = "scalar";
            });
       lose_alignment st 1;

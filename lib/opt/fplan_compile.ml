@@ -434,8 +434,7 @@ let plan_param_indexes (p : Plan_compile.plan) =
         rv src;
         Option.iter rv len_src
     | Mplan.Put_blit { src; _ } -> rv src
-    | Mplan.Put_varhead { vh_src = Mplan.Vh_value r; _ } -> rv r
-    | Mplan.Put_varhead { vh_src = Mplan.Vh_const _; _ } -> ()
+    | Mplan.Put_varhead { vh_src = r; _ } -> rv r
     | Mplan.Loop { arr; body; _ } ->
         rv arr;
         List.iter op body

@@ -19,8 +19,6 @@ type item =
   | It_bytes of { off : int; len : int; pad : int; src : rv }
   | It_const of { off : int; atom : atom; value : int64 }
 
-type vh_src = Vh_value of rv | Vh_const of int64
-
 type op =
   | Align of int
   | Chunk of { size : int; align : int; items : item list; check : bool }
@@ -28,7 +26,7 @@ type op =
       vh_kind : Encoding.atom_kind;
       vh_worst : int;
       vh_check : bool;
-      vh_src : vh_src;
+      vh_src : rv;
     }
   | Ensure_count of { arr : rv; via : via; unit_size : int }
   | Put_const_str of { s : string; nul : bool; pad : int }
@@ -107,12 +105,10 @@ let pp_max = function None -> "" | Some m -> Printf.sprintf " max=%d" m
 let rec pp_op ppf = function
   | Align n -> Format.fprintf ppf "align %d" n
   | Put_varhead { vh_kind; vh_worst; vh_check; vh_src } ->
-      Format.fprintf ppf "put_varhead %a worst=%d%s <- %s" pp_kind vh_kind
+      Format.fprintf ppf "put_varhead %a worst=%d%s <- %a" pp_kind vh_kind
         vh_worst
         (if vh_check then "" else " nocheck")
-        (match vh_src with
-        | Vh_const v -> Printf.sprintf "const %Ld" v
-        | Vh_value rv -> Format.asprintf "%a" pp_rv rv)
+        pp_rv vh_src
   | Chunk { size; align; items; check } ->
       Format.fprintf ppf "@[<v 2>chunk size=%d align=%d%s {" size align
         (if check then "" else " nocheck");

@@ -59,10 +59,6 @@ type item =
   | It_const of { off : int; atom : atom; value : int64 }
       (** constant word (discriminators, Mach type descriptors) *)
 
-(** What a variable-width header emits: a runtime scalar or a
-    compile-time constant (union discriminators, constant roots). *)
-type vh_src = Vh_value of rv | Vh_const of int64
-
 type op =
   | Align of int  (** dynamic alignment to a power of two *)
   | Chunk of { size : int; align : int; items : item list; check : bool }
@@ -74,10 +70,11 @@ type op =
           (** bytes reserved; the emit advances by the actual width *)
       vh_check : bool;
           (** false only under a covering worst-case reservation *)
-      vh_src : vh_src;
+      vh_src : rv;
     }
       (** value-dependent scalar emit for a self-describing encoding:
-          reserve [vh_worst], write the minimal-width form *)
+          reserve [vh_worst], write the minimal-width form (a constant
+          one is written into its chunk as its image's bytes) *)
   | Ensure_count of { arr : rv; via : via; unit_size : int }
       (** reserve length * unit once for a whole array *)
   | Put_const_str of { s : string; nul : bool; pad : int }

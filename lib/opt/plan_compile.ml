@@ -383,7 +383,7 @@ let put_var_scalar st (vcc : Encoding.varcodec) kind src =
              vh_kind = kind;
              vh_worst = vh_worst_of kind;
              vh_check = not st.covered;
-             vh_src = Mplan.Vh_value src;
+             vh_src = src;
            });
       lose_alignment st 1
 

@@ -119,9 +119,7 @@ let rec check_ops path ~subs ~covered ~vars ops =
           failv path
             "variable header skips its worst-case reservation outside any \
              covering reservation (dropped ensure)";
-        (match vh_src with
-        | Mplan.Vh_value rv -> check_rv path vars rv
-        | Mplan.Vh_const _ -> ())
+        check_rv path vars vh_src
     | Mplan.Ensure_count { arr; via = _; unit_size } ->
         if unit_size <= 0 then
           failv path "reservation with non-positive unit size %d" unit_size;
@@ -314,18 +312,10 @@ let rec check_frame path ~subs ~covered (f : Dplan.frame) =
             0 items
         in
         ()
-    | Dplan.D_get_varhead { vh_worst; vh_slot; vh_expect; _ } -> (
+    | Dplan.D_get_varhead { vh_worst; vh_slot; _ } ->
         if vh_worst < 1 || vh_worst > 9 then
           failv path "variable header worst-case %d out of range" vh_worst;
-        match (vh_slot, vh_expect) with
-        | Some slot, None -> write path slot
-        | None, Some _ -> ()
-        | Some _, Some _ ->
-            failv path
-              "variable header both writes a slot and expects a constant"
-        | None, None ->
-            failv path
-              "variable header neither writes a slot nor expects a constant")
+        write path vh_slot
     | Dplan.D_get_string { max_len; slot; _ } ->
         (match max_len with
         | Some m when m < 0 -> failv path "negative maximum length %d" m

@@ -594,7 +594,7 @@ let verifier_tests =
                     vh_kind = i32;
                     vh_worst = 5;
                     vh_check = false;
-                    vh_src = Mplan.Vh_const 7L;
+                    vh_src = Mplan.Rparam { index = 0; name = "v"; deref = false };
                   };
               ];
             p_subs = [];
@@ -620,7 +620,7 @@ let verifier_tests =
                     vh_kind = i32;
                     vh_worst = 5;
                     vh_check = true;
-                    vh_src = Mplan.Vh_const 7L;
+                    vh_src = Mplan.Rparam { index = 0; name = "v"; deref = false };
                   };
               ];
             p_subs = [];
