@@ -1777,7 +1777,7 @@ let gateway () =
               let re = Stub_opt.compile_encoder ~enc:dst ~mint ~named roots in
               let baseline r w = re w (dec r) in
               let plan =
-                Stub_forward.forward_plan ~src ~dst ~mint ~named droots roots
+                Fplan_compile.fuse ~src ~dst ~mint ~named droots roots
               in
               (match Plan_verify.check_fplan plan with
               | Ok () -> ()

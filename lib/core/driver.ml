@@ -60,9 +60,8 @@ let pick_interface spec interface =
 
 (* Span names trace the pipeline of PAPER.md figure 1: "parse" covers
    source -> AOI, "presgen" AOI -> PRES_C (MINT + PRES + CAST), and
-   "backend" (in [compile]) PRES_C -> C stubs; plan compilation and the
-   optimizer passes nest their own spans inside (see Plan_cache and
-   Pass). *)
+   "backend" (in [compile]) PRES_C -> C stubs; plan compilation nests
+   its own spans inside (see Plan_cache). *)
 let present idl presentation ~file ~source ~interface =
   match (idl, presentation) with
   | Idl_mig, (Pres_mig | Pres_corba | Pres_corba_len | Pres_rpcgen | Pres_fluke) ->

@@ -184,7 +184,7 @@ let render ~idl ~pres ~backend ~interface ~op ~mode ?encoding ~file ~source
           let dst = dtr.Backend_base.tr_enc in
           let plan =
             guarded "forward plan" (fun () ->
-                Stub_forward.forward_plan ~src:enc ~dst ~mint ~named
+                Fplan_compile.fuse ~src:enc ~dst ~mint ~named
                   (droots_of st) (roots_of st))
           in
           Buffer.add_string b

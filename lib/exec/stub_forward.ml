@@ -448,8 +448,6 @@ and compile_ops ~src ~dst ops =
 (* Plan-level entry points and the cached front door                   *)
 (* ------------------------------------------------------------------ *)
 
-let forward_plan = Fplan_compile.fuse
-
 let forward_of_plan (p : Fplan.plan) : forward =
   let fns = compile_ops ~src:p.Fplan.f_src ~dst:p.Fplan.f_dst p.Fplan.f_ops in
   let k = Array.length fns in
@@ -476,4 +474,4 @@ let compile_forward ~(src : Encoding.t) ~(dst : Encoding.t) ~mint ~named
   List.iter (Plan_cache.fp_root fp) roots;
   let key = Plan_cache.fp_contents fp in
   Plan_cache.find_or_add forward_cache key (fun () ->
-      forward_of_plan (forward_plan ~src ~dst ~mint ~named droots roots))
+      forward_of_plan (Fplan_compile.fuse ~src ~dst ~mint ~named droots roots))

@@ -15,9 +15,9 @@
     / [Mbuf.Short_buffer]).  Relayed output is byte-identical to
     decode-then-reencode; on malformed input both engines fail (the
     exception class may differ when fusion merges two runs' bounds
-    checks into one).  A loop checks its
-    count against the source bytes that remain, at its source minimum
-    per element, before either side reserves or allocates.
+    checks into one).  A loop checks its count against the source bytes
+    that remain, at its source minimum per element, before either side
+    reserves or allocates.
 
     Observability ({!Obs} counters): [forward.fused_runs] (executed
     fused runs), [forward.borrowed_bytes] / [forward.copied_bytes]
@@ -31,22 +31,9 @@ type forward = Mbuf.reader -> Mbuf.t -> unit
     malformed input; the writer's contents are then unspecified
     (gateways discard the in-progress reply frame). *)
 
-val forward_plan :
-  src:Encoding.t ->
-  dst:Encoding.t ->
-  mint:Mint.t ->
-  named:(string * (Mint.idx * Pres.t)) list ->
-  ?sg:bool ->
-  ?sg_threshold:int ->
-  Dplan_compile.droot list ->
-  Plan_compile.root list ->
-  Fplan.plan
-(** {!Fplan_compile.fuse}: what [flick dump-plan --forward] prints and
-    what the differential tests execute. *)
-
 val forward_of_plan : Fplan.plan -> forward
-(** The relay of an already optimized plan: one closure per op, run in
-    order. *)
+(** The relay of a fused plan ({!Fplan_compile.fuse}): one closure per
+    op, run in order. *)
 
 val compile_forward :
   src:Encoding.t ->

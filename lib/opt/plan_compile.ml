@@ -55,9 +55,9 @@ type size = { min : int; max : int option }
    it must cover every byte of a body that [compile_loop] compiles
    unchecked, and it equals [bounded_advance_ops] of that body where
    that exists (a constant msgpack/CBOR discriminator aside: the
-   compiler writes its image, this counts its kind's worst case).  [min] counts no padding and no element of a counted run (a
-   decoder accepts a count of 0), and a name met inside a named body as
-   0. *)
+   compiler writes its image, this counts its kind's worst case).
+   [min] counts no padding and no element of a counted run (a decoder
+   accepts a count of 0), and a name met inside a named body as 0. *)
 let size ~enc ~mint ~named ?(start = (8, 0)) idx pres =
   let p = ref { abase = fst start; aoff = snd start } in
   let la = len_atom enc and selfdesc = enc.Encoding.var <> None in

@@ -1,8 +1,9 @@
 (* Structural verifier for marshal (Mplan) and unmarshal (Dplan)
    programs.
 
-   The plan compilers maintain invariants that no OCaml type enforces: chunk items sit at monotone, non-overlapping
-   offsets inside their chunk; a chunk whose capacity check was dropped
+   The plan compilers maintain invariants that no OCaml type enforces:
+   chunk items sit at monotone, non-overlapping offsets inside their
+   chunk; a chunk whose capacity check was dropped
    is only legal under a reservation that covers it; a hoisted decode
    reservation must equal the frame's exact advance (decode checks
    *raise*, so an upper bound would reject well-formed messages), and a

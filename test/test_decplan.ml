@@ -428,7 +428,7 @@ let check_int_array_engines (c : Test_engines.case) v ~encs ~wire_of =
           let plan = Plan_cache.plan ~enc:dst ~mint ~named roots in
           encode "encoder" (Stub_opt.encoder_of_plan ~enc:dst plan);
           let fplan =
-            Stub_forward.forward_plan ~src ~dst ~mint ~named
+            Fplan_compile.fuse ~src ~dst ~mint ~named
               (List.map Stub_opt.to_dplan_droot droots) roots
           in
           let w = Mbuf.create 64 in

@@ -78,7 +78,7 @@ let baseline_relay ~src ~dst (c : Test_engines.case) : Stub_forward.forward =
   fun r w -> re w (dec r)
 
 let fused_plan ~src ~dst (c : Test_engines.case) =
-  Stub_forward.forward_plan ~src ~dst ~mint:c.Test_engines.mint
+  Fplan_compile.fuse ~src ~dst ~mint:c.Test_engines.mint
     ~named:c.Test_engines.named
     (List.map Stub_opt.to_dplan_droot (Test_engines.droots_of c))
     (Test_engines.roots_of c)
@@ -303,7 +303,7 @@ let bool_array_reservation_test () =
       List.iter
         (fun dst ->
           let plan =
-            Stub_forward.forward_plan ~src ~dst ~mint ~named droots roots
+            Fplan_compile.fuse ~src ~dst ~mint ~named droots roots
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s->%s plan verifies" src.Encoding.name dst.Encoding.name)
@@ -333,7 +333,7 @@ let rects_relay_test () =
     Mbuf.contents w
   in
   let plan =
-    Stub_forward.forward_plan ~src:Encoding.msgpack ~dst:Encoding.cbor ~mint ~named
+    Fplan_compile.fuse ~src:Encoding.msgpack ~dst:Encoding.cbor ~mint ~named
       (List.map Stub_opt.to_dplan_droot droots) roots
   in
   Alcotest.(check bool) "the relay materializes" true

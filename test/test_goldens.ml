@@ -83,7 +83,7 @@ let stub_plans () =
         (fun kind ->
           let ms = bench_spec src kind in
           let f =
-            Stub_forward.forward_plan ~src ~dst ~mint:ms.Paper_fixtures.ms_mint
+            Fplan_compile.fuse ~src ~dst ~mint:ms.Paper_fixtures.ms_mint
               ~named:ms.Paper_fixtures.ms_named ~sg ~sg_threshold
               (List.map Stub_opt.to_dplan_droot ms.Paper_fixtures.ms_droots)
               ms.Paper_fixtures.ms_roots
