@@ -15,17 +15,6 @@ let pp_ops ops = Format.asprintf "%a" Mplan.pp ops
 
 (* -- goldens: the compiler's decisions as reviewable diffs ------------ *)
 
-let read_golden name =
-  let path = Filename.concat "goldens" name in
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let golden_check name rendered =
-  Alcotest.(check string) name (String.trim (read_golden name)) (String.trim rendered)
-
 let mail_request_plan ~enc ~chunked =
   let spec = Corba_parser.parse ~file:"mail.idl" Paper_fixtures.mail_corba in
   let pc = Presgen_corba.generate spec [ "Mail" ] in
@@ -43,13 +32,13 @@ let golden_tests =
   [
     test "golden: per-datum Mail request plan (mach3)" (fun () ->
         let plan = mail_request_plan ~enc:Encoding.mach3 ~chunked:false in
-        golden_check "mail_mach3_per_datum.golden" (pp_ops plan.Plan_compile.p_ops));
+        Test_goldens.golden "mail_mach3_per_datum.golden" (pp_ops plan.Plan_compile.p_ops));
     test "golden: Mail request plan under CDR" (fun () ->
         let plan = mail_request_plan ~enc:Encoding.cdr ~chunked:true in
-        golden_check "mail_cdr.golden" (pp_ops plan.Plan_compile.p_ops));
+        Test_goldens.golden "mail_cdr.golden" (pp_ops plan.Plan_compile.p_ops));
     test "golden: per-datum directory plan (xdr)" (fun () ->
         let plan = dirents_request_plan ~enc:Encoding.xdr ~chunked:false in
-        golden_check "dirents_xdr_per_datum.golden" (pp_ops plan.Plan_compile.p_ops));
+        Test_goldens.golden "dirents_xdr_per_datum.golden" (pp_ops plan.Plan_compile.p_ops));
   ]
 
 (* -- differential properties ------------------------------------------ *)

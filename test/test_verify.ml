@@ -14,11 +14,6 @@
 
 let test name f = Alcotest.test_case name `Quick f
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
 (* -- 1. compiled plans verify ----------------------------------------- *)
 
 let clean what = function
@@ -154,7 +149,7 @@ let expect_reject what (result : (unit, Plan_verify.error) result) needle =
   | Ok () -> Alcotest.failf "%s: verifier accepted the corrupted plan" what
   | Error e ->
       let msg = Plan_verify.error_to_string e in
-      if not (contains msg needle) then
+      if not (Test_driver.contains msg needle) then
         Alcotest.failf "%s: diagnostic %S does not mention %S" what msg needle
 
 let eplan ops = { Plan_compile.p_ops = ops; p_subs = [] }
@@ -350,7 +345,7 @@ let negative_tests =
                 Alcotest.(check string) "side" "encode" side;
                 Alcotest.(check bool)
                   "diagnostic names the subroutine" true
-                  (contains
+                  (Test_driver.contains
                      (Plan_verify.error_to_string error)
                      "undefined marshal subroutine")));
     test "corruption: loop element minimum above what an element takes"
