@@ -26,6 +26,14 @@ let vh_worst_of kind =
   | Encoding.Fixed n -> n
   | Encoding.Var { worst } -> worst
 
+(* a case label as the value an atom discriminator carries *)
+let const_value (c : Mint.const) =
+  match c with
+  | Mint.Cint n -> n
+  | Mint.Cbool b -> if b then 1L else 0L
+  | Mint.Cchar ch -> Int64.of_int (Char.code ch)
+  | Mint.Cstring _ -> invalid_arg "Plan_compile: string label with atom discriminator"
+
 let is_byte_elem mint elem =
   match Mint.get mint elem with
   | Mint.Char8 | Mint.Int { bits = 8; _ } -> true
@@ -54,9 +62,7 @@ type size = { min : int; max : int option }
    compiler below does (an alignment it cannot decide reserves [a - 1]):
    it must cover every byte of a body that [compile_loop] compiles
    unchecked, and it equals [bounded_advance_ops] of that body where
-   that exists (a constant msgpack/CBOR discriminator aside: the
-   compiler writes its image, this counts its kind's worst case).
-   [min] counts no padding and no element of a counted run (a decoder
+   that exists.  [min] counts no padding and no element of a counted run (a decoder
    accepts a count of 0), and a name met inside a named body as 0. *)
 let size ~enc ~mint ~named ?(start = (8, 0)) idx pres =
   let p = ref { abase = fst start; aoff = snd start } in
@@ -117,21 +123,27 @@ let size ~enc ~mint ~named ?(start = (8, 0)) idx pres =
     | Mint.Union { discrim; cases; default }, Pres.Union { arms; default_arm; _ } ->
         let entry = !p in
         (* every arm writes the discriminator, then its body, from the
-           union's entry position *)
-        let arm (body, sub) =
+           union's entry position; under msgpack/CBOR a case's constant
+           discriminator is its image, the default's a scalar head *)
+        let arm (label, body, sub) =
           p := entry;
           let k =
-            match Encoding.atom_of_mint (Mint.get mint discrim) with
-            | Some kind -> value kind
-            | None -> { min = hmin + word; max = None }
+            match (Encoding.atom_of_mint (Mint.get mint discrim), label, enc.Encoding.var) with
+            | Some kind, Some c, Some vcc ->
+                let n = String.length (Encoding.var_const_image vcc kind (const_value c)) in
+                { min = n; max = Some (place 1 n) }
+            | Some kind, _, _ -> value kind
+            | None, _, _ -> { min = hmin + word; max = None }
           in
           let b = go named body sub in
           { min = k.min + b.min; max = k.max +? b.max }
         in
         let sizes =
           List.map arm
-            (List.map2 (fun (c : Mint.case) (_, sub) -> (c.Mint.c_body, sub)) cases arms
-            @ match (default, default_arm) with Some d, Some (_, sub) -> [ (d, sub) ] | _ -> [])
+            (List.map2
+               (fun (c : Mint.case) (_, sub) -> (Some c.Mint.c_const, c.Mint.c_body, sub))
+               cases arms
+            @ match (default, default_arm) with Some d, Some (_, sub) -> [ (None, d, sub) ] | _ -> [])
         in
         lose enc.Encoding.granularity;
         List.fold_left
@@ -589,13 +601,6 @@ and compile_union st rv ~discrim ~cases ~default ~discrim_field ~union_field
     st.ops_rev <- saved_ops;
     st.chunk <- None;
     ops
-  in
-  let const_value (c : Mint.const) =
-    match c with
-    | Mint.Cint n -> n
-    | Mint.Cbool b -> if b then 1L else 0L
-    | Mint.Cchar ch -> Int64.of_int (Char.code ch)
-    | Mint.Cstring _ -> invalid_arg "Plan_compile: string label with atom discriminator"
   in
   let plan_arms =
     List.map2

@@ -220,21 +220,6 @@ let bound_prop enc (c : case) =
           bound c.label
     | Some _ | None -> true
 
-(* The size model places atoms as the compiler does: wherever the
-   static bound read off a loop body's ops exists, the compiler
-   reserved exactly that per element.  The one exception is a union
-   under msgpack/CBOR: the compiler writes a constant discriminator at
-   its image's width, while the size model counts the worst case of
-   its kind, so such a body is covered rather than matched. *)
-let rec has_switch ops =
-  List.exists
-    (fun (op : Mplan.op) ->
-      match op with
-      | Mplan.Switch _ -> true
-      | Mplan.Loop { body; _ } -> has_switch body
-      | _ -> false)
-    ops
-
 let reservation_prop enc (c : case) =
   let plan = Plan_compile.compile ~enc ~mint:c.mint ~named:c.named (roots_of c) in
   let rec ops prev = function
@@ -244,8 +229,7 @@ let reservation_prop enc (c : case) =
         | Mplan.Loop { body; _ } ->
             (match (Plan_compile.bounded_advance_ops body, prev) with
             | Some u, Some (Mplan.Ensure_count { unit_size; _ }) ->
-                let covered_only = enc.Encoding.var <> None && has_switch body in
-                if unit_size < u || (unit_size > u && not covered_only) then
+                if unit_size <> u then
                   QCheck.Test.fail_reportf "reserved %d bytes for a body bounded by %d on %s"
                     unit_size u c.label
             | Some u, _ when u > 0 ->
