@@ -38,7 +38,6 @@ type dop =
       vh_kind : Encoding.atom_kind;
       vh_worst : int;
       vh_slot : int;
-      vh_what : string;
     }
       (* parse a value-dependent scalar header (self-describing
          encodings); always self-checking — the advance is data
@@ -107,9 +106,9 @@ let pp_count ppf = function
 
 let rec pp_op ppf = function
   | D_align n -> Format.fprintf ppf "align %d" n
-  | D_get_varhead { vh_kind; vh_worst; vh_slot; vh_what } ->
-      Format.fprintf ppf "s%d <- get_varhead %a worst=%d (%s)" vh_slot
-        Mplan.pp_kind vh_kind vh_worst vh_what
+  | D_get_varhead { vh_kind; vh_worst; vh_slot } ->
+      Format.fprintf ppf "s%d <- get_varhead %a worst=%d (scalar)" vh_slot
+        Mplan.pp_kind vh_kind vh_worst
   | D_chunk { size; items; check } ->
       Format.fprintf ppf "@[<v 2>chunk size=%d%s {" size
         (if check then "" else " nocheck");

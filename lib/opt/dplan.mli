@@ -55,7 +55,6 @@ type dop =
       vh_kind : Encoding.atom_kind;
       vh_worst : int;
       vh_slot : int;
-      vh_what : string;
     }
       (** parse a value-dependent scalar header of a self-describing
           encoding; always self-checking (its advance is data

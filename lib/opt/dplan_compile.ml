@@ -208,7 +208,6 @@ let take_var_scalar st (vcc : Encoding.varcodec) kind =
              vh_kind = kind;
              vh_worst = Plan_compile.vh_worst_of kind;
              vh_slot = slot;
-             vh_what = "scalar";
            });
       lose_alignment st 1;
       slot
