@@ -62,8 +62,9 @@ type size = { min : int; max : int option }
    compiler below does (an alignment it cannot decide reserves [a - 1]):
    it must cover every byte of a body that [compile_loop] compiles
    unchecked, and it equals [bounded_advance_ops] of that body where
-   that exists.  [min] counts no padding and no element of a counted run (a decoder
-   accepts a count of 0), and a name met inside a named body as 0. *)
+   that exists.  [min] counts no padding and no element of a counted
+   run (a decoder accepts a count of 0), and a name met inside a named
+   body as 0. *)
 let size ~enc ~mint ~named ?(start = (8, 0)) idx pres =
   let p = ref { abase = fst start; aoff = snd start } in
   let la = len_atom enc and selfdesc = enc.Encoding.var <> None in
